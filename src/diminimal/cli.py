@@ -69,7 +69,7 @@ def _load_matrix_file(path: str):
 def _rational_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 

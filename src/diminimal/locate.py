@@ -6,17 +6,22 @@ final values count the eigenvalues of M on either side of -x, and the zeros
 count the multiplicity of -x itself.  Everything else in this module
 (interval counts, bisection isolation, Parter vertex search) is built on
 that single primitive.
+
+That primitive is one kernel, `_run`, over flat int arrays of the rooted
+tree instead of Fraction objects.  Each value is a reduced (num, den) pair,
+added with Henrici's gcd split and divided with cross-cancellation, so it
+stays exact without per-operation object overhead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Callable, Collection, Sequence
+from math import gcd, isqrt
+from typing import Collection, Sequence
 
 from .matrices import WeightedTreeMatrix, delete_vertex
-from .trees import RootedTree
+from .trees import reroot
 
 
 @dataclass(frozen=True)
@@ -36,77 +41,123 @@ class DiagOutcome:
     query_shift: Fraction
 
 
-def _postorder(adj: Callable[[int], Sequence[int]], root: int) -> tuple[list[int], dict[int, int]]:
-    """Iterative postorder with children in ascending id order; also returns
-    the parent map of the traversal."""
-    parent: dict[int, int] = {root: -1}
-    out: list[int] = []
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            out.append(v)
-            continue
-        stack.append((v, True))
-        for u in sorted(adj(v), reverse=True):
-            if u != parent[v]:
-                parent[u] = v
-                stack.append((u, False))
-    return out, parent
+def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int],
+         dd: Sequence[int], wn: Sequence[int], wd: Sequence[int], xn: int,
+         xd: int, values: dict[int, tuple[int, int]] | None = None):
+    """The elimination kernel: bottom-up congruence diagonalization of
+    M + x*I over `order`, a postorder whose last entry is the run's root.
 
+    Vertex k has diagonal dn[k]/dd[k] and squared weight wn[k]/wd[k] on its
+    edge to parent[k]; x = xn/xd.  Fractions are reduced (num, den) int
+    pairs with den > 0.  If no attached child of k carries a zero, k picks
+    up the usual Schur complement; otherwise the smallest-id zero child j
+    is paired with k (j's value becomes 2, k's -w2(j,k)/2) and the edge from
+    k to its parent is cut.  Sums use Henrici's split: with g = gcd(b, q),
+    only a divisor of g can be common to the numerator and the denominator
+    b*q/g of a/b + p/q.  Quotients cross-cancel.
 
-def _run(adj: Callable[[int], Sequence[int]],
-         diag: Callable[[int], Fraction],
-         sq_weight: Callable[[int, int], Fraction],
-         root: int, x: Fraction):
-    """Core bottom-up elimination of M + x*I on an arbitrary adjacency view.
-
-    Returns (final values, pivots, removed edges, order).  At each non-leaf
-    vertex k: if every still-attached child carries a nonzero value, k picks
-    up the usual Schur complement; otherwise the smallest-id zero child j is
-    paired with k (j's value becomes 2, k's becomes -w2(j,k)/2) and the edge
-    from k to its parent is deactivated for the rest of the run.
+    Returns the sign of every final value keyed by vertex, the vertices at
+    which the pairing rule fired, and the root's final value; `values`, if
+    given, receives every final value.
     """
-    order, parent = _postorder(adj, root)
-    d: dict[int, Fraction] = {v: diag(v) + x for v in order}
-    removed: set[tuple[int, int]] = set()
-    pivots: set[int] = set()
+    signs: dict[int, int] = {}
+    pivots: list[int] = []
+    # Schur terms pushed to a parent so far, freed once the parent is done
+    acc: dict[int, tuple[int, int]] = {}
+    zero_kid: dict[int, int] = {}
+    root = order[-1]
     for k in order:
-        kids = [c for c in adj(k)
-                if c != parent[k] and (min(c, k), max(c, k)) not in removed]
-        if not kids:
+        if zero_kid and k in zero_kid:
+            j = zero_kid.pop(k)
+            acc.pop(k, None)
+            a, b = (-wn[j], 2 * wd[j]) if wn[j] & 1 else (-(wn[j] >> 1), wd[j])
+            signs[j], signs[k] = 1, -1
+            pivots.append(k)
+            if values is not None:
+                values[j], values[k] = (2, 1), (a, b)
             continue
-        zeros = [c for c in kids if d[c] == 0]
-        if not zeros:
-            d[k] -= sum(sq_weight(c, k) / d[c] for c in kids)
+        # a/b = d + x, then + acc[k]; the sums are inlined on purpose, the
+        # loop body runs once per vertex
+        a, b = dn[k], dd[k]
+        if xd == 1:
+            a += xn * b
+        elif b == 1:
+            a, b = a * xd + xn, xd
         else:
-            j = min(zeros)
-            d[k] = -sq_weight(j, k) / 2
-            d[j] = Fraction(2)
-            pivots.add(k)
-            if parent[k] != -1:
-                removed.add((min(k, parent[k]), max(k, parent[k])))
-    return d, pivots, removed, order
+            g = gcd(b, xd)
+            if g == 1:
+                a, b = a * xd + xn * b, b * xd
+            else:
+                s = b // g
+                a = a * (xd // g) + xn * s
+                g = gcd(a, g)
+                a, b = (a, s * xd) if g == 1 else (a // g, s * (xd // g))
+        t = acc.pop(k, None)
+        if t is not None:
+            p, q = t
+            g = gcd(b, q)
+            if g == 1:
+                a, b = a * q + p * b, b * q
+            else:
+                s = b // g
+                a = a * (q // g) + p * s
+                g = gcd(a, g)
+                a, b = (a, s * q) if g == 1 else (a // g, s * (q // g))
+        if values is not None:
+            values[k] = (a, b)
+        if k == root:
+            signs[k] = (a > 0) - (a < 0)
+            break
+        pk = parent[k]
+        if not a:
+            signs[k] = 0
+            if zero_kid.get(pk, k) >= k:
+                zero_kid[pk] = k
+            continue
+        # the Schur term -w/(a/b) = -(w*b)/(v*a), cross-cancelled
+        w, v = wn[k], wd[k]
+        g = gcd(w, a)
+        if g != 1:
+            w, a = w // g, a // g
+        g = gcd(b, v)
+        if g != 1:
+            b, v = b // g, v // g
+        signs[k] = 1 if a > 0 else -1
+        p, q = (-w * b, v * a) if a > 0 else (w * b, -v * a)
+        t = acc.get(pk)
+        if t is None:
+            acc[pk] = (p, q)
+        else:
+            r, s = t
+            g = gcd(s, q)
+            if g == 1:
+                acc[pk] = (r * q + p * s, s * q)
+            else:
+                s //= g
+                r = r * (q // g) + p * s
+                g = gcd(r, g)
+                acc[pk] = (r, s * q) if g == 1 else (r // g, s * (q // g))
+    return signs, pivots, (a, b)
 
 
-def _matrix_adj(m: WeightedTreeMatrix) -> Callable[[int], Sequence[int]]:
-    return lambda v: m.tree.adjacency[v]
+def _counts(signs: dict[int, int]) -> CountsAt:
+    s = list(signs.values())
+    neg, zero = s.count(-1), s.count(0)
+    return CountsAt(below=neg, equal=zero, above=len(s) - neg - zero)
 
 
 def diagonalize(m: WeightedTreeMatrix, x: Fraction, root: int | None = None) -> DiagOutcome:
     """Congruence-diagonalize M + x*I bottom-up from `root` (default: the
     tree's own root).  Exact; never touches floats."""
     x = Fraction(x)
-    r = m.tree.root if root is None else root
-    if not (0 <= r < m.n):
-        raise ValueError(f"root {r} out of range")
-    d, pivots, removed, _ = _run(
-        _matrix_adj(m), lambda v: m.diag[v],
-        lambda a, b: m.sq_weight[(min(a, b), max(a, b))], r, x)
-    neg = sum(1 for q in d.values() if q < 0)
-    zero = sum(1 for q in d.values() if q == 0)
-    pos = len(d) - neg - zero
-    return DiagOutcome(d, (neg, zero, pos), tuple(sorted(removed)),
+    arr = m.arrays if root is None else m.arrays_at(root)
+    vals: dict[int, tuple[int, int]] = {}
+    signs, pivots, _ = _run(*arr, x.numerator, x.denominator, vals)
+    c = _counts(signs)
+    removed = sorted((min(k, p), max(k, p)) for k in pivots
+                     if (p := arr.parent[k]) != -1)
+    return DiagOutcome({v: Fraction(*vals[v]) for v in arr.order},
+                       (c.below, c.equal, c.above), tuple(removed),
                        frozenset(pivots), x)
 
 
@@ -122,9 +173,9 @@ class CountsAt:
 def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -> CountsAt:
     """How many eigenvalues of m are <, ==, > the query point.  Runs one
     diagonalization of M - point*I; inertia does the rest."""
-    out = diagonalize(m, -Fraction(point), root)
-    neg, zero, pos = out.inertia
-    return CountsAt(below=neg, equal=zero, above=pos)
+    p = Fraction(point)
+    arr = m.arrays if root is None else m.arrays_at(root)
+    return _counts(_run(*arr, -p.numerator, p.denominator)[0])
 
 
 def multiplicity(m: WeightedTreeMatrix, point: Fraction) -> int:
@@ -156,15 +207,12 @@ def counts_within(m: WeightedTreeMatrix, point: Fraction,
     vs = set(vertices)
     if root not in vs:
         raise ValueError("root must belong to the vertex set")
-    adj = lambda v: [u for u in m.tree.adjacency[v] if u in vs]
-    d, _, _, order = _run(adj, lambda v: m.diag[v],
-                          lambda a, b: m.sq_weight[(min(a, b), max(a, b))],
-                          root, -Fraction(point))
-    if len(order) != len(vs):
+    arr = m.arrays_at(root)
+    order = [v for v in arr.order if v in vs]
+    if len(order) != len(vs) or any(arr.parent[v] not in vs for v in order[:-1]):
         raise ValueError("vertex set does not induce a connected subtree")
-    neg = sum(1 for q in d.values() if q < 0)
-    zero = sum(1 for q in d.values() if q == 0)
-    return CountsAt(below=neg, equal=zero, above=len(d) - neg - zero)
+    p = Fraction(point)
+    return _counts(_run(order, *arr[1:], -p.numerator, p.denominator)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +299,9 @@ def min_zero_depth(m: WeightedTreeMatrix, point: Fraction, root: int) -> int | N
     Depth 0 exactly when the run leaves a zero at the root itself.
     """
     out = diagonalize(m, -Fraction(point), root)
-    t = reroot_depths(m.tree, root)
-    depths = [t[v] for v, q in out.final_values.items() if q == 0]
+    depth = reroot(m.tree, root).depth
+    depths = [depth[v] for v, q in out.final_values.items() if q == 0]
     return min(depths) if depths else None
-
-
-def reroot_depths(t: RootedTree, root: int) -> dict[int, int]:
-    """BFS distance of every vertex from `root`."""
-    depth = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in t.adjacency[v]:
-                if u not in depth:
-                    depth[u] = depth[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return depth
 
 
 def is_parter(m: WeightedTreeMatrix, v: int, point: Fraction) -> bool:
@@ -301,22 +334,13 @@ def find_parter_vertex(m: WeightedTreeMatrix, point: Fraction) -> int:
         mults = [multiplicity(c, point) for c in comps]
         return sum(mults) == mult + 1 and sum(1 for q in mults if q > 0) >= 3
 
-    root = m.tree.root
-    out = diagonalize(m, -point, root)
-    depth = reroot_depths(m.tree, root)
+    out = diagonalize(m, -point)
+    depth = m.tree.depth
     zeros = [v for v, q in out.final_values.items() if q == 0]
     # multiplicity >= 2 leaves at least two zeros, so the deepest zero has a
     # parent on the path toward the root
     deepest = min(zeros, key=lambda v: (-depth[v], v))
-    parent_of = {root: -1}
-    stack = [root]
-    while stack:
-        w = stack.pop()
-        for u in m.tree.adjacency[w]:
-            if u not in parent_of:
-                parent_of[u] = w
-                stack.append(u)
-    cand = parent_of[deepest]
+    cand = m.tree.parent[deepest]
     if cand != -1 and strong(cand):
         return cand
     for v in range(m.n):

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .trees import RootedTree, build_tree, tree_from_json, tree_to_json
+from .trees import RootedTree, build_tree, reroot, tree_from_json, tree_to_json
 
 Rational = Fraction
 
@@ -37,8 +37,10 @@ def parse_rational(text: str | int) -> Fraction:
     if isinstance(text, str):
         s = text.strip()
         if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = (int(part) for part in s.split("/", 1))
+            if den == 0:
+                raise ValueError(f"zero denominator in {text!r}")
+            return Fraction(num, den)
         return Fraction(int(s))
     raise ValueError(f"not a rational: {text!r}")
 
@@ -48,6 +50,19 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+class ElimArrays(NamedTuple):
+    """A matrix rooted at order[-1] as the elimination kernel reads it:
+    postorder, parent ids (-1 at the root), diagonal numerators and
+    denominators, and each vertex's squared weight to its parent."""
+
+    order: tuple[int, ...]
+    parent: tuple[int, ...]
+    dn: list[int]
+    dd: list[int]
+    wn: list[int]
+    wd: list[int]
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,21 @@ class WeightedTreeMatrix:
     def sq_weight(self) -> dict[tuple[int, int], Fraction]:
         """Squared weight lookup keyed by normalized (min, max) vertex pair."""
         return dict(zip(self.tree.edges, self.sq_edge))
+
+    @cached_property
+    def arrays(self) -> ElimArrays:
+        """Kernel arrays for the tree's own root, cached."""
+        return self.arrays_at(self.tree.root)
+
+    def arrays_at(self, root: int) -> ElimArrays:
+        """Kernel arrays for the tree rerooted at `root`, built afresh."""
+        t = reroot(self.tree, root)
+        wn, wd = [0] * t.n, [1] * t.n
+        for (u, v), w in zip(self.tree.edges, self.sq_edge):
+            c = v if t.parent[v] == u else u
+            wn[c], wd[c] = w.numerator, w.denominator
+        return ElimArrays(t.order, t.parent, [q.numerator for q in self.diag],
+                          [q.denominator for q in self.diag], wn, wd)
 
 
 def make_matrix(tree: RootedTree, diag: Sequence[Fraction | int | str],

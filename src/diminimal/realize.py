@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .locate import _run, counts_at, diagonalize
+from .locate import _counts, _run, counts_at, diagonalize
 from .matrices import WeightedTreeMatrix, make_matrix
 from .trees import (Family, PieceCert, RootedTree, _family_analysis,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
@@ -75,8 +75,10 @@ def ladder(alpha: Fraction, beta: Fraction, k: int) -> Ladder:
         d = (beta - alpha) / 2 ** j
         vals = [vals[0] - d] + vals[:-1] + [vals[-1] + d, vals[-1] + 2 * d]
     values = tuple(vals)
-    assert values[k] == alpha and values[k + 1] == beta
-    assert all(x < y for x, y in zip(values, values[1:]))
+    if values[k] != alpha or values[k + 1] != beta:
+        raise RuntimeError(f"ladder level {k} lost its anchors")
+    if any(x >= y for x, y in zip(values, values[1:])):
+        raise RuntimeError(f"ladder level {k} is not strictly increasing")
     return Ladder(alpha, beta, k, values)
 
 
@@ -112,7 +114,8 @@ def solve_root_weight(core: WeightedTreeMatrix, part_root_values: Sequence[Fract
     if side == "min" and not all(q > 0 for q in finals):
         raise ValueError(f"pin point {y} is not strictly below every block spectrum")
     d2 = _delta_squared(out.final_values[core.tree.root], part_root_values)
-    assert d2 > 0
+    if d2 <= 0:
+        raise RuntimeError(f"solved squared weight {d2} is not positive")
     return d2
 
 
@@ -210,14 +213,15 @@ class _Block:
     root: int
     vertices: tuple[int, ...]
     pred: dict[Fraction, int]
+    order: tuple[int, ...]  # postorder of the block, root last
 
 
 class _Builder:
     """Bottom-up constructor over a fixed rooting of the target tree.
 
     Diagonal entries and squared weights accumulate in dicts keyed by the
-    tree's own vertex ids; blocks are plain vertex subsets, so intermediate
-    matrices never need to be materialized.
+    tree's own vertex ids and in the kernel's flat arrays; blocks are vertex
+    subsets with their postorder, so no intermediate matrix is built.
     """
 
     def __init__(self, tree: RootedTree, root: int, alpha: Fraction,
@@ -230,6 +234,8 @@ class _Builder:
         self.deep = deep
         self.diag: dict[int, Fraction] = {}
         self.w2: dict[tuple[int, int], Fraction] = {}
+        n = tree.n
+        self.dn, self.dd, self.wn, self.wd = [0] * n, [1] * n, [0] * n, [1] * n
         self.log: list[AssemblyRecord] = []
 
     def step(self, j: int) -> Fraction:
@@ -237,26 +243,18 @@ class _Builder:
 
     # -- restricted runs over the partially built matrix -------------------
 
-    def _restricted(self, vertices: Sequence[int], root: int, x: Fraction):
-        vs = set(vertices)
-        adj = lambda v: [u for u in self.rt.adjacency[v] if u in vs]
-        return _run(adj, lambda v: self.diag[v],
-                    lambda a, b: self.w2[(min(a, b), max(a, b))], root, x)
-
-    def _counts(self, block: _Block, lam: Fraction) -> tuple[int, int, int]:
-        d, _, _, _ = self._restricted(block.vertices, block.root, -lam)
-        neg = sum(1 for q in d.values() if q < 0)
-        zero = sum(1 for q in d.values() if q == 0)
-        return neg, zero, len(d) - neg - zero
+    def _restricted(self, order: Sequence[int], lam: Fraction):
+        """Kernel run of (block - lam*I) over a block's postorder."""
+        return _run(order, self.rt.parent, self.dn, self.dd, self.wn, self.wd,
+                    -lam.numerator, lam.denominator)
 
     def _root_final(self, block: _Block, y: Fraction, side: str) -> Fraction:
-        d, _, _, _ = self._restricted(block.vertices, block.root, -y)
-        vals = d.values()
-        if side == "max" and not all(q < 0 for q in vals):
-            raise ValueError(f"pin point {y} is not strictly above a block spectrum")
-        if side == "min" and not all(q > 0 for q in vals):
-            raise ValueError(f"pin point {y} is not strictly below a block spectrum")
-        return d[block.root]
+        signs, _, (a, b) = self._restricted(block.order, y)
+        want = -1 if side == "max" else 1
+        if any(q != want for q in signs.values()):
+            beyond = "above" if side == "max" else "below"
+            raise ValueError(f"pin point {y} is not strictly {beyond} a block spectrum")
+        return Fraction(a, b)
 
     # -- variant recursion --------------------------------------------------
 
@@ -315,7 +313,8 @@ class _Builder:
         if level == 0:
             val = self._base_value(variant, shift)
             self.diag[cert.root] = val
-            return _Block(cert.root, (cert.root,), {val: 1})
+            self.dn[cert.root], self.dd[cert.root] = val.numerator, val.denominator
+            return _Block(cert.root, (cert.root,), {val: 1}, (cert.root,))
         cv, cs, pv, ps = self._dispatch(variant, shift, level)
         core = self.build(cert.core, cv, cs, level - 1)
         parts = [self.build(p, pv, ps, level - 1) for p in cert.parts]
@@ -332,11 +331,14 @@ class _Builder:
         dc = self._root_final(core, y, side)
         dp = [self._root_final(p, y, side) for p in parts]
         d2 = _delta_squared(dc, dp)
-        assert d2 > 0
+        if d2 <= 0:
+            raise RuntimeError(f"solved squared weight {d2} is not positive")
         for p in parts:
             key = (min(core.root, p.root), max(core.root, p.root))
-            assert key not in self.w2
+            if key in self.w2 or self.rt.parent[p.root] != core.root:
+                raise RuntimeError(f"part root {p.root} cannot hang from {core.root}")
             self.w2[key] = d2
+            self.wn[p.root], self.wd[p.root] = d2.numerator, d2.denominator
 
         pred: dict[Fraction, int] = dict(core.pred)
         for p in parts:
@@ -345,20 +347,20 @@ class _Builder:
         a, b = min(pred), max(pred)
         pred[a] -= 1
         pred[b] -= 1
-        assert pred[a] >= 0 and pred[b] >= 0
+        if pred[a] < 0 or pred[b] < 0:
+            raise RuntimeError(f"block extremes {a}, {b} cannot both merge inward")
         pred = {lam: m for lam, m in pred.items() if m > 0}
         forced = a + b - y
-        if expect_forced is not None:
-            assert forced == expect_forced, (forced, expect_forced)
-        if side == "max":
-            assert all(forced < lam < y for lam in pred)
-        else:
-            assert all(y < lam < forced for lam in pred)
+        if expect_forced is not None and forced != expect_forced:
+            raise RuntimeError(f"forced value {forced}, expected {expect_forced}")
+        lo, hi = (forced, y) if side == "max" else (y, forced)
+        if not all(lo < lam < hi for lam in pred):
+            raise RuntimeError(f"merged block values escape ({lo}, {hi})")
         pred[y] = 1
         pred[forced] = 1
 
-        vertices = tuple(sorted(set(core.vertices).union(*[p.vertices for p in parts])))
-        blk = _Block(core.root, vertices, pred)
+        order = tuple(v for p in parts for v in p.order) + core.order
+        blk = _Block(core.root, tuple(sorted(order)), pred, order)
         self._verify_block(blk)
         self.log.append(AssemblyRecord(
             core_root=core.root, core_vertices=core.vertices,
@@ -373,15 +375,13 @@ class _Builder:
     def _verify_block(self, blk: _Block) -> None:
         """Exact check that the block's spectrum is exactly the predicted
         multiset.  Runs one diagonalization per predicted value."""
-        assert sum(blk.pred.values()) == len(blk.vertices)
+        if sum(blk.pred.values()) != len(blk.vertices):
+            raise RuntimeError(f"block at {blk.root}: multiplicities miss its size")
         lo, hi = min(blk.pred), max(blk.pred)
         for lam, m in blk.pred.items():
-            below, equal, above = self._counts(blk, lam)
-            assert equal == m, (lam, m, equal)
-            if lam == lo:
-                assert below == 0
-            if lam == hi:
-                assert above == 0
+            c = _counts(self._restricted(blk.order, lam)[0])
+            if c.equal != m or (lam == lo and c.below) or (lam == hi and c.above):
+                raise RuntimeError(f"block at {blk.root}: {c} at {lam}, claimed {m}")
 
     # -- deep structural checks ----------------------------------------------
 
@@ -406,32 +406,26 @@ class _Builder:
             incr_at = [vals[2 * i] for i in range(1, level + 1)]
 
         for lam in zero_at:
-            d, _, _, _ = self._restricted(blk.vertices, blk.root, -lam)
-            assert d[blk.root] == 0, (lam, "no zero at block root")
+            if self._restricted(blk.order, lam)[2][0] != 0:
+                raise RuntimeError(f"block at {blk.root}: no zero at the root at {lam}")
 
-        vs = set(blk.vertices)
-        kids = [u for u in self.rt.adjacency[blk.root] if u in vs]
-        comps: list[tuple[int, list[int]]] = []
-        for c in kids:
-            comp = [c]
-            seen = {blk.root, c}
-            i = 0
-            while i < len(comp):
-                for u in self.rt.adjacency[comp[i]]:
-                    if u in vs and u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                i += 1
-            comps.append((c, comp))
+        # components of the block minus its root, each in postorder
+        top: dict[int, int] = {}
+        for v in reversed(blk.order[:-1]):
+            p = self.rt.parent[v]
+            top[v] = v if p == blk.root else top[p]
+        comps: dict[int, list[int]] = {}
+        for v in blk.order[:-1]:
+            comps.setdefault(top[v], []).append(v)
         for lam in incr_at:
-            _, equal, _ = self._counts(blk, lam)
-            after = 0
-            for c, comp in comps:
-                d, _, _, _ = self._restricted(comp, c, -lam)
-                after += sum(1 for q in d.values() if q == 0)
-            assert after == equal + 1, (lam, equal, after)
-            _, pivots, _, _ = self._restricted(blk.vertices, blk.root, -lam)
-            assert blk.root in pivots, (lam, "zero pairing did not reach the root")
+            signs, pivots, _ = self._restricted(blk.order, lam)
+            equal = _counts(signs).equal
+            after = sum(_counts(self._restricted(comp, lam)[0]).equal
+                        for comp in comps.values())
+            if after != equal + 1:
+                raise RuntimeError(f"block at {blk.root}: {equal} -> {after} zeros at {lam}")
+            if blk.root not in pivots:
+                raise RuntimeError(f"block at {blk.root}: no pairing at the root at {lam}")
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +434,24 @@ class _Builder:
 
 def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
             variant: str, shift: Fraction | None) -> RealizationCertificate:
-    assert set(blk.vertices) == set(range(tree.n))
+    if blk.vertices != tuple(range(tree.n)) or len(builder.w2) != len(tree.edges):
+        raise RuntimeError("the final block does not cover the whole tree")
     diag = tuple(builder.diag[v] for v in range(tree.n))
     w2 = {e: builder.w2[e] for e in tree.edges}
-    assert len(builder.w2) == len(tree.edges)
     m = make_matrix(tree, diag, w2)
     dspec = tuple(sorted(blk.pred.items()))
     # closing check on the finished matrix object itself
     total = 0
     for lam, mult in dspec:
         c = counts_at(m, lam)
-        assert c.equal == mult, (lam, mult, c)
+        if c.equal != mult:
+            raise RuntimeError(f"claimed multiplicity {mult} at {lam}, measured {c}")
         total += mult
-    assert total == tree.n
+    if total != tree.n:
+        raise RuntimeError(f"multiplicities sum to {total}, not {tree.n}")
     d = diameter(tree)
-    assert len(dspec) == d + 1, (len(dspec), d + 1)
+    if len(dspec) != d + 1:
+        raise RuntimeError(f"{len(dspec)} distinct values, diameter {d} needs {d + 1}")
     return RealizationCertificate(
         matrix=m, dspec=dspec, family=family, variant=variant,
         alpha=builder.alpha, beta=builder.beta, shift=shift,
@@ -611,7 +608,8 @@ def realize_integral(t: RootedTree, alpha: Fraction,
             raise ValueError(f"beta - alpha must be divisible by {grain} "
                              f"for an integral spectrum at diameter {d}")
     cert = realize_family(t, alpha, beta, deep)
-    assert all(v.denominator == 1 for v, _ in cert.dspec)
+    if any(v.denominator != 1 for v, _ in cert.dspec):
+        raise RuntimeError("integral construction produced a fractional eigenvalue")
     return cert
 
 

@@ -181,10 +181,17 @@ def bottom_up_order(t: RootedTree) -> list[int]:
 
 
 def reroot(t: RootedTree, new_root: int) -> RootedTree:
-    """Same tree, same ids, rooted at new_root."""
+    """Same tree, same ids, rooted at new_root: the parent links on the path
+    up to the old root reverse."""
     if new_root == t.root:
         return t
-    return build_tree(t.edges, new_root)
+    if not (0 <= new_root < t.n):
+        raise ValueError(f"root {new_root} out of range for {t.n} vertices")
+    parent = list(t.parent)
+    v, below = new_root, -1
+    while v != -1:
+        parent[v], below, v = below, v, parent[v]
+    return RootedTree(tuple(parent), new_root)
 
 
 def tree_height(t: RootedTree) -> int:
@@ -314,7 +321,8 @@ def duplicate_branch(t: RootedTree, v: int, branch_root: int, copies: int) -> Ro
             edges.append((base + rank[a], base + rank[c]))
         edges.append((v, base + rank[branch_root]))
     out = build_tree(edges, t.root)
-    assert diameter(out) == diameter(t)
+    if diameter(out) != diameter(t):
+        raise RuntimeError("branch duplication changed the diameter")
     return out
 
 

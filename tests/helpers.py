@@ -12,6 +12,7 @@ from diminimal import (
     build_tree,
     duplicate_branch,
     main_roots,
+    reroot,
 )
 
 
@@ -66,6 +67,33 @@ def random_unfolding(
             continue
         t = duplicate_branch(t, v, c, copies)
     return t
+
+
+def reference_elimination(m: WeightedTreeMatrix, x: Fraction, root: int,
+                          vertices=None):
+    """Plain-Fraction bottom-up elimination of M + x*I rooted at `root`,
+    optionally restricted to a vertex set that is closed toward the root:
+    the reference the package's integer-pair kernel is checked against.
+    Returns (final values, pivots, removed edges)."""
+    t = reroot(m.tree, root)
+    keep = set(range(m.n) if vertices is None else vertices)
+    order = [v for v in t.order if v in keep]
+    d = {v: m.diag[v] + x for v in order}
+    pivots, removed = set(), set()
+    for k in order:
+        kids = [c for c in t.children[k]
+                if c in keep and (min(c, k), max(c, k)) not in removed]
+        zeros = [c for c in kids if d[c] == 0]
+        if zeros:
+            j = min(zeros)
+            d[k] = -m.sq_weight[(min(j, k), max(j, k))] / 2
+            d[j] = Fraction(2)
+            pivots.add(k)
+            if k != root:
+                removed.add((min(k, t.parent[k]), max(k, t.parent[k])))
+        else:
+            d[k] -= sum(m.sq_weight[(min(c, k), max(c, k))] / d[c] for c in kids)
+    return d, pivots, removed
 
 
 def generic_d4(p: int, ts: tuple[int, ...]) -> RootedTree:

@@ -173,6 +173,18 @@ def test_locate_accepts_bare_matrix_json(tmp_path, capsys):
     assert "equal: 1" in capsys.readouterr().out
 
 
+def test_locate_zero_denominator_is_a_clean_error(tmp_path, capsys):
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({
+        "tree": {"n": 2, "root": 0, "edges": [[0, 1]]},
+        "diag": ["1/0", "0"],
+        "sq_edge": [{"u": 0, "v": 1, "w2": "1"}],
+    }))
+    assert run_cli("locate", "--matrix", str(mat), "--point", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_export_dot(tmp_path, capsys):
     tree = tmp_path / "t.json"
     mat = tmp_path / "m.json"

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_matrix, random_tree, subtree_ids
+from helpers import (random_matrix, random_tree, reference_elimination,
+                     subtree_ids)
 
 from diminimal import (
     build_tree,
@@ -19,9 +23,11 @@ from diminimal import (
     isolate_eigenvalues,
     make_matrix,
     multiplicity,
+    reroot,
     to_dense_float,
     trace,
 )
+from diminimal.locate import _run
 
 
 def path_matrix(n, diag=0, w2=1):
@@ -81,6 +87,73 @@ def test_diagonalize_root_choice_changes_nothing_inertial():
         for _ in range(3):
             r = rng.randrange(t.n)
             assert diagonalize(m, x, root=r).inertia == base
+
+
+# ------------------------------------------- kernel against the reference
+
+
+@st.composite
+def tree_matrices(draw, entries, weights, max_n=12):
+    n = draw(st.integers(1, max_n))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    t = build_tree(edges, draw(st.integers(0, n - 1)))
+    return make_matrix(t, [draw(entries) for _ in range(n)],
+                       {e: draw(weights) for e in t.edges})
+
+
+# small integers make zero pivots and zero-pairing cascades frequent
+SMALL = tree_matrices(st.integers(-1, 1).map(F), st.integers(1, 2).map(F))
+# about 200-bit entries reach the gcd != 1 branches of the integer sums
+BIG = 2 ** 200
+HUGE = tree_matrices(
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.builds(F, st.integers(1, BIG), st.integers(1, BIG)), max_n=8)
+
+
+def assert_matches_reference(m, x, root):
+    out = diagonalize(m, x, root=root)
+    d, pivots, removed = reference_elimination(m, x, root)
+    assert out.final_values == d
+    assert out.pivots == frozenset(pivots)
+    assert out.removed_edges == tuple(sorted(removed))
+    vals = list(d.values())
+    neg, zero = sum(q < 0 for q in vals), sum(q == 0 for q in vals)
+    assert out.inertia == (neg, zero, len(vals) - neg - zero)
+    assert counts_at(m, -x, root=root) == counts_at(m, -x)
+    # the kernel's own pairs stay reduced with positive denominators
+    pairs: dict = {}
+    _run(*m.arrays_at(root), x.numerator, x.denominator, pairs)
+    assert all(b > 0 and gcd(a, b) == 1 for a, b in pairs.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMALL, st.integers(-3, 3).map(F))
+def test_kernel_matches_reference_at_every_root(m, x):
+    for r in range(m.n):
+        assert_matches_reference(m, x, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(HUGE, st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)))
+def test_kernel_matches_reference_on_200_bit_entries(m, x):
+    assert_matches_reference(m, x, m.tree.root)
+    assert_matches_reference(m, x, m.n - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMALL, st.integers(-3, 3).map(F), st.data())
+def test_counts_within_matches_reference_on_connected_subsets(m, x, data):
+    root = data.draw(st.integers(0, m.n - 1))
+    t = reroot(m.tree, root)
+    keep = {root}
+    for v in reversed(t.order[:-1]):
+        if t.parent[v] in keep and data.draw(st.booleans()):
+            keep.add(v)
+    d, _, _ = reference_elimination(m, x, root, keep)
+    vals = list(d.values())
+    neg, zero = sum(q < 0 for q in vals), sum(q == 0 for q in vals)
+    c = counts_within(m, -x, keep, root)
+    assert (c.below, c.equal, c.above) == (neg, zero, len(keep) - neg - zero)
 
 
 # -------------------------------------------------------------- counting

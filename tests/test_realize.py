@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from helpers import random_unfolding
 
+import diminimal
 from diminimal import (
     Family,
     Variant,
@@ -324,3 +329,25 @@ def test_verify_certificate_flags_corruption():
 
     missing = c.dspec[:-1]
     assert verify_certificate(c.matrix, missing)
+
+
+def test_certificate_guards_survive_python_O():
+    # under -O a plain assert would vanish and let a certificate through
+    code = (
+        "import diminimal.realize as r\n"
+        "from diminimal import CountsAt, Family, seed\n"
+        "r.counts_at = lambda m, p, root=None: CountsAt(0, m.n, 0)\n"
+        "try:\n"
+        "    r.realize_family(seed(Family.UNIFORM, 5), 0, 4)\n"
+        "except RuntimeError as exc:\n"
+        "    print('refused:', exc)\n"
+        "else:\n"
+        "    print('issued')\n"
+    )
+    src = str(Path(diminimal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("refused: claimed multiplicity"), out.stdout
