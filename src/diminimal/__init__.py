@@ -45,7 +45,6 @@ from .locate import (
     gershgorin_bound,
     is_parter,
     isolate_eigenvalues,
-    min_zero_depth,
     multiplicity,
 )
 from .oracle import (

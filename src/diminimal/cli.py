@@ -8,6 +8,7 @@ integer), never as floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .locate import counts_at, isolate_eigenvalues
 from .matrices import (format_rational, matrix_from_json, matrix_to_dot,
                        matrix_to_json, parse_rational)
-from .oracle import compare_counts
+from .oracle import OracleError, compare_counts
 from .realize import realize_family, realize_integral, verify_certificate
 from .trees import (Family, duplicate_branch, recognize_family, seed,
                     tree_from_json, tree_to_json)
@@ -176,7 +177,9 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and reused by every later call."""
     p = _Parser(prog="diminimal",
                 description="Exact eigenvalue location and minimum distinct "
                             "eigenvalue realization for weighted trees.")
@@ -267,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,6 @@ from math import gcd, isqrt
 from typing import Collection, Sequence
 
 from .matrices import WeightedTreeMatrix, delete_vertex
-from .trees import reroot
 
 
 @dataclass(frozen=True)
@@ -291,18 +290,6 @@ def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[Isolated
 # ---------------------------------------------------------------------------
 # Structure probes
 # ---------------------------------------------------------------------------
-
-def min_zero_depth(m: WeightedTreeMatrix, point: Fraction, root: int) -> int | None:
-    """Distance from `root` to the nearest vertex whose final value vanishes
-    in the run of M - point*I rooted there, or None when no value vanishes.
-
-    Depth 0 exactly when the run leaves a zero at the root itself.
-    """
-    out = diagonalize(m, -Fraction(point), root)
-    depth = reroot(m.tree, root).depth
-    depths = [depth[v] for v, q in out.final_values.items() if q == 0]
-    return min(depths) if depths else None
-
 
 def is_parter(m: WeightedTreeMatrix, v: int, point: Fraction) -> bool:
     """True when deleting vertex v raises the multiplicity of `point` by

@@ -8,7 +8,6 @@ cross-checking oracle takes square roots at the last possible moment.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,11 +210,6 @@ def matrix_from_json(obj: dict) -> WeightedTreeMatrix:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     return make_matrix(tree, diag, sq)
-
-
-def matrix_dumps(m: WeightedTreeMatrix) -> str:
-    """Canonical single-line JSON text for a matrix."""
-    return json.dumps(matrix_to_json(m), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def matrix_to_dot(m: WeightedTreeMatrix) -> str:

@@ -1,15 +1,16 @@
 """Independent floating-point cross-check for the exact locator.
 
-A self-contained cyclic Jacobi eigensolver computes all eigenvalues of the
-dense float expansion of a matrix.  compare_counts then buckets those float
-eigenvalues against a rational query point and reconciles the buckets with
-the exact inertia counts, refusing to issue a verdict when a float
-eigenvalue sits too close to the decision boundary to be trusted.
+LAPACK's symmetric eigensolver (`np.linalg.eigvalsh`) computes all
+eigenvalues of the dense float expansion of a matrix.  compare_counts then
+buckets those float eigenvalues against a rational query point and
+reconciles the buckets with the exact inertia counts, refusing to issue a
+verdict when a float eigenvalue sits too close to the decision boundary to
+be trusted.  The float side shares no code with the exact locator, so an
+agreement is an independent witness, never a proof.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,73 +26,37 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class FloatSpectrum:
-    """All eigenvalues of a symmetric matrix, ascending, plus convergence
-    metadata from the Jacobi sweep loop."""
+    """All eigenvalues of a symmetric matrix, ascending.
+
+    `sweeps` and `off_norm` stay as fields for callers that read them, but
+    LAPACK reports neither a sweep count nor a residual, so they are always
+    0 and 0.0."""
 
     values: tuple[float, ...]
     sweeps: int
     off_norm: float
 
 
-def _off_norm(a: np.ndarray) -> float:
-    n = a.shape[0]
-    s = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s += 2.0 * a[i, j] * a[i, j]
-    return math.sqrt(s)
+def dense_eigenvalues(a: np.ndarray) -> FloatSpectrum:
+    """All eigenvalues of a dense symmetric float matrix, by LAPACK.
 
-
-def dense_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> FloatSpectrum:
-    """Cyclic-by-row Jacobi diagonalization.
-
-    Sweeps rotate out every off-diagonal entry in turn until the
-    off-diagonal Frobenius norm drops below tol times the full Frobenius
-    norm.  More than 100 sweeps means something is badly wrong with the
-    input; Jacobi on symmetric matrices converges much faster than that.
+    Raises OracleError on a non-square, asymmetric or non-finite matrix,
+    and when the computed spectrum is not finite (entries near the float
+    limit can overflow inside the solver).
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise OracleError(f"not square: {a.shape}")
+    if not np.isfinite(a).all():
+        raise OracleError("matrix has a non-finite entry")
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise OracleError("matrix is not symmetric")
-    if n == 1:
-        return FloatSpectrum((float(a[0, 0]),), 0, 0.0)
-    norm = math.sqrt(float(np.sum(a * a)))
-    if norm == 0.0:
-        return FloatSpectrum(tuple([0.0] * n), 0, 0.0)
-    off = _off_norm(a)
-    sweeps = 0
-    while off > tol * norm:
-        if sweeps >= 100:
-            raise OracleError(f"Jacobi failed to converge: off={off:g} after {sweeps} sweeps")
-        threshold = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold * 1e-8:
-                    continue
-                # standard symmetric 2x2 annihilation
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        sweeps += 1
-        off = _off_norm(a)
-    vals = tuple(sorted(float(a[i, i]) for i in range(n)))
-    return FloatSpectrum(vals, sweeps, off)
+    values = np.linalg.eigvalsh(a)
+    if not np.isfinite(values).all():
+        raise OracleError("float spectrum is not finite")
+    return FloatSpectrum(tuple(values.tolist()), 0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -119,13 +84,19 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction,
 
     Floats within `band` = 10*tol*scale of the point count as equal; floats
     between one and ten bands away are deemed too close to call and the
-    report comes back inconclusive.
+    report comes back inconclusive.  Raises OracleError when the matrix or
+    the point does not fit in floats, since no float verdict exists then.
     """
-    a = to_dense_float(m)
+    try:
+        a = to_dense_float(m)
+        pf = float(Fraction(point))
+    except OverflowError as exc:
+        raise OracleError(f"float expansion overflows: {exc}") from exc
     scale = max(1.0, float(np.max(np.abs(a))) * m.n)
     band = 10.0 * tol * scale
-    spectrum = dense_eigenvalues(a, tol)
-    pf = float(Fraction(point))
+    if not np.isfinite(band):
+        raise OracleError("float expansion overflows: the band is not finite")
+    spectrum = dense_eigenvalues(a)
     below = equal = above = 0
     grey = False
     for e in spectrum.values:

@@ -18,7 +18,6 @@ this module provides:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -672,8 +671,3 @@ def tree_to_dot(t: RootedTree) -> str:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def tree_dumps(t: RootedTree) -> str:
-    """Canonical single-line JSON text for a tree."""
-    return json.dumps(tree_to_json(t), sort_keys=True, separators=(",", ":")) + "\n"

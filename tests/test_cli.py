@@ -1,14 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import diminimal
 from diminimal.cli import main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_module(*argv):
+    """`python -m diminimal` in a fresh process on this package's source."""
+    src = str(Path(diminimal.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "diminimal", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def write_tree(path, edges, root=0, n=None):
@@ -183,6 +195,42 @@ def test_locate_zero_denominator_is_a_clean_error(tmp_path, capsys):
     assert run_cli("locate", "--matrix", str(mat), "--point", "1") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cross_check_overflow_is_a_clean_error(tmp_path, capsys):
+    tree = tmp_path / "t.json"
+    mat = tmp_path / "m.json"
+    write_tree(tree, [[0, 1], [1, 2], [2, 3]])
+    assert run_cli("construct", "--tree", str(tree), "--alpha", "0",
+                   "--beta", "32", "--out", str(mat)) == 0
+    blob = json.loads(mat.read_text())
+    blob["matrix"]["diag"][0] = str(10**400)
+    mat.write_text(json.dumps(blob))
+    out = run_module("verify", "--matrix", str(mat), "--cross-check")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+    # the exact commands never leave rationals, so they still work
+    out = run_module("locate", "--matrix", str(mat), "--point", "1")
+    assert out.returncode == 0
+    assert out.stdout == "below: 1\nequal: 0\nabove: 3\n"
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    tree = write_tree(tmp_path / "t.json", [[0, 1], [1, 2], [2, 3]])
+    mat = tmp_path / "m.json"
+    assert run_cli("construct", "--tree", tree, "--alpha", "0",
+                   "--beta", "32", "--out", str(mat)) == 0
+    capsys.readouterr()
+    calls = [("locate", "--matrix"),
+             ("locate", "--matrix", str(mat), "--point", "-1/2"),
+             ("recognize", "--tree", tree)]
+    for argv in calls:
+        rc = run_cli(*argv)
+        fresh = run_module(*argv)
+        assert rc == fresh.returncode
+        assert capsys.readouterr().out == fresh.stdout
+    assert [run_cli(*argv) for argv in calls] == [1, 0, 0]
 
 
 def test_export_dot(tmp_path, capsys):

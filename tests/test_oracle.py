@@ -7,11 +7,14 @@ import pytest
 from helpers import random_matrix, random_tree
 
 from diminimal import (
+    Family,
     OracleError,
     build_tree,
     compare_counts,
     dense_eigenvalues,
     make_matrix,
+    realize_family,
+    seed,
     to_dense_float,
 )
 
@@ -52,6 +55,12 @@ def test_jacobi_rejects_asymmetric():
         dense_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_dense_eigenvalues_rejects_non_finite_entries():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(OracleError):
+            dense_eigenvalues(np.array([[bad, 1.0], [1.0, 0.0]]))
+
+
 def test_compare_counts_at_exact_eigenvalue():
     t = build_tree([(0, 1)], 0)
     m = make_matrix(t, (F(0), F(0)), {(0, 1): F(1)})
@@ -90,3 +99,33 @@ def test_compare_counts_random_agreement():
             agreed += rep.agree
     assert tried >= 50
     assert agreed == tried
+
+
+@pytest.mark.parametrize("diag0, w2, point", [
+    (F(10**400), F(1), F(0)),   # an entry beyond the float range
+    (F(0), F(10**700), F(0)),   # a weight beyond it
+    (F(0), F(1), F(10**400)),   # the query point beyond it
+    (F(10**308), F(1), F(0)),   # a float matrix whose band overflows
+])
+def test_compare_counts_overflow_is_an_oracle_error(diag0, w2, point):
+    t = build_tree([(0, 1)], 0)
+    m = make_matrix(t, (diag0, F(0)), {(0, 1): w2})
+    with pytest.raises(OracleError):
+        compare_counts(m, point)
+
+
+@pytest.mark.parametrize("family, diameters", [
+    (Family.UNIFORM, range(1, 16)),
+    (Family.SHORT_CORE, range(6, 16)),
+    (Family.MIXED, range(7, 16, 2)),
+])
+def test_compare_counts_agrees_at_every_constructed_eigenvalue(family, diameters):
+    # constructed spectra have high multiplicities (a quarter of n at one
+    # value) and reach n = 256 at uniform d = 15; every claimed eigenvalue
+    # must be a conclusive agreement
+    for d in diameters:
+        cert = realize_family(seed(family, d), 0, 32)
+        for lam, mult in cert.dspec:
+            rep = compare_counts(cert.matrix, lam)
+            assert rep.conclusive and rep.agree, (family, d, lam, rep)
+            assert rep.exact[1] == mult
