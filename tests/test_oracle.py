@@ -61,6 +61,12 @@ def test_dense_eigenvalues_rejects_non_finite_entries():
             dense_eigenvalues(np.array([[bad, 1.0], [1.0, 0.0]]))
 
 
+def test_dense_eigenvalues_rejects_overflowing_spectrum():
+    # finite entries whose largest eigenvalue, 2e308, is beyond the float range
+    with pytest.raises(OracleError):
+        dense_eigenvalues(np.full((2, 2), 1e308))
+
+
 def test_compare_counts_at_exact_eigenvalue():
     t = build_tree([(0, 1)], 0)
     m = make_matrix(t, (F(0), F(0)), {(0, 1): F(1)})
