@@ -39,6 +39,7 @@ from .locate import (
     IsolatedInterval,
     count_in_interval,
     counts_at,
+    counts_many,
     counts_within,
     diagonalize,
     find_parter_vertex,

@@ -11,16 +11,29 @@ That primitive is one kernel, `_run`, over flat int arrays of the rooted
 tree instead of Fraction objects.  Each value is a reduced (num, den) pair,
 added with Henrici's gcd split and divided with cross-cancellation, so it
 stays exact without per-operation object overhead.
+
+`counts_many` puts a float filter in front of the kernel, in the manner of
+Shewchuk's adaptive predicates and the interval filters of Bronnimann,
+Burnikel and Pion.  It runs the same elimination in float intervals whose
+every bound is rounded outward by one ulp, so each interval encloses the
+exact value.  When every vertex interval is finite and excludes 0, the
+zero-pairing rule cannot fire and the signs are the exact inertia.  Every
+other point goes to the exact kernel: true eigenvalues, points near one,
+and anything beyond float range.  `isolate_eigenvalues` counts through the
+filter, since its bisection points are almost never eigenvalues.
+`counts_at` stays exact-only: certificate checks and the CLI query it at
+claimed eigenvalues, where the filter never decides and would only add
+its own pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Collection, Sequence
+from math import gcd, inf, isqrt, nextafter
+from typing import Collection, Iterable, Sequence
 
-from .matrices import WeightedTreeMatrix, delete_vertex
+from .matrices import FloatBounds, WeightedTreeMatrix, delete_vertex
 
 
 @dataclass(frozen=True)
@@ -177,6 +190,69 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
     return _counts(_run(*arr, -p.numerator, p.denominator)[0])
 
 
+def _float_negatives(order: Sequence[int], parent: Sequence[int],
+                     fb: FloatBounds, slo: float, shi: float) -> int | None:
+    """The elimination of `_run` in float intervals, for M + s*I with s in
+    [slo, shi]: the number of negative final values when every vertex
+    interval, the root's included, is finite and excludes 0 (a proof, by
+    inertia, that the point is no eigenvalue), else None.
+
+    Each `+` and `/` is correctly rounded, so widening its result by one ulp
+    with nextafter keeps the exact value inside.  With no zero anywhere
+    the zero-pairing rule never fires and each vertex adds the Schur term
+    -w/v of its value v to its parent; the bounds used for that term hold
+    for any w in [wlo, whi] with w > 0, so a wlo below 0 from underflow is
+    safe."""
+    nxt = nextafter
+    # Schur sums collect on top of the diagonal; the extra slot takes the
+    # root's term (its parent is -1) and is never read
+    alo, ahi = fb.dlo + [0.0], fb.dhi + [0.0]
+    wlo, whi = fb.wlo, fb.whi
+    neg = 0
+    for k in order:
+        lo = nxt(alo[k] + slo, -inf)
+        hi = nxt(ahi[k] + shi, inf)
+        p = parent[k]
+        if 0.0 < lo and hi < inf:
+            # -w/v for v in [lo, hi], v > 0
+            alo[p] = nxt(alo[p] - nxt(whi[k] / lo, inf), -inf)
+            ahi[p] = nxt(ahi[p] - nxt(wlo[k] / hi, -inf), inf)
+        elif hi < 0.0 and -inf < lo:
+            neg += 1
+            # -w/v = w/|v| for |v| in [-hi, -lo]
+            alo[p] = nxt(alo[p] + nxt(wlo[k] / -lo, -inf), -inf)
+            ahi[p] = nxt(ahi[p] + nxt(whi[k] / -hi, inf), inf)
+        else:
+            return None  # 0 in reach or a bound overflowed: exact kernel
+    return neg
+
+
+def counts_many(m: WeightedTreeMatrix, points: Iterable[Fraction]) -> list[CountsAt]:
+    """counts_at for each point, each count still a proof.
+
+    Every point first gets one float-interval pass of the elimination over
+    `m.float_bounds`; where that decides every sign it gives the exact
+    inertia.  Every other point, which includes each true eigenvalue and
+    each point or matrix beyond float range, goes through counts_at."""
+    fb = m.float_bounds
+    order, parent = m.arrays.order, m.arrays.parent
+    out: list[CountsAt] = []
+    for p in points:
+        p = Fraction(p)
+        neg = None
+        if fb is not None:
+            try:
+                f = -p.numerator / p.denominator
+            except OverflowError:
+                pass
+            else:
+                neg = _float_negatives(order, parent, fb, nextafter(f, -inf),
+                                       nextafter(f, inf))
+        out.append(counts_at(m, p) if neg is None
+                   else CountsAt(below=neg, equal=0, above=m.n - neg))
+    return out
+
+
 def multiplicity(m: WeightedTreeMatrix, point: Fraction) -> int:
     return counts_at(m, point).equal
 
@@ -253,38 +329,29 @@ def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[Isolated
     """Cover the spectrum with disjoint half-open intervals of length at most
     `width`, each carrying the exact number of eigenvalues it contains.
     Intervals with zero count are discarded.  Bisection over (lo, hi]
-    needs one diagonalization per split point."""
+    needs one count per split point, from counts_many."""
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     bound = gershgorin_bound(m)
-    lo, hi = -bound - 1, bound
-
-    # cumulative counts: cum(q) = number of eigenvalues <= q, memoized since
-    # every split point is shared by two intervals
-    memo: dict[Fraction, int] = {}
-
-    def cum(q: Fraction) -> int:
-        if q not in memo:
-            c = counts_at(m, q)
-            memo[q] = c.below + c.equal
-        return memo[q]
-
-    out: list[IsolatedInterval] = []
-    stack: list[tuple[Fraction, Fraction, int]] = [(lo, hi, m.n)]
-    while stack:
-        a, b, k = stack.pop()
-        if k == 0:
-            continue
-        if b - a <= width:
-            out.append(IsolatedInterval(a, b, k))
-            continue
-        mid = (a + b) / 2
-        left = cum(mid) - cum(a)
-        stack.append((a, mid, left))
-        stack.append((mid, b, k - left))
-    out.sort(key=lambda iv: iv.lo)
-    return out
+    # (a, b, eigenvalues in (a, b], eigenvalues <= a), sorted by a; none
+    # lies at or below -bound - 1 and all n at or below bound.  Every
+    # interval of a level has the same length, and all the level's
+    # midpoints go to counts_many at once.
+    level = [(-bound - 1, bound, m.n, 0)]
+    length = 2 * bound + 1
+    while length > width:
+        length /= 2
+        mids = [a + length for a, _, _, _ in level]
+        split = []
+        for (a, b, k, below), mid, c in zip(level, mids, counts_many(m, mids)):
+            left = c.below + c.equal - below
+            if left:
+                split.append((a, mid, left, below))
+            if k - left:
+                split.append((mid, b, k - left, below + left))
+        level = split
+    return [IsolatedInterval(a, b, k) for a, b, k, _ in level]
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,16 @@ class ElimArrays(NamedTuple):
     wd: list[int]
 
 
+class FloatBounds(NamedTuple):
+    """Per-vertex float lower and upper bounds on the diagonal entries and
+    on the squared weights to the parent, indexed like `ElimArrays`."""
+
+    dlo: list[float]
+    dhi: list[float]
+    wlo: list[float]
+    whi: list[float]
+
+
 @dataclass(frozen=True)
 class WeightedTreeMatrix:
     """Symmetric rational matrix supported on a tree.
@@ -99,6 +109,24 @@ class WeightedTreeMatrix:
     def arrays(self) -> ElimArrays:
         """Kernel arrays for the tree's own root, cached."""
         return self.arrays_at(self.tree.root)
+
+    @cached_property
+    def float_bounds(self) -> FloatBounds | None:
+        """Float intervals around the entries of `arrays`, cached for the
+        float filter of `locate.counts_many`; None when an entry overflows
+        a float, which leaves that matrix to the exact kernel alone."""
+        a = self.arrays
+        try:
+            # int true division is correctly rounded, so one ulp either
+            # side of it encloses the exact entry
+            d = [p / q for p, q in zip(a.dn, a.dd)]
+            w = [p / q for p, q in zip(a.wn, a.wd)]
+        except OverflowError:
+            return None
+        return FloatBounds([math.nextafter(f, -math.inf) for f in d],
+                           [math.nextafter(f, math.inf) for f in d],
+                           [math.nextafter(f, -math.inf) for f in w],
+                           [math.nextafter(f, math.inf) for f in w])
 
     def arrays_at(self, root: int) -> ElimArrays:
         """Kernel arrays for the tree rerooted at `root`, built afresh."""
@@ -218,7 +246,10 @@ def matrix_to_dot(m: WeightedTreeMatrix) -> str:
         shape = ", shape=box" if v == m.tree.root else ""
         lines.append(f'  {v} [label="{v}: {format_rational(m.diag[v])}"{shape}];')
     for (u, v), w in zip(m.tree.edges, m.sq_edge):
-        approx = math.sqrt(float(w))
-        lines.append(f'  {u} -- {v} [label="w2={format_rational(w)}"];  // weight ~ {approx:.6g}')
+        try:
+            note = f"  // weight ~ {math.sqrt(float(w)):.6g}"
+        except OverflowError:
+            note = ""  # the exact label stands alone when w2 exceeds floats
+        lines.append(f'  {u} -- {v} [label="w2={format_rational(w)}"];{note}')
     lines.append("}")
     return "\n".join(lines) + "\n"

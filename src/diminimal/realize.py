@@ -441,17 +441,9 @@ def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
     m = make_matrix(tree, diag, w2)
     dspec = tuple(sorted(blk.pred.items()))
     # closing check on the finished matrix object itself
-    total = 0
-    for lam, mult in dspec:
-        c = counts_at(m, lam)
-        if c.equal != mult:
-            raise RuntimeError(f"claimed multiplicity {mult} at {lam}, measured {c}")
-        total += mult
-    if total != tree.n:
-        raise RuntimeError(f"multiplicities sum to {total}, not {tree.n}")
-    d = diameter(tree)
-    if len(dspec) != d + 1:
-        raise RuntimeError(f"{len(dspec)} distinct values, diameter {d} needs {d + 1}")
+    problems = verify_certificate(m, dspec)
+    if problems:
+        raise RuntimeError("; ".join(problems))
     return RealizationCertificate(
         matrix=m, dspec=dspec, family=family, variant=variant,
         alpha=builder.alpha, beta=builder.beta, shift=shift,
@@ -619,25 +611,23 @@ def verify_certificate(m: WeightedTreeMatrix,
     alone.  Returns a list of human-readable failures; empty means the
     certificate holds."""
     problems: list[str] = []
-    total = 0
     values = [v for v, _ in dspec]
     if sorted(values) != values or len(set(values)) != len(values):
         problems.append("dspec values are not strictly increasing")
-    for lam, mult in dspec:
-        c = counts_at(m, lam)
+    counts = [counts_at(m, lam) for lam in values]
+    for (lam, mult), c in zip(dspec, counts):
         if c.equal != mult:
             problems.append(f"claimed multiplicity {mult} at {lam}, measured {c.equal}")
-        total += mult
+    total = sum(mult for _, mult in dspec)
     if total != m.n:
         problems.append(f"multiplicities sum to {total}, matrix order is {m.n}")
     d = diameter(m.tree)
     if len(dspec) != d + 1:
         problems.append(f"{len(dspec)} distinct values claimed, diameter {d} "
                         f"needs exactly {d + 1}")
-    if values:
-        lo, hi = counts_at(m, values[0]), counts_at(m, values[-1])
-        if lo.below != 0:
-            problems.append(f"{lo.below} eigenvalues below the claimed minimum")
-        if hi.above != 0:
-            problems.append(f"{hi.above} eigenvalues above the claimed maximum")
+    if counts:
+        if counts[0].below != 0:
+            problems.append(f"{counts[0].below} eigenvalues below the claimed minimum")
+        if counts[-1].above != 0:
+            problems.append(f"{counts[-1].above} eigenvalues above the claimed maximum")
     return problems

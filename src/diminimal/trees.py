@@ -539,9 +539,30 @@ class _FamilyAnalysis:
     whole: PieceCert | None = None
 
 
+def _min_piece_size(height: int) -> int:
+    """A lower bound on the vertex count of a uniform piece of `height`: a
+    piece of height L is a core and at least one part, each a piece of
+    height L - 1, so the size at least doubles per level."""
+    return 1 << height
+
+
+def _min_family_size(d: int) -> int:
+    """A lower bound on the vertex count of a supported tree of diameter d.
+
+    Even d = 2h: the split at the center has at least two parts of height
+    h - 1.  Odd d = 2h + 1: each of the two sides has a part of height
+    h - 1 and a core of height h - 1 or h - 2.  Either way at least
+    _min_piece_size(h) vertices."""
+    return _min_piece_size(d // 2)
+
+
 def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
     d = diameter(t)
     centers = main_roots(t)
+    if t.n < _min_family_size(d):
+        # also keeps the recognizer's recursion, which descends one level
+        # per call, within log2(n) levels
+        return _FamilyAnalysis(Family.UNSUPPORTED, d, centers[0])
     if d == 0:
         cert = PieceCert(t.root, 0, (), None)
         return _FamilyAnalysis(Family.UNIFORM, 0, t.root, whole=cert)
@@ -639,6 +660,8 @@ def _whole_piece_cert(t: RootedTree, at_root: int) -> PieceCert | None:
     """Certificate that the whole tree, rooted at at_root, is one uniform
     piece.  Used by the variant builders, which accept any central rooting."""
     rt = reroot(t, at_root)
+    if t.n < _min_piece_size(rt.height_below[at_root]):
+        return None
     return _Recognizer(rt).piece(at_root, None)
 
 

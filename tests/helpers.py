@@ -96,6 +96,34 @@ def reference_elimination(m: WeightedTreeMatrix, x: Fraction, root: int,
     return d, pivots, removed
 
 
+def reference_isolate(m: WeightedTreeMatrix, width: Fraction) -> list:
+    """Depth-first bisection with one exact counts_at per split point: the
+    reference that isolate_eigenvalues must match interval for interval."""
+    from diminimal import IsolatedInterval, counts_at, gershgorin_bound
+
+    bound = gershgorin_bound(m)
+    memo: dict = {}
+
+    def cum(q):
+        if q not in memo:
+            c = counts_at(m, q)
+            memo[q] = c.below + c.equal
+        return memo[q]
+
+    out, stack = [], [(-bound - 1, bound, m.n)]
+    while stack:
+        a, b, k = stack.pop()
+        if k == 0:
+            continue
+        if b - a <= width:
+            out.append(IsolatedInterval(a, b, k))
+            continue
+        mid = (a + b) / 2
+        left = cum(mid) - cum(a)
+        stack += [(a, mid, left), (mid, b, k - left)]
+    return sorted(out, key=lambda iv: iv.lo)
+
+
 def generic_d4(p: int, ts: tuple[int, ...]) -> RootedTree:
     """Diameter-4 tree: center 0 with ts[0] pendant leaves and p arms,
     arm i carrying ts[i] leaves.  Requires p >= 2 and every ts[i] >= 1."""

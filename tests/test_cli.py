@@ -64,6 +64,17 @@ def test_recognize_unsupported(tmp_path, capsys):
     assert "family: unsupported" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n, leaves", [(10 ** 5, False), (10 ** 4, True)])
+def test_recognize_deep_tree_is_unsupported(tmp_path, capsys, n, leaves):
+    # a path, or a caterpillar with one leaf per spine vertex
+    s = n // 2 if leaves else n
+    edges = [[i, i + 1] for i in range(s - 1)] + [[i, s + i] for i in range(n - s)]
+    p = write_tree(tmp_path / "t.json", edges)
+    assert run_cli("recognize", "--tree", p) == 0
+    out, err = capsys.readouterr()
+    assert "family: unsupported" in out and err == ""
+
+
 def test_unfold_grows_tree(tmp_path, capsys):
     src = tmp_path / "t.json"
     dst = tmp_path / "u.json"
@@ -244,6 +255,17 @@ def test_export_dot(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("graph matrix {")
     assert run_cli("export", "--matrix", str(mat), "--format", "json") == 0
     json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("w2", ["10" + "0" * 700, "1/1" + "0" * 700])
+def test_export_dot_keeps_the_exact_weight_beyond_float_range(tmp_path, capsys, w2):
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"tree": {"n": 2, "root": 0, "edges": [[0, 1]]},
+                               "diag": ["0", "1"],
+                               "sq_edge": [{"u": 0, "v": 1, "w2": w2}]}))
+    assert run_cli("export", "--matrix", str(mat), "--format", "dot") == 0
+    out, err = capsys.readouterr()
+    assert f'0 -- 1 [label="w2={w2}"];' in out and err == ""
 
 
 def test_negative_rational_option_values(tmp_path, capsys):

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (random_matrix, random_tree, reference_elimination,
-                     subtree_ids)
+                     reference_isolate, subtree_ids)
 
+import diminimal.locate as locate
 from diminimal import (
+    Family,
     build_tree,
     count_in_interval,
     counts_at,
+    counts_many,
     counts_within,
     delete_vertex,
     diagonalize,
@@ -23,7 +26,9 @@ from diminimal import (
     isolate_eigenvalues,
     make_matrix,
     multiplicity,
+    realize_family,
     reroot,
+    seed,
     to_dense_float,
     trace,
 )
@@ -238,6 +243,135 @@ def test_interlacing_under_vertex_deletion():
         assert abs(after - before) <= 1
 
 
+# ---------------------------------------------------------- float filter
+
+
+def assert_counts_many_exact(m, points):
+    assert counts_many(m, points) == [counts_at(m, p) for p in points]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The points counts_many hands to the exact kernel, in call order."""
+    seen = []
+
+    def spy(m, point, root=None):
+        seen.append(point)
+        return counts_at(m, point, root)
+
+    monkeypatch.setattr(locate, "counts_at", spy)
+    return seen
+
+
+MIXED = tree_matrices(st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+                      st.builds(F, st.integers(1, 16), st.integers(1, 4)), max_n=20)
+POINTS = st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 8)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(SMALL, MIXED), POINTS)
+def test_counts_many_matches_counts_at(m, points):
+    assert_counts_many_exact(m, points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(HUGE, st.lists(st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+                      max_size=6))
+def test_counts_many_matches_counts_at_on_200_bit_entries(m, points):
+    assert_counts_many_exact(m, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXED, POINTS, st.sampled_from([F(10) ** 300, F(1, 10 ** 300)]),
+       st.booleans())
+def test_counts_many_at_the_ends_of_the_float_range(m, points, c, squared):
+    # diagonal and points scaled by 10^+-300 make Schur terms and sums
+    # overflow or underflow; squared weights scaled by c*c leave the float
+    # range altogether, so that matrix is exact-only
+    wc = c * c if squared else c
+    scaled = make_matrix(m.tree, [q * c for q in m.diag],
+                         {e: w * wc for e, w in m.sq_weight.items()})
+    assert_counts_many_exact(scaled, [p * c for p in points] + [F(0)])
+
+
+@pytest.mark.parametrize("diag0, w2, point", [
+    (F(10 ** 400), F(1), F(0)),
+    (F(-(10 ** 400)), F(1), F(10 ** 400)),
+    (F(1, 10 ** 400), F(1, 10 ** 400), F(0)),
+    (F(0), F(10 ** 400), F(0)),
+    (F(0), F(1), F(10 ** 400)),
+    (F(0), F(1), F(-1, 10 ** 400)),
+])
+def test_counts_many_beyond_the_float_range(diag0, w2, point):
+    t = build_tree([(0, 1), (1, 2)], 1)
+    m = make_matrix(t, (diag0, F(0), F(1, 3)), {(0, 1): w2, (1, 2): F(2)})
+    assert_counts_many_exact(m, [point, F(0), F(1), -point])
+
+
+# Leaf-and-root matrices at single-rounding edges, each of which a filter
+# missing one outward rounding decides wrongly.  The leaf's value is
+# 1.5 * 2^-53 + 2^-79 = (1 + 2^-53 + 2^-80) - (1 - 2^-54 - 2^-80): both
+# terms round up by almost half an ulp, but the ulp of the first is twice
+# that of the second, so without the first term's widening the leaf's
+# lower bound comes out as 2^-52.  Through the Schur term -2^-53/v the root
+# then looks positive while it is 3/5 - 2/3 < 0.  Negating the matrix and
+# the point moves the same case to the upper bounds, and swapping the two
+# terms between the diagonal and the point moves it from the diagonal to
+# the point.  The last pair hides a squared weight of 2^-1128, which
+# underflows to 0, behind a root value of +-2^-1060.
+EDGE_A = 1 + F(1, 2 ** 53) + F(1, 2 ** 80)
+EDGE_B = 1 - F(1, 2 ** 54) - F(1, 2 ** 80)
+ROUNDING_EDGES = [(s * (b + F(3, 5)), s * a, F(1, 2 ** 53), s * b)
+                  for a, b in ((EDGE_A, EDGE_B), (-EDGE_B, -EDGE_A)) for s in (1, -1)]
+ROUNDING_EDGES += [(s * F(1, 2 ** 1060), s * F(1, 2 ** 1070), F(1, 2 ** 1128), F(0))
+                   for s in (1, -1)]
+
+
+@pytest.mark.parametrize("root_diag, leaf_diag, w2, point", ROUNDING_EDGES)
+def test_counts_many_at_single_rounding_edges(root_diag, leaf_diag, w2, point):
+    m = make_matrix(build_tree([(0, 1)], 0), (root_diag, leaf_diag), {(0, 1): w2})
+    assert counts_many(m, [point]) == [counts_at(m, point)]
+
+
+CONSTRUCTED = [(Family.UNIFORM, d) for d in range(1, 10)] + [
+    (Family.SHORT_CORE, d) for d in range(6, 10)] + [
+    (Family.MIXED, d) for d in (7, 9)]
+
+
+@pytest.mark.parametrize("family, d", CONSTRUCTED)
+def test_counts_many_at_and_near_constructed_eigenvalues(family, d, fallbacks):
+    cert = realize_family(seed(family, d), 0, 32)
+    m, values = cert.matrix, [v for v, _ in cert.dspec]
+    # every true eigenvalue falls back to the exact kernel
+    assert [c.equal for c in counts_many(m, values)] == [k for _, k in cert.dspec]
+    assert fallbacks == values
+    near = [v + s * F(1, 2 ** k) for v in values for k in range(1, 61) for s in (1, -1)]
+    assert_counts_many_exact(m, near)
+    # offsets far above the float resolution never need the exact kernel
+    fallbacks.clear()
+    counts_many(m, [v + s * F(1, 2 ** k) for v in values for k in range(1, 21)
+                    for s in (1, -1)])
+    assert fallbacks == []
+
+
+def test_counts_many_decides_guarded_points(fallbacks):
+    # a vertex value is 0 exactly at an eigenvalue of a subtree block; with
+    # entries over 1..4 those have denominators over powers of 2 and 3, so
+    # points over the prime 10007 keep every vertex value away from 0
+    rng = random.Random(9)
+    for _ in range(40):
+        m = random_matrix(random_tree(rng.randint(1, 40), rng), rng)
+        evs = np.linalg.eigvalsh(to_dense_float(m))
+        pts = [F(rng.randint(-10 ** 6, 10 ** 6), 10007) for _ in range(20)]
+        pts = [p for p in pts if min(abs(evs - float(p))) > 1e-6]
+        assert counts_many(m, pts) == [counts_at(m, p) for p in pts]
+    assert fallbacks == []
+
+
+def test_counts_many_of_no_points():
+    assert counts_many(path_matrix(3), []) == []
+
+
 # ------------------------------------------------------------- isolation
 
 
@@ -276,6 +410,16 @@ def test_isolate_eigenvalues_random():
         for lam in evs:
             assert any(float(iv.lo) - 1e-9 < lam <= float(iv.hi) + 1e-9
                        for iv in ivs)
+
+
+def test_isolate_matches_depth_first_reference():
+    rng = random.Random(10)
+    mats = [random_matrix(random_tree(rng.randint(1, 25), rng), rng) for _ in range(20)]
+    mats += [realize_family(seed(f, d), 0, 32).matrix
+             for f, d in ((Family.UNIFORM, 7), (Family.SHORT_CORE, 6), (Family.MIXED, 7))]
+    for m in mats:
+        for w in (F(1, 1000), F(1, 3), F(100)):
+            assert isolate_eigenvalues(m, w) == reference_isolate(m, w)
 
 
 def test_isolate_rejects_bad_width():

@@ -331,6 +331,37 @@ def test_verify_certificate_flags_corruption():
     assert verify_certificate(c.matrix, missing)
 
 
+def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
+    c = realize_family(seed(Family.SHORT_CORE, 7), 0, 32)
+    seen = []
+
+    def spy(m, point, root=None):
+        seen.append(point)
+        return diminimal.locate.counts_at(m, point, root)
+
+    monkeypatch.setattr(diminimal.realize, "counts_at", spy)
+    assert verify_certificate(c.matrix, c.dspec) == []
+    assert seen == [v for v, _ in c.dspec]
+    # the extreme-value checks reuse those counts
+    low = ((c.dspec[0][0] + 1, c.dspec[0][1]),) + c.dspec[1:]
+    problems = verify_certificate(c.matrix, low)
+    assert f"{c.dspec[0][1]} eigenvalues below the claimed minimum" in problems
+
+
+def test_finish_refuses_what_verify_certificate_refuses(monkeypatch):
+    # counts that hide one eigenvalue below the minimum pass every
+    # multiplicity, sum and diameter check; only the extreme check sees it
+    real = diminimal.locate.counts_at
+
+    def one_below(m, point, root=None):
+        c = real(m, point, root)
+        return diminimal.CountsAt(c.below + 1, c.equal, c.above - 1)
+
+    monkeypatch.setattr(diminimal.realize, "counts_at", one_below)
+    with pytest.raises(RuntimeError, match="eigenvalues below the claimed minimum"):
+        realize_family(seed(Family.UNIFORM, 5), 0, 4)
+
+
 def test_certificate_guards_survive_python_O():
     # under -O a plain assert would vanish and let a certificate through
     code = (

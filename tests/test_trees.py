@@ -24,6 +24,7 @@ from diminimal import (
     tree_to_dot,
     tree_to_json,
 )
+from diminimal.trees import _min_family_size, _whole_piece_cert
 
 
 @st.composite
@@ -316,6 +317,34 @@ def test_recognize_invariant_under_reroot():
         r = rng.randrange(t.n)
         tag = recognize_family(reroot(t, r))
         assert (tag.family, tag.diameter) == (base.family, base.diameter)
+
+
+def test_min_family_size_is_below_every_seed():
+    for fam, lo, step in ((Family.UNIFORM, 1, 1), (Family.SHORT_CORE, 4, 1),
+                          (Family.MIXED, 5, 2)):
+        for d in range(lo, 16, step):
+            assert _min_family_size(d) <= seed(fam, d).n, (fam, d)
+
+
+def long_path(n):
+    return build_tree([(i, i + 1) for i in range(n - 1)], 0)
+
+
+def long_caterpillar(n):
+    # a spine of n // 2 vertices, one leaf hanging from each
+    s = n // 2
+    return build_tree([(i, i + 1) for i in range(s - 1)]
+                      + [(i % s, s + i) for i in range(n - s)], 0)
+
+
+@pytest.mark.parametrize("make, n", [(long_path, 10 ** 4), (long_path, 10 ** 5),
+                                     (long_caterpillar, 10 ** 4),
+                                     (long_caterpillar, 10 ** 5)])
+def test_recognize_deep_trees_without_recursing(make, n):
+    t = make(n)
+    tag = recognize_family(t)
+    assert (tag.family, tag.diameter) == (Family.UNSUPPORTED, diameter(t))
+    assert _whole_piece_cert(t, main_roots(t)[0]) is None
 
 
 # ----------------------------------------------------------- serialization
