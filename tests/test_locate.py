@@ -333,18 +333,23 @@ def test_counts_many_at_single_rounding_edges(root_diag, leaf_diag, w2, point):
     assert counts_many(m, [point]) == [counts_at(m, point)]
 
 
-CONSTRUCTED = [(Family.UNIFORM, d) for d in range(1, 10)] + [
-    (Family.SHORT_CORE, d) for d in range(6, 10)] + [
-    (Family.MIXED, d) for d in (7, 9)]
+SEEDS = [(Family.UNIFORM, d) for d in range(1, 16)] + [
+    (Family.SHORT_CORE, d) for d in range(6, 16)] + [
+    (Family.MIXED, d) for d in range(7, 16, 2)]
 
 
-@pytest.mark.parametrize("family, d", CONSTRUCTED)
-def test_counts_many_at_and_near_constructed_eigenvalues(family, d, fallbacks):
+@pytest.mark.parametrize("family, d", SEEDS)
+def test_counts_many_falls_back_at_every_constructed_eigenvalue(family, d, fallbacks):
+    cert = realize_family(seed(family, d), 0, 32)
+    values = [v for v, _ in cert.dspec]
+    assert [c.equal for c in counts_many(cert.matrix, values)] == [k for _, k in cert.dspec]
+    assert fallbacks == values
+
+
+@pytest.mark.parametrize("family, d", [(f, d) for f, d in SEEDS if d <= 9])
+def test_counts_many_near_constructed_eigenvalues(family, d, fallbacks):
     cert = realize_family(seed(family, d), 0, 32)
     m, values = cert.matrix, [v for v, _ in cert.dspec]
-    # every true eigenvalue falls back to the exact kernel
-    assert [c.equal for c in counts_many(m, values)] == [k for _, k in cert.dspec]
-    assert fallbacks == values
     near = [v + s * F(1, 2 ** k) for v in values for k in range(1, 61) for s in (1, -1)]
     assert_counts_many_exact(m, near)
     # offsets far above the float resolution never need the exact kernel
