@@ -62,6 +62,8 @@ def _load_tree(path: str):
 def _load_matrix_file(path: str):
     """Matrix files may carry an embedded certificate next to the matrix."""
     obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise CliError(f"{path} does not hold a JSON object")
     if "matrix" in obj:
         return matrix_from_json(obj["matrix"]), obj.get("certificate")
     return matrix_from_json(obj), None
@@ -148,7 +150,7 @@ def cmd_verify(args) -> int:
     try:
         dspec = [(parse_rational(e["value"]), int(e["multiplicity"]))
                  for e in cert["dspec"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"malformed certificate: {exc}") from exc
     problems = verify_certificate(m, dspec)
     if args.cross_check:

@@ -235,7 +235,7 @@ def matrix_from_json(obj: dict) -> WeightedTreeMatrix:
         tree = tree_from_json(obj["tree"])
         diag = [parse_rational(q) for q in obj["diag"]]
         sq = {(int(e["u"]), int(e["v"])): parse_rational(e["w2"]) for e in obj["sq_edge"]}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     return make_matrix(tree, diag, sq)
 

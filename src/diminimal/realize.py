@@ -493,8 +493,9 @@ def realize_high_shifted(t: RootedTree, lad: Ladder, shift: Fraction,
 
 
 def _build_low_side(builder: _Builder, side: PieceCert, k: int) -> _Block:
-    """One odd-diameter half in its bottom-anchored shape: short core one
-    level down, full-height branches at level k, pinned at the level-k top."""
+    """A short-core piece in its bottom-anchored shape (an odd-diameter
+    half, or the whole of an even short-core tree): short core one level
+    down, full-height branches at level k, pinned at the level-k top."""
     vals = builder.ladders[k].values
     core = builder.build(side.core, Variant.LOW, None, k - 1)
     parts = [builder.build(p, Variant.LOW, None, k) for p in side.parts]
@@ -519,27 +520,16 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
         raise ValueError("need at least one edge to realize")
     big_k = (d + 1) // 2
     if an.family is Family.UNIFORM:
-        lad = ladder(alpha, beta, big_k)
-        cert = realize_variant(reroot(t, an.center), lad, Variant.LOW, deep=deep)
-        # report on the tree as the caller handed it over
-        m = make_matrix(t, cert.matrix.diag, dict(zip(cert.matrix.tree.edges,
-                                                      cert.matrix.sq_edge)))
-        return RealizationCertificate(
-            matrix=m, dspec=cert.dspec, family=Family.UNIFORM, variant=cert.variant,
-            alpha=alpha, beta=beta, shift=None,
-            construction_root=an.center, assemblies=cert.assemblies)
+        builder = _Builder(t, an.center, alpha, beta, big_k, deep)
+        blk = builder.build(an.whole, Variant.LOW, None, big_k)
+        return _finish(builder, blk, t, Family.UNIFORM, Variant.LOW.value, None)
     if d < 6:
         raise ValueError(f"no construction is defined for {an.family.value} "
                          f"trees of diameter {d} (need >= 6)")
     if d % 2 == 0:
         # short core at the center, full-height branches around it
-        k = (d - 2) // 2
         builder = _Builder(t, an.center, alpha, beta, big_k, deep)
-        vals = builder.ladders[k].values
-        core = builder.build(an.core, Variant.LOW, None, k - 1)
-        parts = [builder.build(p, Variant.LOW, None, k) for p in an.parts]
-        blk = builder.join_blocks(core, parts, vals[2 * k + 1], "max",
-                                  expect_forced=vals[0] - builder.step(k - 1))
+        blk = _build_low_side(builder, an.whole, (d - 2) // 2)
         return _finish(builder, blk, t, Family.SHORT_CORE, "short-core-even", None)
     # odd diameter: two halves joined across the central edge
     k = (d - 3) // 2

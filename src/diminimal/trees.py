@@ -303,6 +303,8 @@ def duplicate_branch(t: RootedTree, v: int, branch_root: int, copies: int) -> Ro
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
+    if not 0 <= v < t.n:
+        raise ValueError(f"vertex {v} out of range for {t.n} vertices")
     if branch_root not in t.children[v]:
         raise ValueError(f"{branch_root} is not a child of {v}")
     branch = t.subtree(branch_root)
@@ -447,94 +449,78 @@ class FamilyTag:
 
 
 class _Recognizer:
-    """Memoized uniform-piece checker over a fixed rooting of the tree."""
+    """Uniform-piece checker over a fixed rooting of the tree.
+
+    Every check goes through `split`, and each (vertex, cap) pair is asked
+    for at most once per recognition, so nothing is cached."""
 
     def __init__(self, t: RootedTree):
         self.t = t
-        self.memo: dict[tuple[int, int], PieceCert | None] = {}
 
-    def piece(self, v: int, cap: int | None) -> PieceCert | None:
-        """Certify the piece at v made of branches of height <= cap
-        (all branches when cap is None).  Returns None if the piece does
-        not decompose uniformly."""
+    def split(self, v: int, cap: int | None = None
+              ) -> tuple[int, tuple[PieceCert, ...], PieceCert | None] | None:
+        """Split the piece at v made of its branches of height <= cap (all
+        branches when cap is None): the piece height h, certificates for
+        the branches of height h - 1, and the certificate for v plus the
+        shorter branches (None for a leaf).  Returns None when a full-height
+        branch or the core does not decompose uniformly."""
         t = self.t
         kids = [c for c in t.children[v] if cap is None or t.height_below[c] <= cap]
-        cap_eff = max((t.height_below[c] for c in kids), default=-1)
-        key = (v, cap_eff)
-        if key in self.memo:
-            return self.memo[key]
         if not kids:
-            cert = PieceCert(v, 0, (), None)
-        else:
-            h = cap_eff + 1
-            cert = None
-            parts = []
-            for c in kids:
-                if t.height_below[c] == h - 1:
-                    pc = self.piece(c, None)
-                    if pc is None:
-                        break
-                    parts.append(pc)
-            else:
-                core = self.piece(v, h - 2)
-                if core is not None and core.height == h - 1:
-                    cert = PieceCert(v, h, tuple(parts), core)
-        self.memo[key] = cert
-        return cert
-
-    def split(self, v: int) -> tuple[list[PieceCert], PieceCert | None, int]:
-        """Top-level split at v: certificates for the full-height branches,
-        the certificate for v plus the shorter branches (or None), and the
-        piece height."""
-        t = self.t
-        if not t.children[v]:
-            return [], None, 0
-        h = 1 + max(t.height_below[c] for c in t.children[v])
+            return 0, (), None
+        h = 1 + max(t.height_below[c] for c in kids)
         parts = []
-        for c in t.children[v]:
+        for c in kids:
             if t.height_below[c] == h - 1:
-                pc = self.piece(c, None)
+                pc = self.piece(c)
                 if pc is None:
-                    return [], None, h
+                    return None
                 parts.append(pc)
         core = self.piece(v, h - 2)
-        return parts, core, h
+        if core is None:
+            return None
+        return h, tuple(parts), core
 
-
-def _classify_side(rec: _Recognizer, v: int) -> tuple[str | None, PieceCert | None]:
-    """Classify one half of an odd-diameter tree, rooted at the central-edge
-    endpoint v.  Returns ("uniform" | "short_core", certificate) or
-    (None, None)."""
-    parts, core, h = rec.split(v)
-    if h == 0:
-        return "uniform", PieceCert(v, 0, (), None)
-    if core is None or not parts:
+    def classify(self, v: int, cap: int | None = None
+                 ) -> tuple[str, PieceCert] | tuple[None, None]:
+        """Kind and certificate of the piece at v (branches capped as in
+        `split`): "uniform" when the core has height h - 1 or v is a leaf,
+        "short_core" when it has height h - 2.  Short-core pieces are
+        recorded with the same shape; the height gap between core and parts
+        is what tells the kinds apart.  (None, None) for anything else."""
+        s = self.split(v, cap)
+        if s is None:
+            return None, None
+        h, parts, core = s
+        if core is None or core.height == h - 1:
+            return "uniform", PieceCert(v, h, parts, core)
+        if core.height == h - 2:
+            return "short_core", PieceCert(v, h, parts, core)
         return None, None
-    if core.height == h - 1:
-        return "uniform", PieceCert(v, h, tuple(parts), core)
-    if core.height == h - 2:
-        # short-core pieces are recorded with the same shape; the height gap
-        # between core and parts is what distinguishes the kind
-        return "short_core", PieceCert(v, h, tuple(parts), core)
-    return None, None
+
+    def piece(self, v: int, cap: int | None = None) -> PieceCert | None:
+        """Certify the piece at v made of branches of height <= cap (all
+        branches when cap is None).  Returns None if the piece does not
+        decompose uniformly."""
+        kind, cert = self.classify(v, cap)
+        return cert if kind == "uniform" else None
 
 
 @dataclass(frozen=True)
 class _FamilyAnalysis:
     """Structured recognizer output shared with the realization engine.
 
-    Even diameter: `center`, `parts`, `core` describe the split at the
-    central vertex.  Odd diameter: `sides` holds the two halves as
-    (endpoint, kind, certificate) with kind "uniform" or "short_core".
-    For uniform trees `whole` certifies the entire tree as one piece rooted
-    at `center` (the smaller central-edge endpoint when the diameter is odd).
+    `whole` certifies the split at `center` for every supported tree of
+    even diameter (the core is one level short for SHORT_CORE) and, for
+    uniform trees of odd diameter, the entire tree as one piece rooted at
+    the smaller central-edge endpoint.  Odd diameter: `sides` holds the two
+    halves as (endpoint, kind, certificate) with kind "uniform" or
+    "short_core".
     """
 
     family: Family
     diameter: int
     center: int
-    parts: tuple[PieceCert, ...] = ()
-    core: PieceCert | None = None
     sides: tuple[tuple[int, str, PieceCert], ...] = ()
     whole: PieceCert | None = None
 
@@ -563,38 +549,21 @@ def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
         # also keeps the recognizer's recursion, which descends one level
         # per call, within log2(n) levels
         return _FamilyAnalysis(Family.UNSUPPORTED, d, centers[0])
-    if d == 0:
-        cert = PieceCert(t.root, 0, (), None)
-        return _FamilyAnalysis(Family.UNIFORM, 0, t.root, whole=cert)
     if d % 2 == 0:
         c = centers[0]
-        rec = _Recognizer(reroot(t, c))
-        parts, core, h = rec.split(c)
-        if core is not None and parts:
-            whole = PieceCert(c, h, tuple(parts), core)
-            if core.height == h - 1:
-                return _FamilyAnalysis(Family.UNIFORM, d, c,
-                                       tuple(parts), core, whole=whole)
-            if core.height == h - 2:
-                return _FamilyAnalysis(Family.SHORT_CORE, d, c,
-                                       tuple(parts), core, whole=whole)
-        return _FamilyAnalysis(Family.UNSUPPORTED, d, c)
+        kind, whole = _Recognizer(reroot(t, c)).classify(c)
+        if kind is None:
+            return _FamilyAnalysis(Family.UNSUPPORTED, d, c)
+        fam = Family.UNIFORM if kind == "uniform" else Family.SHORT_CORE
+        return _FamilyAnalysis(fam, d, c, whole=whole)
     u, v = centers
     rec = _Recognizer(reroot(t, u))
-    kind_b, cert_b = _classify_side(rec, v)
+    kind_b, cert_b = rec.classify(v)
     # side A is everything except v's subtree; with the tree rooted at u the
     # branch toward v is the unique tallest one, so capping at the side
     # height picks out exactly side A
     h_side = (d - 1) // 2
-    cert_a = rec.piece(u, h_side - 1)
-    kind_a: str | None = None
-    if cert_a is not None and cert_a.height == h_side:
-        kind_a = "uniform"
-    else:
-        parts_a, core_a, h_a = _split_capped(rec, u, h_side - 1)
-        if parts_a and core_a is not None and h_a == h_side and core_a.height == h_a - 2:
-            cert_a = PieceCert(u, h_a, tuple(parts_a), core_a)
-            kind_a = "short_core"
+    kind_a, cert_a = rec.classify(u, h_side - 1)
     if kind_a is None or kind_b is None:
         return _FamilyAnalysis(Family.UNSUPPORTED, d, u)
     sides = ((u, kind_a, cert_a), (v, kind_b, cert_b))
@@ -617,15 +586,10 @@ def recognize_family(t: RootedTree) -> FamilyTag:
     """
     an = _family_analysis(t)
     d, fam = an.diameter, an.family
-    if d == 0:
-        return FamilyTag(fam, 0, {
-            "family": fam.value, "diameter": 0,
-            "main_root": an.center, "piece": an.whole.to_json(),
-        })
     if d % 2 == 0:
         cert: dict = {"family": fam.value, "diameter": d, "main_root": an.center}
         if fam is not Family.UNSUPPORTED:
-            cert["piece"] = an.whole.to_json() if an.whole is not None else None
+            cert["piece"] = an.whole.to_json()
         return FamilyTag(fam, d, cert)
     u, v = main_roots(t)
     cert = {"family": fam.value, "diameter": d, "main_edge": [u, v]}
@@ -635,25 +599,6 @@ def recognize_family(t: RootedTree) -> FamilyTag:
             for r, kind, pc in an.sides
         ]
     return FamilyTag(fam, d, cert)
-
-
-def _split_capped(rec: _Recognizer, v: int, cap: int) -> tuple[list[PieceCert], PieceCert | None, int]:
-    """Like _Recognizer.split but with the branch set capped first; used for
-    the half of an odd-diameter tree that contains the rooting endpoint."""
-    t = rec.t
-    kids = [c for c in t.children[v] if t.height_below[c] <= cap]
-    if not kids:
-        return [], None, 0
-    h = 1 + max(t.height_below[c] for c in kids)
-    parts = []
-    for c in kids:
-        if t.height_below[c] == h - 1:
-            pc = rec.piece(c, None)
-            if pc is None:
-                return [], None, h
-            parts.append(pc)
-    core = rec.piece(v, h - 2)
-    return parts, core, h
 
 
 def _whole_piece_cert(t: RootedTree, at_root: int) -> PieceCert | None:
@@ -678,7 +623,7 @@ def tree_from_json(obj: dict) -> RootedTree:
         n = int(obj["n"])
         root = int(obj["root"])
         edges = [(int(u), int(v)) for u, v in obj["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed tree object: {exc}") from exc
     if n != len(edges) + 1:
         raise ValueError(f"tree claims {n} vertices but has {len(edges)} edges")

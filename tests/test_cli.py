@@ -92,6 +92,17 @@ def test_unfold_rejects_bad_branch(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("vertex", ["999", "-1"])
+def test_unfold_rejects_vertex_out_of_range(tmp_path, capsys, vertex):
+    # vertex 4 is the parent of 3, so a child check alone reads -1 as vertex 4
+    src = write_tree(tmp_path / "t.json", [[0, 1], [1, 4], [4, 3], [3, 2]])
+    assert run_cli("unfold", "--tree", src, "--vertex", vertex,
+                   "--branch", "3", "--copies", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"vertex {vertex} out of range" in err
+
+
 def test_construct_locate_verify_round_trip(tmp_path, capsys):
     tree = tmp_path / "t.json"
     mat = tmp_path / "m.json"
@@ -206,6 +217,18 @@ def test_locate_zero_denominator_is_a_clean_error(tmp_path, capsys):
     assert run_cli("locate", "--matrix", str(mat), "--point", "1") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", ["5", '["matrix"]', '"matrix"'])
+@pytest.mark.parametrize("command", [["verify"], ["locate", "--point", "0"],
+                                     ["isolate", "--width", "1"],
+                                     ["export", "--format", "json"]])
+def test_non_object_matrix_file_is_a_clean_error(tmp_path, capsys, content, command):
+    mat = tmp_path / "m.json"
+    mat.write_text(content)
+    assert run_cli(command[0], "--matrix", str(mat), *command[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cross_check_overflow_is_a_clean_error(tmp_path, capsys):

@@ -1,0 +1,132 @@
+"""Fuzzing of `cli.main` on mutated tree, matrix and certificate files.
+
+Each example takes a valid document, replaces or deletes up to three of
+its nodes (the top included) and runs one command on the result.  Whatever
+the file holds, the CLI must answer with exit code 0, 1 or 2, and an exit 1
+must come with exactly one stderr line, starting with "error:".
+
+Trees stay at n <= 30 and no command seeds a tree, since seed sizes grow as
+2^(d/2).
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diminimal import Family, matrix_to_json, realize_family, seed, tree_to_json
+from diminimal.cli import main
+
+HUGE = "1" + "0" * 400
+
+# wrong types, out-of-range ids, and 1/0 and 10^400 rationals
+BAD_VALUES = st.sampled_from([
+    None, True, False, 0, 1, 2, -1, -999, 29, 30, 31, 999, 10 ** 400,
+    1.5, float("inf"), float("nan"),
+    "", "x", "1.5", "matrix", "1/0", "-3/0", "0/0", HUGE, "-" + HUGE, "1/" + HUGE,
+    [], [0], [[0, 1]], [0, 1, 2], {}, {"u": 0}, {"value": "0"},
+])
+
+TREES = [tree_to_json(seed(f, d)) for f, d in
+         ((Family.UNIFORM, 4), (Family.SHORT_CORE, 6), (Family.MIXED, 7))]
+MATRICES = []
+for _tree_doc in (seed(Family.UNIFORM, 4), seed(Family.SHORT_CORE, 7)):
+    _cert = realize_family(_tree_doc, 0, 32)
+    MATRICES.append({"matrix": matrix_to_json(_cert.matrix),
+                     "certificate": _cert.to_json()})
+MATRICES.append(MATRICES[0]["matrix"])
+
+# same-kind replacements keep most files loadable, so the commands get past
+# the loaders: ids in and out of range, rationals that are zero, negative,
+# undefined or 10^400
+IDS = st.one_of(st.integers(-2, 32), st.sampled_from([999, 10 ** 400]))
+RATIONALS = st.sampled_from(
+    ["0", "-1", "7/3", "1/0", "-3/0", HUGE, "-" + HUGE, "1/" + HUGE])
+
+
+def _nodes(doc, path=()):
+    """Paths to every node of a JSON document, the top first."""
+    yield path
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _nodes(v, path + (i,))
+
+
+def _replacements(node):
+    if isinstance(node, bool) or not isinstance(node, (int, str)):
+        return BAD_VALUES
+    return st.one_of(IDS if isinstance(node, int) else RATIONALS, BAD_VALUES)
+
+
+@st.composite
+def mutated(draw, docs):
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        if not path:
+            doc = copy.deepcopy(draw(BAD_VALUES))
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.integers(0, 2)) == 0:
+            del parent[path[-1]]
+        else:
+            value = draw(_replacements(parent[path[-1]]))
+            parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+TREE_COMMANDS = st.one_of(
+    st.just(["recognize"]),
+    st.just(["construct", "--alpha", "0", "--beta", "32"]),
+    st.just(["construct", "--alpha", "1", "--integral"]),
+    st.builds(lambda v, b, c: ["unfold", "--vertex", str(v), "--branch", str(b),
+                               "--copies", str(c)],
+              st.integers(-3, 33), st.integers(-3, 33), st.integers(1, 2)),
+)
+
+MATRIX_COMMANDS = st.one_of(
+    st.just(["verify"]),
+    st.just(["verify", "--cross-check"]),
+    st.sampled_from(["0", "32", "-3/2", HUGE]).map(lambda p: ["locate", "--point", p]),
+    st.just(["isolate", "--width", "1/4"]),
+    st.sampled_from(["dot", "json"]).map(lambda f: ["export", "--format", f]),
+)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+def run_on(path, doc, command, flag):
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], flag, str(path), *command[1:]])
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+    else:
+        assert err.getvalue() == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated(TREES), command=TREE_COMMANDS)
+def test_cli_survives_mutated_tree_files(doc_path, doc, command):
+    run_on(doc_path, doc, command, "--tree")
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=mutated(MATRICES), command=MATRIX_COMMANDS)
+def test_cli_survives_mutated_matrix_and_certificate_files(doc_path, doc, command):
+    run_on(doc_path, doc, command, "--matrix")

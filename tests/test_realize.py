@@ -185,6 +185,18 @@ def test_family_keeps_caller_labels():
     assert c.matrix.tree.parent == t.parent
 
 
+def test_family_builds_uniform_trees_from_one_recognition(monkeypatch):
+    def second_recognition(*args):
+        raise RuntimeError("uniform trees must not be recognized twice")
+
+    monkeypatch.setattr(diminimal.realize, "_whole_piece_cert", second_recognition)
+    for d in range(1, 12):
+        t = seed(Family.UNIFORM, d)
+        c = realize_family(reroot(t, t.n - 1), 0, 32)
+        assert c.distinct_values == d + 1
+        assert verify_certificate(c.matrix, c.dspec) == []
+
+
 def test_family_short_core_even():
     for d in (6, 8, 10):
         t = seed(Family.SHORT_CORE, d)

@@ -24,7 +24,7 @@ from diminimal import (
     tree_to_dot,
     tree_to_json,
 )
-from diminimal.trees import _min_family_size, _whole_piece_cert
+from diminimal.trees import _family_analysis, _min_family_size, _whole_piece_cert
 
 
 @st.composite
@@ -222,6 +222,15 @@ def test_duplicate_branch_rejects_non_child():
         duplicate_branch(t, 0, 2, 1)
 
 
+@pytest.mark.parametrize("v", [999, 5, -1])
+def test_duplicate_branch_rejects_vertex_out_of_range(v):
+    # vertex 4 is the parent of 3, so a child check alone reads -1 as vertex 4
+    t = build_tree([(0, 1), (1, 4), (4, 3), (3, 2)], 0)
+    assert duplicate_branch(t, 4, 3, 1).n == 7
+    with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+        duplicate_branch(t, v, 3, 1)
+
+
 def test_duplicate_branch_preserves_diameter_randomly():
     rng = random.Random(11)
     for fam, d in ((Family.UNIFORM, 6), (Family.SHORT_CORE, 8), (Family.MIXED, 9)):
@@ -345,6 +354,22 @@ def test_recognize_deep_trees_without_recursing(make, n):
     tag = recognize_family(t)
     assert (tag.family, tag.diameter) == (Family.UNSUPPORTED, diameter(t))
     assert _whole_piece_cert(t, main_roots(t)[0]) is None
+
+
+def test_analysis_certifies_uniform_trees_as_one_whole_piece():
+    # realize_family builds a uniform tree from this certificate alone, with
+    # no second recognition through _whole_piece_cert
+    rng = random.Random(55)
+    for d in range(14):
+        s = seed(Family.UNIFORM, d) if d else build_tree([], 0)
+        for t in (s, random_unfolding(s, rng, 3, cap=120)):
+            off = [v for v in range(t.n) if v not in main_roots(t)]
+            for r in [t.root] + off[:1]:
+                tr = reroot(t, r)
+                an = _family_analysis(tr)
+                assert an.family is Family.UNIFORM
+                assert an.whole is not None
+                assert an.whole == _whole_piece_cert(tr, an.center)
 
 
 # ----------------------------------------------------------- serialization
