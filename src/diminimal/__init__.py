@@ -39,7 +39,6 @@ from .locate import (
     IsolatedInterval,
     count_in_interval,
     counts_at,
-    counts_many,
     counts_within,
     diagonalize,
     find_parter_vertex,

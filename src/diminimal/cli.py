@@ -18,7 +18,7 @@ from .matrices import (format_rational, matrix_from_json, matrix_to_dot,
                        matrix_to_json, parse_rational)
 from .oracle import OracleError, compare_counts
 from .realize import realize_family, realize_integral, verify_certificate
-from .trees import (Family, duplicate_branch, recognize_family, seed,
+from .trees import (Family, duplicate_branch, json_int, recognize_family, seed,
                     tree_from_json, tree_to_json)
 
 
@@ -148,9 +148,9 @@ def cmd_verify(args) -> int:
         raise CliError("no certificate embedded in the matrix file; "
                        "run construct with --out to produce one")
     try:
-        dspec = [(parse_rational(e["value"]), int(e["multiplicity"]))
+        dspec = [(parse_rational(e["value"]), json_int(e["multiplicity"]))
                  for e in cert["dspec"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed certificate: {exc}") from exc
     problems = verify_certificate(m, dspec)
     if args.cross_check:

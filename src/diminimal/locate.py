@@ -12,28 +12,27 @@ tree instead of Fraction objects.  Each value is a reduced (num, den) pair,
 added with Henrici's gcd split and divided with cross-cancellation, so it
 stays exact without per-operation object overhead.
 
-`counts_many` puts a float filter in front of the kernel, in the manner of
-Shewchuk's adaptive predicates and the interval filters of Bronnimann,
-Burnikel and Pion.  It runs the same elimination in float intervals whose
-every bound is rounded outward by one ulp, so each interval encloses the
-exact value.  When every vertex interval is finite and excludes 0, the
-zero-pairing rule cannot fire and the signs are the exact inertia.  Every
-other point goes to the exact kernel: true eigenvalues, points near one,
-and anything beyond float range.  `isolate_eigenvalues` counts through the
-filter, since its bisection points are almost never eigenvalues.
-`counts_at` stays exact-only: certificate checks and the CLI query it at
-claimed eigenvalues, where the filter never decides and would only add
-its own pass.
+`counts_at`, the one counting routine, runs that elimination with adaptive
+precision, after Shewchuk's adaptive predicates and the interval filters of
+Bronnimann, Burnikel and Pion.  It works in float intervals whose every
+bound is rounded outward by one ulp, so each interval encloses the exact
+value.  Where a vertex interval meets 0 or is not finite, `_run` computes
+that vertex's subtree exactly, reusing the subtrees repaired before; the
+exact Schur term goes on up as an interval, and an exact 0 pairs with the
+parent.  So every count is exact, and exact work is spent only where
+floats cannot decide.  At a true eigenvalue most vertices need it, so once
+repairs dominate the pass ends in one exact run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, isqrt, nextafter
-from typing import Collection, Iterable, Sequence
+from math import gcd, inf, isqrt, nan, nextafter
+from typing import Collection, Sequence
 
-from .matrices import FloatBounds, WeightedTreeMatrix, delete_vertex
+from .matrices import (WeightedTreeMatrix, delete_vertex, enclose,
+                       float_bounds_of)
 
 
 @dataclass(frozen=True)
@@ -50,12 +49,12 @@ class DiagOutcome:
     inertia: tuple[int, int, int]
     removed_edges: tuple[tuple[int, int], ...]
     pivots: frozenset[int]
-    query_shift: Fraction
 
 
 def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int],
          dd: Sequence[int], wn: Sequence[int], wd: Sequence[int], xn: int,
-         xd: int, values: dict[int, tuple[int, int]] | None = None):
+         xd: int, values: dict[int, tuple[int, int]] | None = None,
+         state: tuple[dict, dict, dict] | None = None):
     """The elimination kernel: bottom-up congruence diagonalization of
     M + x*I over `order`, a postorder whose last entry is the run's root.
 
@@ -70,13 +69,14 @@ def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int],
 
     Returns the sign of every final value keyed by vertex, the vertices at
     which the pairing rule fired, and the root's final value; `values`, if
-    given, receives every final value.
+    given, receives every final value.  `state`, if given, holds the signs,
+    the Schur sums pushed to each parent and each parent's smallest zero
+    child to start from, and receives them in turn.
     """
-    signs: dict[int, int] = {}
     pivots: list[int] = []
-    # Schur terms pushed to a parent so far, freed once the parent is done
-    acc: dict[int, tuple[int, int]] = {}
-    zero_kid: dict[int, int] = {}
+    # signs, Schur terms pushed to a parent so far (freed once the parent is
+    # done) and the smallest zero child of each parent
+    signs, acc, zero_kid = ({}, {}, {}) if state is None else state
     root = order[-1]
     for k in order:
         if zero_kid and k in zero_kid:
@@ -170,7 +170,7 @@ def diagonalize(m: WeightedTreeMatrix, x: Fraction, root: int | None = None) -> 
                      if (p := arr.parent[k]) != -1)
     return DiagOutcome({v: Fraction(*vals[v]) for v in arr.order},
                        (c.below, c.equal, c.above), tuple(removed),
-                       frozenset(pivots), x)
+                       frozenset(pivots))
 
 
 @dataclass(frozen=True)
@@ -182,75 +182,86 @@ class CountsAt:
     above: int
 
 
+# counts_at ends its float pass in one exact run from the root once the
+# subtrees it repaired hold more than 1/_EXACT_SHARE of the vertices passed.
+# At a true eigenvalue zeros come early and often, and the float pass would
+# be wasted; at other points repairs stay rare.
+_EXACT_SHARE = 4
+
+
 def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -> CountsAt:
-    """How many eigenvalues of m are <, ==, > the query point.  Runs one
-    diagonalization of M - point*I; inertia does the rest."""
+    """How many eigenvalues of m are <, ==, > the query point, from the
+    inertia of M - point*I by the adaptive pass of the module docstring.
+    A repair runs the kernel over the vertex's subtree minus the blocks
+    repaired before, from their exact Schur sums and zeros."""
     p = Fraction(point)
+    xn, xd = -p.numerator, p.denominator
     arr = m.arrays if root is None else m.arrays_at(root)
-    return _counts(_run(*arr, -p.numerator, p.denominator)[0])
-
-
-def _float_negatives(order: Sequence[int], parent: Sequence[int],
-                     fb: FloatBounds, slo: float, shi: float) -> int | None:
-    """The elimination of `_run` in float intervals, for M + s*I with s in
-    [slo, shi]: the number of negative final values when every vertex
-    interval, the root's included, is finite and excludes 0 (a proof, by
-    inertia, that the point is no eigenvalue), else None.
-
-    Each `+` and `/` is correctly rounded, so widening its result by one ulp
-    with nextafter keeps the exact value inside.  With no zero anywhere
-    the zero-pairing rule never fires and each vertex adds the Schur term
-    -w/v of its value v to its parent; the bounds used for that term hold
-    for any w in [wlo, whi] with w > 0, so a wlo below 0 from underflow is
-    safe."""
-    nxt = nextafter
+    fb = m.float_bounds if root is None else float_bounds_of(arr)
+    order, parent, dn, dd, wn, wd = arr
+    nxt, up, down = nextafter, inf, -inf
+    slo, shi = enclose(xn, xd)
     # Schur sums collect on top of the diagonal; the extra slot takes the
     # root's term (its parent is -1) and is never read
     alo, ahi = fb.dlo + [0.0], fb.dhi + [0.0]
-    wlo, whi = fb.wlo, fb.whi
-    neg = 0
+    wlo, whi, size = fb.wlo, fb.whi, fb.size
+    # the kernel's state across repairs; a float sign is kept only if < 0
+    state = signs, acc, zero_kid = {}, {}, {}
+    done: list[tuple[int, int]] = []  # outermost repaired blocks, by position
+    i = spent = 0
     for k in order:
-        lo = nxt(alo[k] + slo, -inf)
-        hi = nxt(ahi[k] + shi, inf)
+        lo = nxt(alo[k] + slo, down)
+        hi = nxt(ahi[k] + shi, up)
         p = parent[k]
-        if 0.0 < lo and hi < inf:
-            # -w/v for v in [lo, hi], v > 0
-            alo[p] = nxt(alo[p] - nxt(whi[k] / lo, inf), -inf)
-            ahi[p] = nxt(ahi[p] - nxt(wlo[k] / hi, -inf), inf)
-        elif hi < 0.0 and -inf < lo:
-            neg += 1
+        if 0.0 < lo and hi < up:
+            # -w/v for v in [lo, hi], v > 0; the bounds hold for any w in
+            # [wlo, whi] with w > 0, so a wlo below 0 from underflow is safe
+            alo[p] = nxt(alo[p] - nxt(whi[k] / lo, up), down)
+            ahi[p] = nxt(ahi[p] - nxt(wlo[k] / hi, down), up)
+            continue
+        if hi < 0.0 and down < lo:
+            signs[k] = -1
             # -w/v = w/|v| for |v| in [-hi, -lo]
-            alo[p] = nxt(alo[p] + nxt(wlo[k] / -lo, -inf), -inf)
-            ahi[p] = nxt(ahi[p] + nxt(whi[k] / -hi, inf), inf)
-        else:
-            return None  # 0 in reach or a bound overflowed: exact kernel
-    return neg
-
-
-def counts_many(m: WeightedTreeMatrix, points: Iterable[Fraction]) -> list[CountsAt]:
-    """counts_at for each point, each count still a proof.
-
-    Every point first gets one float-interval pass of the elimination over
-    `m.float_bounds`; where that decides every sign it gives the exact
-    inertia.  Every other point, which includes each true eigenvalue and
-    each point or matrix beyond float range, goes through counts_at."""
-    fb = m.float_bounds
-    order, parent = m.arrays.order, m.arrays.parent
-    out: list[CountsAt] = []
-    for p in points:
-        p = Fraction(p)
-        neg = None
-        if fb is not None:
-            try:
-                f = -p.numerator / p.denominator
-            except OverflowError:
-                pass
-            else:
-                neg = _float_negatives(order, parent, fb, nextafter(f, -inf),
-                                       nextafter(f, inf))
-        out.append(counts_at(m, p) if neg is None
-                   else CountsAt(below=neg, equal=0, above=m.n - neg))
-    return out
+            alo[p] = nxt(alo[p] + nxt(wlo[k] / -lo, down), down)
+            ahi[p] = nxt(ahi[p] + nxt(whi[k] / -hi, up), up)
+            continue
+        if k in zero_kid:
+            # lo is nan: a repaired child of k is exactly 0, so k pairs
+            # with it and cuts its edge up
+            signs[k], signs[zero_kid[k]] = -1, 1
+            continue
+        i = order.index(k, i)
+        first = i + 1 - size[k]
+        spent += size[k]
+        if spent * _EXACT_SHARE > i:
+            i, k, p, first = len(order) - 1, order[-1], -1, 0
+        # the parts of k's block around the repaired blocks inside it
+        end, gaps = i + 1, []
+        while done and done[-1][0] >= first:
+            a, b = done.pop()
+            gaps.append(order[b + 1:end])
+            end = a
+        done.append((first, i))
+        gaps.append(order[first:end])
+        _, _, (a, b) = _run(gaps[0] if len(gaps) == 1
+                            else [v for part in reversed(gaps) for v in part],
+                            parent, dn, dd, wn, wd, xn, xd, state=state)
+        if p == -1:
+            break
+        if not a:
+            if zero_kid.get(p, k) >= k:
+                zero_kid[p] = k
+            alo[p] = nan
+            continue
+        t = Fraction(-wn[k] * b, wd[k] * a)
+        lo, hi = enclose(t.numerator, t.denominator)
+        alo[p], ahi[p] = nxt(alo[p] + lo, down), nxt(ahi[p] + hi, up)
+        if p in acc:
+            t += Fraction(*acc[p])
+        acc[p] = (t.numerator, t.denominator)
+    s = list(signs.values())
+    neg, zero = s.count(-1), s.count(0)
+    return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
 
 
 def multiplicity(m: WeightedTreeMatrix, point: Fraction) -> int:
@@ -329,22 +340,22 @@ def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[Isolated
     """Cover the spectrum with disjoint half-open intervals of length at most
     `width`, each carrying the exact number of eigenvalues it contains.
     Intervals with zero count are discarded.  Bisection over (lo, hi]
-    needs one count per split point, from counts_many."""
+    needs one count per split point."""
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     bound = gershgorin_bound(m)
     # (a, b, eigenvalues in (a, b], eigenvalues <= a), sorted by a; none
     # lies at or below -bound - 1 and all n at or below bound.  Every
-    # interval of a level has the same length, and all the level's
-    # midpoints go to counts_many at once.
+    # interval of a level has the same length.
     level = [(-bound - 1, bound, m.n, 0)]
     length = 2 * bound + 1
     while length > width:
         length /= 2
-        mids = [a + length for a, _, _, _ in level]
         split = []
-        for (a, b, k, below), mid, c in zip(level, mids, counts_many(m, mids)):
+        for a, b, k, below in level:
+            mid = a + length
+            c = counts_at(m, mid)
             left = c.below + c.equal - below
             if left:
                 split.append((a, mid, left, below))

@@ -16,7 +16,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .trees import RootedTree, build_tree, reroot, tree_from_json, tree_to_json
+from .trees import (RootedTree, build_tree, json_int, reroot, tree_from_json,
+                    tree_to_json)
 
 Rational = Fraction
 
@@ -66,12 +67,37 @@ class ElimArrays(NamedTuple):
 
 class FloatBounds(NamedTuple):
     """Per-vertex float lower and upper bounds on the diagonal entries and
-    on the squared weights to the parent, indexed like `ElimArrays`."""
+    on the squared weights to the parent, indexed like `ElimArrays`, and
+    each vertex's subtree size: its subtree is the block of the postorder
+    that ends at it."""
 
     dlo: list[float]
     dhi: list[float]
     wlo: list[float]
     whi: list[float]
+    size: list[int]
+
+
+def enclose(p: int, q: int) -> tuple[float, float]:
+    """Floats around p/q (q > 0): int true division is correctly rounded,
+    so one ulp either side of it encloses the exact value; -inf and inf
+    when p/q is beyond the float range."""
+    try:
+        f = p / q
+    except OverflowError:
+        return -math.inf, math.inf
+    return math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
+
+
+def float_bounds_of(a: ElimArrays) -> FloatBounds:
+    """The `FloatBounds` of kernel arrays rooted anywhere."""
+    d = [enclose(p, q) for p, q in zip(a.dn, a.dd)]
+    w = [enclose(p, q) for p, q in zip(a.wn, a.wd)]
+    size = [1] * len(a.order)
+    for k in a.order[:-1]:
+        size[a.parent[k]] += size[k]
+    return FloatBounds([lo for lo, _ in d], [hi for _, hi in d],
+                       [lo for lo, _ in w], [hi for _, hi in w], size)
 
 
 @dataclass(frozen=True)
@@ -111,22 +137,10 @@ class WeightedTreeMatrix:
         return self.arrays_at(self.tree.root)
 
     @cached_property
-    def float_bounds(self) -> FloatBounds | None:
-        """Float intervals around the entries of `arrays`, cached for the
-        float filter of `locate.counts_many`; None when an entry overflows
-        a float, which leaves that matrix to the exact kernel alone."""
-        a = self.arrays
-        try:
-            # int true division is correctly rounded, so one ulp either
-            # side of it encloses the exact entry
-            d = [p / q for p, q in zip(a.dn, a.dd)]
-            w = [p / q for p, q in zip(a.wn, a.wd)]
-        except OverflowError:
-            return None
-        return FloatBounds([math.nextafter(f, -math.inf) for f in d],
-                           [math.nextafter(f, math.inf) for f in d],
-                           [math.nextafter(f, -math.inf) for f in w],
-                           [math.nextafter(f, math.inf) for f in w])
+    def float_bounds(self) -> FloatBounds:
+        """Float bounds of `arrays`, cached for the float pass of
+        `locate.counts_at`."""
+        return float_bounds_of(self.arrays)
 
     def arrays_at(self, root: int) -> ElimArrays:
         """Kernel arrays for the tree rerooted at `root`, built afresh."""
@@ -234,8 +248,9 @@ def matrix_from_json(obj: dict) -> WeightedTreeMatrix:
     try:
         tree = tree_from_json(obj["tree"])
         diag = [parse_rational(q) for q in obj["diag"]]
-        sq = {(int(e["u"]), int(e["v"])): parse_rational(e["w2"]) for e in obj["sq_edge"]}
-    except (KeyError, TypeError, OverflowError) as exc:
+        sq = {(json_int(e["u"]), json_int(e["v"])): parse_rational(e["w2"])
+              for e in obj["sq_edge"]}
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     return make_matrix(tree, diag, sq)
 

@@ -618,12 +618,20 @@ def tree_to_json(t: RootedTree) -> dict:
     return {"n": t.n, "root": t.root, "edges": [[u, v] for u, v in t.edges]}
 
 
+def json_int(value) -> int:
+    """An integer field of a JSON document: an int that is not a bool.
+    Floats are refused, not truncated, so 1.99 never becomes vertex 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
 def tree_from_json(obj: dict) -> RootedTree:
     try:
-        n = int(obj["n"])
-        root = int(obj["root"])
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = json_int(obj["n"])
+        root = json_int(obj["root"])
+        edges = [(json_int(u), json_int(v)) for u, v in obj["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tree object: {exc}") from exc
     if n != len(edges) + 1:
         raise ValueError(f"tree claims {n} vertices but has {len(edges)} edges")

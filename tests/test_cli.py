@@ -231,6 +231,47 @@ def test_non_object_matrix_file_is_a_clean_error(tmp_path, capsys, content, comm
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+def assert_one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["recognize"],
+                                     ["construct", "--alpha", "0", "--beta", "4"]])
+def test_float_ids_are_refused_not_truncated(tmp_path, capsys, command):
+    # int() would read this as the 2-vertex edge rooted at 0
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps({"n": 2.9, "root": 0.7, "edges": [[0, 1.99]]}))
+    assert run_cli(command[0], "--tree", str(tree), *command[1:]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("field, value", [("u", 0.0), ("v", 1.5), ("v", True)])
+def test_float_matrix_ids_are_refused(tmp_path, capsys, field, value):
+    mat = tmp_path / "m.json"
+    edge = {"u": 0, "v": 1, "w2": "1"}
+    edge[field] = value
+    mat.write_text(json.dumps({"tree": {"n": 2, "root": 0, "edges": [[0, 1]]},
+                               "diag": ["0", "0"], "sq_edge": [edge]}))
+    assert run_cli("locate", "--matrix", str(mat), "--point", "1") == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("mult", [1.7, 1.0, "1", True])
+def test_verify_refuses_a_non_integer_multiplicity(tmp_path, capsys, mult):
+    tree = tmp_path / "t.json"
+    mat = tmp_path / "m.json"
+    write_tree(tree, [[0, 1], [1, 2]])
+    run_cli("construct", "--tree", str(tree), "--alpha", "0", "--beta", "4",
+            "--out", str(mat))
+    capsys.readouterr()
+    blob = json.loads(mat.read_text())
+    blob["certificate"]["dspec"][0]["multiplicity"] = mult
+    mat.write_text(json.dumps(blob))
+    assert run_cli("verify", "--matrix", str(mat)) == 1
+    assert_one_error_line(capsys)
+
+
 def test_cross_check_overflow_is_a_clean_error(tmp_path, capsys):
     tree = tmp_path / "t.json"
     mat = tmp_path / "m.json"

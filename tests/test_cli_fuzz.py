@@ -3,7 +3,9 @@
 Each example takes a valid document, replaces or deletes up to three of
 its nodes (the top included) and runs one command on the result.  Whatever
 the file holds, the CLI must answer with exit code 0, 1 or 2, and an exit 1
-must come with exactly one stderr line, starting with "error:".
+must come with exactly one stderr line, starting with "error:".  A float in
+place of an integer the loaders read (a vertex count, a vertex id or a
+multiplicity) must be refused with exit 1, even when it is integral.
 
 Trees stay at n <= 30 and no command seeds a tree, since seed sizes grow as
 2^(d/2).
@@ -41,9 +43,10 @@ for _tree_doc in (seed(Family.UNIFORM, 4), seed(Family.SHORT_CORE, 7)):
 MATRICES.append(MATRICES[0]["matrix"])
 
 # same-kind replacements keep most files loadable, so the commands get past
-# the loaders: ids in and out of range, rationals that are zero, negative,
-# undefined or 10^400
-IDS = st.one_of(st.integers(-2, 32), st.sampled_from([999, 10 ** 400]))
+# the loaders: ids in and out of range, ids as floats (which the loaders
+# refuse), rationals that are zero, negative, undefined or 10^400
+IDS = st.one_of(st.integers(-2, 32), st.sampled_from([999, 10 ** 400]),
+                st.integers(-2, 32).map(float), st.integers(-2, 32).map(lambda i: i + 0.99))
 RATIONALS = st.sampled_from(
     ["0", "-1", "7/3", "1/0", "-3/0", HUGE, "-" + HUGE, "1/" + HUGE])
 
@@ -118,6 +121,7 @@ def run_on(path, doc, command, flag):
         assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
     else:
         assert err.getvalue() == ""
+    return code
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,3 +134,36 @@ def test_cli_survives_mutated_tree_files(doc_path, doc, command):
 @given(doc=mutated(MATRICES), command=MATRIX_COMMANDS)
 def test_cli_survives_mutated_matrix_and_certificate_files(doc_path, doc, command):
     run_on(doc_path, doc, command, "--matrix")
+
+
+def _read_ints(doc):
+    """Paths to the int nodes the loaders read: everything but the
+    certificate, and the certificate's multiplicities."""
+    out = []
+    for path in _nodes(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if (isinstance(node, int) and not isinstance(node, bool)
+                and ("certificate" not in path or path[-1] == "multiplicity")):
+            out.append(path)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), offset=st.sampled_from([0.0, 0.25, 0.5, 0.99, -0.5]))
+def test_cli_refuses_a_float_for_an_integer(doc_path, data, offset):
+    is_tree = data.draw(st.booleans())
+    doc = copy.deepcopy(data.draw(st.sampled_from(TREES if is_tree else MATRICES)))
+    path = data.draw(st.sampled_from(_read_ints(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] += offset + 0.0
+    if is_tree:
+        command, flag = data.draw(TREE_COMMANDS), "--tree"
+    elif path[-1] == "multiplicity":
+        command, flag = data.draw(st.sampled_from([["verify"], ["verify", "--cross-check"]])), "--matrix"
+    else:
+        command, flag = data.draw(MATRIX_COMMANDS), "--matrix"
+    assert run_on(doc_path, doc, command, flag) == 1

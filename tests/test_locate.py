@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from diminimal import (
     build_tree,
     count_in_interval,
     counts_at,
-    counts_many,
     counts_within,
     delete_vertex,
     diagonalize,
@@ -243,23 +243,42 @@ def test_interlacing_under_vertex_deletion():
         assert abs(after - before) <= 1
 
 
-# ---------------------------------------------------------- float filter
+# ------------------------------------------- float pass and exact repair
+#
+# counts_at runs the elimination in float intervals and repairs exactly only
+# the subtrees whose interval meets 0.  The tests named test_counts_many_*
+# count many points through counts_at; they keep the names of the float
+# filter tests they took over when that filter became part of counts_at.
 
 
-def assert_counts_many_exact(m, points):
-    assert counts_many(m, points) == [counts_at(m, p) for p in points]
+def reference_counts(m, point, root):
+    neg, zero, pos = diagonalize(m, -point, root=root).inertia
+    return locate.CountsAt(below=neg, equal=zero, above=pos)
+
+
+def assert_counts_exact(m, points, roots=None):
+    """counts_at against the plain exact kernel, from every root, with and
+    without the switch to one exact run (an exact share of 0 never
+    switches, so every undecided subtree is repaired on its own)."""
+    for share in (locate._EXACT_SHARE, 0):
+        with mock.patch.object(locate, "_EXACT_SHARE", share):
+            for r in range(m.n) if roots is None else roots:
+                for p in points:
+                    assert counts_at(m, p, root=r) == reference_counts(m, p, r)
+            for p in points:
+                assert counts_at(m, p) == reference_counts(m, p, m.tree.root)
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """The points counts_many hands to the exact kernel, in call order."""
+def exact_runs(monkeypatch):
+    """The orders counts_at hands to the exact kernel."""
     seen = []
 
-    def spy(m, point, root=None):
-        seen.append(point)
-        return counts_at(m, point, root)
+    def spy(order, *args, **kwargs):
+        seen.append(tuple(order))
+        return _run(order, *args, **kwargs)
 
-    monkeypatch.setattr(locate, "counts_at", spy)
+    monkeypatch.setattr(locate, "_run", spy)
     return seen
 
 
@@ -271,14 +290,15 @@ POINTS = st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 8)), max_siz
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(SMALL, MIXED), POINTS)
 def test_counts_many_matches_counts_at(m, points):
-    assert_counts_many_exact(m, points)
+    # the diagonal entries themselves make leaf values exactly 0
+    assert_counts_exact(m, points + list(m.diag[:3]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(HUGE, st.lists(st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
                       max_size=6))
 def test_counts_many_matches_counts_at_on_200_bit_entries(m, points):
-    assert_counts_many_exact(m, points)
+    assert_counts_exact(m, points)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,12 +306,12 @@ def test_counts_many_matches_counts_at_on_200_bit_entries(m, points):
        st.booleans())
 def test_counts_many_at_the_ends_of_the_float_range(m, points, c, squared):
     # diagonal and points scaled by 10^+-300 make Schur terms and sums
-    # overflow or underflow; squared weights scaled by c*c leave the float
-    # range altogether, so that matrix is exact-only
+    # overflow or underflow; squared weights scaled by c*c = 10^+-600 leave
+    # the float range altogether
     wc = c * c if squared else c
     scaled = make_matrix(m.tree, [q * c for q in m.diag],
                          {e: w * wc for e, w in m.sq_weight.items()})
-    assert_counts_many_exact(scaled, [p * c for p in points] + [F(0)])
+    assert_counts_exact(scaled, [p * c for p in points] + [F(0)])
 
 
 @pytest.mark.parametrize("diag0, w2, point", [
@@ -305,11 +325,11 @@ def test_counts_many_at_the_ends_of_the_float_range(m, points, c, squared):
 def test_counts_many_beyond_the_float_range(diag0, w2, point):
     t = build_tree([(0, 1), (1, 2)], 1)
     m = make_matrix(t, (diag0, F(0), F(1, 3)), {(0, 1): w2, (1, 2): F(2)})
-    assert_counts_many_exact(m, [point, F(0), F(1), -point])
+    assert_counts_exact(m, [point, F(0), F(1), -point])
 
 
-# Leaf-and-root matrices at single-rounding edges, each of which a filter
-# missing one outward rounding decides wrongly.  The leaf's value is
+# Leaf-and-root matrices at single-rounding edges, each of which a float
+# pass missing one outward rounding decides wrongly.  The leaf's value is
 # 1.5 * 2^-53 + 2^-79 = (1 + 2^-53 + 2^-80) - (1 - 2^-54 - 2^-80): both
 # terms round up by almost half an ulp, but the ulp of the first is twice
 # that of the second, so without the first term's widening the leaf's
@@ -330,7 +350,10 @@ ROUNDING_EDGES += [(s * F(1, 2 ** 1060), s * F(1, 2 ** 1070), F(1, 2 ** 1128), F
 @pytest.mark.parametrize("root_diag, leaf_diag, w2, point", ROUNDING_EDGES)
 def test_counts_many_at_single_rounding_edges(root_diag, leaf_diag, w2, point):
     m = make_matrix(build_tree([(0, 1)], 0), (root_diag, leaf_diag), {(0, 1): w2})
-    assert counts_many(m, [point]) == [counts_at(m, point)]
+    assert_counts_exact(m, [point])
+    d, _, _ = reference_elimination(m, -point, 0)
+    neg, zero = sum(q < 0 for q in d.values()), sum(q == 0 for q in d.values())
+    assert counts_at(m, point) == locate.CountsAt(neg, zero, 2 - neg - zero)
 
 
 SEEDS = [(Family.UNIFORM, d) for d in range(1, 16)] + [
@@ -339,27 +362,55 @@ SEEDS = [(Family.UNIFORM, d) for d in range(1, 16)] + [
 
 
 @pytest.mark.parametrize("family, d", SEEDS)
-def test_counts_many_falls_back_at_every_constructed_eigenvalue(family, d, fallbacks):
+def test_counts_many_falls_back_at_every_constructed_eigenvalue(family, d, exact_runs):
+    # a true eigenvalue leaves some vertex exactly 0, so each point needs
+    # exact runs; repaired blocks are reused, so no vertex runs twice
     cert = realize_family(seed(family, d), 0, 32)
-    values = [v for v, _ in cert.dspec]
-    assert [c.equal for c in counts_many(cert.matrix, values)] == [k for _, k in cert.dspec]
-    assert fallbacks == values
+    m = cert.matrix
+    for v, mult in cert.dspec:
+        want = reference_counts(m, v, m.tree.root)
+        exact_runs.clear()
+        c = counts_at(m, v)
+        assert c.equal == mult and c == want
+        assert exact_runs and sum(map(len, exact_runs)) <= m.n
+
+
+@pytest.mark.parametrize("family, d", [(f, d) for f, d in SEEDS if d >= 3])
+def test_counts_at_nests_repairs_at_constructed_eigenvalues(family, d, exact_runs,
+                                                            monkeypatch):
+    # with the switch to one exact run turned off, the pass repairs the zero
+    # subtrees of a true eigenvalue one inside the other; each run skips the
+    # blocks repaired before it, so the runs are disjoint
+    monkeypatch.setattr(locate, "_EXACT_SHARE", 0)
+    cert = realize_family(seed(family, d), 0, 32)
+    m = cert.matrix
+    size = m.float_bounds.size
+    reused = 0
+    for v, mult in cert.dspec:
+        want = reference_counts(m, v, m.tree.root)
+        exact_runs.clear()
+        c = counts_at(m, v)
+        assert c.equal == mult and c == want
+        every = [u for run in exact_runs for u in run]
+        assert len(every) == len(set(every))
+        reused += any(len(run) < size[run[-1]] for run in exact_runs)
+    assert reused >= (d - 1) // 2
 
 
 @pytest.mark.parametrize("family, d", [(f, d) for f, d in SEEDS if d <= 9])
-def test_counts_many_near_constructed_eigenvalues(family, d, fallbacks):
+def test_counts_many_near_constructed_eigenvalues(family, d, exact_runs):
     cert = realize_family(seed(family, d), 0, 32)
     m, values = cert.matrix, [v for v, _ in cert.dspec]
     near = [v + s * F(1, 2 ** k) for v in values for k in range(1, 61) for s in (1, -1)]
-    assert_counts_many_exact(m, near)
+    assert_counts_exact(m, near, roots=[m.n - 1])
     # offsets far above the float resolution never need the exact kernel
-    fallbacks.clear()
-    counts_many(m, [v + s * F(1, 2 ** k) for v in values for k in range(1, 21)
-                    for s in (1, -1)])
-    assert fallbacks == []
+    exact_runs.clear()
+    for p in [v + s * F(1, 2 ** k) for v in values for k in range(1, 21) for s in (1, -1)]:
+        counts_at(m, p)
+    assert exact_runs == []
 
 
-def test_counts_many_decides_guarded_points(fallbacks):
+def test_counts_many_decides_guarded_points(exact_runs):
     # a vertex value is 0 exactly at an eigenvalue of a subtree block; with
     # entries over 1..4 those have denominators over powers of 2 and 3, so
     # points over the prime 10007 keep every vertex value away from 0
@@ -369,12 +420,45 @@ def test_counts_many_decides_guarded_points(fallbacks):
         evs = np.linalg.eigvalsh(to_dense_float(m))
         pts = [F(rng.randint(-10 ** 6, 10 ** 6), 10007) for _ in range(20)]
         pts = [p for p in pts if min(abs(evs - float(p))) > 1e-6]
-        assert counts_many(m, pts) == [counts_at(m, p) for p in pts]
-    assert fallbacks == []
+        want = [reference_counts(m, p, m.tree.root) for p in pts]
+        exact_runs.clear()
+        assert [counts_at(m, p) for p in pts] == want
+        assert exact_runs == []
 
 
-def test_counts_many_of_no_points():
-    assert counts_many(path_matrix(3), []) == []
+def test_counts_at_repairs_a_leaf_zero_alone(exact_runs):
+    # a point equal to a leaf's diagonal entry makes that leaf exactly 0;
+    # one exact run of the leaf alone decides it, and its parent pairs
+    # with it in the float pass.  Each leaf has its own diagonal entry, so
+    # no other vertex value comes near 0.  (A zero among the first few
+    # vertices of the postorder is an exact share above a quarter, which
+    # ends the float pass in one exact run; the leaves here come later.)
+    rng = random.Random(12)
+    t = random_tree(300, rng)
+    leaves = [v for v in t.order[8:] if not t.children[v]]
+    m = random_matrix(t, rng)
+    m = make_matrix(t, [F(100 + v, 3) if v in leaves else q for v, q in enumerate(m.diag)],
+                    m.sq_weight)
+    for v in leaves[::7]:
+        p = m.diag[v]
+        want = reference_counts(m, p, m.tree.root)
+        exact_runs.clear()
+        assert counts_at(m, p) == want
+        assert exact_runs == [(v,)]
+
+
+@pytest.mark.parametrize("share", [locate._EXACT_SHARE, 0])
+def test_counts_at_on_zero_levels(share, monkeypatch):
+    # all-zero diagonals and unit weights on a complete binary tree make the
+    # leaves and then every other level exactly 0 at the point 0: with the
+    # switch the first leaf ends the float pass in one exact run, without
+    # it every zero leaf is repaired alone and pairs with its parent
+    monkeypatch.setattr(locate, "_EXACT_SHARE", share)
+    edges = [((v - 1) // 2, v) for v in range(1, 127)]
+    t = build_tree(edges, 0)
+    m = make_matrix(t, (F(0),) * 127, {e: F(1) for e in t.edges})
+    for p in (F(0), F(1), F(-1), F(1, 2)):
+        assert_counts_exact(m, [p], roots=[0, 1, 126])
 
 
 # ------------------------------------------------------------- isolation
