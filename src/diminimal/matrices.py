@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import truediv
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -89,15 +91,22 @@ def enclose(p: int, q: int) -> tuple[float, float]:
     return math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
 
 
+def _enclose_all(num: list[int], den: list[int]) -> list[list[float]]:
+    """Lower and upper float bounds of each num[i]/den[i], as two lists."""
+    try:
+        f = list(map(truediv, num, den))
+    except OverflowError:
+        return [list(b) for b in zip(*map(enclose, num, den))]
+    return [list(map(math.nextafter, f, repeat(-math.inf))),
+            list(map(math.nextafter, f, repeat(math.inf)))]
+
+
 def float_bounds_of(a: ElimArrays) -> FloatBounds:
     """The `FloatBounds` of kernel arrays rooted anywhere."""
-    d = [enclose(p, q) for p, q in zip(a.dn, a.dd)]
-    w = [enclose(p, q) for p, q in zip(a.wn, a.wd)]
-    size = [1] * len(a.order)
+    parent, size = a.parent, [1] * len(a.order)
     for k in a.order[:-1]:
-        size[a.parent[k]] += size[k]
-    return FloatBounds([lo for lo, _ in d], [hi for _, hi in d],
-                       [lo for lo, _ in w], [hi for _, hi in w], size)
+        size[parent[k]] += size[k]
+    return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd), size)
 
 
 @dataclass(frozen=True)

@@ -345,6 +345,11 @@ ROUNDING_EDGES = [(s * (b + F(3, 5)), s * a, F(1, 2 ** 53), s * b)
                   for a, b in ((EDGE_A, EDGE_B), (-EDGE_B, -EDGE_A)) for s in (1, -1)]
 ROUNDING_EDGES += [(s * F(1, 2 ** 1060), s * F(1, 2 ** 1070), F(1, 2 ** 1128), F(0))
                    for s in (1, -1)]
+# A leaf of 3 * 2^-1074 at the point 0 has the lower bound 2 * 2^-1074 -
+# 2^-1074, which is exact, then 0.0 after the outward step: the interval
+# touches 0 although the value is positive, and a float pass that took a
+# lower bound of 0.0 for a positive value would divide by it.
+ROUNDING_EDGES += [(F(1), s * 3 * F(1, 2 ** 1074), F(1), F(0)) for s in (1, -1)]
 
 
 @pytest.mark.parametrize("root_diag, leaf_diag, w2, point", ROUNDING_EDGES)
@@ -445,6 +450,31 @@ def test_counts_at_repairs_a_leaf_zero_alone(exact_runs):
         exact_runs.clear()
         assert counts_at(m, p) == want
         assert exact_runs == [(v,)]
+
+
+STAR = [(0, v) for v in range(1, 13)]
+BRANCH = [(0, v) for v in range(1, 6)] + [(0, 6), (6, 7)] + [(0, v) for v in range(8, 12)]
+
+
+@pytest.mark.parametrize("edges, zeros, whole", [
+    (STAR, {4: 0}, True),             # leaf 4 at position 3: 1 of 4 passed
+    (STAR, {5: 0}, False),            # leaf 5 at position 4: 1 of 5
+    (BRANCH, {6: 1, 7: 1}, True),     # block (7, 6) at position 6: 2 of 7
+])
+def test_counts_at_ends_the_float_pass_when_repairs_dominate(edges, zeros, whole,
+                                                             exact_runs):
+    # at the point 0, only the listed vertices have the diagonal entries
+    # that make the value of their subtree exactly 0; once the repaired
+    # subtrees hold more than a quarter of the vertices passed, the pass
+    # ends in one exact run from the root
+    t = build_tree(edges, 0)
+    diag = [zeros.get(v, F(100 + v, 3)) for v in range(t.n)]
+    m = make_matrix(t, diag, {e: F(1) for e in t.edges})
+    want = reference_counts(m, F(0), 0)
+    exact_runs.clear()
+    assert counts_at(m, F(0)) == want
+    block = tuple(v for v in t.order if v in zeros)
+    assert exact_runs == ([t.order] if whole else [block])
 
 
 @pytest.mark.parametrize("share", [locate._EXACT_SHARE, 0])
