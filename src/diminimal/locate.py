@@ -31,8 +31,7 @@ from fractions import Fraction
 from math import gcd, inf, isqrt, nan, nextafter
 from typing import Collection, Sequence
 
-from .matrices import (WeightedTreeMatrix, delete_vertex, enclose,
-                       float_bounds_of)
+from .matrices import WeightedTreeMatrix, delete_vertex, enclose, float_bounds_of
 
 
 @dataclass(frozen=True)
@@ -183,17 +182,13 @@ class CountsAt:
 
 
 # counts_at ends its float pass in one exact run from the root once the
-# subtrees it repaired hold more than 1/_EXACT_SHARE of the vertices passed.
-# At a true eigenvalue zeros come early and often, and the float pass would
-# be wasted; at other points repairs stay rare.
+# subtrees it repaired hold over 1/_EXACT_SHARE of the vertices it passed.
 _EXACT_SHARE = 4
 
 
 def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -> CountsAt:
-    """How many eigenvalues of m are <, ==, > the query point, from the
-    inertia of M - point*I by the adaptive pass of the module docstring.
-    A repair runs the kernel over the vertex's subtree minus the blocks
-    repaired before, from their exact Schur sums and zeros."""
+    """How many eigenvalues of m are <, ==, > the query point: the inertia
+    of M - point*I, by the adaptive pass of the module docstring."""
     p = Fraction(point)
     xn, xd = -p.numerator, p.denominator
     arr = m.arrays if root is None else m.arrays_at(root)
@@ -235,7 +230,8 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
         spent += size[k]
         if spent * _EXACT_SHARE > i:
             i, k, p, first = len(order) - 1, order[-1], -1, 0
-        # the parts of k's block around the repaired blocks inside it
+        # the parts of k's block around the repaired blocks inside it, which
+        # the kernel starts from their exact Schur sums and zeros in `state`
         end, gaps = i + 1, []
         while done and done[-1][0] >= first:
             a, b = done.pop()

@@ -18,8 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .trees import (RootedTree, build_tree, json_int, reroot, tree_from_json,
-                    tree_to_json)
+from .trees import RootedTree, build_tree, json_int, reroot, tree_from_json, tree_to_json
 
 Rational = Fraction
 
@@ -68,10 +67,9 @@ class ElimArrays(NamedTuple):
 
 
 class FloatBounds(NamedTuple):
-    """Per-vertex float lower and upper bounds on the diagonal entries and
-    on the squared weights to the parent, indexed like `ElimArrays`, and
-    each vertex's subtree size: its subtree is the block of the postorder
-    that ends at it."""
+    """Per-vertex float lower and upper bounds on the diagonal entries and the
+    squared weights to the parent, indexed like `ElimArrays`, and subtree
+    sizes (a subtree is the block of the postorder that ends at its root)."""
 
     dlo: list[float]
     dhi: list[float]
@@ -92,13 +90,15 @@ def enclose(p: int, q: int) -> tuple[float, float]:
 
 
 def _enclose_all(num: list[int], den: list[int]) -> list[list[float]]:
-    """Lower and upper float bounds of each num[i]/den[i], as two lists."""
+    """Lower and upper float bounds of each num[i]/den[i], as two lists; equal
+    bounds share one float object, since the entries of a matrix repeat."""
     try:
-        f = list(map(truediv, num, den))
+        bounds = [list(map(math.nextafter, map(truediv, num, den), repeat(to)))
+                  for to in (-math.inf, math.inf)]
     except OverflowError:
-        return [list(b) for b in zip(*map(enclose, num, den))]
-    return [list(map(math.nextafter, f, repeat(-math.inf))),
-            list(map(math.nextafter, f, repeat(math.inf)))]
+        bounds = list(zip(*map(enclose, num, den)))
+    same: dict[float, float] = {}
+    return [list(map(same.setdefault, b, b)) for b in bounds]
 
 
 def float_bounds_of(a: ElimArrays) -> FloatBounds:

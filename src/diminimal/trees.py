@@ -619,8 +619,7 @@ def tree_to_json(t: RootedTree) -> dict:
 
 
 def json_int(value) -> int:
-    """An integer field of a JSON document: an int that is not a bool.
-    Floats are refused, not truncated, so 1.99 never becomes vertex 1."""
+    """An int field of a JSON document; a float or bool is refused, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"not an integer: {value!r}")
     return value
