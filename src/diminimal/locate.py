@@ -183,7 +183,7 @@ class CountsAt:
 
 # counts_at ends its float pass in one exact run from the root once the
 # subtrees it repaired hold over 1/_EXACT_SHARE of the vertices it passed.
-_EXACT_SHARE = 4
+_EXACT_SHARE = 8
 
 
 def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -> CountsAt:

@@ -435,8 +435,8 @@ def test_counts_at_repairs_a_leaf_zero_alone(exact_runs):
     # a point equal to a leaf's diagonal entry makes that leaf exactly 0;
     # one exact run of the leaf alone decides it, and its parent pairs
     # with it in the float pass.  Each leaf has its own diagonal entry, so
-    # no other vertex value comes near 0.  (A zero among the first few
-    # vertices of the postorder is an exact share above a quarter, which
+    # no other vertex value comes near 0.  (A zero among the first eight
+    # vertices of the postorder is an exact share above an eighth, which
     # ends the float pass in one exact run; the leaves here come later.)
     rng = random.Random(12)
     t = random_tree(300, rng)
@@ -453,19 +453,19 @@ def test_counts_at_repairs_a_leaf_zero_alone(exact_runs):
 
 
 STAR = [(0, v) for v in range(1, 13)]
-BRANCH = [(0, v) for v in range(1, 6)] + [(0, 6), (6, 7)] + [(0, v) for v in range(8, 12)]
+BRANCH = [(0, v) for v in range(1, 9)] + [(0, 9), (9, 10)] + [(0, v) for v in range(11, 14)]
 
 
 @pytest.mark.parametrize("edges, zeros, whole", [
-    (STAR, {4: 0}, True),             # leaf 4 at position 3: 1 of 4 passed
-    (STAR, {5: 0}, False),            # leaf 5 at position 4: 1 of 5
-    (BRANCH, {6: 1, 7: 1}, True),     # block (7, 6) at position 6: 2 of 7
+    (STAR, {8: 0}, True),             # leaf 8 at position 7: 1 of 8 passed
+    (STAR, {9: 0}, False),            # leaf 9 at position 8: 1 of 9
+    (BRANCH, {9: 1, 10: 1}, True),    # block (10, 9) at position 9: 2 of 10
 ])
 def test_counts_at_ends_the_float_pass_when_repairs_dominate(edges, zeros, whole,
                                                              exact_runs):
     # at the point 0, only the listed vertices have the diagonal entries
     # that make the value of their subtree exactly 0; once the repaired
-    # subtrees hold more than a quarter of the vertices passed, the pass
+    # subtrees hold more than an eighth of the vertices passed, the pass
     # ends in one exact run from the root
     t = build_tree(edges, 0)
     diag = [zeros.get(v, F(100 + v, 3)) for v in range(t.n)]
