@@ -452,6 +452,17 @@ def test_counts_at_repairs_a_leaf_zero_alone(exact_runs):
         assert exact_runs == [(v,)]
 
 
+def test_counts_at_sums_the_exact_terms_of_repaired_siblings():
+    # at the point 1 the two leaves of vertex 1 are 2^-80 and 3 * 2^-81,
+    # which floats cannot tell from 0; their exact terms, -2^80 and
+    # -2^81/3, cancel vertex 1 to exactly 0 only when both reach it
+    t = build_tree([(0, 1), (1, 2), (1, 3)], 0)
+    diag = (F(5), 1 + 2 ** 80 + F(2 ** 81, 3), 1 + F(1, 2 ** 80), 1 + F(3, 2 ** 81))
+    m = make_matrix(t, diag, {e: F(1) for e in t.edges})
+    assert_counts_exact(m, [F(1)])
+    assert counts_at(m, F(1)) == locate.CountsAt(below=1, equal=0, above=3)
+
+
 STAR = [(0, v) for v in range(1, 13)]
 BRANCH = [(0, v) for v in range(1, 9)] + [(0, 9), (9, 10)] + [(0, v) for v in range(11, 14)]
 
