@@ -109,7 +109,7 @@ def cmd_recognize(args) -> int:
 def cmd_construct(args) -> int:
     t = _load_tree(args.tree)
     if args.integral:
-        cert = realize_integral(t, args.alpha, args.beta_override)
+        cert = realize_integral(t, args.alpha, args.beta)
     else:
         if args.beta is None:
             raise CliError("construct needs --beta unless --integral is given")
@@ -210,11 +210,10 @@ def _build_parser() -> _Parser:
                                          "distinct eigenvalues")
     s.add_argument("--tree", required=True)
     s.add_argument("--alpha", required=True, type=_rational_arg)
-    s.add_argument("--beta", type=_rational_arg)
+    s.add_argument("--beta", type=_rational_arg,
+                   help="required unless --integral; with it, replaces the default")
     s.add_argument("--integral", action="store_true",
                    help="force an all-integer spectrum")
-    s.add_argument("--beta-override", type=_rational_arg,
-                   help="integral mode: use this beta instead of the default")
     s.add_argument("--out")
     s.set_defaults(fn=cmd_construct)
 
@@ -245,7 +244,7 @@ def _build_parser() -> _Parser:
 # argparse would otherwise read as an option name ("-1/2" is not matched by
 # its negative-number heuristic)
 _RATIONAL_FLAGS = frozenset(
-    {"--alpha", "--beta", "--beta-override", "--point", "--width"})
+    {"--alpha", "--beta", "--point", "--width"})
 
 
 def _fold_rational_flags(argv: list[str]) -> list[str]:

@@ -17,11 +17,11 @@ precision, after Shewchuk's adaptive predicates and the interval filters of
 Bronnimann, Burnikel and Pion.  It works in float intervals whose every
 bound is rounded outward by one ulp, so each interval encloses the exact
 value.  Where a vertex interval meets 0 or is not finite, `_run` computes
-that vertex's subtree exactly, reusing the subtrees repaired before; the
-exact Schur term goes on up as an interval, and an exact 0 pairs with the
-parent.  So every count is exact, and exact work is spent only where
-floats cannot decide.  At a true eigenvalue most vertices need it, so once
-repairs dominate the pass ends in one exact run.
+that vertex's subtree afresh in exact arithmetic; the exact Schur term goes
+on up as an interval, and an exact 0 pairs with the parent.  So every count
+is exact, and exact work is spent only where floats cannot decide.  At a
+true eigenvalue most vertices need it, so once repairs dominate the pass
+ends in one exact run.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ class DiagOutcome:
 
 def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int],
          dd: Sequence[int], wn: Sequence[int], wd: Sequence[int], xn: int,
-         xd: int, values: dict[int, tuple[int, int]] | None = None,
-         state: tuple[dict, dict, dict] | None = None):
+         xd: int, values: dict[int, tuple[int, int]] | None = None):
     """The elimination kernel: bottom-up congruence diagonalization of
     M + x*I over `order`, a postorder whose last entry is the run's root.
 
@@ -68,14 +67,12 @@ def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int],
 
     Returns the sign of every final value keyed by vertex, the vertices at
     which the pairing rule fired, and the root's final value; `values`, if
-    given, receives every final value.  `state`, if given, holds the signs,
-    the Schur sums pushed to each parent and each parent's smallest zero
-    child to start from, and receives them in turn.
+    given, receives every final value.
     """
     pivots: list[int] = []
     # signs, Schur terms pushed to a parent so far (freed once the parent is
     # done) and the smallest zero child of each parent
-    signs, acc, zero_kid = ({}, {}, {}) if state is None else state
+    signs, acc, zero_kid = {}, {}, {}
     root = order[-1]
     for k in order:
         if zero_kid and k in zero_kid:
@@ -182,7 +179,8 @@ class CountsAt:
 
 
 # counts_at ends its float pass in one exact run from the root once the
-# subtrees it repaired hold over 1/_EXACT_SHARE of the vertices it passed.
+# subtrees it repaired hold over 1/_EXACT_SHARE of the vertices it passed,
+# so its exact work stays within n + n/8 vertices.
 _EXACT_SHARE = 8
 
 
@@ -200,9 +198,9 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
     # root's term (its parent is -1) and is never read
     alo, ahi = fb.dlo + [0.0], fb.dhi + [0.0]
     wlo, whi, size = fb.wlo, fb.whi, fb.size
-    # the kernel's state across repairs; a float sign is kept only if < 0
-    state = signs, acc, zero_kid = {}, {}, {}
-    done: list[tuple[int, int]] = []  # outermost repaired blocks, by position
+    # signs (a float sign is kept only if < 0) and, by parent, the smallest
+    # repaired child that is exactly 0
+    signs, zero_kid = {}, {}
     i = spent = 0
     for k in order:
         lo = nxt(alo[k] + slo, down)
@@ -225,25 +223,15 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
             # with it and cuts its edge up
             signs[k], signs[zero_kid[k]] = -1, 1
             continue
+        # k's subtree is the block of the postorder that ends at k; the
+        # kernel runs all of it afresh, blocks repaired before included
         i = order.index(k, i)
-        first = i + 1 - size[k]
         spent += size[k]
         if spent * _EXACT_SHARE > i:
-            i, k, p, first = len(order) - 1, order[-1], -1, 0
-        # the parts of k's block around the repaired blocks inside it, which
-        # the kernel starts from their exact Schur sums and zeros in `state`
-        end, gaps = i + 1, []
-        while done and done[-1][0] >= first:
-            a, b = done.pop()
-            gaps.append(order[b + 1:end])
-            end = a
-        done.append((first, i))
-        gaps.append(order[first:end])
-        _, _, (a, b) = _run(gaps[0] if len(gaps) == 1
-                            else [v for part in reversed(gaps) for v in part],
-                            parent, dn, dd, wn, wd, xn, xd, state=state)
-        if p == -1:
-            break
+            return _counts(_run(*arr, xn, xd)[0])
+        block, _, (a, b) = _run(order[i + 1 - size[k]:i + 1], parent, dn, dd,
+                                wn, wd, xn, xd)
+        signs.update(block)
         if not a:
             if zero_kid.get(p, k) >= k:
                 zero_kid[p] = k
@@ -252,9 +240,6 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
         t = Fraction(-wn[k] * b, wd[k] * a)
         lo, hi = enclose(t.numerator, t.denominator)
         alo[p], ahi[p] = nxt(alo[p] + lo, down), nxt(ahi[p] + hi, up)
-        if p in acc:
-            t += Fraction(*acc[p])
-        acc[p] = (t.numerator, t.denominator)
     s = list(signs.values())
     neg, zero = s.count(-1), s.count(0)
     return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)

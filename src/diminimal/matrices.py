@@ -256,6 +256,8 @@ def matrix_to_json(m: WeightedTreeMatrix) -> dict:
 def matrix_from_json(obj: dict) -> WeightedTreeMatrix:
     try:
         tree = tree_from_json(obj["tree"])
+        if not isinstance(obj["diag"], list):
+            raise TypeError(f"diag is not a JSON array: {obj['diag']!r}")
         diag = [parse_rational(q) for q in obj["diag"]]
         sq = {(json_int(e["u"]), json_int(e["v"])): parse_rational(e["w2"])
               for e in obj["sq_edge"]}

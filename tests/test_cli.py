@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import diminimal
+from diminimal import Family, realize_integral, seed, tree_to_json
 from diminimal.cli import main
 
 
@@ -148,6 +149,30 @@ def test_construct_rejects_fractional_alpha_in_integral_mode(tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
+def test_construct_integral_takes_beta(tmp_path, capsys):
+    t = seed(Family.UNIFORM, 5)
+    tree = tmp_path / "t.json"
+    mat = tmp_path / "m.json"
+    tree.write_text(json.dumps(tree_to_json(t)))
+    assert run_cli("construct", "--tree", str(tree), "--alpha", "0", "--integral",
+                   "--beta", "8", "--out", str(mat)) == 0
+    capsys.readouterr()
+    want = realize_integral(t, 0, 8).to_json()["dspec"]
+    assert want != realize_integral(t, 0).to_json()["dspec"]
+    assert json.loads(mat.read_text())["certificate"]["dspec"] == want
+    # beta - alpha = 7 is off the grain 4 of diameter 5
+    assert run_cli("construct", "--tree", str(tree), "--alpha", "0", "--integral",
+                   "--beta", "7") == 1
+    assert_one_error_line(capsys)
+
+
+def test_construct_has_no_beta_override(tmp_path, capsys):
+    tree = write_tree(tmp_path / "t.json", [[0, 1], [1, 2]])
+    assert run_cli("construct", "--tree", tree, "--alpha", "0", "--integral",
+                   "--beta-override", "12") == 1
+    assert "error: unrecognized arguments: --beta-override" in capsys.readouterr().err
+
+
 def test_construct_rejects_unsupported_tree(tmp_path, capsys):
     tree = write_tree(tmp_path / "t.json", [[i, i + 1] for i in range(6)])
     assert run_cli("construct", "--tree", tree, "--alpha", "0",
@@ -269,6 +294,20 @@ def test_verify_refuses_a_non_integer_multiplicity(tmp_path, capsys, mult):
     blob["certificate"]["dspec"][0]["multiplicity"] = mult
     mat.write_text(json.dumps(blob))
     assert run_cli("verify", "--matrix", str(mat)) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("diag", [{"0": "7/2", "1": "5"}, "35"])
+@pytest.mark.parametrize("command", [["locate", "--point", "5"],
+                                     ["export", "--format", "json"], ["verify"]])
+def test_diag_must_be_a_json_array(tmp_path, capsys, diag, command):
+    # iterating an object gives its keys and a string its characters, which
+    # would read as the diagonals (0, 1) and (3, 5)
+    mat = tmp_path / "m.json"
+    matrix = {"tree": {"n": 2, "root": 0, "edges": [[0, 1]]}, "diag": diag,
+              "sq_edge": [{"u": 0, "v": 1, "w2": "1"}]}
+    mat.write_text(json.dumps({"matrix": matrix, "certificate": {"dspec": []}}))
+    assert run_cli(command[0], "--matrix", str(mat), *command[1:]) == 1
     assert_one_error_line(capsys)
 
 

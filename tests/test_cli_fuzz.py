@@ -5,7 +5,9 @@ its nodes (the top included) and runs one command on the result.  Whatever
 the file holds, the CLI must answer with exit code 0, 1 or 2, and an exit 1
 must come with exactly one stderr line, starting with "error:".  A float in
 place of an integer the loaders read (a vertex count, a vertex id or a
-multiplicity) must be refused with exit 1, even when it is integral.
+multiplicity) must be refused with exit 1, even when it is integral, and
+so must an object or a string in place of a list the loaders read, even
+when it has as many keys or characters as the list has items.
 
 Trees stay at n <= 30 and no command seeds a tree, since seed sizes grow as
 2^(d/2).
@@ -62,7 +64,16 @@ def _nodes(doc, path=()):
             yield from _nodes(v, path + (i,))
 
 
+def _lookalikes(node):
+    """An object and a string with as many keys or characters as the list
+    `node` has items: iterating them looks like iterating the list."""
+    return [{str(i): v for i, v in enumerate(node)},
+            "".join(str(i % 10) for i in range(len(node)))]
+
+
 def _replacements(node):
+    if isinstance(node, list):
+        return st.one_of(st.sampled_from(_lookalikes(node)), BAD_VALUES)
     if isinstance(node, bool) or not isinstance(node, (int, str)):
         return BAD_VALUES
     return st.one_of(IDS if isinstance(node, int) else RATIONALS, BAD_VALUES)
@@ -136,34 +147,61 @@ def test_cli_survives_mutated_matrix_and_certificate_files(doc_path, doc, comman
     run_on(doc_path, doc, command, "--matrix")
 
 
-def _read_ints(doc):
-    """Paths to the int nodes the loaders read: everything but the
-    certificate, and the certificate's multiplicities."""
+def _read_paths(doc, wanted, cert_field):
+    """Paths to the nodes that satisfy `wanted` among those the loaders
+    read: everything but the certificate, and its `cert_field` nodes."""
     out = []
     for path in _nodes(doc):
         node = doc
         for key in path:
             node = node[key]
-        if (isinstance(node, int) and not isinstance(node, bool)
-                and ("certificate" not in path or path[-1] == "multiplicity")):
+        if wanted(node) and ("certificate" not in path or path[-1] == cert_field):
             out.append(path)
     return out
+
+
+def _draw_read_node(data, wanted, cert_field):
+    """A tree or matrix document, the parent of one node it reads and that
+    node's key."""
+    is_tree = data.draw(st.booleans())
+    doc = copy.deepcopy(data.draw(st.sampled_from(TREES if is_tree else MATRICES)))
+    path = data.draw(st.sampled_from(_read_paths(doc, wanted, cert_field)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    return is_tree, doc, parent, path[-1]
+
+
+def _run_reader(doc_path, data, is_tree, doc, key, cert_field):
+    """Run a command that reads the mutated node."""
+    if is_tree:
+        command, flag = data.draw(TREE_COMMANDS), "--tree"
+    elif key == cert_field:
+        command, flag = data.draw(st.sampled_from([["verify"], ["verify", "--cross-check"]])), "--matrix"
+    else:
+        command, flag = data.draw(MATRIX_COMMANDS), "--matrix"
+    return run_on(doc_path, doc, command, flag)
+
+
+def _is_int(node):
+    return isinstance(node, int) and not isinstance(node, bool)
+
+
+def _is_full_list(node):
+    return isinstance(node, list) and len(node) > 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), offset=st.sampled_from([0.0, 0.25, 0.5, 0.99, -0.5]))
 def test_cli_refuses_a_float_for_an_integer(doc_path, data, offset):
-    is_tree = data.draw(st.booleans())
-    doc = copy.deepcopy(data.draw(st.sampled_from(TREES if is_tree else MATRICES)))
-    path = data.draw(st.sampled_from(_read_ints(doc)))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] += offset + 0.0
-    if is_tree:
-        command, flag = data.draw(TREE_COMMANDS), "--tree"
-    elif path[-1] == "multiplicity":
-        command, flag = data.draw(st.sampled_from([["verify"], ["verify", "--cross-check"]])), "--matrix"
-    else:
-        command, flag = data.draw(MATRIX_COMMANDS), "--matrix"
-    assert run_on(doc_path, doc, command, flag) == 1
+    is_tree, doc, parent, key = _draw_read_node(data, _is_int, "multiplicity")
+    parent[key] += offset + 0.0
+    assert _run_reader(doc_path, data, is_tree, doc, key, "multiplicity") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), as_object=st.booleans())
+def test_cli_refuses_an_object_or_a_string_for_a_list(doc_path, data, as_object):
+    is_tree, doc, parent, key = _draw_read_node(data, _is_full_list, "dspec")
+    parent[key] = _lookalikes(parent[key])[0 if as_object else 1]
+    assert _run_reader(doc_path, data, is_tree, doc, key, "dspec") == 1

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (random_matrix, random_tree, reference_elimination,
@@ -282,6 +282,15 @@ def exact_runs(monkeypatch):
     return seen
 
 
+def assert_subtree_blocks(m, runs):
+    """Each exact run is the whole subtree block of its last vertex, a
+    contiguous slice of the postorder (the full order for the root)."""
+    order, size = tuple(m.arrays.order), m.float_bounds.size
+    for run in runs:
+        end = order.index(run[-1]) + 1
+        assert len(run) == size[run[-1]] and run == order[end - len(run):end]
+
+
 MIXED = tree_matrices(st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
                       st.builds(F, st.integers(1, 16), st.integers(1, 4)), max_n=20)
 POINTS = st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 8)), max_size=12)
@@ -369,7 +378,8 @@ SEEDS = [(Family.UNIFORM, d) for d in range(1, 16)] + [
 @pytest.mark.parametrize("family, d", SEEDS)
 def test_counts_many_falls_back_at_every_constructed_eigenvalue(family, d, exact_runs):
     # a true eigenvalue leaves some vertex exactly 0, so each point needs
-    # exact runs; repaired blocks are reused, so no vertex runs twice
+    # exact runs; there the first repair already ends the float pass in one
+    # exact run, so no vertex runs twice
     cert = realize_family(seed(family, d), 0, 32)
     m = cert.matrix
     for v, mult in cert.dspec:
@@ -384,22 +394,46 @@ def test_counts_many_falls_back_at_every_constructed_eigenvalue(family, d, exact
 def test_counts_at_nests_repairs_at_constructed_eigenvalues(family, d, exact_runs,
                                                             monkeypatch):
     # with the switch to one exact run turned off, the pass repairs the zero
-    # subtrees of a true eigenvalue one inside the other; each run skips the
-    # blocks repaired before it, so the runs are disjoint
+    # subtrees of a true eigenvalue one inside the other; each run is the
+    # whole block of its subtree, so it computes the blocks inside it again
     monkeypatch.setattr(locate, "_EXACT_SHARE", 0)
     cert = realize_family(seed(family, d), 0, 32)
     m = cert.matrix
-    size = m.float_bounds.size
-    reused = 0
+    nested = 0
     for v, mult in cert.dspec:
         want = reference_counts(m, v, m.tree.root)
         exact_runs.clear()
         c = counts_at(m, v)
         assert c.equal == mult and c == want
-        every = [u for run in exact_runs for u in run]
-        assert len(every) == len(set(every))
-        reused += any(len(run) < size[run[-1]] for run in exact_runs)
-    assert reused >= (d - 1) // 2
+        assert_subtree_blocks(m, exact_runs)
+        nested += any(set(a) < set(b) for a, b in zip(exact_runs, exact_runs[1:]))
+    assert nested >= (d - 1) // 2
+
+
+# a root with eight nonzero leaves and a zero path of 22 vertices below it:
+# at the point 0 every other vertex of the path is 0, each repair holds
+# the one before it, and the first one comes late enough that the switch
+# does not fire at once
+ZERO_PATH = make_matrix(
+    build_tree([(0, v) for v in range(1, 10)] + [(v, v + 1) for v in range(9, 30)], 0),
+    [F(0) if v >= 9 else F(100 + v, 3) for v in range(31)],
+    {e: F(1) for e in [(0, v) for v in range(1, 10)] + [(v, v + 1) for v in range(9, 30)]})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.one_of(SMALL, MIXED))
+@example(m=ZERO_PATH)
+def test_counts_at_keeps_exact_work_within_an_eighth_over_n(exact_runs, m):
+    # the repairs stop before they pass an eighth of the vertices passed,
+    # and the one exact run after them covers n (the spy's list is cleared
+    # per point, so sharing it between examples is safe)
+    for p in [*m.diag, F(0), F(1), F(-1)]:
+        want = reference_counts(m, p, m.tree.root)
+        exact_runs.clear()
+        assert counts_at(m, p) == want
+        assert sum(map(len, exact_runs)) <= m.n + m.n // 8
+        assert_subtree_blocks(m, exact_runs)
 
 
 @pytest.mark.parametrize("family, d", [(f, d) for f, d in SEEDS if d <= 9])
