@@ -256,6 +256,8 @@ def count_in_interval(m: WeightedTreeMatrix, a: Fraction, b: Fraction,
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError(f"empty interval: {a} > {b}")
+    if a == b:
+        return counts_at(m, a).equal if include_a and include_b else 0
     at_a = counts_at(m, a)
     at_b = counts_at(m, b)
     n = at_b.below - at_a.below - at_a.equal

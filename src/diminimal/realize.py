@@ -21,6 +21,16 @@ block eigenvalues merge into the interior and a new extreme value appears on
 the opposite side, with its position forced exactly by the trace.  Every
 assembly is verified on the spot by exact counts, so a construction bug
 cannot survive to the returned certificate.
+
+Every value the builder claims (ladder values, steps, shifts, pin points,
+forced values and predicted spectra) is alpha plus an integer multiple of
+(beta - alpha)/2**K, K the top ladder level, plus at most one user shift.  So
+the builder fixes one common denominator q per construction and holds each
+such value as the int numerator N of N/q: the multiset bookkeeping hashes,
+compares and adds ints.  A Fraction is built only where a value leaves the
+builder: a level-0 diagonal entry, the point handed to the kernel (once per
+distinct N), the assembly records and the certificate.  The solved join
+weights are not on that grid and stay Fractions.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .locate import _counts, _run, counts_at, diagonalize
@@ -70,16 +81,34 @@ def ladder(alpha: Fraction, beta: Fraction, k: int) -> Ladder:
         raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
     if k < 1:
         raise ValueError("ladder level must be >= 1")
-    vals = [2 * alpha - beta, alpha, beta, 2 * beta - alpha]
-    for j in range(1, k):
-        d = (beta - alpha) / 2 ** j
-        vals = [vals[0] - d] + vals[:-1] + [vals[-1] + d, vals[-1] + 2 * d]
-    values = tuple(vals)
-    if values[k] != alpha or values[k + 1] != beta:
-        raise RuntimeError(f"ladder level {k} lost its anchors")
-    if any(x >= y for x, y in zip(values, values[1:])):
-        raise RuntimeError(f"ladder level {k} is not strictly increasing")
-    return Ladder(alpha, beta, k, values)
+    q = lcm(alpha.denominator, ((beta - alpha) / 2 ** (k - 1)).denominator)
+    top = _ladder_levels(_grid(alpha, q), _grid(beta - alpha, q), k)[-1]
+    return Ladder(alpha, beta, k, tuple(Fraction(v, q) for v in top))
+
+
+def _grid(x: Fraction, q: int) -> int:
+    """The numerator N of x = N/q."""
+    n, r = divmod(x.numerator * q, x.denominator)
+    if r:
+        raise RuntimeError(f"{x} is not a multiple of 1/{q}")
+    return n
+
+
+def _ladder_levels(a: int, span: int, k: int) -> list[tuple[int, ...]]:
+    """Ladder levels 1 to k as numerators over one denominator q, from
+    alpha = a/q and beta - alpha = span/q; 2**(k-1) must divide span."""
+    vals = [a - span, a, a + span, a + 2 * span]
+    levels = []
+    for j in range(1, k + 1):
+        if j > 1:
+            d = span >> (j - 1)
+            vals = [vals[0] - d] + vals[:-1] + [vals[-1] + d, vals[-1] + 2 * d]
+        if vals[j] != a or vals[j + 1] != a + span:
+            raise RuntimeError(f"ladder level {j} lost its anchors")
+        if any(x >= y for x, y in zip(vals, vals[1:])):
+            raise RuntimeError(f"ladder level {j} is not strictly increasing")
+        levels.append(tuple(vals))
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +241,9 @@ class RealizationCertificate:
 class _Block:
     root: int
     vertices: tuple[int, ...]
-    pred: dict[Fraction, int]
+    pred: dict[int, int]  # grid numerator -> multiplicity
     order: tuple[int, ...]  # postorder of the block, root last
+    spec: tuple[tuple[Fraction, int], ...]  # pred as sorted Fractions
 
 
 class _Builder:
@@ -222,15 +252,22 @@ class _Builder:
     Diagonal entries and squared weights accumulate in dicts keyed by the
     tree's own vertex ids and in the kernel's flat arrays; blocks are vertex
     subsets with their postorder, so no intermediate matrix is built.
+
+    Claimed values are ints N standing for N/q (see the module docstring),
+    where q is the least common denominator of alpha,
+    (beta - alpha)/2**max_level and the user shift, if any.
     """
 
     def __init__(self, tree: RootedTree, root: int, alpha: Fraction,
-                 beta: Fraction, max_level: int, deep: bool):
+                 beta: Fraction, max_level: int, deep: bool,
+                 shift: Fraction | None = None):
         self.rt = reroot(tree, root)
-        self.alpha = alpha
-        self.beta = beta
-        self.ladders: list[Ladder | None] = [None] + [
-            ladder(alpha, beta, j) for j in range(1, max_level + 1)]
+        self.q = lcm(alpha.denominator, ((beta - alpha) / 2 ** max_level).denominator,
+                     1 if shift is None else shift.denominator)
+        self._fracs: dict[int, Fraction] = {}
+        self.alpha, self.beta = _grid(alpha, self.q), _grid(beta, self.q)
+        self.ladders: list[tuple[int, ...] | None] = [None] + _ladder_levels(
+            self.alpha, self.beta - self.alpha, max_level)
         self.deep = deep
         self.diag: dict[int, Fraction] = {}
         self.w2: dict[tuple[int, int], Fraction] = {}
@@ -238,27 +275,36 @@ class _Builder:
         self.dn, self.dd, self.wn, self.wd = [0] * n, [1] * n, [0] * n, [1] * n
         self.log: list[AssemblyRecord] = []
 
-    def step(self, j: int) -> Fraction:
-        return (self.beta - self.alpha) / 2 ** j
+    def frac(self, n: int) -> Fraction:
+        """N/q as a Fraction, built once per distinct N."""
+        f = self._fracs.get(n)
+        if f is None:
+            f = self._fracs[n] = Fraction(n, self.q)
+        return f
+
+    def step(self, j: int) -> int:
+        return (self.beta - self.alpha) >> j
 
     # -- restricted runs over the partially built matrix -------------------
 
-    def _restricted(self, order: Sequence[int], lam: Fraction):
-        """Kernel run of (block - lam*I) over a block's postorder."""
+    def _restricted(self, order: Sequence[int], lam: int):
+        """Kernel run of (block - lam/q*I) over a block's postorder."""
+        x = self.frac(lam)
         return _run(order, self.rt.parent, self.dn, self.dd, self.wn, self.wd,
-                    -lam.numerator, lam.denominator)
+                    -x.numerator, x.denominator)
 
-    def _root_final(self, block: _Block, y: Fraction, side: str) -> Fraction:
+    def _root_final(self, block: _Block, y: int, side: str) -> Fraction:
         signs, _, (a, b) = self._restricted(block.order, y)
         want = -1 if side == "max" else 1
         if any(q != want for q in signs.values()):
             beyond = "above" if side == "max" else "below"
-            raise ValueError(f"pin point {y} is not strictly {beyond} a block spectrum")
+            raise ValueError(f"pin point {self.frac(y)} is not strictly {beyond} "
+                             f"a block spectrum")
         return Fraction(a, b)
 
     # -- variant recursion --------------------------------------------------
 
-    def _base_value(self, variant: Variant, shift: Fraction | None) -> Fraction:
+    def _base_value(self, variant: Variant, shift: int | None) -> int:
         if variant is Variant.LOW:
             return self.alpha
         if variant is Variant.HIGH:
@@ -267,7 +313,7 @@ class _Builder:
             return self.alpha + shift
         return self.beta + shift
 
-    def _dispatch(self, variant: Variant, shift: Fraction | None, level: int):
+    def _dispatch(self, variant: Variant, shift: int | None, level: int):
         """Sub-variants for the core and the parts, one level down."""
         if level == 1:
             if variant is Variant.LOW:
@@ -286,9 +332,9 @@ class _Builder:
             return Variant.HIGH_SHIFT, shift, Variant.LOW, None
         return Variant.LOW_SHIFT, s + shift, Variant.HIGH_SHIFT, s
 
-    def _pin(self, variant: Variant, shift: Fraction | None, level: int):
+    def _pin(self, variant: Variant, shift: int | None, level: int):
         """(pin point, side, forced opposite extreme) for a level assembly."""
-        vals = self.ladders[level].values
+        vals = self.ladders[level]
         if variant is Variant.LOW:
             return vals[2 * level], "max", vals[0]
         if variant is Variant.HIGH:
@@ -298,7 +344,7 @@ class _Builder:
         return vals[1], "min", vals[2 * level + 1] + shift
 
     def build(self, cert: PieceCert, variant: Variant,
-              shift: Fraction | None, level: int) -> _Block:
+              shift: int | None, level: int) -> _Block:
         if cert.height != level:
             raise ValueError(f"piece at {cert.root} has height {cert.height}, "
                              f"expected {level}")
@@ -306,15 +352,13 @@ class _Builder:
             if shift is None or shift <= 0:
                 raise ValueError("shift variants need a positive shift")
             if level >= 1 and shift >= self.step(level - 1):
-                raise ValueError(f"shift {shift} too large at level {level}; "
-                                 f"must stay below {self.step(level - 1)}")
-        else:
-            shift = None
+                raise ValueError(f"shift {self.frac(shift)} too large at level {level}; "
+                                 f"must stay below {self.frac(self.step(level - 1))}")
         if level == 0:
             val = self._base_value(variant, shift)
-            self.diag[cert.root] = val
-            self.dn[cert.root], self.dd[cert.root] = val.numerator, val.denominator
-            return _Block(cert.root, (cert.root,), {val: 1}, (cert.root,))
+            x = self.diag[cert.root] = self.frac(val)
+            self.dn[cert.root], self.dd[cert.root] = x.numerator, x.denominator
+            return _Block(cert.root, (cert.root,), {val: 1}, (cert.root,), ((x, 1),))
         cv, cs, pv, ps = self._dispatch(variant, shift, level)
         core = self.build(cert.core, cv, cs, level - 1)
         parts = [self.build(p, pv, ps, level - 1) for p in cert.parts]
@@ -326,8 +370,8 @@ class _Builder:
 
     # -- assembly ------------------------------------------------------------
 
-    def join_blocks(self, core: _Block, parts: list[_Block], y: Fraction,
-                    side: str, expect_forced: Fraction | None = None) -> _Block:
+    def join_blocks(self, core: _Block, parts: list[_Block], y: int,
+                    side: str, expect_forced: int | None = None) -> _Block:
         dc = self._root_final(core, y, side)
         dp = [self._root_final(p, y, side) for p in parts]
         d2 = _delta_squared(dc, dp)
@@ -340,7 +384,7 @@ class _Builder:
             self.w2[key] = d2
             self.wn[p.root], self.wd[p.root] = d2.numerator, d2.denominator
 
-        pred: dict[Fraction, int] = dict(core.pred)
+        pred: dict[int, int] = dict(core.pred)
         for p in parts:
             for lam, m in p.pred.items():
                 pred[lam] = pred.get(lam, 0) + m
@@ -348,27 +392,29 @@ class _Builder:
         pred[a] -= 1
         pred[b] -= 1
         if pred[a] < 0 or pred[b] < 0:
-            raise RuntimeError(f"block extremes {a}, {b} cannot both merge inward")
+            raise RuntimeError(f"block extremes {self.frac(a)}, {self.frac(b)} "
+                               f"cannot both merge inward")
         pred = {lam: m for lam, m in pred.items() if m > 0}
         forced = a + b - y
         if expect_forced is not None and forced != expect_forced:
-            raise RuntimeError(f"forced value {forced}, expected {expect_forced}")
+            raise RuntimeError(f"forced value {self.frac(forced)}, "
+                               f"expected {self.frac(expect_forced)}")
         lo, hi = (forced, y) if side == "max" else (y, forced)
         if not all(lo < lam < hi for lam in pred):
-            raise RuntimeError(f"merged block values escape ({lo}, {hi})")
+            raise RuntimeError(f"merged block values escape "
+                               f"({self.frac(lo)}, {self.frac(hi)})")
         pred[y] = 1
         pred[forced] = 1
 
         order = tuple(v for p in parts for v in p.order) + core.order
-        blk = _Block(core.root, tuple(sorted(order)), pred, order)
+        spec = tuple((self.frac(lam), m) for lam, m in sorted(pred.items()))
+        blk = _Block(core.root, tuple(sorted(order)), pred, order, spec)
         self._verify_block(blk)
         self.log.append(AssemblyRecord(
-            core_root=core.root, core_vertices=core.vertices,
-            core_pred=tuple(sorted(core.pred.items())),
-            parts=tuple((p.root, p.vertices, tuple(sorted(p.pred.items())))
-                        for p in parts),
-            y=y, side=side, sq_delta=d2, a=a, b=b, forced=forced,
-            pred=tuple(sorted(pred.items())),
+            core_root=core.root, core_vertices=core.vertices, core_pred=core.spec,
+            parts=tuple((p.root, p.vertices, p.spec) for p in parts),
+            y=self.frac(y), side=side, sq_delta=d2, a=self.frac(a),
+            b=self.frac(b), forced=self.frac(forced), pred=spec,
         ))
         return blk
 
@@ -381,17 +427,18 @@ class _Builder:
         for lam, m in blk.pred.items():
             c = _counts(self._restricted(blk.order, lam)[0])
             if c.equal != m or (lam == lo and c.below) or (lam == hi and c.above):
-                raise RuntimeError(f"block at {blk.root}: {c} at {lam}, claimed {m}")
+                raise RuntimeError(f"block at {blk.root}: {c} at {self.frac(lam)}, "
+                                   f"claimed {m}")
 
     # -- deep structural checks ----------------------------------------------
 
     def _deep_checks(self, blk: _Block, variant: Variant,
-                     shift: Fraction | None, level: int) -> None:
+                     shift: int | None, level: int) -> None:
         """Strong-realizability probes on one finished block: the required
         eigenvalues put a zero at the block root, and deleting the root
         raises the multiplicity at the interlacing positions (with the run
         rooted there firing its zero-pairing rule at the root)."""
-        vals = self.ladders[level].values
+        vals = self.ladders[level]
         if variant is Variant.LOW:
             zero_at = [vals[2 * i] for i in range(level + 1)]
             incr_at = [vals[2 * i - 1] for i in range(1, level + 1)]
@@ -407,7 +454,8 @@ class _Builder:
 
         for lam in zero_at:
             if self._restricted(blk.order, lam)[2][0] != 0:
-                raise RuntimeError(f"block at {blk.root}: no zero at the root at {lam}")
+                raise RuntimeError(f"block at {blk.root}: no zero at the root "
+                                   f"at {self.frac(lam)}")
 
         # components of the block minus its root, each in postorder
         top: dict[int, int] = {}
@@ -423,9 +471,11 @@ class _Builder:
             after = sum(_counts(self._restricted(comp, lam)[0]).equal
                         for comp in comps.values())
             if after != equal + 1:
-                raise RuntimeError(f"block at {blk.root}: {equal} -> {after} zeros at {lam}")
+                raise RuntimeError(f"block at {blk.root}: {equal} -> {after} zeros "
+                                   f"at {self.frac(lam)}")
             if blk.root not in pivots:
-                raise RuntimeError(f"block at {blk.root}: no pairing at the root at {lam}")
+                raise RuntimeError(f"block at {blk.root}: no pairing at the root "
+                                   f"at {self.frac(lam)}")
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +489,14 @@ def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
     diag = tuple(builder.diag[v] for v in range(tree.n))
     w2 = {e: builder.w2[e] for e in tree.edges}
     m = make_matrix(tree, diag, w2)
-    dspec = tuple(sorted(blk.pred.items()))
     # closing check on the finished matrix object itself
-    problems = verify_certificate(m, dspec)
+    problems = verify_certificate(m, blk.spec)
     if problems:
         raise RuntimeError("; ".join(problems))
     return RealizationCertificate(
-        matrix=m, dspec=dspec, family=family, variant=variant,
-        alpha=builder.alpha, beta=builder.beta, shift=shift,
-        construction_root=builder.rt.root, assemblies=tuple(builder.log))
+        matrix=m, dspec=blk.spec, family=family, variant=variant,
+        alpha=builder.frac(builder.alpha), beta=builder.frac(builder.beta),
+        shift=shift, construction_root=builder.rt.root, assemblies=tuple(builder.log))
 
 
 def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
@@ -464,13 +513,16 @@ def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
     k = (d + 1) // 2
     if lad.k != k:
         raise ValueError(f"ladder level {lad.k} does not match required level {k}")
+    if shift is not None:
+        if variant in (Variant.LOW, Variant.HIGH):
+            raise ValueError(f"the {variant.value} variant takes no shift")
+        shift = Fraction(shift)
     cert = _whole_piece_cert(t, t.root)
     if cert is None or cert.height != k:
         raise ValueError("tree is not uniformly decomposable from its root")
-    if shift is not None:
-        shift = Fraction(shift)
-    builder = _Builder(t, t.root, lad.alpha, lad.beta, k, deep)
-    blk = builder.build(cert, variant, shift, k)
+    builder = _Builder(t, t.root, lad.alpha, lad.beta, k, deep, shift)
+    blk = builder.build(cert, variant,
+                        None if shift is None else _grid(shift, builder.q), k)
     return _finish(builder, blk, t, Family.UNIFORM, variant.value, shift)
 
 
@@ -496,7 +548,7 @@ def _build_low_side(builder: _Builder, side: PieceCert, k: int) -> _Block:
     """A short-core piece in its bottom-anchored shape (an odd-diameter
     half, or the whole of an even short-core tree): short core one level
     down, full-height branches at level k, pinned at the level-k top."""
-    vals = builder.ladders[k].values
+    vals = builder.ladders[k]
     core = builder.build(side.core, Variant.LOW, None, k - 1)
     parts = [builder.build(p, Variant.LOW, None, k) for p in side.parts]
     return builder.join_blocks(core, parts, vals[2 * k + 1], "max",
@@ -544,7 +596,7 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
             high_side, low_side = an.sides
         variant_name = "mixed"
     builder = _Builder(t, low_side[0], alpha, beta, big_k, deep)
-    vals = builder.ladders[k].values
+    vals = builder.ladders[k]
     low_blk = _build_low_side(builder, low_side[2], k)
     hs_cert = high_side[2]
     if an.family is Family.SHORT_CORE:

@@ -209,6 +209,17 @@ def test_count_in_interval_boundary_flags():
     assert count_in_interval(m, F(-2), F(2)) == 3
 
 
+def test_count_in_interval_single_point():
+    m = path_matrix(3)  # eigenvalues -sqrt2, 0, sqrt2
+    assert count_in_interval(m, F(0), F(0)) == 1
+    assert count_in_interval(m, F(1), F(1)) == 0
+    for include_a, include_b in ((False, False), (True, False), (False, True)):
+        assert count_in_interval(m, F(0), F(0), include_a, include_b) == 0
+    with mock.patch.object(locate, "counts_at", wraps=locate.counts_at) as spy:
+        count_in_interval(m, F(0), F(0))
+    assert spy.call_count == 1
+
+
 def test_count_in_interval_rejects_reversed():
     m = path_matrix(2)
     with pytest.raises(ValueError):

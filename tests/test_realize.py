@@ -146,6 +146,14 @@ def test_shift_bounds_enforced():
         realize_high_shifted(t, ladder(0, 32, 1), F(-1))
 
 
+def test_unshifted_variants_reject_a_shift():
+    t = build_tree([(0, 1)], 0)
+    for variant in (Variant.LOW, Variant.HIGH):
+        with pytest.raises(ValueError, match="takes no shift"):
+            realize_variant(t, ladder(0, 32, 1), variant, F(3))
+        assert realize_variant(t, ladder(0, 32, 1), variant).shift is None
+
+
 def test_variant_requires_central_root():
     t = reroot(seed(Family.UNIFORM, 4), 0)
     if t.root not in main_roots(t):
