@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction as F
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,42 @@ def test_delete_vertex_component_count_matches_degree():
         comps = delete_vertex(m, v)
         assert len(comps) == t.degree(v)
         assert sum(c.n for c in comps) == t.n - 1
+
+
+def _components_by_networkx(m, v):
+    """delete_vertex's contract rebuilt in networkx: one component per
+    neighbour of v (ascending), ids compacted in increasing order of the
+    original ids, rooted at the former neighbour."""
+    g = nx.Graph(m.tree.edges)
+    g.add_nodes_from(range(m.n))
+    g.remove_node(v)
+    out = []
+    for nb in sorted(m.tree.adjacency[v]):
+        comp = sorted(nx.node_connected_component(g, nb))
+        relabel = {old: new for new, old in enumerate(comp)}
+        parent = [-1] * len(comp)
+        for child, par in nx.bfs_predecessors(g.subgraph(comp), nb):
+            parent[relabel[child]] = relabel[par]
+        w = {}
+        for a, b in g.subgraph(comp).edges:
+            a, b = min(a, b), max(a, b)
+            w[(relabel[a], relabel[b])] = m.sq_weight[(a, b)]
+        out.append((tuple(parent), relabel[nb], tuple(m.diag[old] for old in comp),
+                    tuple(w[e] for e in sorted(w))))
+    return out
+
+
+def test_delete_vertex_matches_networkx_components():
+    rng = random.Random(12)
+    for n in range(2, 41):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[a], perm[b]) for a, b in random_tree(n, rng).edges]
+        m = random_matrix(build_tree(edges, rng.randrange(n)), rng)
+        for v in range(n):
+            got = [(c.tree.parent, c.tree.root, c.diag, c.sq_edge)
+                   for c in delete_vertex(m, v)]
+            assert got == _components_by_networkx(m, v), (n, v)
 
 
 def test_to_dense_float():
