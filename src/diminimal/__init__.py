@@ -6,7 +6,6 @@ from .trees import (
     FamilyTag,
     JoinResult,
     RootedTree,
-    bottom_up_order,
     build_tree,
     diameter,
     duplicate_branch,
@@ -16,12 +15,10 @@ from .trees import (
     reroot,
     seed,
     tree_from_json,
-    tree_height,
     tree_to_dot,
     tree_to_json,
 )
 from .matrices import (
-    Rational,
     WeightedTreeMatrix,
     delete_vertex,
     format_rational,
@@ -59,7 +56,6 @@ from .realize import (
     Ladder,
     RealizationCertificate,
     Variant,
-    assemble,
     ladder,
     realize_family,
     realize_high,
@@ -68,7 +64,6 @@ from .realize import (
     realize_low,
     realize_low_shifted,
     realize_variant,
-    solve_root_weight,
     verify_certificate,
 )
 

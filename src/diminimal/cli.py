@@ -1,6 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
+A reader that closes stdout before all output is written, as `| true`
+does, also gives exit 1, with nothing on stderr.
 All output is deterministic; rationals are printed as p/q (or a bare
 integer), never as floats.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -270,9 +273,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at startup
+            sys.stdout.flush()
+        return code
     except (CliError, OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit goes to devnull, not stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

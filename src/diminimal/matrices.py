@@ -20,8 +20,6 @@ import numpy as np
 
 from .trees import RootedTree, build_tree, json_int, reroot, tree_from_json, tree_to_json
 
-Rational = Fraction
-
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse "p/q" or a bare integer (string or int) into a Fraction.
@@ -190,38 +188,23 @@ def delete_vertex(m: WeightedTreeMatrix, v: int) -> list[WeightedTreeMatrix]:
 
     Each component comes back as a standalone WeightedTreeMatrix whose tree
     is rooted at the former neighbor of v, with ids compacted to 0..m-1 in
-    increasing order of the original ids.
+    increasing order of the original ids.  Components come in ascending
+    order of those neighbors.
     """
-    t = m.tree
-    if not (0 <= v < t.n):
+    if not (0 <= v < m.n):
         raise ValueError(f"vertex {v} out of range")
+    t = reroot(m.tree, v)
     out: list[WeightedTreeMatrix] = []
-    seen: set[int] = set()
-    for nb in t.adjacency[v]:
-        if nb in seen:
-            continue
-        comp = [nb]
-        seen.add(nb)
-        i = 0
-        while i < len(comp):
-            for u in t.adjacency[comp[i]]:
-                if u != v and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-            i += 1
-        comp_sorted = sorted(comp)
-        relabel = {old: new for new, old in enumerate(comp_sorted)}
-        comp_set = set(comp_sorted)
-        edges = [(relabel[a], relabel[b]) for a, b in t.edges
-                 if a in comp_set and b in comp_set]
-        sub = build_tree(edges, relabel[nb])
-        diag = tuple(m.diag[old] for old in comp_sorted)
-        w = {}
-        for a, b in t.edges:
-            if a in comp_set and b in comp_set:
-                key = (min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-                w[key] = m.sq_weight[(a, b)]
-        out.append(make_matrix(sub, diag, w))
+    for nb in t.children[v]:
+        comp = t.subtree(nb)
+        # comp is sorted, so relabeling keeps every (min, max) edge normalized
+        relabel = {old: new for new, old in enumerate(comp)}
+        w: dict[tuple[int, int], Fraction] = {}
+        for (a, b), x in zip(m.tree.edges, m.sq_edge):
+            if a in relabel and b in relabel:
+                w[relabel[a], relabel[b]] = x
+        diag = tuple(m.diag[old] for old in comp)
+        out.append(make_matrix(build_tree(w.keys(), relabel[nb]), diag, w))
     return out
 
 
@@ -259,8 +242,12 @@ def matrix_from_json(obj: dict) -> WeightedTreeMatrix:
         if not isinstance(obj["diag"], list):
             raise TypeError(f"diag is not a JSON array: {obj['diag']!r}")
         diag = [parse_rational(q) for q in obj["diag"]]
-        sq = {(json_int(e["u"]), json_int(e["v"])): parse_rational(e["w2"])
-              for e in obj["sq_edge"]}
+        sq: dict[tuple[int, int], Fraction] = {}
+        for e in obj["sq_edge"]:
+            u, v = json_int(e["u"]), json_int(e["v"])
+            if (u, v) in sq or (v, u) in sq:
+                raise ValueError(f"edge ({u}, {v}) is listed twice in sq_edge")
+            sq[(u, v)] = parse_rational(e["w2"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     return make_matrix(tree, diag, sq)

@@ -41,6 +41,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+# diagonalize and join are unused here; bench/spans.py wraps both as realize attributes
 from .locate import _counts, _run, counts_at, diagonalize
 from .matrices import WeightedTreeMatrix, make_matrix
 from .trees import (Family, PieceCert, RootedTree, _family_analysis,
@@ -120,59 +121,6 @@ def _delta_squared(core_root_value: Fraction, part_root_values: Sequence[Fractio
     point: core value divided by the sum of part value reciprocals."""
     s = sum(Fraction(1) / q for q in part_root_values)
     return core_root_value / s
-
-
-def solve_root_weight(core: WeightedTreeMatrix, part_root_values: Sequence[Fraction],
-                      y: Fraction, side: str) -> Fraction:
-    """Squared weight to put on every core-root-to-part-root edge so the
-    joined matrix has eigenvalue y.
-
-    `part_root_values` are the final diagonalization values at the part
-    roots in the runs of part - y*I.  side "max" demands y strictly above
-    every block eigenvalue (all final values negative); side "min" demands
-    strictly below (all positive).  Raises ValueError when y is not strictly
-    beyond the spectra: the construction is only valid outside.
-    """
-    y = Fraction(y)
-    if side not in ("max", "min"):
-        raise ValueError(f"side must be 'max' or 'min', not {side!r}")
-    out = diagonalize(core, -y)
-    finals = list(out.final_values.values()) + [Fraction(q) for q in part_root_values]
-    if side == "max" and not all(q < 0 for q in finals):
-        raise ValueError(f"pin point {y} is not strictly above every block spectrum")
-    if side == "min" and not all(q > 0 for q in finals):
-        raise ValueError(f"pin point {y} is not strictly below every block spectrum")
-    d2 = _delta_squared(out.final_values[core.tree.root], part_root_values)
-    if d2 <= 0:
-        raise RuntimeError(f"solved squared weight {d2} is not positive")
-    return d2
-
-
-def assemble(core: WeightedTreeMatrix, parts: Sequence[WeightedTreeMatrix],
-             sq_delta: Fraction) -> WeightedTreeMatrix:
-    """Join matrices root-to-root with one shared squared weight on every
-    new edge.  Vertex ids are relabeled exactly as trees.join relabels."""
-    sq_delta = Fraction(sq_delta)
-    if sq_delta <= 0:
-        raise ValueError("squared join weight must be positive")
-    res = join(core.tree, [p.tree for p in parts])
-    n = res.tree.n
-    diag: list[Fraction] = [Fraction(0)] * n
-    w2: dict[tuple[int, int], Fraction] = {}
-    for old, q in enumerate(core.diag):
-        diag[res.core_map[old]] = q
-    for (u, v), w in zip(core.tree.edges, core.sq_edge):
-        a, b = res.core_map[u], res.core_map[v]
-        w2[(min(a, b), max(a, b))] = w
-    for p, pmap in zip(parts, res.part_maps):
-        for old, q in enumerate(p.diag):
-            diag[pmap[old]] = q
-        for (u, v), w in zip(p.tree.edges, p.sq_edge):
-            a, b = pmap[u], pmap[v]
-            w2[(min(a, b), max(a, b))] = w
-        r0, r1 = res.core_map[core.tree.root], pmap[p.tree.root]
-        w2[(min(r0, r1), max(r0, r1))] = sq_delta
-    return make_matrix(res.tree, diag, w2)
 
 
 # ---------------------------------------------------------------------------

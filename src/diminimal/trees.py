@@ -173,12 +173,6 @@ def build_tree(edge_list: Iterable[tuple[int, int]], root: int) -> RootedTree:
     return RootedTree(tuple(parent), root)
 
 
-def bottom_up_order(t: RootedTree) -> list[int]:
-    """Deterministic bottom-up processing order: every vertex appears after
-    all of its children, siblings in ascending id order, root last."""
-    return list(t.order)
-
-
 def reroot(t: RootedTree, new_root: int) -> RootedTree:
     """Same tree, same ids, rooted at new_root: the parent links on the path
     up to the old root reverse."""
@@ -191,11 +185,6 @@ def reroot(t: RootedTree, new_root: int) -> RootedTree:
     while v != -1:
         parent[v], below, v = below, v, parent[v]
     return RootedTree(tuple(parent), new_root)
-
-
-def tree_height(t: RootedTree) -> int:
-    """Number of edges from the root to the deepest vertex."""
-    return t.height_below[t.root]
 
 
 def diameter(t: RootedTree) -> int:
@@ -419,15 +408,6 @@ class PieceCert:
     height: int
     parts: tuple["PieceCert", ...]
     core: "PieceCert | None"
-
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        out: set[int] = {self.root}
-        for p in self.parts:
-            out.update(p.vertices)
-        if self.core is not None:
-            out.update(self.core.vertices)
-        return tuple(sorted(out))
 
     def to_json(self) -> dict:
         return {

@@ -15,13 +15,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_module(*argv):
-    """`python -m diminimal` in a fresh process on this package's source."""
+def run_module(*argv, **kwargs):
+    """`python -m diminimal` in a fresh process on this package's source;
+    stdout and stderr are captured unless `stdout` is given."""
     src = str(Path(diminimal.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # block-buffered stdout, as in a shell pipeline
+    env.pop("PYTHONUNBUFFERED", None)
+    kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run([sys.executable, "-m", "diminimal", *argv],
-                          capture_output=True, text=True, env=env)
+                          stderr=subprocess.PIPE, text=True, env=env, **kwargs)
 
 
 def write_tree(path, edges, root=0, n=None):
@@ -230,6 +234,37 @@ def test_locate_accepts_bare_matrix_json(tmp_path, capsys):
     }))
     assert run_cli("locate", "--matrix", str(mat), "--point", "1") == 0
     assert "equal: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edges", [[[0, 1], [0, 1]], [[0, 1], [1, 0]]])
+def test_edge_listed_twice_is_a_clean_error(tmp_path, capsys, edges):
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({
+        "tree": {"n": 2, "root": 0, "edges": [[0, 1]]},
+        "diag": ["0", "0"],
+        "sq_edge": [{"u": u, "v": v, "w2": w2} for (u, v), w2 in zip(edges, ["1", "4"])],
+    }))
+    for command in (["locate", "--point", "3/2"], ["export", "--format", "json"]):
+        assert run_cli(command[0], "--matrix", str(mat), *command[1:]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "listed twice" in err
+
+
+# d=15 fits the stdout buffer and meets the closed pipe at the final flush;
+# d=21 does not, and meets it inside the write
+@pytest.mark.parametrize("diameter", ["15", "21"])
+def test_closed_stdout_exits_one_quietly(diameter):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = run_module("seed", "--family", "uniform", "--diameter", diameter,
+                         stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert out.stderr == ""
 
 
 def test_locate_zero_denominator_is_a_clean_error(tmp_path, capsys):

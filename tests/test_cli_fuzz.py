@@ -7,7 +7,8 @@ must come with exactly one stderr line, starting with "error:".  A float in
 place of an integer the loaders read (a vertex count, a vertex id or a
 multiplicity) must be refused with exit 1, even when it is integral, and
 so must an object or a string in place of a list the loaders read, even
-when it has as many keys or characters as the list has items.
+when it has as many keys or characters as the list has items, and so must
+a squared weight listed a second time with another value.
 
 Trees stay at n <= 30 and no command seeds a tree, since seed sizes grow as
 2^(d/2).
@@ -17,6 +18,7 @@ import contextlib
 import copy
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -205,3 +207,16 @@ def test_cli_refuses_an_object_or_a_string_for_a_list(doc_path, data, as_object)
     is_tree, doc, parent, key = _draw_read_node(data, _is_full_list, "dspec")
     parent[key] = _lookalikes(parent[key])[0 if as_object else 1]
     assert _run_reader(doc_path, data, is_tree, doc, key, "dspec") == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), reverse=st.booleans(), bump=st.integers(1, 5))
+def test_cli_refuses_an_edge_listed_twice(doc_path, data, reverse, bump):
+    doc = copy.deepcopy(data.draw(st.sampled_from(MATRICES)))
+    entries = doc.get("matrix", doc)["sq_edge"]
+    twin = dict(data.draw(st.sampled_from(entries)))
+    if reverse:
+        twin["u"], twin["v"] = twin["v"], twin["u"]
+    twin["w2"] = str(Fraction(twin["w2"]) + bump)
+    entries.insert(data.draw(st.integers(0, len(entries))), twin)
+    assert run_on(doc_path, doc, data.draw(MATRIX_COMMANDS), "--matrix") == 1

@@ -10,7 +10,6 @@ from helpers import ahu, random_tree, random_unfolding, subtree_ids
 
 from diminimal import (
     Family,
-    bottom_up_order,
     build_tree,
     diameter,
     duplicate_branch,
@@ -20,7 +19,6 @@ from diminimal import (
     reroot,
     seed,
     tree_from_json,
-    tree_height,
     tree_to_dot,
     tree_to_json,
 )
@@ -57,7 +55,7 @@ def test_build_tree_path():
     t = build_tree([(0, 1), (1, 2), (2, 3)], 0)
     assert t.parent == (-1, 0, 1, 2)
     assert t.depth == (0, 1, 2, 3)
-    assert tree_height(t) == 3
+    assert t.height_below[t.root] == 3
 
 
 def test_build_tree_rejects_cycle():
@@ -91,9 +89,9 @@ def test_build_tree_rejects_gap_in_ids():
         build_tree([(0, 2)], 0)
 
 
-def test_bottom_up_order_parents_after_children():
+def test_order_puts_parents_after_children():
     t = build_tree([(0, 1), (0, 2), (2, 3), (2, 4)], 0)
-    order = bottom_up_order(t)
+    order = t.order
     pos = {v: i for i, v in enumerate(order)}
     for v in range(t.n):
         for c in t.children[v]:
