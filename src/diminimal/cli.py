@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
 A reader that closes stdout before all output is written, as `| true`
-does, also gives exit 1, with nothing on stderr.
+does, also gives exit 1, with nothing on stderr; so does a stdout closed at
+startup (`>&-`), for every command that writes to it.
 All output is deterministic; rationals are printed as p/q (or a bare
 integer), never as floats.
 """
@@ -10,6 +11,7 @@ integer), never as floats.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -49,13 +51,24 @@ def _load_json(path: str) -> dict:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _stdout():
+    """sys.stdout, for every write the commands make.  It is None when fd 1
+    was closed at startup, and that is treated like a reader that is gone."""
+    if sys.stdout is None:
+        raise BrokenPipeError(errno.EPIPE, "stdout is closed")
+    return sys.stdout
+
+
 def _dump(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     if out is None:
-        sys.stdout.write(text)
-    else:
+        _stdout().write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def _load_tree(path: str):
@@ -102,10 +115,11 @@ def cmd_unfold(args) -> int:
 def cmd_recognize(args) -> int:
     t = _load_tree(args.tree)
     tag = recognize_family(t)
-    print(f"family: {tag.family.value}")
-    print(f"diameter: {tag.diameter}")
+    out = _stdout()
+    print(f"family: {tag.family.value}", file=out)
+    print(f"diameter: {tag.diameter}", file=out)
     print("certificate: " + json.dumps(tag.certificate, sort_keys=True,
-                                       separators=(",", ":")))
+                                       separators=(",", ":")), file=out)
     return 0
 
 
@@ -122,16 +136,18 @@ def cmd_construct(args) -> int:
     _dump(payload, args.out)
     if args.out is not None:
         values = ", ".join(f"{format_rational(v)} (x{m})" for v, m in cert.dspec)
-        print(f"wrote {args.out}: {cert.distinct_values} distinct eigenvalues: {values}")
+        print(f"wrote {args.out}: {cert.distinct_values} distinct eigenvalues: {values}",
+              file=_stdout())
     return 0
 
 
 def cmd_locate(args) -> int:
     m, _ = _load_matrix_file(args.matrix)
     c = counts_at(m, args.point)
-    print(f"below: {c.below}")
-    print(f"equal: {c.equal}")
-    print(f"above: {c.above}")
+    out = _stdout()
+    print(f"below: {c.below}", file=out)
+    print(f"equal: {c.equal}", file=out)
+    print(f"above: {c.above}", file=out)
     return 0
 
 
@@ -141,7 +157,7 @@ def cmd_isolate(args) -> int:
         raise CliError("--width must be positive")
     for iv in isolate_eigenvalues(m, args.width):
         print(f"({format_rational(iv.lo)}, {format_rational(iv.hi)}] "
-              f"count={iv.count}")
+              f"count={iv.count}", file=_stdout())
     return 0
 
 
@@ -164,16 +180,17 @@ def cmd_verify(args) -> int:
                                 f"exact {rep.exact}, approx {rep.approx}")
     if problems:
         for p in problems:
-            print(f"FAIL: {p}")
+            print(f"FAIL: {p}", file=_stdout())
         return 2
-    print(f"ok: {len(dspec)} distinct eigenvalues verified on {m.n} vertices")
+    print(f"ok: {len(dspec)} distinct eigenvalues verified on {m.n} vertices",
+          file=_stdout())
     return 0
 
 
 def cmd_export(args) -> int:
     m, cert = _load_matrix_file(args.matrix)
     if args.format == "dot":
-        sys.stdout.write(matrix_to_dot(m))
+        _stdout().write(matrix_to_dot(m))
     else:
         payload = matrix_to_json(m)
         if cert is not None:
@@ -282,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except BrokenPipeError:
         # the reader is gone: the flush at exit goes to devnull, not stderr
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -19,8 +19,9 @@ every part root to the core root, chosen so the assembled block gains a
 prescribed eigenvalue strictly beyond all block spectra.  The two extreme
 block eigenvalues merge into the interior and a new extreme value appears on
 the opposite side, with its position forced exactly by the trace.  Every
-assembly is verified on the spot by exact counts, so a construction bug
-cannot survive to the returned certificate.
+assembled block is verified by exact counts before the next join uses it,
+and the last one by `verify_certificate` on the finished matrix, so a
+construction bug cannot survive to the returned certificate.
 
 Every value the builder claims (ladder values, steps, shifts, pin points,
 forced values and predicted spectra) is alpha plus an integer multiple of
@@ -41,8 +42,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-# diagonalize and join are unused here; bench/spans.py wraps both as realize attributes
-from .locate import _counts, _run, counts_at, diagonalize
+# counts_at, diagonalize and join are unused here; bench/spans.py wraps
+# them as realize attributes
+from .locate import CountsAt, _counts, _run, counts_at, diagonalize
 from .matrices import WeightedTreeMatrix, make_matrix
 from .trees import (Family, PieceCert, RootedTree, _family_analysis,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
@@ -320,6 +322,9 @@ class _Builder:
 
     def join_blocks(self, core: _Block, parts: list[_Block], y: int,
                     side: str, expect_forced: int | None = None) -> _Block:
+        for used in (core, *parts):
+            if len(used.vertices) > 1:
+                self._verify_block(used)
         dc = self._root_final(core, y, side)
         dp = [self._root_final(p, y, side) for p in parts]
         d2 = _delta_squared(dc, dp)
@@ -357,7 +362,6 @@ class _Builder:
         order = tuple(v for p in parts for v in p.order) + core.order
         spec = tuple((self.frac(lam), m) for lam, m in sorted(pred.items()))
         blk = _Block(core.root, tuple(sorted(order)), pred, order, spec)
-        self._verify_block(blk)
         self.log.append(AssemblyRecord(
             core_root=core.root, core_vertices=core.vertices, core_pred=core.spec,
             parts=tuple((p.root, p.vertices, p.spec) for p in parts),
@@ -368,7 +372,11 @@ class _Builder:
 
     def _verify_block(self, blk: _Block) -> None:
         """Exact check that the block's spectrum is exactly the predicted
-        multiset.  Runs one diagonalization per predicted value."""
+        multiset.  Runs one diagonalization per predicted value.
+
+        `join_blocks` checks each joined block here before it joins it into
+        the next one; the last block is checked instead by
+        `verify_certificate` on the finished matrix, with the same claims."""
         if sum(blk.pred.values()) != len(blk.vertices):
             raise RuntimeError(f"block at {blk.root}: multiplicities miss its size")
         lo, hi = min(blk.pred), max(blk.pred)
@@ -437,7 +445,8 @@ def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
     diag = tuple(builder.diag[v] for v in range(tree.n))
     w2 = {e: builder.w2[e] for e in tree.edges}
     m = make_matrix(tree, diag, w2)
-    # closing check on the finished matrix object itself
+    # the closing check on the finished matrix, and the only one of the
+    # final block: join_blocks checks each block when it joins it
     problems = verify_certificate(m, blk.spec)
     if problems:
         raise RuntimeError("; ".join(problems))
@@ -595,6 +604,14 @@ def realize_integral(t: RootedTree, alpha: Fraction,
     return cert
 
 
+def _exact_counts(m: WeightedTreeMatrix, point) -> CountsAt:
+    """counts_at's answer from one exact kernel run over the whole tree.  At
+    a claimed eigenvalue counts_at's float pass nearly always gives up late
+    and ends in that same run, so it would only add its own cost."""
+    p = Fraction(point)
+    return _counts(_run(*m.arrays, -p.numerator, p.denominator)[0])
+
+
 def verify_certificate(m: WeightedTreeMatrix,
                        dspec: Sequence[tuple[Fraction, int]]) -> list[str]:
     """Re-derive every spectral claim of a certificate from the matrix
@@ -604,7 +621,7 @@ def verify_certificate(m: WeightedTreeMatrix,
     values = [v for v, _ in dspec]
     if sorted(values) != values or len(set(values)) != len(values):
         problems.append("dspec values are not strictly increasing")
-    counts = [counts_at(m, lam) for lam in values]
+    counts = [_exact_counts(m, lam) for lam in values]
     for (lam, mult), c in zip(dspec, counts):
         if c.equal != mult:
             problems.append(f"claimed multiplicity {mult} at {lam}, measured {c.equal}")

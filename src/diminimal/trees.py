@@ -45,8 +45,9 @@ class RootedTree:
     """Immutable rooted tree on vertex ids 0..n-1.
 
     parent[i] is the parent id of vertex i, or -1 for the root.  Derived
-    structure (children lists, traversal order, depths, heights) is computed
-    lazily and cached.
+    structure (children lists, traversal order, depths, heights, a longest
+    path and the recognizer's analysis) is computed lazily and cached, so
+    recognition, realization and verification of one tree object share it.
     """
 
     parent: tuple[int, ...]
@@ -119,6 +120,20 @@ class RootedTree:
             nb[v].append(u)
         return tuple(tuple(sorted(x)) for x in nb)
 
+    @cached_property
+    def _longest_path(self) -> tuple[int, ...]:
+        """A maximum-length path, found with two BFS sweeps from the root."""
+        a, _ = _farthest(self, self.root)
+        b, prev = _farthest(self, a)
+        path = [b]
+        while prev[path[-1]] != -1:
+            path.append(prev[path[-1]])
+        return tuple(reversed(path))
+
+    @cached_property
+    def _analysis(self) -> "_FamilyAnalysis":
+        return _analyze_family(self)
+
     def subtree(self, v: int) -> tuple[int, ...]:
         """All descendants of v (v included), sorted by id."""
         out = [v]
@@ -189,7 +204,7 @@ def reroot(t: RootedTree, new_root: int) -> RootedTree:
 
 def diameter(t: RootedTree) -> int:
     """Length (in edges) of a longest path in the tree."""
-    return _diameter_path(t)[0]
+    return len(t._longest_path) - 1
 
 
 def _farthest(t: RootedTree, start: int) -> tuple[int, dict[int, int]]:
@@ -209,17 +224,6 @@ def _farthest(t: RootedTree, start: int) -> tuple[int, dict[int, int]]:
     return min(last), prev
 
 
-def _diameter_path(t: RootedTree) -> tuple[int, list[int]]:
-    """A maximum-length path, found with two BFS sweeps."""
-    a, _ = _farthest(t, t.root)
-    b, prev = _farthest(t, a)
-    path = [b]
-    while prev[path[-1]] != -1:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return len(path) - 1, path
-
-
 def main_roots(t: RootedTree) -> tuple[int, ...]:
     """Central vertices shared by every maximum-length path.
 
@@ -227,7 +231,8 @@ def main_roots(t: RootedTree) -> tuple[int, ...]:
     1-tuple.  Odd diameter: both endpoints of the central edge, smaller id
     first.  A single vertex tree yields (0,).
     """
-    d, path = _diameter_path(t)
+    path = t._longest_path
+    d = len(path) - 1
     if d % 2 == 0:
         return (path[d // 2],)
     u, v = path[d // 2], path[d // 2 + 1]
@@ -523,6 +528,11 @@ def _min_family_size(d: int) -> int:
 
 
 def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
+    """The analysis of t, computed once per tree object and cached on it."""
+    return t._analysis
+
+
+def _analyze_family(t: RootedTree) -> _FamilyAnalysis:
     d = diameter(t)
     centers = main_roots(t)
     if t.n < _min_family_size(d):

@@ -267,6 +267,62 @@ def test_closed_stdout_exits_one_quietly(diameter):
     assert out.stderr == ""
 
 
+def make_tree_and_matrix(tmp_path):
+    """A path tree file and its constructed matrix file, under tmp_path."""
+    tree = write_tree(tmp_path / "t.json", [[0, 1], [1, 2], [2, 3]])
+    mat = str(tmp_path / "m.json")
+    assert main(["construct", "--tree", tree, "--alpha", "0", "--beta", "32",
+                 "--out", mat]) == 0
+    return tree, mat
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+@pytest.mark.parametrize("command", ["seed", "unfold", "construct"])
+def test_unwritable_out_is_a_clean_error(tmp_path, capsys, command, target):
+    tree, _ = make_tree_and_matrix(tmp_path)
+    capsys.readouterr()
+    argv = {
+        "seed": ["seed", "--family", "uniform", "--diameter", "5"],
+        "unfold": ["unfold", "--tree", tree, "--vertex", "2", "--branch", "3",
+                   "--copies", "1"],
+        "construct": ["construct", "--tree", tree, "--alpha", "0", "--beta", "32"],
+    }[command]
+    out = str(tmp_path / target)
+    assert run_cli(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line_in(err)
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["seed", "--family", "uniform", "--diameter", "5"],
+    ["seed", "--family", "uniform", "--diameter", "5", "--out", "{dir}/s.json"],
+    ["unfold", "--tree", "{tree}", "--vertex", "2", "--branch", "3", "--copies", "1"],
+    ["recognize", "--tree", "{tree}"],
+    ["construct", "--tree", "{tree}", "--alpha", "0", "--beta", "32"],
+    ["construct", "--tree", "{tree}", "--alpha", "0", "--beta", "32",
+     "--out", "{dir}/c.json"],
+    ["locate", "--matrix", "{mat}", "--point", "0"],
+    ["isolate", "--matrix", "{mat}", "--width", "8"],
+    ["verify", "--matrix", "{mat}"],
+    ["export", "--matrix", "{mat}", "--format", "dot"],
+    ["export", "--matrix", "{mat}", "--format", "json"],
+    ["recognize", "--tree", "{dir}/missing.json"],
+], ids=" ".join)
+def test_stdout_closed_at_startup_is_a_reader_that_left(tmp_path, argv):
+    tree, mat = make_tree_and_matrix(tmp_path)
+    argv = [a.format(dir=tmp_path, tree=tree, mat=mat) for a in argv]
+    closed = run_module(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        gone = run_module(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (closed.returncode, closed.stderr) == (gone.returncode, gone.stderr)
+    assert "Traceback" not in closed.stderr
+
+
 def test_locate_zero_denominator_is_a_clean_error(tmp_path, capsys):
     mat = tmp_path / "m.json"
     mat.write_text(json.dumps({
@@ -293,7 +349,12 @@ def test_non_object_matrix_file_is_a_clean_error(tmp_path, capsys, content, comm
 
 def assert_one_error_line(capsys):
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+    assert_one_error_line_in(err)
+
+
+def assert_one_error_line_in(err):
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [["recognize"],

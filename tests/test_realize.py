@@ -23,6 +23,7 @@ from diminimal import (
     realize_low,
     realize_low_shifted,
     realize_variant,
+    recognize_family,
     reroot,
     seed,
     trace,
@@ -355,11 +356,13 @@ def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
     c = realize_family(seed(Family.SHORT_CORE, 7), 0, 32)
     seen = []
 
-    def spy(m, point, root=None):
-        seen.append(point)
-        return diminimal.locate.counts_at(m, point, root)
+    real = diminimal.realize._exact_counts
 
-    monkeypatch.setattr(diminimal.realize, "counts_at", spy)
+    def spy(m, point):
+        seen.append(point)
+        return real(m, point)
+
+    monkeypatch.setattr(diminimal.realize, "_exact_counts", spy)
     assert verify_certificate(c.matrix, c.dspec) == []
     assert seen == [v for v, _ in c.dspec]
     # the extreme-value checks reuse those counts
@@ -371,13 +374,13 @@ def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
 def test_finish_refuses_what_verify_certificate_refuses(monkeypatch):
     # counts that hide one eigenvalue below the minimum pass every
     # multiplicity, sum and diameter check; only the extreme check sees it
-    real = diminimal.locate.counts_at
+    real = diminimal.realize._exact_counts
 
-    def one_below(m, point, root=None):
-        c = real(m, point, root)
+    def one_below(m, point):
+        c = real(m, point)
         return diminimal.CountsAt(c.below + 1, c.equal, c.above - 1)
 
-    monkeypatch.setattr(diminimal.realize, "counts_at", one_below)
+    monkeypatch.setattr(diminimal.realize, "_exact_counts", one_below)
     with pytest.raises(RuntimeError, match="eigenvalues below the claimed minimum"):
         realize_family(seed(Family.UNIFORM, 5), 0, 4)
 
@@ -387,7 +390,7 @@ def test_certificate_guards_survive_python_O():
     code = (
         "import diminimal.realize as r\n"
         "from diminimal import CountsAt, Family, seed\n"
-        "r.counts_at = lambda m, p, root=None: CountsAt(0, m.n, 0)\n"
+        "r._exact_counts = lambda m, p: CountsAt(0, m.n, 0)\n"
         "try:\n"
         "    r.realize_family(seed(Family.UNIFORM, 5), 0, 4)\n"
         "except RuntimeError as exc:\n"
@@ -402,3 +405,77 @@ def test_certificate_guards_survive_python_O():
                          text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("refused: claimed multiplicity"), out.stdout
+
+
+# ------------------------------------------------------ each claim once
+
+# one tree per construction path: uniform, short-core even and odd, mixed
+ONE_PER_PATH = [(Family.UNIFORM, 7), (Family.SHORT_CORE, 8),
+                (Family.SHORT_CORE, 7), (Family.MIXED, 9)]
+
+
+def sabotage_join(monkeypatch, at):
+    """Double the solved squared weight of the `at`-th join (1-based)."""
+    real, calls = diminimal.realize._delta_squared, []
+
+    def doubled(core_value, part_values):
+        calls.append(1)
+        d2 = real(core_value, part_values)
+        return 2 * d2 if len(calls) == at else d2
+
+    monkeypatch.setattr(diminimal.realize, "_delta_squared", doubled)
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_a_wrong_first_join_is_refused_by_the_block_check(monkeypatch, fam, d):
+    sabotage_join(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: CountsAt"):
+        realize_family(seed(fam, d), 0, 32)
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_a_wrong_last_join_is_refused_by_finish(monkeypatch, fam, d):
+    t = seed(fam, d)
+    joins = len(realize_family(t, 0, 32).assemblies)
+    sabotage_join(monkeypatch, joins)
+    with pytest.raises(RuntimeError, match="claimed multiplicity"):
+        realize_family(t, 0, 32)
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_each_joined_block_but_the_last_is_checked_once(monkeypatch, fam, d):
+    real, checked = diminimal.realize._Builder._verify_block, []
+
+    def spy(self, blk):
+        checked.append(blk.vertices)
+        return real(self, blk)
+
+    monkeypatch.setattr(diminimal.realize._Builder, "_verify_block", spy)
+    c = realize_family(seed(fam, d), 0, 32)
+    joined = [tuple(sorted(rec.core_vertices + sum((v for _, v, _ in rec.parts), ())))
+              for rec in c.assemblies]
+    assert joined[-1] == tuple(range(c.matrix.n))
+    assert sorted(checked) == sorted(joined[:-1])
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH + [(Family.UNIFORM, 8)])
+def test_one_tree_is_analysed_once(monkeypatch, fam, d):
+    t = seed(fam, d)
+    swept = []
+    real_farthest = diminimal.trees._farthest
+
+    def farthest(tree, start):
+        swept.append(tree)
+        return real_farthest(tree, start)
+
+    monkeypatch.setattr(diminimal.trees, "_farthest", farthest)
+    assert recognize_family(t).family is fam
+
+    def split(self, v, cap=None):
+        raise AssertionError("the tree was recognized twice")
+
+    monkeypatch.setattr(diminimal.trees._Recognizer, "split", split)
+    c = realize_integral(t, 0)
+    assert verify_certificate(c.matrix, c.dspec) == []
+    assert c.matrix.tree is t
+    assert len(swept) == 2 and all(s is t for s in swept)
