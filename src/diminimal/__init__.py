@@ -15,7 +15,6 @@ from .trees import (
     reroot,
     seed,
     tree_from_json,
-    tree_to_dot,
     tree_to_json,
 )
 from .matrices import (

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
 A reader that closes stdout before all output is written, as `| true`
 does, also gives exit 1, with nothing on stderr; so does a stdout closed at
-startup (`>&-`), for every command that writes to it.
+startup (`>&-`), for `--help` and for every command that writes to it.
+`seed` and `unfold` refuse, with exit 1, to build a tree of more than
+`trees.MAX_VERTICES` (2**17) vertices.
 All output is deterministic; rationals are printed as p/q (or a bare
 integer), never as floats.
 """
@@ -33,8 +35,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"error: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse prints on stderr with fd 1 closed at startup and drops a
+        # failed write; through _stdout() both end as a reader that left
+        out = file or _stdout()
+        out.write(self.format_help())
+        out.flush()
 
 
 class CliError(Exception):
@@ -71,10 +79,6 @@ def _dump(obj: dict, out: str | None) -> None:
         raise CliError(f"cannot write {out}: {exc}") from exc
 
 
-def _load_tree(path: str):
-    return tree_from_json(_load_json(path))
-
-
 def _load_matrix_file(path: str):
     """Matrix files may carry an embedded certificate next to the matrix."""
     obj = _load_json(path)
@@ -92,28 +96,21 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-_FAMILY_NAMES = {
-    "uniform": Family.UNIFORM,
-    "short-core": Family.SHORT_CORE,
-    "mixed": Family.MIXED,
-}
-
-
 def cmd_seed(args) -> int:
-    t = seed(_FAMILY_NAMES[args.family], args.diameter)
+    t = seed(Family(args.family), args.diameter)
     _dump(tree_to_json(t), args.out)
     return 0
 
 
 def cmd_unfold(args) -> int:
-    t = _load_tree(args.tree)
+    t = tree_from_json(_load_json(args.tree))
     t2 = duplicate_branch(t, args.vertex, args.branch, args.copies)
     _dump(tree_to_json(t2), args.out)
     return 0
 
 
 def cmd_recognize(args) -> int:
-    t = _load_tree(args.tree)
+    t = tree_from_json(_load_json(args.tree))
     tag = recognize_family(t)
     out = _stdout()
     print(f"family: {tag.family.value}", file=out)
@@ -124,7 +121,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    t = _load_tree(args.tree)
+    t = tree_from_json(_load_json(args.tree))
     if args.integral:
         cert = realize_integral(t, args.alpha, args.beta)
     else:
@@ -208,7 +205,8 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("seed", help="emit a seed tree of a family")
-    s.add_argument("--family", required=True, choices=sorted(_FAMILY_NAMES))
+    s.add_argument("--family", required=True,
+                   choices=sorted(f.value for f in Family if f is not Family.UNSUPPORTED))
     s.add_argument("--diameter", required=True, type=int)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_seed)
@@ -269,15 +267,11 @@ _RATIONAL_FLAGS = frozenset(
 
 def _fold_rational_flags(argv: list[str]) -> list[str]:
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _RATIONAL_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _RATIONAL_FLAGS:
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -287,13 +281,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_fold_rational_flags(list(argv)))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         code = args.fn(args)
         if sys.stdout is not None:  # None when fd 1 was closed at startup
             sys.stdout.flush()
         return code
+    except SystemExit as exc:  # --help, or a usage error
+        return int(exc.code or 0)
     except (CliError, OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, inf, isqrt, nan, nextafter
 from typing import Collection, Sequence
 
-from .matrices import WeightedTreeMatrix, delete_vertex, enclose, float_bounds_of
+from .matrices import WeightedTreeMatrix, delete_vertex, enclose
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,11 @@ def _counts(signs: dict[int, int]) -> CountsAt:
     return CountsAt(below=neg, equal=zero, above=len(s) - neg - zero)
 
 
-def diagonalize(m: WeightedTreeMatrix, x: Fraction, root: int | None = None) -> DiagOutcome:
-    """Congruence-diagonalize M + x*I bottom-up from `root` (default: the
-    tree's own root).  Exact; never touches floats."""
+def diagonalize(m: WeightedTreeMatrix, x: Fraction) -> DiagOutcome:
+    """Congruence-diagonalize M + x*I bottom-up from the tree's root.
+    Exact; never touches floats."""
     x = Fraction(x)
-    arr = m.arrays if root is None else m.arrays_at(root)
+    arr = m.arrays
     vals: dict[int, tuple[int, int]] = {}
     signs, pivots, _ = _run(*arr, x.numerator, x.denominator, vals)
     c = _counts(signs)
@@ -184,13 +184,12 @@ class CountsAt:
 _EXACT_SHARE = 8
 
 
-def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -> CountsAt:
+def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
     """How many eigenvalues of m are <, ==, > the query point: the inertia
     of M - point*I, by the adaptive pass of the module docstring."""
     p = Fraction(point)
     xn, xd = -p.numerator, p.denominator
-    arr = m.arrays if root is None else m.arrays_at(root)
-    fb = m.float_bounds if root is None else float_bounds_of(arr)
+    arr, fb = m.arrays, m.float_bounds
     order, parent, dn, dd, wn, wd = arr
     nxt, up, down = nextafter, inf, -inf
     slo, shi = enclose(xn, xd)

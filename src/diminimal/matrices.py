@@ -99,14 +99,6 @@ def _enclose_all(num: list[int], den: list[int]) -> list[list[float]]:
     return [list(map(same.setdefault, b, b)) for b in bounds]
 
 
-def float_bounds_of(a: ElimArrays) -> FloatBounds:
-    """The `FloatBounds` of kernel arrays rooted anywhere."""
-    parent, size = a.parent, [1] * len(a.order)
-    for k in a.order[:-1]:
-        size[parent[k]] += size[k]
-    return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd), size)
-
-
 @dataclass(frozen=True)
 class WeightedTreeMatrix:
     """Symmetric rational matrix supported on a tree.
@@ -147,7 +139,11 @@ class WeightedTreeMatrix:
     def float_bounds(self) -> FloatBounds:
         """Float bounds of `arrays`, cached for the float pass of
         `locate.counts_at`."""
-        return float_bounds_of(self.arrays)
+        a = self.arrays
+        parent, size = a.parent, [1] * len(a.order)
+        for k in a.order[:-1]:
+            size[parent[k]] += size[k]
+        return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd), size)
 
     def arrays_at(self, root: int) -> ElimArrays:
         """Kernel arrays for the tree rerooted at `root`, built afresh."""

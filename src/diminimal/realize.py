@@ -20,8 +20,9 @@ prescribed eigenvalue strictly beyond all block spectra.  The two extreme
 block eigenvalues merge into the interior and a new extreme value appears on
 the opposite side, with its position forced exactly by the trace.  Every
 assembled block is verified by exact counts before the next join uses it,
-and the last one by `verify_certificate` on the finished matrix, so a
-construction bug cannot survive to the returned certificate.
+and the last one by `verify_certificate` on the finished matrix, both by
+`_spectrum_problems`, so a construction bug cannot survive to the returned
+certificate.
 
 Every value the builder claims (ladder values, steps, shifts, pin points,
 forced values and predicted spectra) is alpha plus an integer multiple of
@@ -45,7 +46,7 @@ from typing import Sequence
 # counts_at, diagonalize and join are unused here; bench/spans.py wraps
 # them as realize attributes
 from .locate import CountsAt, _counts, _run, counts_at, diagonalize
-from .matrices import WeightedTreeMatrix, make_matrix
+from .matrices import WeightedTreeMatrix, format_rational, make_matrix
 from .trees import (Family, PieceCert, RootedTree, _family_analysis,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
 
@@ -172,7 +173,6 @@ class RealizationCertificate:
         return len(self.dspec)
 
     def to_json(self) -> dict:
-        from .matrices import format_rational
         return {
             "family": self.family.value,
             "variant": self.variant,
@@ -223,6 +223,7 @@ class _Builder:
         self.w2: dict[tuple[int, int], Fraction] = {}
         n = tree.n
         self.dn, self.dd, self.wn, self.wd = [0] * n, [1] * n, [0] * n, [1] * n
+        self.arrays = (self.rt.parent, self.dn, self.dd, self.wn, self.wd)  # all but the order
         self.log: list[AssemblyRecord] = []
 
     def frac(self, n: int) -> Fraction:
@@ -240,8 +241,7 @@ class _Builder:
     def _restricted(self, order: Sequence[int], lam: int):
         """Kernel run of (block - lam/q*I) over a block's postorder."""
         x = self.frac(lam)
-        return _run(order, self.rt.parent, self.dn, self.dd, self.wn, self.wd,
-                    -x.numerator, x.denominator)
+        return _run(order, *self.arrays, -x.numerator, x.denominator)
 
     def _root_final(self, block: _Block, y: int, side: str) -> Fraction:
         signs, _, (a, b) = self._restricted(block.order, y)
@@ -371,20 +371,13 @@ class _Builder:
         return blk
 
     def _verify_block(self, blk: _Block) -> None:
-        """Exact check that the block's spectrum is exactly the predicted
-        multiset.  Runs one diagonalization per predicted value.
-
+        """Exact check that the block's spectrum is the predicted multiset.
         `join_blocks` checks each joined block here before it joins it into
         the next one; the last block is checked instead by
         `verify_certificate` on the finished matrix, with the same claims."""
-        if sum(blk.pred.values()) != len(blk.vertices):
-            raise RuntimeError(f"block at {blk.root}: multiplicities miss its size")
-        lo, hi = min(blk.pred), max(blk.pred)
-        for lam, m in blk.pred.items():
-            c = _counts(self._restricted(blk.order, lam)[0])
-            if c.equal != m or (lam == lo and c.below) or (lam == hi and c.above):
-                raise RuntimeError(f"block at {blk.root}: {c} at {self.frac(lam)}, "
-                                   f"claimed {m}")
+        problems = _spectrum_problems(blk.spec, blk.order, *self.arrays)
+        if problems:
+            raise RuntimeError(f"block at {blk.root}: " + "; ".join(problems))
 
     # -- deep structural checks ----------------------------------------------
 
@@ -604,12 +597,31 @@ def realize_integral(t: RootedTree, alpha: Fraction,
     return cert
 
 
-def _exact_counts(m: WeightedTreeMatrix, point) -> CountsAt:
-    """counts_at's answer from one exact kernel run over the whole tree.  At
-    a claimed eigenvalue counts_at's float pass nearly always gives up late
+def _exact_counts(order, parent, dn, dd, wn, wd, point) -> CountsAt:
+    """counts_at's answer from one exact kernel run over `order`.  At a
+    claimed eigenvalue counts_at's float pass nearly always gives up late
     and ends in that same run, so it would only add its own cost."""
-    p = Fraction(point)
-    return _counts(_run(*m.arrays, -p.numerator, p.denominator)[0])
+    return _counts(_run(order, parent, dn, dd, wn, wd,
+                        -point.numerator, point.denominator)[0])
+
+
+def _spectrum_problems(spec: Sequence[tuple[Fraction, int]], order, *arrays) -> list[str]:
+    """Failures of the claim that `spec`, (value, multiplicity) pairs in
+    increasing order, is the spectrum over `order` of kernel arrays (parent,
+    dn, dd, wn, wd): each multiplicity, their sum, nothing below the first
+    or above the last value.  One exact count per value; ints will do."""
+    counts = [_exact_counts(order, *arrays, lam) for lam, _ in spec]
+    problems = [f"claimed multiplicity {mult} at {lam}, measured {c.equal}"
+                for (lam, mult), c in zip(spec, counts) if c.equal != mult]
+    total = sum(mult for _, mult in spec)
+    if total != len(order):
+        problems.append(f"multiplicities sum to {total}, matrix order is {len(order)}")
+    if counts:
+        if counts[0].below != 0:
+            problems.append(f"{counts[0].below} eigenvalues below the claimed minimum")
+        if counts[-1].above != 0:
+            problems.append(f"{counts[-1].above} eigenvalues above the claimed maximum")
+    return problems
 
 
 def verify_certificate(m: WeightedTreeMatrix,
@@ -617,24 +629,12 @@ def verify_certificate(m: WeightedTreeMatrix,
     """Re-derive every spectral claim of a certificate from the matrix
     alone.  Returns a list of human-readable failures; empty means the
     certificate holds."""
-    problems: list[str] = []
+    problems = _spectrum_problems(dspec, *m.arrays)
     values = [v for v, _ in dspec]
     if sorted(values) != values or len(set(values)) != len(values):
-        problems.append("dspec values are not strictly increasing")
-    counts = [_exact_counts(m, lam) for lam in values]
-    for (lam, mult), c in zip(dspec, counts):
-        if c.equal != mult:
-            problems.append(f"claimed multiplicity {mult} at {lam}, measured {c.equal}")
-    total = sum(mult for _, mult in dspec)
-    if total != m.n:
-        problems.append(f"multiplicities sum to {total}, matrix order is {m.n}")
+        problems.insert(0, "dspec values are not strictly increasing")
     d = diameter(m.tree)
     if len(dspec) != d + 1:
         problems.append(f"{len(dspec)} distinct values claimed, diameter {d} "
                         f"needs exactly {d + 1}")
-    if counts:
-        if counts[0].below != 0:
-            problems.append(f"{counts[0].below} eigenvalues below the claimed minimum")
-        if counts[-1].above != 0:
-            problems.append(f"{counts[-1].above} eigenvalues above the claimed maximum")
     return problems

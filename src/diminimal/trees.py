@@ -23,6 +23,9 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
+# the largest tree `seed` and `duplicate_branch` build; they refuse more
+MAX_VERTICES = 2 ** 17
+
 
 class Family(Enum):
     """Structural families the realization engine supports.
@@ -305,8 +308,11 @@ def duplicate_branch(t: RootedTree, v: int, branch_root: int, copies: int) -> Ro
     forbidden = set(main_roots(t))
     if forbidden & set(branch):
         raise ValueError("branch contains a central vertex; duplication would be ambiguous")
-    rank = {old: i for i, old in enumerate(branch)}
     n, b = t.n, len(branch)
+    if n + copies * b > MAX_VERTICES:
+        raise ValueError(f"{copies} copies of a {b}-vertex branch give {n + copies * b} "
+                         f"vertices, more than the supported {MAX_VERTICES}")
+    rank = {old: i for i, old in enumerate(branch)}
     edges = list(t.edges)
     branch_set = set(branch)
     internal = [(a, c) for a, c in t.edges if a in branch_set and c in branch_set]
@@ -374,12 +380,28 @@ def _seed_mixed(d: int) -> RootedTree:
     return join(short_half, [tall_half]).tree
 
 
+def _seed_size(family: Family, d: int) -> int:
+    """Vertex count of seed(family, d), summed from the recursions above."""
+    def u(j: int) -> int:  # the uniform seed of diameter j, 1 for j <= 0
+        return 1 if j <= 0 else 2 ** ((j + 1) // 2) if j % 2 else 3 * 2 ** (j // 2 - 1)
+    if family is Family.UNIFORM:
+        return u(d)
+    if family is Family.MIXED:
+        return u(d - 6) + 3 * u(d - 4)
+    return u(d - 5) + 2 * u(d - 3) if d % 2 == 0 else 2 * (u(d - 6) + u(d - 4))
+
+
 def seed(family: Family, d: int) -> RootedTree:
     """Smallest member of `family` with diameter d, rooted at a central
     vertex (the smaller-id endpoint of the central edge when d is odd).
 
-    Domains: UNIFORM needs d >= 1, SHORT_CORE d >= 4, MIXED odd d >= 5.
+    Domains: UNIFORM needs d >= 1, SHORT_CORE d >= 4, MIXED odd d >= 5, and
+    the seed may have at most MAX_VERTICES vertices.
     """
+    # a diameter-d tree has over d vertices, so a huge d skips _seed_size
+    if d >= MAX_VERTICES or _seed_size(family, d) > MAX_VERTICES:
+        raise ValueError(f"the {family.value} seed of diameter {d} has more than "
+                         f"the supported {MAX_VERTICES} vertices")
     if family is Family.UNIFORM:
         if d < 1:
             raise ValueError("uniform seed needs diameter >= 1")
@@ -625,14 +647,3 @@ def tree_from_json(obj: dict) -> RootedTree:
     if n != len(edges) + 1:
         raise ValueError(f"tree claims {n} vertices but has {len(edges)} edges")
     return build_tree(edges, root)
-
-
-def tree_to_dot(t: RootedTree) -> str:
-    lines = ["graph tree {"]
-    for v in range(t.n):
-        shape = ' [shape=box]' if v == t.root else ""
-        lines.append(f"  {v}{shape};")
-    for u, v in t.edges:
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

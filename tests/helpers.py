@@ -43,6 +43,12 @@ def random_matrix(t: RootedTree, rng: random.Random) -> WeightedTreeMatrix:
     return WeightedTreeMatrix(t, diag, sq)
 
 
+def rooted_at(m: WeightedTreeMatrix, r: int) -> WeightedTreeMatrix:
+    """The same matrix on its tree rerooted at r (tree.edges, which sq_edge
+    follows, does not depend on the root)."""
+    return WeightedTreeMatrix(reroot(m.tree, r), m.diag, m.sq_edge)
+
+
 def random_unfolding(
     t: RootedTree,
     rng: random.Random,

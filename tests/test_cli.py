@@ -294,6 +294,23 @@ def test_unwritable_out_is_a_clean_error(tmp_path, capsys, command, target):
     assert err.startswith(f"error: cannot write {out}: ")
 
 
+@pytest.mark.parametrize("command", ["seed", "unfold"])
+def test_outputs_above_the_vertex_bound_are_refused(tmp_path, capsys, command):
+    # 2**41 and 10**12 + 4 vertices: building either would exhaust memory
+    tree, _ = make_tree_and_matrix(tmp_path)
+    capsys.readouterr()
+    argv = {
+        "seed": ["seed", "--family", "uniform", "--diameter", "81"],
+        "unfold": ["unfold", "--tree", tree, "--vertex", "2", "--branch", "3",
+                   "--copies", str(10 ** 12)],
+    }[command]
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_error_line_in(err)
+    assert "more than the supported 131072" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["seed", "--family", "uniform", "--diameter", "5"],
     ["seed", "--family", "uniform", "--diameter", "5", "--out", "{dir}/s.json"],
@@ -308,6 +325,8 @@ def test_unwritable_out_is_a_clean_error(tmp_path, capsys, command, target):
     ["export", "--matrix", "{mat}", "--format", "dot"],
     ["export", "--matrix", "{mat}", "--format", "json"],
     ["recognize", "--tree", "{dir}/missing.json"],
+    ["--help"],
+    ["seed", "--help"],
 ], ids=" ".join)
 def test_stdout_closed_at_startup_is_a_reader_that_left(tmp_path, argv):
     tree, mat = make_tree_and_matrix(tmp_path)

@@ -11,7 +11,8 @@ test hashes counts_at over a fixed set of matrices and points:
   a leaf's diagonal entry (the leaf's value is then exactly 0), random
   small rationals, and points scaled by 10^+-300.
 
-Every fourth point is also counted from a second root.
+Every fourth point is also counted on the same matrix rooted at a second
+vertex.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ import json
 import random
 from fractions import Fraction as F
 
-from helpers import random_matrix, random_tree
+from helpers import random_matrix, random_tree, rooted_at
 
 from diminimal import (Family, build_tree, counts_at, make_matrix,
                        realize_family, seed)
@@ -92,7 +93,7 @@ def golden_records():
             c = counts_at(m, p)
             rows.append([str(p), c.below, c.equal, c.above])
             if i % 4 == 0:
-                c = counts_at(m, p, root=other)
+                c = counts_at(rooted_at(m, other), p)
                 rows.append([other, c.below, c.equal, c.above])
         out.append(rows)
     return out

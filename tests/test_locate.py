@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (random_matrix, random_tree, reference_elimination,
-                     reference_isolate, subtree_ids)
+                     reference_isolate, rooted_at, subtree_ids)
 
 import diminimal.locate as locate
 from diminimal import (
@@ -91,7 +91,7 @@ def test_diagonalize_root_choice_changes_nothing_inertial():
         base = diagonalize(m, x).inertia
         for _ in range(3):
             r = rng.randrange(t.n)
-            assert diagonalize(m, x, root=r).inertia == base
+            assert diagonalize(rooted_at(m, r), x).inertia == base
 
 
 # ------------------------------------------- kernel against the reference
@@ -116,7 +116,7 @@ HUGE = tree_matrices(
 
 
 def assert_matches_reference(m, x, root):
-    out = diagonalize(m, x, root=root)
+    out = diagonalize(rooted_at(m, root), x)
     d, pivots, removed = reference_elimination(m, x, root)
     assert out.final_values == d
     assert out.pivots == frozenset(pivots)
@@ -124,7 +124,7 @@ def assert_matches_reference(m, x, root):
     vals = list(d.values())
     neg, zero = sum(q < 0 for q in vals), sum(q == 0 for q in vals)
     assert out.inertia == (neg, zero, len(vals) - neg - zero)
-    assert counts_at(m, -x, root=root) == counts_at(m, -x)
+    assert counts_at(rooted_at(m, root), -x) == counts_at(m, -x)
     # the kernel's own pairs stay reduced with positive denominators
     pairs: dict = {}
     _run(*m.arrays_at(root), x.numerator, x.denominator, pairs)
@@ -262,22 +262,22 @@ def test_interlacing_under_vertex_deletion():
 # filter tests they took over when that filter became part of counts_at.
 
 
-def reference_counts(m, point, root):
-    neg, zero, pos = diagonalize(m, -point, root=root).inertia
+def reference_counts(m, point):
+    neg, zero, pos = diagonalize(m, -point).inertia
     return locate.CountsAt(below=neg, equal=zero, above=pos)
 
 
 def assert_counts_exact(m, points, roots=None):
-    """counts_at against the plain exact kernel, from every root, with and
-    without the switch to one exact run (an exact share of 0 never
-    switches, so every undecided subtree is repaired on its own)."""
+    """counts_at against the plain exact kernel, on m and on m rooted at
+    every vertex, with and without the switch to one exact run (an exact
+    share of 0 never switches, so every undecided subtree is repaired on
+    its own)."""
+    rooted = [rooted_at(m, r) for r in (range(m.n) if roots is None else roots)]
     for share in (locate._EXACT_SHARE, 0):
         with mock.patch.object(locate, "_EXACT_SHARE", share):
-            for r in range(m.n) if roots is None else roots:
+            for mr in rooted + [m]:
                 for p in points:
-                    assert counts_at(m, p, root=r) == reference_counts(m, p, r)
-            for p in points:
-                assert counts_at(m, p) == reference_counts(m, p, m.tree.root)
+                    assert counts_at(mr, p) == reference_counts(mr, p)
 
 
 @pytest.fixture
@@ -394,7 +394,7 @@ def test_counts_many_falls_back_at_every_constructed_eigenvalue(family, d, exact
     cert = realize_family(seed(family, d), 0, 32)
     m = cert.matrix
     for v, mult in cert.dspec:
-        want = reference_counts(m, v, m.tree.root)
+        want = reference_counts(m, v)
         exact_runs.clear()
         c = counts_at(m, v)
         assert c.equal == mult and c == want
@@ -412,7 +412,7 @@ def test_counts_at_nests_repairs_at_constructed_eigenvalues(family, d, exact_run
     m = cert.matrix
     nested = 0
     for v, mult in cert.dspec:
-        want = reference_counts(m, v, m.tree.root)
+        want = reference_counts(m, v)
         exact_runs.clear()
         c = counts_at(m, v)
         assert c.equal == mult and c == want
@@ -440,7 +440,7 @@ def test_counts_at_keeps_exact_work_within_an_eighth_over_n(exact_runs, m):
     # and the one exact run after them covers n (the spy's list is cleared
     # per point, so sharing it between examples is safe)
     for p in [*m.diag, F(0), F(1), F(-1)]:
-        want = reference_counts(m, p, m.tree.root)
+        want = reference_counts(m, p)
         exact_runs.clear()
         assert counts_at(m, p) == want
         assert sum(map(len, exact_runs)) <= m.n + m.n // 8
@@ -470,7 +470,7 @@ def test_counts_many_decides_guarded_points(exact_runs):
         evs = np.linalg.eigvalsh(to_dense_float(m))
         pts = [F(rng.randint(-10 ** 6, 10 ** 6), 10007) for _ in range(20)]
         pts = [p for p in pts if min(abs(evs - float(p))) > 1e-6]
-        want = [reference_counts(m, p, m.tree.root) for p in pts]
+        want = [reference_counts(m, p) for p in pts]
         exact_runs.clear()
         assert [counts_at(m, p) for p in pts] == want
         assert exact_runs == []
@@ -491,7 +491,7 @@ def test_counts_at_repairs_a_leaf_zero_alone(exact_runs):
                     m.sq_weight)
     for v in leaves[::7]:
         p = m.diag[v]
-        want = reference_counts(m, p, m.tree.root)
+        want = reference_counts(m, p)
         exact_runs.clear()
         assert counts_at(m, p) == want
         assert exact_runs == [(v,)]
@@ -526,7 +526,7 @@ def test_counts_at_ends_the_float_pass_when_repairs_dominate(edges, zeros, whole
     t = build_tree(edges, 0)
     diag = [zeros.get(v, F(100 + v, 3)) for v in range(t.n)]
     m = make_matrix(t, diag, {e: F(1) for e in t.edges})
-    want = reference_counts(m, F(0), 0)
+    want = reference_counts(m, F(0))
     exact_runs.clear()
     assert counts_at(m, F(0)) == want
     block = tuple(v for v in t.order if v in zeros)

@@ -1,13 +1,16 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_unfolding
+from helpers import CORPUS_CELLS, random_unfolding
 
 import diminimal
 from diminimal import (
@@ -358,9 +361,9 @@ def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
 
     real = diminimal.realize._exact_counts
 
-    def spy(m, point):
-        seen.append(point)
-        return real(m, point)
+    def spy(*arrays_and_point):
+        seen.append(arrays_and_point[-1])
+        return real(*arrays_and_point)
 
     monkeypatch.setattr(diminimal.realize, "_exact_counts", spy)
     assert verify_certificate(c.matrix, c.dspec) == []
@@ -373,15 +376,19 @@ def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
 
 def test_finish_refuses_what_verify_certificate_refuses(monkeypatch):
     # counts that hide one eigenvalue below the minimum pass every
-    # multiplicity, sum and diameter check; only the extreme check sees it
+    # multiplicity, sum and diameter check; only the extreme check sees it.
+    # Only whole-tree runs are falsified, so the joined blocks pass their
+    # checks and _finish is the one that refuses.
     real = diminimal.realize._exact_counts
 
-    def one_below(m, point):
-        c = real(m, point)
+    def one_below(order, parent, *arrays_and_point):
+        c = real(order, parent, *arrays_and_point)
+        if len(order) < len(parent):
+            return c
         return diminimal.CountsAt(c.below + 1, c.equal, c.above - 1)
 
     monkeypatch.setattr(diminimal.realize, "_exact_counts", one_below)
-    with pytest.raises(RuntimeError, match="eigenvalues below the claimed minimum"):
+    with pytest.raises(RuntimeError, match="^1 eigenvalues below the claimed minimum"):
         realize_family(seed(Family.UNIFORM, 5), 0, 4)
 
 
@@ -390,7 +397,12 @@ def test_certificate_guards_survive_python_O():
     code = (
         "import diminimal.realize as r\n"
         "from diminimal import CountsAt, Family, seed\n"
-        "r._exact_counts = lambda m, p: CountsAt(0, m.n, 0)\n"
+        "real = r._exact_counts\n"
+        "def fake(order, parent, *arrays_and_point):\n"
+        "    if len(order) < len(parent):\n"
+        "        return real(order, parent, *arrays_and_point)\n"
+        "    return CountsAt(0, len(order), 0)\n"
+        "r._exact_counts = fake\n"
         "try:\n"
         "    r.realize_family(seed(Family.UNIFORM, 5), 0, 4)\n"
         "except RuntimeError as exc:\n"
@@ -429,7 +441,8 @@ def sabotage_join(monkeypatch, at):
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_wrong_first_join_is_refused_by_the_block_check(monkeypatch, fam, d):
     sabotage_join(monkeypatch, 1)
-    with pytest.raises(RuntimeError, match=r"^block at \d+: CountsAt"):
+    with pytest.raises(RuntimeError, match=r"^block at \d+: (claimed multiplicity "
+                       r"|multiplicities sum to |\d+ eigenvalues (below|above) )"):
         realize_family(seed(fam, d), 0, 32)
 
 
@@ -479,3 +492,45 @@ def test_one_tree_is_analysed_once(monkeypatch, fam, d):
     assert verify_certificate(c.matrix, c.dspec) == []
     assert c.matrix.tree is t
     assert len(swept) == 2 and all(s is t for s in swept)
+
+
+# ------------------------------------------- contracts on random trees
+
+# the ValueErrors realize_family documents, for valid (alpha, beta)
+DOCUMENTED = re.compile(r"unsupported family \(diameter \d+\)|need at least one edge"
+                        r"|no construction is defined for (short-core|mixed) "
+                        r"trees of diameter [0-5] ")
+
+
+@st.composite
+def labelled_trees(draw, max_n=300):
+    """A random recursive tree, or a random unfolding of a family seed with
+    that family, ids permuted and rooted anywhere: (tree, family or None)."""
+    fam = None
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max_n))
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    else:
+        fam, d = draw(st.sampled_from(CORPUS_CELLS))
+        t = random_unfolding(seed(fam, d), draw(st.randoms(use_true_random=False)),
+                             rounds=draw(st.integers(0, 8)), cap=max_n)
+        n, edges = t.n, t.edges
+    label = draw(st.permutations(range(n)))
+    return build_tree([(label[u], label[v]) for u, v in edges],
+                      draw(st.integers(0, n - 1))), fam
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_trees())
+def test_recognize_never_raises_and_realize_raises_only_documented_errors(case):
+    t, fam = case
+    tag = recognize_family(t)
+    assert fam is None or tag.family is fam
+    try:
+        c = realize_family(t, 0, 32)
+    except ValueError as exc:
+        assert DOCUMENTED.match(str(exc)), exc
+        assert fam is None and (tag.family is Family.UNSUPPORTED or tag.diameter < 6)
+    else:
+        assert c.family is tag.family
+        assert c.distinct_values == tag.diameter + 1

@@ -19,10 +19,11 @@ from diminimal import (
     reroot,
     seed,
     tree_from_json,
-    tree_to_dot,
     tree_to_json,
 )
-from diminimal.trees import _family_analysis, _min_family_size, _whole_piece_cert
+import diminimal.trees
+from diminimal.trees import (MAX_VERTICES, _family_analysis, _min_family_size,
+                             _seed_size, _whole_piece_cert)
 
 
 @st.composite
@@ -261,6 +262,31 @@ def test_seed_diameters():
         assert diameter(seed(Family.MIXED, d)) == d
 
 
+def test_seed_size_is_known_before_the_seed_is_built(monkeypatch):
+    for fam, lo, step in ((Family.UNIFORM, 1, 1), (Family.SHORT_CORE, 4, 1),
+                          (Family.MIXED, 5, 2)):
+        for d in range(lo, 16, step):
+            assert _seed_size(fam, d) == seed(fam, d).n, (fam, d)
+    # refused without building: seed(UNIFORM, 81) would have 2**41 vertices
+    monkeypatch.setattr(diminimal.trees, "_seed_uniform", None)
+    for d in (35, 81, 10 ** 12):
+        with pytest.raises(ValueError, match=f"more than the supported {MAX_VERTICES} "):
+            seed(Family.UNIFORM, d)
+
+
+def test_the_vertex_bound_is_on_the_exact_output_size(monkeypatch):
+    monkeypatch.setattr(diminimal.trees, "MAX_VERTICES", 16)
+    assert seed(Family.UNIFORM, 7).n == 16
+    assert seed(Family.MIXED, 7).n == 14
+    for fam, d in ((Family.UNIFORM, 8), (Family.SHORT_CORE, 9), (Family.MIXED, 9)):
+        with pytest.raises(ValueError, match="more than the supported 16 "):
+            seed(fam, d)
+    t = build_tree([(0, 1), (1, 2), (1, 3), (0, 4), (0, 5), (5, 6)], 0)
+    assert duplicate_branch(t, 0, 1, 3).n == 16
+    with pytest.raises(ValueError, match="give 19 vertices, more than the supported 16"):
+        duplicate_branch(t, 0, 1, 4)
+
+
 def test_seed_domain_errors():
     with pytest.raises(ValueError):
         seed(Family.UNIFORM, 0)
@@ -385,11 +411,3 @@ def test_tree_json_rejects_garbage():
         tree_from_json({"n": 2, "root": 0})  # missing edges
     with pytest.raises(ValueError):
         tree_from_json({"n": 2, "root": 0, "edges": [[0, 1], [0, 1]]})
-
-
-def test_tree_to_dot_mentions_every_vertex():
-    t = seed(Family.UNIFORM, 4)
-    dot = tree_to_dot(t)
-    assert dot.startswith("graph tree {")
-    for v in range(t.n):
-        assert f"  {v}" in dot
