@@ -35,7 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"error: {message}\n")
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
 
     def print_help(self, file=None):
         # argparse prints on stderr with fd 1 closed at startup and drops a
@@ -267,11 +268,15 @@ _RATIONAL_FLAGS = frozenset(
 
 def _fold_rational_flags(argv: list[str]) -> list[str]:
     out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in _RATIONAL_FLAGS:
-            out[-1] += "=" + tok
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in _RATIONAL_FLAGS and i + 1 < len(argv):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
         else:
             out.append(tok)
+            i += 1
     return out
 
 

@@ -32,6 +32,7 @@ from math import gcd, inf, isqrt, nan, nextafter
 from typing import Collection, Sequence
 
 from .matrices import WeightedTreeMatrix, delete_vertex, enclose
+from .trees import reroot
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,12 @@ class CountsAt:
 _EXACT_SHARE = 8
 
 
-def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
+def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -> CountsAt:
     """How many eigenvalues of m are <, ==, > the query point: the inertia
-    of M - point*I, by the adaptive pass of the module docstring."""
+    of M - point*I, by the adaptive pass of the module docstring, eliminating
+    from `root` (default: the tree's own root)."""
+    if root is not None:
+        m = WeightedTreeMatrix(reroot(m.tree, root), m.diag, m.sq_edge)
     p = Fraction(point)
     xn, xd = -p.numerator, p.denominator
     arr, fb = m.arrays, m.float_bounds

@@ -46,7 +46,7 @@ from typing import Sequence
 # counts_at, diagonalize and join are unused here; bench/spans.py wraps
 # them as realize attributes
 from .locate import CountsAt, _counts, _run, counts_at, diagonalize
-from .matrices import WeightedTreeMatrix, format_rational, make_matrix
+from .matrices import WeightedTreeMatrix, make_matrix
 from .trees import (Family, PieceCert, RootedTree, _family_analysis,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
 
@@ -173,6 +173,7 @@ class RealizationCertificate:
         return len(self.dspec)
 
     def to_json(self) -> dict:
+        from .matrices import format_rational
         return {
             "family": self.family.value,
             "variant": self.variant,

@@ -398,23 +398,25 @@ def seed(family: Family, d: int) -> RootedTree:
     Domains: UNIFORM needs d >= 1, SHORT_CORE d >= 4, MIXED odd d >= 5, and
     the seed may have at most MAX_VERTICES vertices.
     """
+    if family is Family.UNIFORM:
+        if d < 1:
+            raise ValueError("uniform seed needs diameter >= 1")
+        build = _seed_uniform
+    elif family is Family.SHORT_CORE:
+        if d < 4:
+            raise ValueError("short-core seed needs diameter >= 4")
+        build = _seed_short_core
+    elif family is Family.MIXED:
+        if d < 5 or d % 2 == 0:
+            raise ValueError("mixed seed needs odd diameter >= 5")
+        build = _seed_mixed
+    else:
+        raise ValueError(f"no seed for family {family}")
     # a diameter-d tree has over d vertices, so a huge d skips _seed_size
     if d >= MAX_VERTICES or _seed_size(family, d) > MAX_VERTICES:
         raise ValueError(f"the {family.value} seed of diameter {d} has more than "
                          f"the supported {MAX_VERTICES} vertices")
-    if family is Family.UNIFORM:
-        if d < 1:
-            raise ValueError("uniform seed needs diameter >= 1")
-        return _seed_uniform(d)
-    if family is Family.SHORT_CORE:
-        if d < 4:
-            raise ValueError("short-core seed needs diameter >= 4")
-        return _seed_short_core(d)
-    if family is Family.MIXED:
-        if d < 5 or d % 2 == 0:
-            raise ValueError("mixed seed needs odd diameter >= 5")
-        return _seed_mixed(d)
-    raise ValueError(f"no seed for family {family}")
+    return build(d)
 
 
 # ---------------------------------------------------------------------------

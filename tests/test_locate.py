@@ -124,7 +124,7 @@ def assert_matches_reference(m, x, root):
     vals = list(d.values())
     neg, zero = sum(q < 0 for q in vals), sum(q == 0 for q in vals)
     assert out.inertia == (neg, zero, len(vals) - neg - zero)
-    assert counts_at(rooted_at(m, root), -x) == counts_at(m, -x)
+    assert counts_at(rooted_at(m, root), -x) == counts_at(m, -x, root) == counts_at(m, -x)
     # the kernel's own pairs stay reduced with positive denominators
     pairs: dict = {}
     _run(*m.arrays_at(root), x.numerator, x.denominator, pairs)

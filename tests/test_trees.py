@@ -274,6 +274,16 @@ def test_seed_size_is_known_before_the_seed_is_built(monkeypatch):
             seed(Family.UNIFORM, d)
 
 
+def test_a_diameter_outside_the_domain_gets_the_domain_error():
+    # the domain check comes before the size check, also for huge diameters
+    for fam, d, text in ((Family.MIXED, 40, "odd diameter"),
+                         (Family.MIXED, 10 ** 12, "odd diameter"),
+                         (Family.SHORT_CORE, 3, "diameter >= 4"),
+                         (Family.UNSUPPORTED, 10 ** 12, "no seed for family")):
+        with pytest.raises(ValueError, match=text):
+            seed(fam, d)
+
+
 def test_the_vertex_bound_is_on_the_exact_output_size(monkeypatch):
     monkeypatch.setattr(diminimal.trees, "MAX_VERTICES", 16)
     assert seed(Family.UNIFORM, 7).n == 16
