@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
 A reader that closes stdout before all output is written, as `| true`
 does, also gives exit 1, with nothing on stderr; so does a stdout closed at
 startup (`>&-`), for `--help` and for every command that writes to it.
-`seed` and `unfold` refuse, with exit 1, to build a tree of more than
-`trees.MAX_VERTICES` (2**17) vertices.
+Trees of more than `trees.MAX_VERTICES` (2**17) vertices are refused with
+exit 1: `seed` and `unfold` do not build them, and no command reads them.
 All output is deterministic; rationals are printed as p/q (or a bare
 integer), never as floats.
 """

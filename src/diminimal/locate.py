@@ -10,18 +10,20 @@ that single primitive.
 That primitive is one kernel, `_run`, over flat int arrays of the rooted
 tree instead of Fraction objects.  Each value is a reduced (num, den) pair,
 added with Henrici's gcd split and divided with cross-cancellation, so it
-stays exact without per-operation object overhead.
+stays exact without per-operation object overhead.  One pass serves a
+batch of points, each with its own Schur sums and zero-pairing, as in the
+multi-shift bisection of LAPACK's dstebz (Demmel, Dhillon and Ren).
 
 `counts_at`, the one counting routine, runs that elimination with adaptive
 precision, after Shewchuk's adaptive predicates and the interval filters of
 Bronnimann, Burnikel and Pion.  It works in float intervals whose every
 bound is rounded outward by one ulp, so each interval encloses the exact
 value.  Where a vertex interval meets 0 or is not finite, `_run` computes
-that vertex's subtree afresh in exact arithmetic; the exact Schur term goes
-on up as an interval, and an exact 0 pairs with the parent.  So every count
-is exact, and exact work is spent only where floats cannot decide.  At a
-true eigenvalue most vertices need it, so once repairs dominate the pass
-ends in one exact run.
+that vertex's subtree afresh in exact arithmetic, replacing what the pass
+counted in it; the exact Schur term goes on up as an interval, and an
+exact 0 pairs with the parent.  So every count is exact, and exact work is
+spent only where floats cannot decide.  At a true eigenvalue most vertices
+need it, so once repairs dominate the pass ends in one exact run.
 """
 
 from __future__ import annotations
@@ -51,108 +53,110 @@ class DiagOutcome:
     pivots: frozenset[int]
 
 
-def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int],
-         dd: Sequence[int], wn: Sequence[int], wd: Sequence[int], xn: int,
-         xd: int, values: dict[int, tuple[int, int]] | None = None):
+def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int], dd: Sequence[int],
+         wn: Sequence[int], wd: Sequence[int], points: Sequence[tuple[int, int]],
+         values: list[dict] | None = None, pivots: list[list] | None = None) -> list[tuple]:
     """The elimination kernel: bottom-up congruence diagonalization of
-    M + x*I over `order`, a postorder whose last entry is the run's root.
+    M + x*I over `order`, a postorder whose last entry is the run's root, at
+    each point x = xn/xd of `points`, all in one pass.
 
     Vertex k has diagonal dn[k]/dd[k] and squared weight wn[k]/wd[k] on its
-    edge to parent[k]; x = xn/xd.  Fractions are reduced (num, den) int
-    pairs with den > 0.  If no attached child of k carries a zero, k picks
-    up the usual Schur complement; otherwise the smallest-id zero child j
-    is paired with k (j's value becomes 2, k's -w2(j,k)/2) and the edge from
-    k to its parent is cut.  Sums use Henrici's split: with g = gcd(b, q),
-    only a divisor of g can be common to the numerator and the denominator
-    b*q/g of a/b + p/q.  Quotients cross-cancel.
-
-    Returns the sign of every final value keyed by vertex, the vertices at
-    which the pairing rule fired, and the root's final value; `values`, if
-    given, receives every final value.
-    """
-    pivots: list[int] = []
-    # signs, Schur terms pushed to a parent so far (freed once the parent is
-    # done) and the smallest zero child of each parent
-    signs, acc, zero_kid = {}, {}, {}
-    root = order[-1]
+    edge to parent[k]; values are reduced (num, den) int pairs, den > 0.  If
+    no attached child of k carries a zero at a point, k picks up the usual
+    Schur complement there; otherwise the smallest-id zero child j is paired
+    with k (j's value becomes 2, k's -w2(j,k)/2) and k's edge up is cut.
+    Sums use Henrici's split: with g = gcd(b, q), only a divisor of g can be
+    common to the numerator and the denominator b*q/g of a/b + p/q, and
+    quotients cross-cancel.  Returns (negatives, zeros, root value) per
+    point; `values` and `pivots` hold a dict and a list per point, if given,
+    for the final values and the vertices where the pairing rule fired."""
+    idx, blank = range(len(points)), [None] * len(points)
+    neg, zero, top = [0] * len(points), [0] * len(points), blank.copy()
+    # per parent and point: Schur terms pushed up so far, smallest zero child
+    acc, kids, root = {}, {}, order[-1]
     for k in order:
-        if zero_kid and k in zero_kid:
-            j = zero_kid.pop(k)
-            acc.pop(k, None)
-            a, b = (-wn[j], 2 * wd[j]) if wn[j] & 1 else (-(wn[j] >> 1), wd[j])
-            signs[j], signs[k] = 1, -1
-            pivots.append(k)
+        terms, zk = acc.pop(k, None), kids.pop(k, None) if kids else None
+        d, e, up = dn[k], dd[k], None
+        if k != root:
+            pk, wk, vk = parent[k], wn[k], wd[k]
+            if (up := acc.get(pk)) is None:
+                up = acc[pk] = blank.copy()
+        for i in idx:
+            if zk is not None and (j := zk[i]) is not None:
+                a, b = (-wn[j], 2 * wd[j]) if wn[j] & 1 else (-(wn[j] >> 1), wd[j])
+                zero[i], neg[i] = zero[i] - 1, neg[i] + 1
+                if pivots is not None:
+                    pivots[i].append(k)
+                if values is not None:
+                    values[i][j], values[i][k] = (2, 1), (a, b)
+                if up is None:
+                    top[i] = (a, b)
+                continue
+            # a/b = d + x, then + the Schur sum; the sums are inlined on
+            # purpose, the loop body runs once per vertex and point
+            xn, xd = points[i]
+            if xd == 1:
+                a, b = d + xn * e, e
+            elif e == 1:
+                a, b = d * xd + xn, xd
+            else:
+                g = gcd(e, xd)
+                if g == 1:
+                    a, b = d * xd + xn * e, e * xd
+                else:
+                    s = e // g
+                    a = d * (xd // g) + xn * s
+                    g = gcd(a, g)
+                    a, b = (a, s * xd) if g == 1 else (a // g, s * (xd // g))
+            if terms is not None and (t := terms[i]) is not None:
+                p, q = t
+                g = gcd(b, q)
+                if g == 1:
+                    a, b = a * q + p * b, b * q
+                else:
+                    s = b // g
+                    a = a * (q // g) + p * s
+                    g = gcd(a, g)
+                    a, b = (a, s * q) if g == 1 else (a // g, s * (q // g))
             if values is not None:
-                values[j], values[k] = (2, 1), (a, b)
-            continue
-        # a/b = d + x, then + acc[k]; the sums are inlined on purpose, the
-        # loop body runs once per vertex
-        a, b = dn[k], dd[k]
-        if xd == 1:
-            a += xn * b
-        elif b == 1:
-            a, b = a * xd + xn, xd
-        else:
-            g = gcd(b, xd)
-            if g == 1:
-                a, b = a * xd + xn * b, b * xd
+                values[i][k] = (a, b)
+            if up is None:
+                top[i] = (a, b)
+                neg[i], zero[i] = neg[i] + (a < 0), zero[i] + (not a)
+                continue
+            if not a:
+                zero[i] += 1
+                if (z := kids.get(pk)) is None:
+                    z = kids[pk] = blank.copy()
+                if z[i] is None or z[i] > k:
+                    z[i] = k
+                continue
+            # the Schur term -w/(a/b) = -(w*b)/(v*a), cross-cancelled
+            w, v = wk, vk
+            g = gcd(w, a)
+            if g != 1:
+                w, a = w // g, a // g
+            g = gcd(b, v)
+            if g != 1:
+                b, v = b // g, v // g
+            if a > 0:
+                p, q = -w * b, v * a
             else:
-                s = b // g
-                a = a * (xd // g) + xn * s
-                g = gcd(a, g)
-                a, b = (a, s * xd) if g == 1 else (a // g, s * (xd // g))
-        t = acc.pop(k, None)
-        if t is not None:
-            p, q = t
-            g = gcd(b, q)
-            if g == 1:
-                a, b = a * q + p * b, b * q
+                neg[i] += 1
+                p, q = w * b, -v * a
+            if (t := up[i]) is None:
+                up[i] = (p, q)
             else:
-                s = b // g
-                a = a * (q // g) + p * s
-                g = gcd(a, g)
-                a, b = (a, s * q) if g == 1 else (a // g, s * (q // g))
-        if values is not None:
-            values[k] = (a, b)
-        if k == root:
-            signs[k] = (a > 0) - (a < 0)
-            break
-        pk = parent[k]
-        if not a:
-            signs[k] = 0
-            if zero_kid.get(pk, k) >= k:
-                zero_kid[pk] = k
-            continue
-        # the Schur term -w/(a/b) = -(w*b)/(v*a), cross-cancelled
-        w, v = wn[k], wd[k]
-        g = gcd(w, a)
-        if g != 1:
-            w, a = w // g, a // g
-        g = gcd(b, v)
-        if g != 1:
-            b, v = b // g, v // g
-        signs[k] = 1 if a > 0 else -1
-        p, q = (-w * b, v * a) if a > 0 else (w * b, -v * a)
-        t = acc.get(pk)
-        if t is None:
-            acc[pk] = (p, q)
-        else:
-            r, s = t
-            g = gcd(s, q)
-            if g == 1:
-                acc[pk] = (r * q + p * s, s * q)
-            else:
-                s //= g
-                r = r * (q // g) + p * s
-                g = gcd(r, g)
-                acc[pk] = (r, s * q) if g == 1 else (r // g, s * (q // g))
-    return signs, pivots, (a, b)
-
-
-def _counts(signs: dict[int, int]) -> CountsAt:
-    s = list(signs.values())
-    neg, zero = s.count(-1), s.count(0)
-    return CountsAt(below=neg, equal=zero, above=len(s) - neg - zero)
+                r, s = t
+                g = gcd(s, q)
+                if g == 1:
+                    up[i] = (r * q + p * s, s * q)
+                else:
+                    s //= g
+                    r = r * (q // g) + p * s
+                    g = gcd(r, g)
+                    up[i] = (r, s * q) if g == 1 else (r // g, s * (q // g))
+    return list(zip(neg, zero, top))
 
 
 def diagonalize(m: WeightedTreeMatrix, x: Fraction) -> DiagOutcome:
@@ -160,13 +164,12 @@ def diagonalize(m: WeightedTreeMatrix, x: Fraction) -> DiagOutcome:
     Exact; never touches floats."""
     x = Fraction(x)
     arr = m.arrays
-    vals: dict[int, tuple[int, int]] = {}
-    signs, pivots, _ = _run(*arr, x.numerator, x.denominator, vals)
-    c = _counts(signs)
+    vals, pivots = {}, []
+    (neg, zero, _), = _run(*arr, ((x.numerator, x.denominator),), [vals], [pivots])
     removed = sorted((min(k, p), max(k, p)) for k in pivots
                      if (p := arr.parent[k]) != -1)
     return DiagOutcome({v: Fraction(*vals[v]) for v in arr.order},
-                       (c.below, c.equal, c.above), tuple(removed),
+                       (neg, zero, m.n - neg - zero), tuple(removed),
                        frozenset(pivots))
 
 
@@ -194,17 +197,17 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
     p = Fraction(point)
     xn, xd = -p.numerator, p.denominator
     arr, fb = m.arrays, m.float_bounds
-    order, parent, dn, dd, wn, wd = arr
+    order, parent, _, _, wn, wd = arr
     nxt, up, down = nextafter, inf, -inf
     slo, shi = enclose(xn, xd)
     # Schur sums collect on top of the diagonal; the extra slot takes the
     # root's term (its parent is -1) and is never read
     alo, ahi = fb.dlo + [0.0], fb.dhi + [0.0]
-    wlo, whi, size = fb.wlo, fb.whi, fb.size
-    # signs (a float sign is kept only if < 0) and, by parent, the smallest
-    # repaired child that is exactly 0
-    signs, zero_kid = {}, {}
-    i = spent = 0
+    wlo, whi, size, pos = fb.wlo, fb.whi, fb.size, fb.pos
+    # float negatives, (postorder position, negatives, zeros) of repairs and
+    # pairings, and by parent the smallest repaired child that is exactly 0
+    negs, fixes, zero_kid = [], [], {}
+    neg_float, spent = negs.append, 0
     for k in order:
         lo = nxt(alo[k] + slo, down)
         hi = nxt(ahi[k] + shi, up)
@@ -216,25 +219,30 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
             ahi[p] = nxt(ahi[p] - nxt(wlo[k] / hi, down), up)
             continue
         if hi < 0.0 and down < lo:
-            signs[k] = -1
+            neg_float(k)
             # -w/v = w/|v| for |v| in [-hi, -lo]
             alo[p] = nxt(alo[p] + nxt(wlo[k] / -lo, down), down)
             ahi[p] = nxt(ahi[p] + nxt(whi[k] / -hi, up), up)
             continue
+        i = pos[k]
         if k in zero_kid:
-            # lo is nan: a repaired child of k is exactly 0, so k pairs
-            # with it and cuts its edge up
-            signs[k], signs[zero_kid[k]] = -1, 1
+            # lo is nan: a repaired child of k is exactly 0, so k pairs with
+            # it (the child turns positive, k negative) and cuts its edge up
+            fixes.append((i, 1, -1))
             continue
-        # k's subtree is the block of the postorder that ends at k; the
-        # kernel runs all of it afresh, blocks repaired before included
-        i = order.index(k, i)
         spent += size[k]
         if spent * _EXACT_SHARE > i:
-            return _counts(_run(*arr, xn, xd)[0])
-        block, _, (a, b) = _run(order[i + 1 - size[k]:i + 1], parent, dn, dd,
-                                wn, wd, xn, xd)
-        signs.update(block)
+            (neg, zero, _), = _run(*arr, ((xn, xd),))
+            return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
+        # k's subtree is the block of the postorder that ends at k; the
+        # kernel runs all of it afresh, so what was counted in it is dropped
+        start = i + 1 - size[k]
+        while negs and pos[negs[-1]] >= start:
+            negs.pop()
+        while fixes and fixes[-1][0] >= start:
+            fixes.pop()
+        (neg, zero, (a, b)), = _run(order[start:i + 1], *arr[1:], ((xn, xd),))
+        fixes.append((i, neg, zero))
         if not a:
             if zero_kid.get(p, k) >= k:
                 zero_kid[p] = k
@@ -243,8 +251,9 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
         t = Fraction(-wn[k] * b, wd[k] * a)
         lo, hi = enclose(t.numerator, t.denominator)
         alo[p], ahi[p] = nxt(alo[p] + lo, down), nxt(ahi[p] + hi, up)
-    s = list(signs.values())
-    neg, zero = s.count(-1), s.count(0)
+    neg, zero = len(negs), 0
+    for _, n, z in fixes:
+        neg, zero = neg + n, zero + z
     return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
 
 
@@ -279,12 +288,14 @@ def counts_within(m: WeightedTreeMatrix, point: Fraction,
     vs = set(vertices)
     if root not in vs:
         raise ValueError("root must belong to the vertex set")
-    arr = m.arrays_at(root)
+    # inertia does not depend on the root: run from the set's topmost vertex
+    arr = m.arrays
     order = [v for v in arr.order if v in vs]
     if len(order) != len(vs) or any(arr.parent[v] not in vs for v in order[:-1]):
         raise ValueError("vertex set does not induce a connected subtree")
     p = Fraction(point)
-    return _counts(_run(order, *arr[1:], -p.numerator, p.denominator)[0])
+    (neg, zero, _), = _run(order, *arr[1:], ((-p.numerator, p.denominator),))
+    return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
 
 
 # ---------------------------------------------------------------------------

@@ -66,14 +66,15 @@ class ElimArrays(NamedTuple):
 
 class FloatBounds(NamedTuple):
     """Per-vertex float lower and upper bounds on the diagonal entries and the
-    squared weights to the parent, indexed like `ElimArrays`, and subtree
-    sizes (a subtree is the block of the postorder that ends at its root)."""
+    squared weights to the parent, indexed like `ElimArrays`, subtree sizes (a
+    subtree is the postorder block ending at its root) and positions."""
 
     dlo: list[float]
     dhi: list[float]
     wlo: list[float]
     whi: list[float]
     size: list[int]
+    pos: list[int]
 
 
 def enclose(p: int, q: int) -> tuple[float, float]:
@@ -133,27 +134,26 @@ class WeightedTreeMatrix:
     @cached_property
     def arrays(self) -> ElimArrays:
         """Kernel arrays for the tree's own root, cached."""
-        return self.arrays_at(self.tree.root)
+        t, wn, wd = self.tree, [0] * self.n, [1] * self.n
+        for (u, v), w in zip(t.edges, self.sq_edge):
+            c = v if t.parent[v] == u else u
+            wn[c], wd[c] = w.numerator, w.denominator
+        return ElimArrays(t.order, t.parent, [q.numerator for q in self.diag],
+                          [q.denominator for q in self.diag], wn, wd)
 
     @cached_property
     def float_bounds(self) -> FloatBounds:
         """Float bounds of `arrays`, cached for the float pass of
         `locate.counts_at`."""
         a = self.arrays
-        parent, size = a.parent, [1] * len(a.order)
+        parent, size, pos = a.parent, [1] * len(a.order), [0] * len(a.order)
         for k in a.order[:-1]:
             size[parent[k]] += size[k]
-        return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd), size)
-
-    def arrays_at(self, root: int) -> ElimArrays:
-        """Kernel arrays for the tree rerooted at `root`, built afresh."""
-        t = reroot(self.tree, root)
-        wn, wd = [0] * t.n, [1] * t.n
-        for (u, v), w in zip(self.tree.edges, self.sq_edge):
-            c = v if t.parent[v] == u else u
-            wn[c], wd[c] = w.numerator, w.denominator
-        return ElimArrays(t.order, t.parent, [q.numerator for q in self.diag],
-                          [q.denominator for q in self.diag], wn, wd)
+        # the positions are the id ints of the order, so no int is made
+        for i, k in zip(sorted(a.order), a.order):
+            pos[k] = i
+        return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd),
+                           size, pos)
 
 
 def make_matrix(tree: RootedTree, diag: Sequence[Fraction | int | str],

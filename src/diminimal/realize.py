@@ -18,9 +18,10 @@ Joining blocks is the single primitive: one shared squared weight attaches
 every part root to the core root, chosen so the assembled block gains a
 prescribed eigenvalue strictly beyond all block spectra.  The two extreme
 block eigenvalues merge into the interior and a new extreme value appears on
-the opposite side, with its position forced exactly by the trace.  Every
-assembled block is verified by exact counts before the next join uses it,
-and the last one by `verify_certificate` on the finished matrix, both by
+the opposite side, with its position forced exactly by the trace.  Each join
+runs the exact kernel once per block it takes in, at the block's claimed
+values and the pin point, and the finished matrix gets one run at all d+1
+values in `verify_certificate`; both check the claims by
 `_spectrum_problems`, so a construction bug cannot survive to the returned
 certificate.
 
@@ -41,11 +42,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
-# counts_at, diagonalize and join are unused here; bench/spans.py wraps
-# them as realize attributes
-from .locate import CountsAt, _counts, _run, counts_at, diagonalize
+# bench/spans.py wraps _run, counts_at, diagonalize and join as realize
+# attributes, so all four are imported here; only _run is used
+from .locate import _run, counts_at, diagonalize
 from .matrices import WeightedTreeMatrix, make_matrix
 from .trees import (Family, PieceCert, RootedTree, _family_analysis,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
@@ -122,7 +123,7 @@ def _ladder_levels(a: int, span: int, k: int) -> list[tuple[int, ...]]:
 def _delta_squared(core_root_value: Fraction, part_root_values: Sequence[Fraction]) -> Fraction:
     """Shared squared weight that zeroes out the assembled root at the pin
     point: core value divided by the sum of part value reciprocals."""
-    s = sum(Fraction(1) / q for q in part_root_values)
+    s = sum(Fraction(q.denominator, q.numerator) for q in part_root_values)
     return core_root_value / s
 
 
@@ -237,17 +238,16 @@ class _Builder:
     def step(self, j: int) -> int:
         return (self.beta - self.alpha) >> j
 
-    # -- restricted runs over the partially built matrix -------------------
-
-    def _restricted(self, order: Sequence[int], lam: int):
-        """Kernel run of (block - lam/q*I) over a block's postorder."""
-        x = self.frac(lam)
-        return _run(order, *self.arrays, -x.numerator, x.denominator)
-
-    def _root_final(self, block: _Block, y: int, side: str) -> Fraction:
-        signs, _, (a, b) = self._restricted(block.order, y)
-        want = -1 if side == "max" else 1
-        if any(q != want for q in signs.values()):
+    def _consume(self, blk: _Block, y: int, side: str) -> Fraction:
+        """One kernel run of a block a join takes in, at its claimed values and
+        the pin point y: it proves the claims and that y lies strictly beyond
+        the spectrum on `side`, and gives the root's value at y."""
+        points = _points((*blk.spec, (self.frac(y), 1)))
+        *counts, (neg, zero, (a, b)) = _run(blk.order, *self.arrays, points)
+        problems = _spectrum_problems(blk.spec, counts, len(blk.order))
+        if problems:
+            raise RuntimeError(f"block at {blk.root}: " + "; ".join(problems))
+        if zero or neg != (len(blk.order) if side == "max" else 0):
             beyond = "above" if side == "max" else "below"
             raise ValueError(f"pin point {self.frac(y)} is not strictly {beyond} "
                              f"a block spectrum")
@@ -323,11 +323,8 @@ class _Builder:
 
     def join_blocks(self, core: _Block, parts: list[_Block], y: int,
                     side: str, expect_forced: int | None = None) -> _Block:
-        for used in (core, *parts):
-            if len(used.vertices) > 1:
-                self._verify_block(used)
-        dc = self._root_final(core, y, side)
-        dp = [self._root_final(p, y, side) for p in parts]
+        dc = self._consume(core, y, side)
+        dp = [self._consume(p, y, side) for p in parts]
         d2 = _delta_squared(dc, dp)
         if d2 <= 0:
             raise RuntimeError(f"solved squared weight {d2} is not positive")
@@ -371,15 +368,6 @@ class _Builder:
         ))
         return blk
 
-    def _verify_block(self, blk: _Block) -> None:
-        """Exact check that the block's spectrum is the predicted multiset.
-        `join_blocks` checks each joined block here before it joins it into
-        the next one; the last block is checked instead by
-        `verify_certificate` on the finished matrix, with the same claims."""
-        problems = _spectrum_problems(blk.spec, blk.order, *self.arrays)
-        if problems:
-            raise RuntimeError(f"block at {blk.root}: " + "; ".join(problems))
-
     # -- deep structural checks ----------------------------------------------
 
     def _deep_checks(self, blk: _Block, variant: Variant,
@@ -402,8 +390,9 @@ class _Builder:
             zero_at = [vals[2 * i + 1] for i in range(level)] + [vals[2 * level + 1] + shift]
             incr_at = [vals[2 * i] for i in range(1, level + 1)]
 
-        for lam in zero_at:
-            if self._restricted(blk.order, lam)[2][0] != 0:
+        runs = _run(blk.order, *self.arrays, _points((self.frac(lam), 1) for lam in zero_at))
+        for lam, (_, _, (a, _)) in zip(zero_at, runs):
+            if a != 0:
                 raise RuntimeError(f"block at {blk.root}: no zero at the root "
                                    f"at {self.frac(lam)}")
 
@@ -415,15 +404,15 @@ class _Builder:
         comps: dict[int, list[int]] = {}
         for v in blk.order[:-1]:
             comps.setdefault(top[v], []).append(v)
-        for lam in incr_at:
-            signs, pivots, _ = self._restricted(blk.order, lam)
-            equal = _counts(signs).equal
-            after = sum(_counts(self._restricted(comp, lam)[0]).equal
-                        for comp in comps.values())
+        points, pivots = _points((self.frac(lam), 1) for lam in incr_at), [[] for _ in incr_at]
+        whole = _run(blk.order, *self.arrays, points, pivots=pivots)
+        parts = [_run(comp, *self.arrays, points) for comp in comps.values()]
+        for i, lam in enumerate(incr_at):
+            equal, after = whole[i][1], sum(run[i][1] for run in parts)
             if after != equal + 1:
                 raise RuntimeError(f"block at {blk.root}: {equal} -> {after} zeros "
                                    f"at {self.frac(lam)}")
-            if blk.root not in pivots:
+            if blk.root not in pivots[i]:
                 raise RuntimeError(f"block at {blk.root}: no pairing at the root "
                                    f"at {self.frac(lam)}")
 
@@ -598,30 +587,28 @@ def realize_integral(t: RootedTree, alpha: Fraction,
     return cert
 
 
-def _exact_counts(order, parent, dn, dd, wn, wd, point) -> CountsAt:
-    """counts_at's answer from one exact kernel run over `order`.  At a
-    claimed eigenvalue counts_at's float pass nearly always gives up late
-    and ends in that same run, so it would only add its own cost."""
-    return _counts(_run(order, parent, dn, dd, wn, wd,
-                        -point.numerator, point.denominator)[0])
+def _points(spec: Iterable[tuple[Fraction, int]]) -> list[tuple[int, int]]:
+    """Kernel points x = -v for the values v of (value, multiplicity) pairs:
+    M + x*I is singular where v is an eigenvalue."""
+    return [(-v.numerator, v.denominator) for v, _ in spec]
 
 
-def _spectrum_problems(spec: Sequence[tuple[Fraction, int]], order, *arrays) -> list[str]:
+def _spectrum_problems(spec: Sequence[tuple[Fraction, int]], counts: list, n: int) -> list[str]:
     """Failures of the claim that `spec`, (value, multiplicity) pairs in
-    increasing order, is the spectrum over `order` of kernel arrays (parent,
-    dn, dd, wn, wd): each multiplicity, their sum, nothing below the first
-    or above the last value.  One exact count per value; ints will do."""
-    counts = [_exact_counts(order, *arrays, lam) for lam, _ in spec]
-    problems = [f"claimed multiplicity {mult} at {lam}, measured {c.equal}"
-                for (lam, mult), c in zip(spec, counts) if c.equal != mult]
+    increasing order, is the spectrum of an order-n matrix with the kernel
+    `counts` at the values: each multiplicity, their sum, nothing below the
+    first or above the last value."""
+    problems = [f"claimed multiplicity {mult} at {lam}, measured {c[1]}"
+                for (lam, mult), c in zip(spec, counts) if c[1] != mult]
     total = sum(mult for _, mult in spec)
-    if total != len(order):
-        problems.append(f"multiplicities sum to {total}, matrix order is {len(order)}")
+    if total != n:
+        problems.append(f"multiplicities sum to {total}, matrix order is {n}")
     if counts:
-        if counts[0].below != 0:
-            problems.append(f"{counts[0].below} eigenvalues below the claimed minimum")
-        if counts[-1].above != 0:
-            problems.append(f"{counts[-1].above} eigenvalues above the claimed maximum")
+        if counts[0][0] != 0:
+            problems.append(f"{counts[0][0]} eigenvalues below the claimed minimum")
+        above = n - counts[-1][0] - counts[-1][1]
+        if above != 0:
+            problems.append(f"{above} eigenvalues above the claimed maximum")
     return problems
 
 
@@ -630,7 +617,7 @@ def verify_certificate(m: WeightedTreeMatrix,
     """Re-derive every spectral claim of a certificate from the matrix
     alone.  Returns a list of human-readable failures; empty means the
     certificate holds."""
-    problems = _spectrum_problems(dspec, *m.arrays)
+    problems = _spectrum_problems(dspec, _run(*m.arrays, _points(dspec)), m.n)
     values = [v for v, _ in dspec]
     if sorted(values) != values or len(set(values)) != len(values):
         problems.insert(0, "dspec values are not strictly increasing")

@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-# the largest tree `seed` and `duplicate_branch` build; they refuse more
+# `seed`, `duplicate_branch` and `tree_from_json` refuse larger trees
 MAX_VERTICES = 2 ** 17
 
 
@@ -646,6 +646,8 @@ def tree_from_json(obj: dict) -> RootedTree:
         edges = [(json_int(u), json_int(v)) for u, v in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tree object: {exc}") from exc
+    if n > MAX_VERTICES:
+        raise ValueError(f"tree claims {n} vertices, more than the supported {MAX_VERTICES}")
     if n != len(edges) + 1:
         raise ValueError(f"tree claims {n} vertices but has {len(edges)} edges")
     return build_tree(edges, root)

@@ -311,6 +311,30 @@ def test_outputs_above_the_vertex_bound_are_refused(tmp_path, capsys, command):
     assert "more than the supported 131072" in err
 
 
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_files_above_the_vertex_bound_are_refused(tmp_path, capsys, monkeypatch,
+                                                  command):
+    # the 24-vertex uniform seed of diameter 8 and its matrix, read with the
+    # bound patched down to 16
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps(tree_to_json(seed(Family.UNIFORM, 8))))
+    tree = str(tree)
+    mat = str(tmp_path / "m.json")
+    assert run_cli("construct", "--tree", tree, "--alpha", "0", "--beta", "32",
+                   "--out", mat) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(diminimal.trees, "MAX_VERTICES", 16)
+    argv = {
+        "construct": ["construct", "--tree", tree, "--alpha", "0", "--beta", "32"],
+        "verify": ["verify", "--matrix", mat],
+    }[command]
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_error_line_in(err)
+    assert "tree claims 24 vertices, more than the supported 16" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["seed", "--family", "uniform", "--diameter", "5"],
     ["seed", "--family", "uniform", "--diameter", "5", "--out", "{dir}/s.json"],

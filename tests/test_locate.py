@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (random_matrix, random_tree, reference_elimination,
-                     reference_isolate, rooted_at, subtree_ids)
+from helpers import (CORPUS_CELLS, random_matrix, random_tree, random_unfolding,
+                     reference_elimination, reference_isolate, rooted_at,
+                     subtree_ids)
 
 import diminimal.locate as locate
 from diminimal import (
@@ -114,6 +115,9 @@ HUGE = tree_matrices(
     st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
     st.builds(F, st.integers(1, BIG), st.integers(1, BIG)), max_n=8)
 
+MIXED = tree_matrices(st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+                      st.builds(F, st.integers(1, 16), st.integers(1, 4)), max_n=20)
+
 
 def assert_matches_reference(m, x, root):
     out = diagonalize(rooted_at(m, root), x)
@@ -127,7 +131,7 @@ def assert_matches_reference(m, x, root):
     assert counts_at(rooted_at(m, root), -x) == counts_at(m, -x, root) == counts_at(m, -x)
     # the kernel's own pairs stay reduced with positive denominators
     pairs: dict = {}
-    _run(*m.arrays_at(root), x.numerator, x.denominator, pairs)
+    _run(*rooted_at(m, root).arrays, [(x.numerator, x.denominator)], [pairs])
     assert all(b > 0 and gcd(a, b) == 1 for a, b in pairs.values())
 
 
@@ -143,6 +147,44 @@ def test_kernel_matches_reference_at_every_root(m, x):
 def test_kernel_matches_reference_on_200_bit_entries(m, x):
     assert_matches_reference(m, x, m.tree.root)
     assert_matches_reference(m, x, m.n - 1)
+
+
+def assert_batch_is_single_runs(arr, points):
+    """One kernel run over a batch of points gives, at each point, what a
+    run at that point alone gives: counts, root value, values and pivots."""
+    values, pivots = [{} for _ in points], [[] for _ in points]
+    batch = _run(*arr, points, values, pivots)
+    assert len(batch) == len(points)
+    for i, p in enumerate(points):
+        vals, piv = {}, []
+        assert [batch[i]] == _run(*arr, [p], [vals], [piv])
+        assert values[i] == vals and pivots[i] == piv
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(SMALL, MIXED), st.lists(st.builds(F, st.integers(-20, 20),
+                                                   st.integers(1, 4)), max_size=6))
+def test_a_batch_of_points_is_single_point_runs_at_every_root(m, xs):
+    # x = -d_v makes vertex v's own entry 0, so leaves and whole subtrees
+    # hit exact zeros and the pairing rule at some points but not others
+    xs = xs + [-q for q in m.diag[:4]] + [F(0)]
+    for r in range(m.n):
+        assert_batch_is_single_runs(rooted_at(m, r).arrays,
+                                    [(x.numerator, x.denominator) for x in xs])
+
+
+@pytest.mark.parametrize("family, d", [(Family.UNIFORM, 5), (Family.SHORT_CORE, 8),
+                                       (Family.MIXED, 7)])
+def test_a_batch_at_claimed_values_is_single_point_runs_at_every_root(family, d):
+    # at a claimed value of a seed's construction many vertices are exactly
+    # 0, each pairing with its parent at that point only
+    cert = realize_family(seed(family, d), 0, 32)
+    m = cert.matrix
+    xs = [-v for v, _ in cert.dspec] + [F(1, 3)]
+    xs += [-v - F(1, 2 ** 40) for v, _ in cert.dspec[:2]]
+    for r in range(m.n):
+        assert_batch_is_single_runs(rooted_at(m, r).arrays,
+                                    [(x.numerator, x.denominator) for x in xs])
 
 
 @settings(max_examples=150, deadline=None)
@@ -302,8 +344,6 @@ def assert_subtree_blocks(m, runs):
         assert len(run) == size[run[-1]] and run == order[end - len(run):end]
 
 
-MIXED = tree_matrices(st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
-                      st.builds(F, st.integers(1, 16), st.integers(1, 4)), max_n=20)
 POINTS = st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 8)), max_size=12)
 
 
@@ -419,6 +459,24 @@ def test_counts_at_nests_repairs_at_constructed_eigenvalues(family, d, exact_run
         assert_subtree_blocks(m, exact_runs)
         nested += any(set(a) < set(b) for a, b in zip(exact_runs, exact_runs[1:]))
     assert nested >= (d - 1) // 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([c for c in CORPUS_CELLS if c[1] >= 3]),
+       st.randoms(use_true_random=False), st.data())
+def test_counts_at_matches_the_reference_where_repairs_nest(cell, rng, data):
+    # constructed eigenvalues of random unfoldings, rooted at the
+    # construction's root and anywhere else: without the switch to one
+    # exact run the zero subtrees are repaired one inside the other
+    fam, d = cell
+    cert = realize_family(random_unfolding(seed(fam, d), rng, 4, cap=60), 0, 32)
+    m = cert.matrix
+    mr = rooted_at(m, data.draw(st.integers(0, m.n - 1)))
+    with mock.patch.object(locate, "_EXACT_SHARE", 0):
+        for v, mult in cert.dspec:
+            for mm in (m, mr):
+                c = counts_at(mm, v)
+                assert c == reference_counts(mm, v) and c.equal == mult
 
 
 # a root with eight nonzero leaves and a zero path of 22 vertices below it:

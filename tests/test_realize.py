@@ -359,15 +359,17 @@ def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
     c = realize_family(seed(Family.SHORT_CORE, 7), 0, 32)
     seen = []
 
-    real = diminimal.realize._exact_counts
+    real = diminimal.realize._run
 
-    def spy(*arrays_and_point):
-        seen.append(arrays_and_point[-1])
-        return real(*arrays_and_point)
+    def spy(order, *arrays_and_points):
+        seen.append((tuple(order), list(arrays_and_points[5])))
+        return real(order, *arrays_and_points)
 
-    monkeypatch.setattr(diminimal.realize, "_exact_counts", spy)
+    monkeypatch.setattr(diminimal.realize, "_run", spy)
     assert verify_certificate(c.matrix, c.dspec) == []
-    assert seen == [v for v, _ in c.dspec]
+    # one run over the whole tree, at every claimed value
+    assert seen == [(c.matrix.arrays.order,
+                     [(-v.numerator, v.denominator) for v, _ in c.dspec])]
     # the extreme-value checks reuse those counts
     low = ((c.dspec[0][0] + 1, c.dspec[0][1]),) + c.dspec[1:]
     problems = verify_certificate(c.matrix, low)
@@ -379,15 +381,15 @@ def test_finish_refuses_what_verify_certificate_refuses(monkeypatch):
     # multiplicity, sum and diameter check; only the extreme check sees it.
     # Only whole-tree runs are falsified, so the joined blocks pass their
     # checks and _finish is the one that refuses.
-    real = diminimal.realize._exact_counts
+    real = diminimal.realize._run
 
-    def one_below(order, parent, *arrays_and_point):
-        c = real(order, parent, *arrays_and_point)
+    def one_below(order, parent, *arrays_and_points):
+        runs = real(order, parent, *arrays_and_points)
         if len(order) < len(parent):
-            return c
-        return diminimal.CountsAt(c.below + 1, c.equal, c.above - 1)
+            return runs
+        return [(neg + 1, zero, top) for neg, zero, top in runs]
 
-    monkeypatch.setattr(diminimal.realize, "_exact_counts", one_below)
+    monkeypatch.setattr(diminimal.realize, "_run", one_below)
     with pytest.raises(RuntimeError, match="^1 eigenvalues below the claimed minimum"):
         realize_family(seed(Family.UNIFORM, 5), 0, 4)
 
@@ -396,13 +398,14 @@ def test_certificate_guards_survive_python_O():
     # under -O a plain assert would vanish and let a certificate through
     code = (
         "import diminimal.realize as r\n"
-        "from diminimal import CountsAt, Family, seed\n"
-        "real = r._exact_counts\n"
-        "def fake(order, parent, *arrays_and_point):\n"
+        "from diminimal import Family, seed\n"
+        "real = r._run\n"
+        "def fake(order, parent, *arrays_and_points):\n"
+        "    runs = real(order, parent, *arrays_and_points)\n"
         "    if len(order) < len(parent):\n"
-        "        return real(order, parent, *arrays_and_point)\n"
-        "    return CountsAt(0, len(order), 0)\n"
-        "r._exact_counts = fake\n"
+        "        return runs\n"
+        "    return [(0, len(order), top) for _, _, top in runs]\n"
+        "r._run = fake\n"
         "try:\n"
         "    r.realize_family(seed(Family.UNIFORM, 5), 0, 4)\n"
         "except RuntimeError as exc:\n"
@@ -446,6 +449,21 @@ def test_a_wrong_first_join_is_refused_by_the_block_check(monkeypatch, fam, d):
         realize_family(seed(fam, d), 0, 32)
 
 
+def test_a_pin_point_not_beyond_the_block_spectra_is_refused(monkeypatch):
+    # alpha is in every block spectrum; the run that checks a block's claims
+    # also shows that the pin point is not beyond them
+    real = diminimal.realize._Builder._pin
+
+    def alpha_pin(self, variant, shift, level):
+        _, side, forced = real(self, variant, shift, level)
+        return self.alpha, side, forced
+
+    monkeypatch.setattr(diminimal.realize._Builder, "_pin", alpha_pin)
+    with pytest.raises(ValueError, match=r"^pin point 0 is not strictly (above|below) "
+                                         r"a block spectrum"):
+        realize_family(seed(Family.UNIFORM, 5), 0, 32)
+
+
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_wrong_last_join_is_refused_by_finish(monkeypatch, fam, d):
     t = seed(fam, d)
@@ -457,18 +475,31 @@ def test_a_wrong_last_join_is_refused_by_finish(monkeypatch, fam, d):
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_each_joined_block_but_the_last_is_checked_once(monkeypatch, fam, d):
-    real, checked = diminimal.realize._Builder._verify_block, []
+    real, runs = diminimal.realize._run, []
 
-    def spy(self, blk):
-        checked.append(blk.vertices)
-        return real(self, blk)
+    def spy(order, *arrays_and_points):
+        runs.append((tuple(sorted(order)), list(arrays_and_points[5])))
+        return real(order, *arrays_and_points)
 
-    monkeypatch.setattr(diminimal.realize._Builder, "_verify_block", spy)
+    monkeypatch.setattr(diminimal.realize, "_run", spy)
     c = realize_family(seed(fam, d), 0, 32)
     joined = [tuple(sorted(rec.core_vertices + sum((v for _, v, _ in rec.parts), ())))
               for rec in c.assemblies]
     assert joined[-1] == tuple(range(c.matrix.n))
+    checked = [v for v, _ in runs[:-1] if len(v) > 1]
     assert sorted(checked) == sorted(joined[:-1])
+
+    # each join runs every block it consumes once, at the block's claimed
+    # values and the pin point; verify_certificate runs the whole tree once
+    def points(spec, *extra):
+        return [(-v.numerator, v.denominator) for v in [v for v, _ in spec] + list(extra)]
+
+    want = []
+    for rec in c.assemblies:
+        want.append((rec.core_vertices, points(rec.core_pred, rec.y)))
+        want += [(v, points(spec, rec.y)) for _, v, spec in rec.parts]
+    want.append((tuple(range(c.matrix.n)), points(c.dspec)))
+    assert runs == want
 
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH + [(Family.UNIFORM, 8)])

@@ -297,6 +297,18 @@ def test_the_vertex_bound_is_on_the_exact_output_size(monkeypatch):
         duplicate_branch(t, 0, 1, 4)
 
 
+def test_json_trees_above_the_vertex_bound_are_refused(monkeypatch):
+    monkeypatch.setattr(diminimal.trees, "MAX_VERTICES", 16)
+    path = {"n": 16, "root": 0, "edges": [[v, v + 1] for v in range(15)]}
+    assert tree_from_json(path).n == 16
+    with pytest.raises(ValueError, match="tree claims 17 vertices, more than the "
+                                         "supported 16"):
+        tree_from_json({**path, "n": 17, "edges": path["edges"] + [[15, 16]]})
+    # refused on the claim alone, before the edge count or the tree
+    with pytest.raises(ValueError, match="tree claims 10000000000 vertices"):
+        tree_from_json({**path, "n": 10 ** 10})
+
+
 def test_seed_domain_errors():
     with pytest.raises(ValueError):
         seed(Family.UNIFORM, 0)
