@@ -4,7 +4,7 @@ The engine performs a bottom-up congruence diagonalization of M + x*I over
 the rationals.  By Sylvester's law of inertia the signs of the resulting
 final values count the eigenvalues of M on either side of -x, and the zeros
 count the multiplicity of -x itself.  Everything else in this module
-(interval counts, bisection isolation, Parter vertex search) is built on
+(interval counts, isolation, Parter vertex search) is built on
 that single primitive.
 
 That primitive is one kernel, `_run`, over flat int arrays of the rooted
@@ -24,13 +24,16 @@ counted in it; the exact Schur term goes on up as an interval, and an
 exact 0 pairs with the parent.  So every count is exact, and exact work is
 spent only where floats cannot decide.  At a true eigenvalue most vertices
 need it, so once repairs dominate the pass ends in one exact run.
+
+`isolate_eigenvalues` filters one level up: LAPACK's float eigenvalues
+choose where to count, and exact counts prove every interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, isqrt, nan, nextafter
+from math import ceil, gcd, inf, isqrt, nan, nextafter
 from typing import Collection, Sequence
 
 from .matrices import WeightedTreeMatrix, delete_vertex, enclose
@@ -302,26 +305,16 @@ def counts_within(m: WeightedTreeMatrix, point: Fraction,
 # Bounds and isolation
 # ---------------------------------------------------------------------------
 
-def _sqrt_upper(q: Fraction) -> Fraction:
-    """Rational upper bound on sqrt(q), rounded up onto the 10**-6 grid."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    num, den = q.numerator, q.denominator
-    # isqrt(num*den) + 1 over den always exceeds sqrt(num/den)
-    r = Fraction(isqrt(num * den) + 1, den)
-    grid = 10 ** 6
-    return Fraction(-(-(r.numerator * grid) // r.denominator), grid)
-
-
 def gershgorin_bound(m: WeightedTreeMatrix) -> Fraction:
-    """Rational B with every eigenvalue in [-B, B]."""
-    best = Fraction(0)
-    for v in range(m.n):
-        row = abs(m.diag[v])
-        for u in m.tree.adjacency[v]:
-            row += _sqrt_upper(m.sq_weight[(min(u, v), max(u, v))])
-        best = max(best, row)
-    return best
+    """Rational B with every eigenvalue in [-B, B]: the largest row sum of
+    |diag| and its edges' sqrt(w2), each rounded up onto the 10**-6 grid
+    from (isqrt(num*den) + 1)/den, once per edge, in int grid steps."""
+    grid, steps = 10 ** 6, [0] * m.n
+    for (u, v), w in zip(m.tree.edges, m.sq_edge):
+        r = -(-(isqrt(w.numerator * w.denominator) + 1) * grid // w.denominator)
+        steps[u], steps[v] = steps[u] + r, steps[v] + r
+    return max(Fraction(abs(q.numerator) * grid + r * q.denominator, q.denominator * grid)
+               for q, r in zip(m.diag, steps))
 
 
 @dataclass(frozen=True)
@@ -333,33 +326,57 @@ class IsolatedInterval:
     count: int
 
 
+# a float estimate e stands for an eigenvalue within this * max(1, max |e|)
+_ESTIMATE_TOL = 1e-9
+
+
 def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[IsolatedInterval]:
     """Cover the spectrum with disjoint half-open intervals of length at most
-    `width`, each carrying the exact number of eigenvalues it contains.
-    Intervals with zero count are discarded.  Bisection over (lo, hi]
-    needs one count per split point."""
+    `width`, each carrying the exact number of eigenvalues it contains: the
+    nonempty cells (-B-1 + c*l, -B-1 + (c+1)*l] of the grid with B the
+    Gershgorin bound and l = (2B+1)/2**L <= width, L least.  The cuts around
+    the cells near each of LAPACK's estimates (`m.float_spectrum`) are
+    counted, then each segment between counted cuts that holds eigenvalues
+    is bisected down to single cells.  Every count is a difference of exact
+    counts, so a wrong estimate costs counts, never a wrong interval; with
+    no estimates this is bisection from (-B-1, B]."""
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     bound = gershgorin_bound(m)
-    # (a, b, eigenvalues in (a, b], eigenvalues <= a), sorted by a; none
-    # lies at or below -bound - 1 and all n at or below bound.  Every
-    # interval of a level has the same length.
-    level = [(-bound - 1, bound, m.n, 0)]
-    length = 2 * bound + 1
-    while length > width:
-        length /= 2
-        split = []
-        for a, b, k, below in level:
-            mid = a + length
-            c = counts_at(m, mid)
-            left = c.below + c.equal - below
-            if left:
-                split.append((a, mid, left, below))
-            if k - left:
-                split.append((mid, b, k - left, below + left))
-        level = split
-    return [IsolatedInterval(a, b, k) for a, b, k, _ in level]
+    # cut c is (c*span - base)/den; 2**L is the least power of 2 >= (2B+1)/width
+    p, q = bound.numerator, bound.denominator
+    span = 2 * p + q
+    cells = 1 << (-(-span * width.denominator // (width.numerator * q)) - 1).bit_length()
+    base, den = (p + q) * cells, q * cells
+    try:
+        est = m.float_spectrum.values
+        tol = _ESTIMATE_TOL * max(1.0, max(map(abs, est)))
+        x0, per = float(-bound - 1), float(Fraction(den, span))  # cells per unit
+        # the cut below the cell of e - tol and the cut above that of e + tol
+        near = [ceil((e + t - x0) * per) - (t < 0) for e in est for t in (-tol, tol)]
+    except (OverflowError, ValueError, RuntimeError):
+        near = []  # overflow, LinAlgError, ceil(nan), OracleError: no estimates
+    marks = sorted({0, cells, *(min(max(c, 0), cells) for c in near)})
+    # counted cut -> (its point, eigenvalues at or below it)
+    at = {0: (-bound - 1, 0), cells: (bound, m.n)}
+
+    def count(c: int) -> None:
+        got = counts_at(m, x := Fraction(c * span - base, den))
+        at[c] = (x, got.below + got.equal)
+
+    for c in marks[1:-1]:
+        count(c)
+    out, todo = [], list(zip(marks, marks[1:]))[::-1]
+    while todo:
+        a, b = todo.pop()
+        if k := at[b][1] - at[a][1]:
+            if b - a == 1:
+                out.append(IsolatedInterval(at[a][0], at[b][0], k))
+            else:
+                count(mid := (a + b) // 2)
+                todo += [(mid, b), (a, mid)]
+    return out
 
 
 # ---------------------------------------------------------------------------

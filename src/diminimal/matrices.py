@@ -155,6 +155,19 @@ class WeightedTreeMatrix:
         return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd),
                            size, pos)
 
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """`to_dense_float(self)`, cached read-only (an OverflowError is not)."""
+        (a := to_dense_float(self)).flags.writeable = False
+        return a
+
+    @cached_property
+    def float_spectrum(self):
+        """The oracle's `dense_eigenvalues(self.dense)`, cached (an error is
+        not): `compare_counts` reads it, and isolation takes estimates."""
+        from . import oracle  # oracle imports this module
+        return oracle.dense_eigenvalues(self.dense)
+
 
 def make_matrix(tree: RootedTree, diag: Sequence[Fraction | int | str],
                 sq_edge: Mapping[tuple[int, int], Fraction | int | str]) -> WeightedTreeMatrix:
@@ -206,7 +219,7 @@ def delete_vertex(m: WeightedTreeMatrix, v: int) -> list[WeightedTreeMatrix]:
 
 def to_dense_float(m: WeightedTreeMatrix) -> np.ndarray:
     """Float expansion: diagonal as-is, off-diagonals +sqrt of the stored
-    squared weights.  Only the oracle should ever need this."""
+    squared weights.  Its spectrum is a witness or an estimate, never a count."""
     a = np.zeros((m.n, m.n), dtype=float)
     for i, q in enumerate(m.diag):
         a[i, i] = float(q)

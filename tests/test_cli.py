@@ -225,6 +225,36 @@ def test_isolate(tmp_path, capsys):
     assert sum(counts) == 6
 
 
+def test_isolate_deep_cells_sum_to_n(tmp_path, capsys):
+    tree, mat = tmp_path / "t.json", tmp_path / "m.json"
+    run_cli("seed", "--family", "uniform", "--diameter", "7", "--out", str(tree))
+    run_cli("construct", "--tree", str(tree), "--alpha", "0", "--beta", "32",
+            "--out", str(mat))
+    capsys.readouterr()
+    assert run_cli("isolate", "--matrix", str(mat), "--width", f"1/{10**40}") == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 8
+    assert sum(int(ln.rsplit("count=", 1)[1]) for ln in lines) == 16
+
+
+def test_cross_check_builds_one_float_spectrum(tmp_path, capsys, monkeypatch):
+    import diminimal.matrices as matrices
+    import diminimal.oracle as oracle
+    tree, mat = tmp_path / "t.json", tmp_path / "m.json"
+    run_cli("seed", "--family", "uniform", "--diameter", "7", "--out", str(tree))
+    run_cli("construct", "--tree", str(tree), "--alpha", "0", "--beta", "32",
+            "--out", str(mat))
+    capsys.readouterr()
+    calls = []
+    for mod, name in ((matrices, "to_dense_float"), (oracle, "dense_eigenvalues")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    assert run_cli("verify", "--matrix", str(mat), "--cross-check") == 0
+    assert "ok: 8 distinct eigenvalues" in capsys.readouterr().out
+    assert calls == ["to_dense_float", "dense_eigenvalues"]
+
+
 def test_locate_accepts_bare_matrix_json(tmp_path, capsys):
     mat = tmp_path / "m.json"
     mat.write_text(json.dumps({

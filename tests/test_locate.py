@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 from unittest import mock
 
 import numpy as np
@@ -12,9 +12,12 @@ from helpers import (CORPUS_CELLS, random_matrix, random_tree, random_unfolding,
                      reference_elimination, reference_isolate, rooted_at,
                      subtree_ids)
 
+import diminimal
 import diminimal.locate as locate
 from diminimal import (
     Family,
+    FloatSpectrum,
+    WeightedTreeMatrix,
     build_tree,
     count_in_interval,
     counts_at,
@@ -645,14 +648,102 @@ def test_isolate_eigenvalues_random():
                        for iv in ivs)
 
 
-def test_isolate_matches_depth_first_reference():
+def _sqrt_up(w):
+    """sqrt(w) rounded up onto the 10**-6 grid from (isqrt(num*den) + 1)/den."""
+    r = F(isqrt(w.numerator * w.denominator) + 1, w.denominator)
+    return F(-(-(r.numerator * 10**6) // r.denominator), 10**6)
+
+
+def test_gershgorin_bound_matches_the_row_definition():
+    # the per-vertex definition, one rounded sqrt per row entry, on entries
+    # from 10**-300 to 10**300
+    rng = random.Random(12)
+    for _ in range(60):
+        t = random_tree(rng.randint(1, 20), rng)
+        diag = tuple(F(rng.randint(-9, 9), rng.randint(1, 4))
+                     * F(10) ** rng.choice((-300, 0, 0, 300)) for _ in range(t.n))
+        sq = tuple(F(rng.randint(1, 16), rng.randint(1, 4))
+                   * F(10) ** rng.choice((-300, 0, 0, 300)) for _ in t.edges)
+        m = WeightedTreeMatrix(t, diag, sq)
+        rows = [abs(m.diag[v]) + sum(_sqrt_up(m.sq_weight[min(u, v), max(u, v)])
+                                     for u in t.adjacency[v]) for v in range(t.n)]
+        bound = gershgorin_bound(m)
+        assert type(bound) is F and bound == max(rows)
+
+
+def _isolate_cases():
     rng = random.Random(10)
     mats = [random_matrix(random_tree(rng.randint(1, 25), rng), rng) for _ in range(20)]
     mats += [realize_family(seed(f, d), 0, 32).matrix
-             for f, d in ((Family.UNIFORM, 7), (Family.SHORT_CORE, 6), (Family.MIXED, 7))]
+             for f, d in ((Family.UNIFORM, 7), (Family.SHORT_CORE, 6), (Family.MIXED, 7),
+                          (Family.UNIFORM, 9), (Family.SHORT_CORE, 10), (Family.MIXED, 11),
+                          (Family.UNIFORM, 12))]
+    # a float expansion that overflows: isolation has no estimates
+    mats.append(path_matrix(2, diag=10**400, w2=10**400))
+    return mats
+
+
+def test_isolate_matches_depth_first_reference():
+    mats = _isolate_cases()
     for m in mats:
-        for w in (F(1, 1000), F(1, 3), F(100)):
+        whole = 2 * gershgorin_bound(m) + 1
+        for w in (F(1, 1000), F(1, 3), F(100), whole, 2 * whole):
             assert isolate_eigenvalues(m, w) == reference_isolate(m, w)
+    for m in mats[:3] + mats[-3:]:
+        w = F(1, 10**40)
+        assert isolate_eigenvalues(m, w) == reference_isolate(m, w)
+
+
+def _spectrum(values):
+    return property(lambda m: FloatSpectrum(tuple(values(m)), 0, 0.0))
+
+
+def _no_spectrum(m):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("estimate", [
+    _spectrum(lambda m: np.linalg.eigvalsh(to_dense_float(m)) + 0.37),
+    _spectrum(lambda m: np.linalg.eigvalsh(to_dense_float(m))[::2] - 1e-4),
+    _spectrum(lambda m: [1e300, -1e300] * m.n),
+    _spectrum(lambda m: [float("nan")] * m.n),
+    _spectrum(lambda m: [float("inf")] + [0.0] * (m.n - 1)),
+    property(_no_spectrum),
+], ids=["shifted", "half-missing", "far", "nan", "inf", "lapack-error"])
+def test_isolate_estimates_never_decide_the_answer(monkeypatch, estimate):
+    mats = _isolate_cases()[::3]
+    monkeypatch.setattr(WeightedTreeMatrix, "float_spectrum", estimate)
+    for m in mats:
+        for w in (F(1, 1000), F(1, 3)):
+            assert isolate_eigenvalues(m, w) == reference_isolate(m, w)
+
+
+def _counting(monkeypatch, module):
+    seen = []
+
+    def spy(m, point, root=None):
+        seen.append(point)
+        return counts_at(m, point, root)
+
+    monkeypatch.setattr(module, "counts_at", spy)
+    return seen
+
+
+@pytest.mark.parametrize("family, d", [(Family.UNIFORM, 9), (Family.SHORT_CORE, 8),
+                                       (Family.MIXED, 9)])
+def test_isolate_counts_only_around_the_estimates(monkeypatch, family, d):
+    m = realize_family(random_unfolding(seed(family, d), random.Random(d), 2), 0, 32).matrix
+    own = _counting(monkeypatch, locate)
+    ivs = isolate_eigenvalues(m, F(1, 1000))
+    assert len(ivs) == d + 1
+    assert len(own) <= 3 * len(ivs)
+    # deep cells: never more counts than blind bisection takes
+    w = F(1, 10**40)
+    own.clear()
+    ivs = isolate_eigenvalues(m, w)
+    ref = _counting(monkeypatch, diminimal)
+    assert reference_isolate(m, w) == ivs
+    assert len(own) <= len(ref)
 
 
 def test_isolate_rejects_bad_width():
