@@ -4,8 +4,8 @@ The engine performs a bottom-up congruence diagonalization of M + x*I over
 the rationals.  By Sylvester's law of inertia the signs of the resulting
 final values count the eigenvalues of M on either side of -x, and the zeros
 count the multiplicity of -x itself.  Everything else in this module
-(interval counts, isolation, Parter vertex search) is built on
-that single primitive.
+(interval counts, Parter vertex search, and isolation, where LAPACK's float
+eigenvalues only choose where to count) is built on that single primitive.
 
 That primitive is one kernel, `_run`, over flat int arrays of the rooted
 tree instead of Fraction objects.  Each value is a reduced (num, den) pair,
@@ -24,9 +24,6 @@ counted in it; the exact Schur term goes on up as an interval, and an
 exact 0 pairs with the parent.  So every count is exact, and exact work is
 spent only where floats cannot decide.  At a true eigenvalue most vertices
 need it, so once repairs dominate the pass ends in one exact run.
-
-`isolate_eigenvalues` filters one level up: LAPACK's float eigenvalues
-choose where to count, and exact counts prove every interval.
 """
 
 from __future__ import annotations
@@ -306,9 +303,8 @@ def counts_within(m: WeightedTreeMatrix, point: Fraction,
 # ---------------------------------------------------------------------------
 
 def gershgorin_bound(m: WeightedTreeMatrix) -> Fraction:
-    """Rational B with every eigenvalue in [-B, B]: the largest row sum of
-    |diag| and its edges' sqrt(w2), each rounded up onto the 10**-6 grid
-    from (isqrt(num*den) + 1)/den, once per edge, in int grid steps."""
+    """Rational B with every eigenvalue in [-B, B]: the largest row sum of |diag|
+    and, per edge once, (isqrt(num*den) + 1)/den rounded up to 10**-6 steps."""
     grid, steps = 10 ** 6, [0] * m.n
     for (u, v), w in zip(m.tree.edges, m.sq_edge):
         r = -(-(isqrt(w.numerator * w.denominator) + 1) * grid // w.denominator)
@@ -326,20 +322,21 @@ class IsolatedInterval:
     count: int
 
 
-# a float estimate e stands for an eigenvalue within this * max(1, max |e|)
-_ESTIMATE_TOL = 1e-9
+# an estimate e stands for an eigenvalue within _ESTIMATE_TOL * max(1, max|e|);
+# estimates cost a dense eigensolve, which on a constructed uniform matrix of
+# 1024 vertices took longer than the counts it saved at width 1/1000
+_ESTIMATE_TOL, _ESTIMATE_MAX_N = 1e-9, 512
 
 
 def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[IsolatedInterval]:
     """Cover the spectrum with disjoint half-open intervals of length at most
     `width`, each carrying the exact number of eigenvalues it contains: the
-    nonempty cells (-B-1 + c*l, -B-1 + (c+1)*l] of the grid with B the
-    Gershgorin bound and l = (2B+1)/2**L <= width, L least.  The cuts around
-    the cells near each of LAPACK's estimates (`m.float_spectrum`) are
-    counted, then each segment between counted cuts that holds eigenvalues
-    is bisected down to single cells.  Every count is a difference of exact
-    counts, so a wrong estimate costs counts, never a wrong interval; with
-    no estimates this is bisection from (-B-1, B]."""
+    nonempty cells (-B-1 + c*l, -B-1 + (c+1)*l], B = gershgorin_bound(m) and
+    l = (2B+1)/2**L <= width, L least.  The cuts around the cells near each
+    estimate in `m.float_spectrum` (if n <= _ESTIMATE_MAX_N) are counted, and
+    segments between counted cuts that hold eigenvalues are split at their
+    most aligned cut.  Every count is a difference of exact counts, so a wrong
+    estimate costs counts, never an interval; with none, this is bisection."""
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
@@ -350,31 +347,29 @@ def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[Isolated
     cells = 1 << (-(-span * width.denominator // (width.numerator * q)) - 1).bit_length()
     base, den = (p + q) * cells, q * cells
     try:
-        est = m.float_spectrum.values
-        tol = _ESTIMATE_TOL * max(1.0, max(map(abs, est)))
+        est = m.float_spectrum.values if m.n <= _ESTIMATE_MAX_N else ()
+        tol = _ESTIMATE_TOL * max([1.0, *map(abs, est)])
         x0, per = float(-bound - 1), float(Fraction(den, span))  # cells per unit
         # the cut below the cell of e - tol and the cut above that of e + tol
         near = [ceil((e + t - x0) * per) - (t < 0) for e in est for t in (-tol, tol)]
-    except (OverflowError, ValueError, RuntimeError):
-        near = []  # overflow, LinAlgError, ceil(nan), OracleError: no estimates
+    except (OverflowError, ValueError, RuntimeError, MemoryError):
+        near = []  # overflow, LinAlgError, ceil(nan), OracleError, no memory
     marks = sorted({0, cells, *(min(max(c, 0), cells) for c in near)})
-    # counted cut -> (its point, eigenvalues at or below it)
+    # counted cut -> (its point, eigenvalues at or below it); segments are
+    # taken in ascending order, so a segment's lower cut is already counted
     at = {0: (-bound - 1, 0), cells: (bound, m.n)}
-
-    def count(c: int) -> None:
-        got = counts_at(m, x := Fraction(c * span - base, den))
-        at[c] = (x, got.below + got.equal)
-
-    for c in marks[1:-1]:
-        count(c)
     out, todo = [], list(zip(marks, marks[1:]))[::-1]
     while todo:
         a, b = todo.pop()
+        if b not in at:
+            got = counts_at(m, x := Fraction(b * span - base, den))
+            at[b] = (x, got.below + got.equal)
         if k := at[b][1] - at[a][1]:
             if b - a == 1:
                 out.append(IsolatedInterval(at[a][0], at[b][0], k))
-            else:
-                count(mid := (a + b) // 2)
+            else:  # at the cut in (a, b) with most trailing zeros, whose
+                j = (a ^ (b - 1)).bit_length() - 1  # point has fewest bits
+                mid = (b - 1) >> j << j
                 todo += [(mid, b), (a, mid)]
     return out
 

@@ -156,17 +156,11 @@ class WeightedTreeMatrix:
                            size, pos)
 
     @cached_property
-    def dense(self) -> np.ndarray:
-        """`to_dense_float(self)`, cached read-only (an OverflowError is not)."""
-        (a := to_dense_float(self)).flags.writeable = False
-        return a
-
-    @cached_property
     def float_spectrum(self):
-        """The oracle's `dense_eigenvalues(self.dense)`, cached (an error is
-        not): `compare_counts` reads it, and isolation takes estimates."""
+        """`oracle.dense_eigenvalues(to_dense_float(self))`, cached; an error and
+        the n*n floats are not.  Read by `compare_counts` and isolation."""
         from . import oracle  # oracle imports this module
-        return oracle.dense_eigenvalues(self.dense)
+        return oracle.dense_eigenvalues(oracle.to_dense_float(self))
 
 
 def make_matrix(tree: RootedTree, diag: Sequence[Fraction | int | str],

@@ -11,13 +11,14 @@ agreement is an independent witness, never a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .locate import counts_at
-from .matrices import WeightedTreeMatrix, to_dense_float  # noqa: F401, bench/spans.py wraps it
+from .matrices import WeightedTreeMatrix, to_dense_float  # noqa: F401, float_spectrum calls it
 
 
 class OracleError(RuntimeError):
@@ -88,21 +89,31 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction,
     the point does not fit in floats, since no float verdict exists then.
     """
     try:
-        a = m.dense
+        top = max([abs(float(q)) for q in m.diag] + [math.sqrt(float(w)) for w in m.sq_edge])
         pf = float(Fraction(point))
     except OverflowError as exc:
         raise OracleError(f"float expansion overflows: {exc}") from exc
-    scale = max(1.0, float(np.max(np.abs(a))) * m.n)
+    scale = max(1.0, top * m.n)
     band = 10.0 * tol * scale
     if not np.isfinite(band):
         raise OracleError("float expansion overflows: the band is not finite")
-    values = np.array(m.float_spectrum.values)
-    gap = np.abs(values - pf)
-    off = gap > band
-    ap = (int(np.sum(off & (values < pf))), int(np.sum(~off)),
-          int(np.sum(off & (values >= pf))))
+    spectrum = m.float_spectrum
+    below = equal = above = 0
+    grey = False
+    for e in spectrum.values:
+        gap = abs(e - pf)
+        if gap <= band:
+            equal += 1
+            continue
+        if gap <= 10.0 * band:
+            grey = True
+        if e < pf:
+            below += 1
+        else:
+            above += 1
     exact = counts_at(m, point)
     ex = (exact.below, exact.equal, exact.above)
-    if np.any(off & (gap <= 10.0 * band)):
+    ap = (below, equal, above)
+    if grey:
         return AgreementReport(False, None, ex, ap, band)
     return AgreementReport(True, ex == ap, ex, ap, band)

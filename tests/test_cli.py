@@ -238,7 +238,6 @@ def test_isolate_deep_cells_sum_to_n(tmp_path, capsys):
 
 
 def test_cross_check_builds_one_float_spectrum(tmp_path, capsys, monkeypatch):
-    import diminimal.matrices as matrices
     import diminimal.oracle as oracle
     tree, mat = tmp_path / "t.json", tmp_path / "m.json"
     run_cli("seed", "--family", "uniform", "--diameter", "7", "--out", str(tree))
@@ -246,9 +245,9 @@ def test_cross_check_builds_one_float_spectrum(tmp_path, capsys, monkeypatch):
             "--out", str(mat))
     capsys.readouterr()
     calls = []
-    for mod, name in ((matrices, "to_dense_float"), (oracle, "dense_eigenvalues")):
-        real = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda *a, real=real, name=name:
+    for name in ("to_dense_float", "dense_eigenvalues"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, real=real, name=name:
                             calls.append(name) or real(*a))
     assert run_cli("verify", "--matrix", str(mat), "--cross-check") == 0
     assert "ok: 8 distinct eigenvalues" in capsys.readouterr().out

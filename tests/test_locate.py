@@ -695,7 +695,7 @@ def test_isolate_matches_depth_first_reference():
 
 
 def _spectrum(values):
-    return property(lambda m: FloatSpectrum(tuple(values(m)), 0, 0.0))
+    return property(lambda m: FloatSpectrum(tuple(map(float, values(m))), 0, 0.0))
 
 
 def _no_spectrum(m):
@@ -716,6 +716,34 @@ def test_isolate_estimates_never_decide_the_answer(monkeypatch, estimate):
     for m in mats:
         for w in (F(1, 1000), F(1, 3)):
             assert isolate_eigenvalues(m, w) == reference_isolate(m, w)
+
+
+def _no_memory(m):
+    raise MemoryError
+
+
+def test_isolate_without_memory_for_the_estimates(monkeypatch):
+    # the n*n float expansion cannot be had: plain bisection
+    monkeypatch.setattr(diminimal.oracle, "to_dense_float", _no_memory)
+    for m in _isolate_cases()[::3]:
+        for w in (F(1, 1000), F(1, 3)):
+            assert isolate_eigenvalues(m, w) == reference_isolate(m, w)
+
+
+def test_isolate_takes_no_estimates_above_the_vertex_bound(monkeypatch):
+    dense = []
+    monkeypatch.setattr(diminimal.oracle, "to_dense_float",
+                        lambda m: dense.append(m.n) or to_dense_float(m))
+    big = path_matrix(locate._ESTIMATE_MAX_N + 1)
+    own = _counting(monkeypatch, locate)
+    got = isolate_eigenvalues(big, F(1, 3))
+    ref = _counting(monkeypatch, diminimal)
+    assert got == reference_isolate(big, F(1, 3))
+    # plain bisection, point for point (the reference also counts at -B-1)
+    assert sorted(own) == sorted(set(ref) - {-gershgorin_bound(big) - 1})
+    assert dense == []
+    isolate_eigenvalues(path_matrix(locate._ESTIMATE_MAX_N), F(1, 3))
+    assert dense == [locate._ESTIMATE_MAX_N]
 
 
 def _counting(monkeypatch, module):

@@ -107,34 +107,6 @@ def test_compare_counts_random_agreement():
     assert agreed == tried
 
 
-def test_compare_counts_matches_a_loop_over_the_spectrum():
-    # the per-eigenvalue loop the buckets were first written as; points at,
-    # near and far from the float eigenvalues cover every bucket and grey
-    rng = random.Random(31)
-    greys = 0
-    for _ in range(30):
-        m = random_matrix(random_tree(rng.randint(1, 12), rng), rng)
-        a = to_dense_float(m)
-        band = 10.0 * 1e-12 * max(1.0, float(np.max(np.abs(a))) * m.n)
-        evs = dense_eigenvalues(a).values
-        for pt in (F(rng.randint(-12, 12), rng.randint(1, 4)),
-                   F(evs[0]), F(evs[-1]) + F(5 * band)):
-            below = equal = above = 0
-            grey = False
-            for e in evs:
-                gap = abs(e - float(pt))
-                if gap <= band:
-                    equal += 1
-                    continue
-                grey |= gap <= 10.0 * band
-                below, above = (below + 1, above) if e < float(pt) else (below, above + 1)
-            rep = compare_counts(m, pt)
-            assert rep.approx == (below, equal, above)
-            assert rep.conclusive == (not grey)
-            greys += grey
-    assert greys > 0
-
-
 @pytest.mark.parametrize("diag0, w2, point", [
     (F(10**400), F(1), F(0)),   # an entry beyond the float range
     (F(0), F(10**700), F(0)),   # a weight beyond it
