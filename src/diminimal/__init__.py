@@ -57,11 +57,7 @@ from .realize import (
     Variant,
     ladder,
     realize_family,
-    realize_high,
-    realize_high_shifted,
     realize_integral,
-    realize_low,
-    realize_low_shifted,
     realize_variant,
     verify_certificate,
 )

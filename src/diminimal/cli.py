@@ -151,8 +151,6 @@ def cmd_locate(args) -> int:
 
 def cmd_isolate(args) -> int:
     m, _ = _load_matrix_file(args.matrix)
-    if args.width <= 0:
-        raise CliError("--width must be positive")
     for iv in isolate_eigenvalues(m, args.width):
         print(f"({format_rational(iv.lo)}, {format_rational(iv.hi)}] "
               f"count={iv.count}", file=_stdout())

@@ -6,13 +6,15 @@ This module builds, for every tree in the three supported families, exact
 rational matrices attaining that bound, and certifies the result.
 
 The engine works bottom-up over the decomposition certificate produced by
-the recognizer.  Each piece of height L is realized in one of four spectral
-shapes over the 2L+2 target values of the level-L ladder:
+the recognizer.  Each piece of height L is realized over the 2L+2 target
+values of the level-L ladder with one of two anchors:
 
-  * LOW        anchored at the bottom of the slice, pinned at values[2L],
-  * HIGH       anchored at the top, pinned at values[1],
-  * LOW_SHIFT  a LOW shape whose bottom value is raised by a small shift,
-  * HIGH_SHIFT a HIGH shape whose top value is raised by a small shift.
+  * LOW   anchored at the bottom of the slice, pinned at values[2L],
+  * HIGH  anchored at the top, pinned at values[1],
+
+each optionally shifted: the LOW bottom value or the HIGH top value is
+raised by a shift below step(L-1).  The public LOW_SHIFT and HIGH_SHIFT
+variants are those shifted shapes.
 
 Joining blocks is the single primitive: one shared squared weight attaches
 every part root to the core root, chosen so the assembled block gains a
@@ -253,70 +255,42 @@ class _Builder:
                              f"a block spectrum")
         return Fraction(a, b)
 
-    # -- variant recursion --------------------------------------------------
+    # -- anchored recursion ---------------------------------------------------
 
-    def _base_value(self, variant: Variant, shift: int | None) -> int:
-        if variant is Variant.LOW:
-            return self.alpha
-        if variant is Variant.HIGH:
-            return self.beta
-        if variant is Variant.LOW_SHIFT:
-            return self.alpha + shift
-        return self.beta + shift
-
-    def _dispatch(self, variant: Variant, shift: int | None, level: int):
-        """Sub-variants for the core and the parts, one level down."""
+    def _dispatch(self, anchor: Variant, shift: int, level: int):
+        """(anchor, shift) of the core and of the parts, one level down."""
         if level == 1:
-            if variant is Variant.LOW:
-                return Variant.LOW, None, Variant.LOW, None
-            if variant is Variant.HIGH:
-                return Variant.HIGH, None, Variant.HIGH, None
-            if variant is Variant.LOW_SHIFT:
-                return Variant.LOW_SHIFT, shift, Variant.LOW, None
-            return Variant.HIGH_SHIFT, shift, Variant.HIGH, None
+            return anchor, shift, anchor, 0
+        if anchor is Variant.LOW:
+            return Variant.HIGH, shift, Variant.LOW, 0
         s = self.step(level - 1)
-        if variant is Variant.LOW:
-            return Variant.HIGH, None, Variant.LOW, None
-        if variant is Variant.HIGH:
-            return Variant.LOW_SHIFT, s, Variant.HIGH_SHIFT, s
-        if variant is Variant.LOW_SHIFT:
-            return Variant.HIGH_SHIFT, shift, Variant.LOW, None
-        return Variant.LOW_SHIFT, s + shift, Variant.HIGH_SHIFT, s
+        return Variant.LOW, s + shift, Variant.HIGH, s
 
-    def _pin(self, variant: Variant, shift: int | None, level: int):
+    def _pin(self, anchor: Variant, shift: int, level: int):
         """(pin point, side, forced opposite extreme) for a level assembly."""
         vals = self.ladders[level]
-        if variant is Variant.LOW:
-            return vals[2 * level], "max", vals[0]
-        if variant is Variant.HIGH:
-            return vals[1], "min", vals[2 * level + 1]
-        if variant is Variant.LOW_SHIFT:
+        if anchor is Variant.LOW:
             return vals[2 * level], "max", vals[0] + shift
         return vals[1], "min", vals[2 * level + 1] + shift
 
-    def build(self, cert: PieceCert, variant: Variant,
-              shift: int | None, level: int) -> _Block:
+    def build(self, cert: PieceCert, anchor: Variant, shift: int, level: int) -> _Block:
+        """The piece `cert` of height `level` with the given anchor (LOW or
+        HIGH) and grid shift (0 for none)."""
         if cert.height != level:
             raise ValueError(f"piece at {cert.root} has height {cert.height}, "
                              f"expected {level}")
-        if variant in (Variant.LOW_SHIFT, Variant.HIGH_SHIFT):
-            if shift is None or shift <= 0:
-                raise ValueError("shift variants need a positive shift")
-            if level >= 1 and shift >= self.step(level - 1):
-                raise ValueError(f"shift {self.frac(shift)} too large at level {level}; "
-                                 f"must stay below {self.frac(self.step(level - 1))}")
         if level == 0:
-            val = self._base_value(variant, shift)
+            val = (self.alpha if anchor is Variant.LOW else self.beta) + shift
             x = self.diag[cert.root] = self.frac(val)
             self.dn[cert.root], self.dd[cert.root] = x.numerator, x.denominator
             return _Block(cert.root, (cert.root,), {val: 1}, (cert.root,), ((x, 1),))
-        cv, cs, pv, ps = self._dispatch(variant, shift, level)
-        core = self.build(cert.core, cv, cs, level - 1)
-        parts = [self.build(p, pv, ps, level - 1) for p in cert.parts]
-        y, side, forced = self._pin(variant, shift, level)
+        ca, cs, pa, ps = self._dispatch(anchor, shift, level)
+        core = self.build(cert.core, ca, cs, level - 1)
+        parts = [self.build(p, pa, ps, level - 1) for p in cert.parts]
+        y, side, forced = self._pin(anchor, shift, level)
         blk = self.join_blocks(core, parts, y, side, expect_forced=forced)
         if self.deep:
-            self._deep_checks(blk, variant, shift, level)
+            self._deep_checks(blk, anchor, shift, level)
         return blk
 
     # -- assembly ------------------------------------------------------------
@@ -370,20 +344,14 @@ class _Builder:
 
     # -- deep structural checks ----------------------------------------------
 
-    def _deep_checks(self, blk: _Block, variant: Variant,
-                     shift: int | None, level: int) -> None:
+    def _deep_checks(self, blk: _Block, anchor: Variant,
+                     shift: int, level: int) -> None:
         """Strong-realizability probes on one finished block: the required
         eigenvalues put a zero at the block root, and deleting the root
         raises the multiplicity at the interlacing positions (with the run
         rooted there firing its zero-pairing rule at the root)."""
         vals = self.ladders[level]
-        if variant is Variant.LOW:
-            zero_at = [vals[2 * i] for i in range(level + 1)]
-            incr_at = [vals[2 * i - 1] for i in range(1, level + 1)]
-        elif variant is Variant.HIGH:
-            zero_at = [vals[2 * i + 1] for i in range(level + 1)]
-            incr_at = [vals[2 * i] for i in range(1, level + 1)]
-        elif variant is Variant.LOW_SHIFT:
+        if anchor is Variant.LOW:
             zero_at = [vals[0] + shift] + [vals[2 * i] for i in range(1, level + 1)]
             incr_at = [vals[2 * i - 1] for i in range(1, level + 1)]
         else:
@@ -442,9 +410,10 @@ def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
 def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
                     shift: Fraction | None = None, deep: bool = False) -> RealizationCertificate:
     """Realize a uniformly decomposable tree in one of the four spectral
-    shapes over `lad`.  The tree must be rooted at a central vertex (either
-    endpoint of the central edge when the diameter is odd) and its height
-    from there must equal lad.k."""
+    shapes over `lad`: LOW or HIGH, or LOW_SHIFT or HIGH_SHIFT with a
+    shift 0 < shift < lad.step(lad.k - 1).  The tree must be rooted at a
+    central vertex (either endpoint of the central edge when the diameter
+    is odd) and its height from there must equal lad.k."""
     d = diameter(t)
     if d < 1:
         raise ValueError("need at least one edge to realize")
@@ -453,35 +422,23 @@ def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
     k = (d + 1) // 2
     if lad.k != k:
         raise ValueError(f"ladder level {lad.k} does not match required level {k}")
-    if shift is not None:
-        if variant in (Variant.LOW, Variant.HIGH):
+    if variant in (Variant.LOW, Variant.HIGH):
+        if shift is not None:
             raise ValueError(f"the {variant.value} variant takes no shift")
-        shift = Fraction(shift)
+    else:
+        shift = None if shift is None else Fraction(shift)
+        if shift is None or shift <= 0:
+            raise ValueError("shift variants need a positive shift")
+        if shift >= lad.step(k - 1):
+            raise ValueError(f"shift {shift} too large at level {k}; "
+                             f"must stay below {lad.step(k - 1)}")
     cert = _whole_piece_cert(t, t.root)
     if cert is None or cert.height != k:
         raise ValueError("tree is not uniformly decomposable from its root")
     builder = _Builder(t, t.root, lad.alpha, lad.beta, k, deep, shift)
-    blk = builder.build(cert, variant,
-                        None if shift is None else _grid(shift, builder.q), k)
+    anchor = Variant.LOW if variant in (Variant.LOW, Variant.LOW_SHIFT) else Variant.HIGH
+    blk = builder.build(cert, anchor, 0 if shift is None else _grid(shift, builder.q), k)
     return _finish(builder, blk, t, Family.UNIFORM, variant.value, shift)
-
-
-def realize_low(t: RootedTree, lad: Ladder, deep: bool = False) -> RealizationCertificate:
-    return realize_variant(t, lad, Variant.LOW, deep=deep)
-
-
-def realize_high(t: RootedTree, lad: Ladder, deep: bool = False) -> RealizationCertificate:
-    return realize_variant(t, lad, Variant.HIGH, deep=deep)
-
-
-def realize_low_shifted(t: RootedTree, lad: Ladder, shift: Fraction,
-                        deep: bool = False) -> RealizationCertificate:
-    return realize_variant(t, lad, Variant.LOW_SHIFT, shift, deep)
-
-
-def realize_high_shifted(t: RootedTree, lad: Ladder, shift: Fraction,
-                         deep: bool = False) -> RealizationCertificate:
-    return realize_variant(t, lad, Variant.HIGH_SHIFT, shift, deep)
 
 
 def _build_low_side(builder: _Builder, side: PieceCert, k: int) -> _Block:
@@ -489,8 +446,8 @@ def _build_low_side(builder: _Builder, side: PieceCert, k: int) -> _Block:
     half, or the whole of an even short-core tree): short core one level
     down, full-height branches at level k, pinned at the level-k top."""
     vals = builder.ladders[k]
-    core = builder.build(side.core, Variant.LOW, None, k - 1)
-    parts = [builder.build(p, Variant.LOW, None, k) for p in side.parts]
+    core = builder.build(side.core, Variant.LOW, 0, k - 1)
+    parts = [builder.build(p, Variant.LOW, 0, k) for p in side.parts]
     return builder.join_blocks(core, parts, vals[2 * k + 1], "max",
                                expect_forced=vals[0] - builder.step(k - 1))
 
@@ -513,7 +470,7 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
     big_k = (d + 1) // 2
     if an.family is Family.UNIFORM:
         builder = _Builder(t, an.center, alpha, beta, big_k, deep)
-        blk = builder.build(an.whole, Variant.LOW, None, big_k)
+        blk = builder.build(an.whole, Variant.LOW, 0, big_k)
         return _finish(builder, blk, t, Family.UNIFORM, Variant.LOW.value, None)
     if d < 6:
         raise ValueError(f"no construction is defined for {an.family.value} "
@@ -538,16 +495,16 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
     builder = _Builder(t, low_side[0], alpha, beta, big_k, deep)
     vals = builder.ladders[k]
     low_blk = _build_low_side(builder, low_side[2], k)
+    # the top-anchored half: full-height HIGH branches around a core shifted
+    # up by one step of its level (a short core one level down, or a LOW one)
     hs_cert = high_side[2]
-    if an.family is Family.SHORT_CORE:
-        core = builder.build(hs_cert.core, Variant.HIGH_SHIFT, builder.step(k - 1), k - 1)
-        parts = [builder.build(p, Variant.HIGH, None, k) for p in hs_cert.parts]
-        expect = vals[2 * k + 1] + builder.step(k - 1)
-    else:
-        core = builder.build(hs_cert.core, Variant.LOW_SHIFT, builder.step(k), k)
-        parts = [builder.build(p, Variant.HIGH, None, k) for p in hs_cert.parts]
-        expect = vals[2 * k + 1] + builder.step(k)
-    high_blk = builder.join_blocks(core, parts, vals[0], "min", expect_forced=expect)
+    anchor, level = ((Variant.HIGH, k - 1) if an.family is Family.SHORT_CORE
+                     else (Variant.LOW, k))
+    shift = builder.step(level)
+    core = builder.build(hs_cert.core, anchor, shift, level)
+    parts = [builder.build(p, Variant.HIGH, 0, k) for p in hs_cert.parts]
+    high_blk = builder.join_blocks(core, parts, vals[0], "min",
+                                   expect_forced=vals[2 * k + 1] + shift)
     top = max(max(low_blk.pred), max(high_blk.pred))
     y = top + builder.step(k - 1)
     blk = builder.join_blocks(low_blk, [high_blk], y, "max",

@@ -16,6 +16,7 @@ from helpers import generic_d4, random_matrix, random_tree, random_unfolding
 
 from diminimal import (
     Family,
+    Variant,
     build_tree,
     compare_counts,
     counts_within,
@@ -28,11 +29,8 @@ from diminimal import (
     main_roots,
     multiplicity,
     realize_family,
-    realize_high,
-    realize_high_shifted,
     realize_integral,
-    realize_low,
-    realize_low_shifted,
+    realize_variant,
     recognize_family,
     seed,
     to_dense_float,
@@ -215,25 +213,24 @@ def test_criterion_10_deep_instrumented_realizations():
 
     # indices of the ladder values each variant leaves out, by parity
     drop_map = {
-        (realize_low, 0): (-1,),      # even diameter: top value only
-        (realize_low, 1): (1, -1),    # odd: second value and top
-        (realize_high, 0): (0,),
-        (realize_high, 1): (0, -2),
+        (Variant.LOW, 0): (-1,),      # even diameter: top value only
+        (Variant.LOW, 1): (1, -1),    # odd: second value and top
+        (Variant.HIGH, 0): (0,),
+        (Variant.HIGH, 1): (0, -2),
     }
-    for fn in (realize_low, realize_high):
+    for variant in (Variant.LOW, Variant.HIGH):
         for _ in range(50):
             t, d = uniform_sample()
             k = (d + 1) // 2
             lad = ladder(0, 32, k)
-            cert = fn(t, lad, deep=True)
-            drops = drop_map[(fn, d % 2)]
+            cert = realize_variant(t, lad, variant, deep=True)
+            drops = drop_map[(variant, d % 2)]
             expect = set(lad.values) - {lad.values[i] for i in drops}
             assert {v for v, _ in cert.dspec} == expect
             assert cert.distinct_values == d + 1
             assert sum(m for _, m in cert.dspec) == t.n
 
-    for fn, extra in ((realize_low_shifted, "low"),
-                      (realize_high_shifted, "high")):
+    for variant in (Variant.LOW_SHIFT, Variant.HIGH_SHIFT):
         for _ in range(10):
             t, d = uniform_sample()
             k = (d + 1) // 2
@@ -242,10 +239,10 @@ def test_criterion_10_deep_instrumented_realizations():
             for _ in range(3):
                 shift = F(rng.randint(1, 8 * top.numerator - 1),
                           8 * top.denominator)
-                cert = fn(t, lad, shift, deep=True)
+                cert = realize_variant(t, lad, variant, shift, deep=True)
                 vals = {v for v, _ in cert.dspec}
                 base = set(lad.values) - {lad.values[0], lad.values[-1]}
-                if extra == "low":
+                if variant is Variant.LOW_SHIFT:
                     expect = base | {lad.values[0] + shift}
                     if d % 2 == 1:
                         expect -= {lad.values[1]}

@@ -237,6 +237,18 @@ def test_isolate_deep_cells_sum_to_n(tmp_path, capsys):
     assert sum(int(ln.rsplit("count=", 1)[1]) for ln in lines) == 16
 
 
+@pytest.mark.parametrize("width", ["0", "-1/2"])
+def test_isolate_refuses_a_non_positive_width(tmp_path, capsys, width):
+    tree, mat = tmp_path / "t.json", tmp_path / "m.json"
+    write_tree(tree, [[0, 1], [1, 2]])
+    run_cli("construct", "--tree", str(tree), "--alpha", "0", "--beta", "1",
+            "--out", str(mat))
+    capsys.readouterr()
+    assert run_cli("isolate", "--matrix", str(mat), "--width", width) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: width must be positive\n"
+
+
 def test_cross_check_builds_one_float_spectrum(tmp_path, capsys, monkeypatch):
     import diminimal.oracle as oracle
     tree, mat = tmp_path / "t.json", tmp_path / "m.json"

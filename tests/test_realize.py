@@ -20,11 +20,7 @@ from diminimal import (
     ladder,
     main_roots,
     realize_family,
-    realize_high,
-    realize_high_shifted,
     realize_integral,
-    realize_low,
-    realize_low_shifted,
     realize_variant,
     recognize_family,
     reroot,
@@ -80,7 +76,7 @@ def test_ladder_rejects_bad_input():
 
 def test_low_on_edge():
     t = build_tree([(0, 1)], 0)
-    c = realize_low(t, ladder(0, 1, 1))
+    c = realize_variant(t, ladder(0, 1, 1), Variant.LOW)
     assert c.matrix.diag == (F(0), F(0))
     assert c.matrix.sq_edge == (F(1),)
     assert c.dspec == ((F(-1), 1), (F(1), 1))
@@ -89,14 +85,14 @@ def test_low_on_edge():
 
 def test_low_on_star():
     t = build_tree([(0, 1), (0, 2), (0, 3)], 0)
-    c = realize_low(t, ladder(0, 3, 1))
+    c = realize_variant(t, ladder(0, 3, 1), Variant.LOW)
     assert c.matrix.sq_edge == (F(3), F(3), F(3))
     assert c.dspec == ((F(-3), 1), (F(0), 2), (F(3), 1))
 
 
 def test_high_level2_full_matrix():
     t = seed(Family.UNIFORM, 3)
-    c = realize_high(t, ladder(0, 32, 2), deep=True)
+    c = realize_variant(t, ladder(0, 32, 2), Variant.HIGH, deep=True)
     by_vertex = dict(enumerate(c.matrix.diag))
     assert by_vertex == {0: F(0), 1: F(16), 2: F(32), 3: F(48)}
     w = {e: c.matrix.sq_weight[e] for e in c.matrix.tree.edges}
@@ -106,48 +102,51 @@ def test_high_level2_full_matrix():
 
 def test_low_level2():
     t = seed(Family.UNIFORM, 3)
-    c = realize_low(t, ladder(0, 32, 2), deep=True)
+    c = realize_variant(t, ladder(0, 32, 2), Variant.LOW, deep=True)
     assert c.dspec == ((F(-48), 1), (F(0), 1), (F(32), 1), (F(80), 1))
 
 
 def test_low_level3():
     t = seed(Family.UNIFORM, 5)
-    c = realize_low(t, ladder(0, 32, 3), deep=True)
+    c = realize_variant(t, ladder(0, 32, 3), Variant.LOW, deep=True)
     assert c.dspec == ((F(-56), 1), (F(-32), 1), (F(0), 2),
                        (F(32), 2), (F(80), 1), (F(104), 1))
 
 
 def test_level4_both_variants():
     t = seed(Family.UNIFORM, 7)
-    c = realize_low(t, ladder(0, 32, 4), deep=True)
+    c = realize_variant(t, ladder(0, 32, 4), Variant.LOW, deep=True)
     assert c.dspec == ((F(-60), 1), (F(-48), 1), (F(-32), 2), (F(0), 4),
                        (F(32), 4), (F(80), 2), (F(104), 1), (F(116), 1))
-    c = realize_high(t, ladder(0, 32, 4), deep=True)
+    c = realize_variant(t, ladder(0, 32, 4), Variant.HIGH, deep=True)
     assert c.dspec == ((F(-56), 1), (F(-48), 1), (F(-32), 2), (F(0), 4),
                        (F(32), 4), (F(80), 2), (F(104), 1), (F(120), 1))
 
 
 def test_shifted_variants_on_edge():
     t = build_tree([(0, 1)], 0)
-    c = realize_low_shifted(t, ladder(0, 32, 1), F(16))
+    c = realize_variant(t, ladder(0, 32, 1), Variant.LOW_SHIFT, F(16))
     assert set(c.matrix.diag) == {F(16), F(0)}
     assert c.matrix.sq_edge == (F(512),)
     assert c.dspec == ((F(-16), 1), (F(32), 1))
 
-    c = realize_high_shifted(t, ladder(0, 32, 1), F(16))
+    c = realize_variant(t, ladder(0, 32, 1), Variant.HIGH_SHIFT, F(16))
     assert set(c.matrix.diag) == {F(48), F(32)}
     assert c.matrix.sq_edge == (F(1536),)
     assert c.dspec == ((F(0), 1), (F(80), 1))
 
 
 def test_shift_bounds_enforced():
-    t = build_tree([(0, 1)], 0)
-    with pytest.raises(ValueError):
-        realize_low_shifted(t, ladder(0, 32, 1), F(0))
-    with pytest.raises(ValueError):
-        realize_low_shifted(t, ladder(0, 32, 1), F(32))
-    with pytest.raises(ValueError):
-        realize_high_shifted(t, ladder(0, 32, 1), F(-1))
+    # the shift must lie strictly between 0 and the top ladder step
+    for t, lad in ((build_tree([(0, 1)], 0), ladder(0, 32, 1)),
+                   (seed(Family.UNIFORM, 3), ladder(0, 32, 2))):
+        top = lad.step(lad.k - 1)
+        for variant in (Variant.LOW_SHIFT, Variant.HIGH_SHIFT):
+            for shift in (None, F(0), F(-1)):
+                with pytest.raises(ValueError, match="need a positive shift"):
+                    realize_variant(t, lad, variant, shift)
+            with pytest.raises(ValueError, match=f"too large at level {lad.k}"):
+                realize_variant(t, lad, variant, top)
 
 
 def test_unshifted_variants_reject_a_shift():
@@ -162,19 +161,19 @@ def test_variant_requires_central_root():
     t = reroot(seed(Family.UNIFORM, 4), 0)
     if t.root not in main_roots(t):
         with pytest.raises(ValueError):
-            realize_low(t, ladder(0, 32, 2))
+            realize_variant(t, ladder(0, 32, 2), Variant.LOW)
 
 
 def test_variant_requires_matching_ladder_level():
     t = seed(Family.UNIFORM, 3)
     with pytest.raises(ValueError):
-        realize_low(t, ladder(0, 32, 3))
+        realize_variant(t, ladder(0, 32, 3), Variant.LOW)
 
 
 def test_variant_rejects_non_uniform_tree():
     p5 = build_tree([(0, 1), (1, 2), (2, 3), (3, 4)], 2)
     with pytest.raises(ValueError):
-        realize_low(p5, ladder(0, 32, 2))
+        realize_variant(p5, ladder(0, 32, 2), Variant.LOW)
 
 
 # ------------------------------------------------------- family realization
@@ -454,8 +453,8 @@ def test_a_pin_point_not_beyond_the_block_spectra_is_refused(monkeypatch):
     # also shows that the pin point is not beyond them
     real = diminimal.realize._Builder._pin
 
-    def alpha_pin(self, variant, shift, level):
-        _, side, forced = real(self, variant, shift, level)
+    def alpha_pin(self, anchor, shift, level):
+        _, side, forced = real(self, anchor, shift, level)
         return self.alpha, side, forced
 
     monkeypatch.setattr(diminimal.realize._Builder, "_pin", alpha_pin)
