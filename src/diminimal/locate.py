@@ -203,7 +203,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
     # Schur sums collect on top of the diagonal; the extra slot takes the
     # root's term (its parent is -1) and is never read
     alo, ahi = fb.dlo + [0.0], fb.dhi + [0.0]
-    wlo, whi, size, pos = fb.wlo, fb.whi, fb.size, fb.pos
+    wlo, whi, size, pos = fb.wlo, fb.whi, m.tree.size, m.tree.pos
     # float negatives, (postorder position, negatives, zeros) of repairs and
     # pairings, and by parent the smallest repaired child that is exactly 0
     negs, fixes, zero_kid = [], [], {}

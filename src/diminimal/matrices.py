@@ -66,15 +66,12 @@ class ElimArrays(NamedTuple):
 
 class FloatBounds(NamedTuple):
     """Per-vertex float lower and upper bounds on the diagonal entries and the
-    squared weights to the parent, indexed like `ElimArrays`, subtree sizes (a
-    subtree is the postorder block ending at its root) and positions."""
+    squared weights to the parent, indexed like `ElimArrays`."""
 
     dlo: list[float]
     dhi: list[float]
     wlo: list[float]
     whi: list[float]
-    size: list[int]
-    pos: list[int]
 
 
 def enclose(p: int, q: int) -> tuple[float, float]:
@@ -146,14 +143,7 @@ class WeightedTreeMatrix:
         """Float bounds of `arrays`, cached for the float pass of
         `locate.counts_at`."""
         a = self.arrays
-        parent, size, pos = a.parent, [1] * len(a.order), [0] * len(a.order)
-        for k in a.order[:-1]:
-            size[parent[k]] += size[k]
-        # the positions are the id ints of the order, so no int is made
-        for i, k in zip(sorted(a.order), a.order):
-            pos[k] = i
-        return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd),
-                           size, pos)
+        return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd))
 
     @cached_property
     def float_spectrum(self):

@@ -29,13 +29,11 @@ class OracleError(RuntimeError):
 class FloatSpectrum:
     """All eigenvalues of a symmetric matrix, ascending.
 
-    `sweeps` and `off_norm` stay as fields for callers that read them, but
-    LAPACK reports neither a sweep count nor a residual, so they are always
-    0 and 0.0."""
+    `sweeps` stays as a field for callers that read it, but LAPACK reports
+    no sweep count, so it is always 0."""
 
     values: tuple[float, ...]
     sweeps: int
-    off_norm: float
 
 
 def dense_eigenvalues(a: np.ndarray) -> FloatSpectrum:
@@ -57,7 +55,7 @@ def dense_eigenvalues(a: np.ndarray) -> FloatSpectrum:
     values = np.linalg.eigvalsh(a)
     if not np.isfinite(values).all():
         raise OracleError("float spectrum is not finite")
-    return FloatSpectrum(tuple(values.tolist()), 0, 0.0)
+    return FloatSpectrum(tuple(values.tolist()), 0)
 
 
 @dataclass(frozen=True)

@@ -296,7 +296,7 @@ class _Builder:
     # -- assembly ------------------------------------------------------------
 
     def join_blocks(self, core: _Block, parts: list[_Block], y: int,
-                    side: str, expect_forced: int | None = None) -> _Block:
+                    side: str, expect_forced: int) -> _Block:
         dc = self._consume(core, y, side)
         dp = [self._consume(p, y, side) for p in parts]
         d2 = _delta_squared(dc, dp)
@@ -321,7 +321,7 @@ class _Builder:
                                f"cannot both merge inward")
         pred = {lam: m for lam, m in pred.items() if m > 0}
         forced = a + b - y
-        if expect_forced is not None and forced != expect_forced:
+        if forced != expect_forced:
             raise RuntimeError(f"forced value {self.frac(forced)}, "
                                f"expected {self.frac(expect_forced)}")
         lo, hi = (forced, y) if side == "max" else (y, forced)
@@ -364,17 +364,16 @@ class _Builder:
                 raise RuntimeError(f"block at {blk.root}: no zero at the root "
                                    f"at {self.frac(lam)}")
 
-        # components of the block minus its root, each in postorder
-        top: dict[int, int] = {}
-        for v in reversed(blk.order[:-1]):
-            p = self.rt.parent[v]
-            top[v] = v if p == blk.root else top[p]
-        comps: dict[int, list[int]] = {}
-        for v in blk.order[:-1]:
-            comps.setdefault(top[v], []).append(v)
+        # a block holds whole subtrees of its root's children, so the
+        # components of the block minus its root are their postorder blocks
+        rt, inside = self.rt, set(blk.vertices)
+        comps = [rt.block(c) for c in rt.children[blk.root] if c in inside]
+        if inside != {blk.root}.union(*comps):
+            raise RuntimeError(f"block at {blk.root} is not its root and whole "
+                               f"subtrees of its children")
         points, pivots = _points((self.frac(lam), 1) for lam in incr_at), [[] for _ in incr_at]
         whole = _run(blk.order, *self.arrays, points, pivots=pivots)
-        parts = [_run(comp, *self.arrays, points) for comp in comps.values()]
+        parts = [_run(comp, *self.arrays, points) for comp in comps]
         for i, lam in enumerate(incr_at):
             equal, after = whole[i][1], sum(run[i][1] for run in parts)
             if after != equal + 1:

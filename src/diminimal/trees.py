@@ -48,9 +48,10 @@ class RootedTree:
     """Immutable rooted tree on vertex ids 0..n-1.
 
     parent[i] is the parent id of vertex i, or -1 for the root.  Derived
-    structure (children lists, traversal order, depths, heights, a longest
-    path and the recognizer's analysis) is computed lazily and cached, so
-    recognition, realization and verification of one tree object share it.
+    structure (children lists, the postorder, subtree sizes and positions in
+    it, depths, heights, the diameter and centre, and the recognizer's
+    analysis) is computed lazily and cached, so recognition, realization and
+    verification of one tree object share it.
     """
 
     parent: tuple[int, ...]
@@ -78,18 +79,32 @@ class RootedTree:
     @cached_property
     def order(self) -> tuple[int, ...]:
         """Bottom-up (postorder) vertex order; children visited in ascending
-        id order, root last."""
-        out: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        id order, root last.  It is the reverse of a preorder that takes the
+        children in descending order."""
+        out, stack, kids = [], [self.root], self.children
         while stack:
-            v, done = stack.pop()
-            if done:
-                out.append(v)
-                continue
-            stack.append((v, True))
-            for c in reversed(self.children[v]):
-                stack.append((c, False))
-        return tuple(out)
+            v = stack.pop()
+            out.append(v)
+            stack.extend(kids[v])
+        return tuple(reversed(out))
+
+    @cached_property
+    def size(self) -> tuple[int, ...]:
+        """size[v] = vertex count of v's subtree, which is the block of
+        `order` ending at v."""
+        size, parent = [1] * self.n, self.parent
+        for v in self.order[:-1]:
+            size[parent[v]] += size[v]
+        return tuple(size)
+
+    @cached_property
+    def pos(self) -> tuple[int, ...]:
+        """pos[v] = index of v in `order`."""
+        pos = [0] * self.n
+        # the positions are the id ints of the order, so no int is made
+        for i, v in zip(sorted(self.order), self.order):
+            pos[v] = i
+        return tuple(pos)
 
     @cached_property
     def depth(self) -> tuple[int, ...]:
@@ -104,10 +119,11 @@ class RootedTree:
     def height_below(self) -> tuple[int, ...]:
         """height_below[v] = number of edges from v down to its deepest
         descendant (0 for leaves)."""
-        h = [0] * self.n
-        for v in self.order:
-            for c in self.children[v]:
-                h[v] = max(h[v], h[c] + 1)
+        h, parent = [0] * self.n, self.parent
+        for v in self.order[:-1]:
+            p = parent[v]
+            if h[v] >= h[p]:
+                h[p] = h[v] + 1
         return tuple(h)
 
     @cached_property
@@ -116,38 +132,24 @@ class RootedTree:
         return tuple(sorted(es))
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nb: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nb[u].append(v)
-            nb[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nb)
-
-    @cached_property
-    def _longest_path(self) -> tuple[int, ...]:
-        """A maximum-length path, found with two BFS sweeps from the root."""
-        a, _ = _farthest(self, self.root)
-        b, prev = _farthest(self, a)
-        path = [b]
-        while prev[path[-1]] != -1:
-            path.append(prev[path[-1]])
-        return tuple(reversed(path))
+    def _center(self) -> tuple[int, tuple[int, ...]]:
+        return _find_center(self)
 
     @cached_property
     def _analysis(self) -> "_FamilyAnalysis":
         return _analyze_family(self)
 
+    def block(self, v: int) -> tuple[int, ...]:
+        """v's subtree in postorder: the slice of `order` ending at v."""
+        end = self.pos[v] + 1
+        return self.order[end - self.size[v]:end]
+
     def subtree(self, v: int) -> tuple[int, ...]:
         """All descendants of v (v included), sorted by id."""
-        out = [v]
-        i = 0
-        while i < len(out):
-            out.extend(self.children[out[i]])
-            i += 1
-        return tuple(sorted(out))
+        return tuple(sorted(self.block(v)))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.children[v]) + (self.parent[v] != -1)
 
 
 def build_tree(edge_list: Iterable[tuple[int, int]], root: int) -> RootedTree:
@@ -205,26 +207,35 @@ def reroot(t: RootedTree, new_root: int) -> RootedTree:
     return RootedTree(tuple(parent), new_root)
 
 
+def _find_center(t: RootedTree) -> tuple[int, tuple[int, ...]]:
+    """(diameter, central vertices) from the heights along `t.order`.
+
+    A longest path bends at the vertex v maximising its tallest plus its
+    second-tallest branch; every longest path passes the centre (Jordan), so
+    walking down tallest children from v to the middle of that path finds
+    it: one vertex for even d, the central edge for odd d."""
+    h, parent = t.height_below, t.parent
+    second, tallest = [0] * t.n, [-1] * t.n
+    for v in t.order[:-1]:
+        p = parent[v]
+        if tallest[p] < 0 and h[v] + 1 == h[p]:
+            tallest[p] = v
+        elif h[v] >= second[p]:
+            second[p] = h[v] + 1
+    bends = [a + b for a, b in zip(h, second)]
+    d = max(bends)
+    v = bends.index(d)
+    for _ in range(h[v] - (d + 1) // 2):
+        v = tallest[v]
+    if d % 2 == 0:
+        return d, (v,)
+    u = tallest[v]
+    return d, (min(u, v), max(u, v))
+
+
 def diameter(t: RootedTree) -> int:
     """Length (in edges) of a longest path in the tree."""
-    return len(t._longest_path) - 1
-
-
-def _farthest(t: RootedTree, start: int) -> tuple[int, dict[int, int]]:
-    """BFS helper: (farthest vertex from start with smallest id, parent map)."""
-    prev = {start: -1}
-    frontier = [start]
-    last = [start]
-    while frontier:
-        last = frontier
-        nxt = []
-        for v in frontier:
-            for u in t.adjacency[v]:
-                if u not in prev:
-                    prev[u] = v
-                    nxt.append(u)
-        frontier = nxt
-    return min(last), prev
+    return t._center[0]
 
 
 def main_roots(t: RootedTree) -> tuple[int, ...]:
@@ -234,12 +245,7 @@ def main_roots(t: RootedTree) -> tuple[int, ...]:
     1-tuple.  Odd diameter: both endpoints of the central edge, smaller id
     first.  A single vertex tree yields (0,).
     """
-    path = t._longest_path
-    d = len(path) - 1
-    if d % 2 == 0:
-        return (path[d // 2],)
-    u, v = path[d // 2], path[d // 2 + 1]
-    return (min(u, v), max(u, v))
+    return t._center[1]
 
 
 @dataclass(frozen=True)

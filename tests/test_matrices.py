@@ -123,9 +123,10 @@ def _components_by_networkx(m, v):
     original ids, rooted at the former neighbour."""
     g = nx.Graph(m.tree.edges)
     g.add_nodes_from(range(m.n))
+    neighbours = sorted(g.neighbors(v))
     g.remove_node(v)
     out = []
-    for nb in sorted(m.tree.adjacency[v]):
+    for nb in neighbours:
         comp = sorted(nx.node_connected_component(g, nb))
         relabel = {old: new for new, old in enumerate(comp)}
         parent = [-1] * len(comp)

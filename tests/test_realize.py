@@ -505,13 +505,13 @@ def test_each_joined_block_but_the_last_is_checked_once(monkeypatch, fam, d):
 def test_one_tree_is_analysed_once(monkeypatch, fam, d):
     t = seed(fam, d)
     swept = []
-    real_farthest = diminimal.trees._farthest
+    real_find_center = diminimal.trees._find_center
 
-    def farthest(tree, start):
+    def find_center(tree):
         swept.append(tree)
-        return real_farthest(tree, start)
+        return real_find_center(tree)
 
-    monkeypatch.setattr(diminimal.trees, "_farthest", farthest)
+    monkeypatch.setattr(diminimal.trees, "_find_center", find_center)
     assert recognize_family(t).family is fam
 
     def split(self, v, cap=None):
@@ -521,7 +521,7 @@ def test_one_tree_is_analysed_once(monkeypatch, fam, d):
     c = realize_integral(t, 0)
     assert verify_certificate(c.matrix, c.dspec) == []
     assert c.matrix.tree is t
-    assert len(swept) == 2 and all(s is t for s in swept)
+    assert len(swept) == 1 and swept[0] is t
 
 
 # ------------------------------------------- contracts on random trees

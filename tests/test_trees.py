@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ahu, random_tree, random_unfolding, subtree_ids
+from helpers import ahu, random_unfolding, subtree_ids
 
 from diminimal import (
     Family,
@@ -39,6 +39,19 @@ def to_nx(t):
     g.add_nodes_from(range(t.n))
     g.add_edges_from(t.edges)
     return g
+
+
+def shuffled_trees(seed, count=40, max_n=300):
+    """Random trees on up to max_n vertices, half of them on up to 30, with
+    permuted ids and a random root: recursive trees, and trees whose vertices
+    attach to one of the last three, which have long paths."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, rng.choice((30, max_n)))
+        ids = rng.sample(range(n), n)
+        reach = rng.choice((n, 3))
+        edges = [(ids[rng.randrange(max(0, i - reach), i)], ids[i]) for i in range(1, n)]
+        yield build_tree(edges, rng.randrange(n))
 
 
 # ---------------------------------------------------------------- building
@@ -99,6 +112,21 @@ def test_order_puts_parents_after_children():
             assert pos[c] < pos[v]
     assert order[-1] == 0
 
+    def postorder(kids, v):
+        for c in sorted(kids[v]):
+            yield from postorder(kids, c)
+        yield v
+
+    for t in shuffled_trees(5):
+        kids = {v: [] for v in range(t.n)}
+        for c, p in enumerate(t.parent):
+            if p >= 0:
+                kids[p].append(c)
+        assert t.order == tuple(postorder(kids, t.root))
+        assert t.pos == tuple(t.order.index(v) for v in range(t.n))
+        for v in range(t.n):
+            assert t.block(v) == tuple(postorder(kids, v))
+
 
 # ---------------------------------------------------------------- rerooting
 
@@ -135,21 +163,20 @@ def test_reroot_preserves_structure(t, data):
 
 
 def test_diameter_against_networkx():
-    rng = random.Random(3)
-    for _ in range(50):
-        t = random_tree(rng.randint(1, 30), rng)
+    for t in [build_tree([], 0), *shuffled_trees(3)]:
         g = to_nx(t)
-        if t.n == 1:
-            assert diameter(t) == 0
-            continue
         assert diameter(t) == nx.diameter(g)
+        for v in range(t.n):
+            assert t.degree(v) == g.degree(v)
 
 
 def test_main_roots_match_networkx_center():
-    rng = random.Random(4)
-    for _ in range(50):
-        t = random_tree(rng.randint(2, 30), rng)
-        assert list(main_roots(t)) == sorted(nx.center(to_nx(t)))
+    for t in [build_tree([], 0), *shuffled_trees(4)]:
+        g = to_nx(t)
+        assert list(main_roots(t)) == sorted(nx.center(g))
+        below = nx.bfs_tree(g, t.root)
+        for v in range(t.n):
+            assert t.subtree(v) == tuple(sorted(nx.descendants(below, v) | {v}))
 
 
 def test_main_roots_parity():
