@@ -281,17 +281,16 @@ def count_in_interval(m: WeightedTreeMatrix, a: Fraction, b: Fraction,
 
 
 def counts_within(m: WeightedTreeMatrix, point: Fraction,
-                  vertices: Collection[int], root: int) -> CountsAt:
-    """Counts for the principal submatrix of m on `vertices` (which must
-    induce a subtree containing `root`).  Used to audit sub-blocks of a
+                  vertices: Collection[int]) -> CountsAt:
+    """Counts for the principal submatrix of m on `vertices`, which must be
+    non-empty and induce a subtree.  Used to audit sub-blocks of a
     construction in place, without rebuilding matrices."""
     vs = set(vertices)
-    if root not in vs:
-        raise ValueError("root must belong to the vertex set")
     # inertia does not depend on the root: run from the set's topmost vertex
     arr = m.arrays
     order = [v for v in arr.order if v in vs]
-    if len(order) != len(vs) or any(arr.parent[v] not in vs for v in order[:-1]):
+    if (not order or len(order) != len(vs)
+            or any(arr.parent[v] not in vs for v in order[:-1])):
         raise ValueError("vertex set does not induce a connected subtree")
     p = Fraction(point)
     (neg, zero, _), = _run(order, *arr[1:], ((-p.numerator, p.denominator),))

@@ -20,6 +20,9 @@ import numpy as np
 from .locate import counts_at
 from .matrices import WeightedTreeMatrix, to_dense_float  # noqa: F401, float_spectrum calls it
 
+# relative float tolerance of compare_counts: its band is 10 * _TOL * scale
+_TOL = 1e-12
+
 
 class OracleError(RuntimeError):
     pass
@@ -76,12 +79,11 @@ class AgreementReport:
     band: float
 
 
-def compare_counts(m: WeightedTreeMatrix, point: Fraction,
-                   tol: float = 1e-12) -> AgreementReport:
+def compare_counts(m: WeightedTreeMatrix, point: Fraction) -> AgreementReport:
     """Compare exact below/equal/above counts at `point` with counts derived
     from the float oracle.
 
-    Floats within `band` = 10*tol*scale of the point count as equal; floats
+    Floats within `band` = 10*_TOL*scale of the point count as equal; floats
     between one and ten bands away are deemed too close to call and the
     report comes back inconclusive.  Raises OracleError when the matrix or
     the point does not fit in floats, since no float verdict exists then.
@@ -92,7 +94,7 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction,
     except OverflowError as exc:
         raise OracleError(f"float expansion overflows: {exc}") from exc
     scale = max(1.0, top * m.n)
-    band = 10.0 * tol * scale
+    band = 10.0 * _TOL * scale
     if not np.isfinite(band):
         raise OracleError("float expansion overflows: the band is not finite")
     spectrum = m.float_spectrum

@@ -50,7 +50,7 @@ from typing import Iterable, Sequence
 # attributes, so all four are imported here; only _run is used
 from .locate import _run, counts_at, diagonalize
 from .matrices import WeightedTreeMatrix, make_matrix
-from .trees import (Family, PieceCert, RootedTree, _family_analysis,
+from .trees import (Family, PieceCert, RootedTree, _family_analysis, _uniform,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
 
 
@@ -461,14 +461,14 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
     if beta <= alpha:
         raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
     an = _family_analysis(t)
-    d = an.diameter
+    d = diameter(t)
     if an.family is Family.UNSUPPORTED:
         raise ValueError(f"unsupported family (diameter {d}); no construction applies")
     if d < 1:
         raise ValueError("need at least one edge to realize")
     big_k = (d + 1) // 2
     if an.family is Family.UNIFORM:
-        builder = _Builder(t, an.center, alpha, beta, big_k, deep)
+        builder = _Builder(t, an.whole.root, alpha, beta, big_k, deep)
         blk = builder.build(an.whole, Variant.LOW, 0, big_k)
         return _finish(builder, blk, t, Family.UNIFORM, Variant.LOW.value, None)
     if d < 6:
@@ -476,32 +476,24 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
                          f"trees of diameter {d} (need >= 6)")
     if d % 2 == 0:
         # short core at the center, full-height branches around it
-        builder = _Builder(t, an.center, alpha, beta, big_k, deep)
+        builder = _Builder(t, an.whole.root, alpha, beta, big_k, deep)
         blk = _build_low_side(builder, an.whole, (d - 2) // 2)
         return _finish(builder, blk, t, Family.SHORT_CORE, "short-core-even", None)
-    # odd diameter: two halves joined across the central edge
+    # odd diameter: two halves joined across the central edge; a short-core
+    # half takes the bottom-anchored shape (stable sort: short-core first)
     k = (d - 3) // 2
-    if an.family is Family.SHORT_CORE:
-        low_side, high_side = an.sides
-        variant_name = "short-core-odd"
-    else:
-        # mixed: the short-core half takes the bottom-anchored shape
-        if an.sides[0][1] == "short_core":
-            low_side, high_side = an.sides
-        else:
-            high_side, low_side = an.sides
-        variant_name = "mixed"
-    builder = _Builder(t, low_side[0], alpha, beta, big_k, deep)
+    low_side, high_side = sorted(an.sides, key=_uniform)
+    variant_name = "short-core-odd" if an.family is Family.SHORT_CORE else "mixed"
+    builder = _Builder(t, low_side.root, alpha, beta, big_k, deep)
     vals = builder.ladders[k]
-    low_blk = _build_low_side(builder, low_side[2], k)
+    low_blk = _build_low_side(builder, low_side, k)
     # the top-anchored half: full-height HIGH branches around a core shifted
     # up by one step of its level (a short core one level down, or a LOW one)
-    hs_cert = high_side[2]
     anchor, level = ((Variant.HIGH, k - 1) if an.family is Family.SHORT_CORE
                      else (Variant.LOW, k))
     shift = builder.step(level)
-    core = builder.build(hs_cert.core, anchor, shift, level)
-    parts = [builder.build(p, Variant.HIGH, 0, k) for p in hs_cert.parts]
+    core = builder.build(high_side.core, anchor, shift, level)
+    parts = [builder.build(p, Variant.HIGH, 0, k) for p in high_side.parts]
     high_blk = builder.join_blocks(core, parts, vals[0], "min",
                                    expect_forced=vals[2 * k + 1] + shift)
     top = max(max(low_blk.pred), max(high_blk.pred))

@@ -47,11 +47,12 @@ class Family(Enum):
 class RootedTree:
     """Immutable rooted tree on vertex ids 0..n-1.
 
-    parent[i] is the parent id of vertex i, or -1 for the root.  Derived
-    structure (children lists, the postorder, subtree sizes and positions in
-    it, depths, heights, the diameter and centre, and the recognizer's
-    analysis) is computed lazily and cached, so recognition, realization and
-    verification of one tree object share it.
+    parent[i] is the parent id of vertex i, or -1 for the root; an array
+    that is not a tree on 0..n-1 raises ValueError.  Derived structure
+    (children lists, the postorder, subtree sizes and positions in it,
+    depths, heights, the diameter and centre, and the recognizer's analysis)
+    is computed once and cached (the postorder on construction, by that
+    check), so recognition, realization and verification share it.
     """
 
     parent: tuple[int, ...]
@@ -63,6 +64,10 @@ class RootedTree:
             raise ValueError(f"root {self.root} out of range for {n} vertices")
         if self.parent[self.root] != -1:
             raise ValueError("root must have parent -1")
+        # the postorder from the root misses a second root, a cycle and an
+        # id below -1, so it covers all n vertices only for a tree
+        if max(self.parent) >= n or len(self.order) != n:
+            raise ValueError("parent array is not a tree on its vertex ids")
 
     @property
     def n(self) -> int:
@@ -431,12 +436,13 @@ def seed(family: Family, d: int) -> RootedTree:
 
 @dataclass(frozen=True)
 class PieceCert:
-    """Certificate that a piece of the tree decomposes uniformly.
+    """Certificate that a piece of the tree decomposes recursively.
 
     The piece consists of `root` plus the branches listed through `parts`
     and `core`: parts are the full-height branches (each itself certified),
     core is the piece formed by the root and all shorter branches, certified
-    one level down.  Leaves of the recursion have height 0 and no core.
+    one level down (two in a short-core piece, which is how `_uniform` tells
+    the kinds apart).  Leaves of the recursion have height 0 and no core.
     """
 
     root: int
@@ -463,98 +469,61 @@ class FamilyTag:
     certificate: dict
 
 
-class _Recognizer:
-    """Uniform-piece checker over a fixed rooting of the tree.
+def _uniform(pc: PieceCert) -> bool:
+    """A piece is uniform when it is a leaf or its core is one level below
+    it; the core of a short-core piece is two levels below."""
+    return pc.core is None or pc.core.height == pc.height - 1
 
-    Every check goes through `split`, and each (vertex, cap) pair is asked
-    for at most once per recognition, so nothing is cached."""
 
-    def __init__(self, t: RootedTree):
-        self.t = t
-
-    def split(self, v: int, cap: int | None = None
-              ) -> tuple[int, tuple[PieceCert, ...], PieceCert | None] | None:
-        """Split the piece at v made of its branches of height <= cap (all
-        branches when cap is None): the piece height h, certificates for
-        the branches of height h - 1, and the certificate for v plus the
-        shorter branches (None for a leaf).  Returns None when a full-height
-        branch or the core does not decompose uniformly."""
-        t = self.t
-        kids = [c for c in t.children[v] if cap is None or t.height_below[c] <= cap]
-        if not kids:
-            return 0, (), None
-        h = 1 + max(t.height_below[c] for c in kids)
-        parts = []
-        for c in kids:
-            if t.height_below[c] == h - 1:
-                pc = self.piece(c)
-                if pc is None:
-                    return None
-                parts.append(pc)
-        core = self.piece(v, h - 2)
-        if core is None:
-            return None
-        return h, tuple(parts), core
-
-    def classify(self, v: int, cap: int | None = None
-                 ) -> tuple[str, PieceCert] | tuple[None, None]:
-        """Kind and certificate of the piece at v (branches capped as in
-        `split`): "uniform" when the core has height h - 1 or v is a leaf,
-        "short_core" when it has height h - 2.  Short-core pieces are
-        recorded with the same shape; the height gap between core and parts
-        is what tells the kinds apart.  (None, None) for anything else."""
-        s = self.split(v, cap)
-        if s is None:
-            return None, None
-        h, parts, core = s
-        if core is None or core.height == h - 1:
-            return "uniform", PieceCert(v, h, parts, core)
-        if core.height == h - 2:
-            return "short_core", PieceCert(v, h, parts, core)
-        return None, None
-
-    def piece(self, v: int, cap: int | None = None) -> PieceCert | None:
-        """Certify the piece at v made of branches of height <= cap (all
-        branches when cap is None).  Returns None if the piece does not
-        decompose uniformly."""
-        kind, cert = self.classify(v, cap)
-        return cert if kind == "uniform" else None
+def _piece(t: RootedTree, v: int, cap: int | None = None) -> PieceCert | None:
+    """Certify the piece at v made of its branches of height <= cap (all
+    branches when cap is None): of height h, its branches of height h - 1
+    uniform parts, and v plus the shorter branches a uniform core of height
+    h - 1 (a uniform piece) or h - 2 (a short-core piece); else None.  Each
+    (vertex, cap) pair is asked for at most once, so nothing is cached."""
+    hb = t.height_below
+    kids = [c for c in t.children[v] if cap is None or hb[c] <= cap]
+    if not kids:
+        return PieceCert(v, 0, (), None)
+    h = 1 + max(hb[c] for c in kids)
+    parts = []
+    for c in kids:
+        if hb[c] == h - 1:
+            pc = _piece(t, c)
+            if pc is None or not _uniform(pc):
+                return None
+            parts.append(pc)
+    core = _piece(t, v, h - 2)
+    if core is None or not _uniform(core) or core.height < h - 2:
+        return None
+    return PieceCert(v, h, tuple(parts), core)
 
 
 @dataclass(frozen=True)
 class _FamilyAnalysis:
     """Structured recognizer output shared with the realization engine.
 
-    `whole` certifies the split at `center` for every supported tree of
+    `whole` certifies the split at the centre for every supported tree of
     even diameter (the core is one level short for SHORT_CORE) and, for
     uniform trees of odd diameter, the entire tree as one piece rooted at
-    the smaller central-edge endpoint.  Odd diameter: `sides` holds the two
-    halves as (endpoint, kind, certificate) with kind "uniform" or
-    "short_core".
+    the smaller central-edge endpoint.  Odd diameter: `sides` certifies the
+    halves rooted at the two endpoints, smaller id first.
     """
 
     family: Family
-    diameter: int
-    center: int
-    sides: tuple[tuple[int, str, PieceCert], ...] = ()
+    sides: tuple[PieceCert, ...] = ()
     whole: PieceCert | None = None
-
-
-def _min_piece_size(height: int) -> int:
-    """A lower bound on the vertex count of a uniform piece of `height`: a
-    piece of height L is a core and at least one part, each a piece of
-    height L - 1, so the size at least doubles per level."""
-    return 1 << height
 
 
 def _min_family_size(d: int) -> int:
     """A lower bound on the vertex count of a supported tree of diameter d.
 
-    Even d = 2h: the split at the center has at least two parts of height
-    h - 1.  Odd d = 2h + 1: each of the two sides has a part of height
-    h - 1 and a core of height h - 1 or h - 2.  Either way at least
-    _min_piece_size(h) vertices."""
-    return _min_piece_size(d // 2)
+    A uniform piece of height L is a core and at least one part, each a
+    piece of height L - 1, so its size at least doubles per level.  Even
+    d = 2h: the split at the center has at least two parts of height h - 1.
+    Odd d = 2h + 1: each of the two sides has a part of height h - 1 and a
+    core of height h - 1 or h - 2.  Either way at least 2**h vertices."""
+    return 1 << (d // 2)
 
 
 def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
@@ -564,38 +533,34 @@ def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
 
 def _analyze_family(t: RootedTree) -> _FamilyAnalysis:
     d = diameter(t)
-    centers = main_roots(t)
     if t.n < _min_family_size(d):
         # also keeps the recognizer's recursion, which descends one level
         # per call, within log2(n) levels
-        return _FamilyAnalysis(Family.UNSUPPORTED, d, centers[0])
+        return _FamilyAnalysis(Family.UNSUPPORTED)
     if d % 2 == 0:
-        c = centers[0]
-        kind, whole = _Recognizer(reroot(t, c)).classify(c)
-        if kind is None:
-            return _FamilyAnalysis(Family.UNSUPPORTED, d, c)
-        fam = Family.UNIFORM if kind == "uniform" else Family.SHORT_CORE
-        return _FamilyAnalysis(fam, d, c, whole=whole)
-    u, v = centers
-    rec = _Recognizer(reroot(t, u))
-    kind_b, cert_b = rec.classify(v)
+        c, = main_roots(t)
+        whole = _piece(reroot(t, c), c)
+        if whole is None:
+            return _FamilyAnalysis(Family.UNSUPPORTED)
+        fam = Family.UNIFORM if _uniform(whole) else Family.SHORT_CORE
+        return _FamilyAnalysis(fam, whole=whole)
+    u, v = main_roots(t)
+    rt = reroot(t, u)
+    b = _piece(rt, v)
     # side A is everything except v's subtree; with the tree rooted at u the
     # branch toward v is the unique tallest one, so capping at the side
     # height picks out exactly side A
     h_side = (d - 1) // 2
-    kind_a, cert_a = rec.classify(u, h_side - 1)
-    if kind_a is None or kind_b is None:
-        return _FamilyAnalysis(Family.UNSUPPORTED, d, u)
-    sides = ((u, kind_a, cert_a), (v, kind_b, cert_b))
-    if kind_a == "uniform" and kind_b == "uniform":
+    a = _piece(rt, u, h_side - 1)
+    if a is None or b is None:
+        return _FamilyAnalysis(Family.UNSUPPORTED)
+    if _uniform(a) and _uniform(b):
         # the whole tree is one uniform piece when rooted at either endpoint;
         # seen from u, side B is the unique tallest branch and side A is the
         # core formed by u and everything shorter
-        whole = PieceCert(u, h_side + 1, (cert_b,), cert_a)
-        return _FamilyAnalysis(Family.UNIFORM, d, u, sides=sides, whole=whole)
-    if kind_a == "short_core" and kind_b == "short_core":
-        return _FamilyAnalysis(Family.SHORT_CORE, d, u, sides=sides)
-    return _FamilyAnalysis(Family.MIXED, d, u, sides=sides)
+        return _FamilyAnalysis(Family.UNIFORM, (a, b), PieceCert(u, h_side + 1, (b,), a))
+    fam = Family.MIXED if _uniform(a) or _uniform(b) else Family.SHORT_CORE
+    return _FamilyAnalysis(fam, (a, b))
 
 
 def recognize_family(t: RootedTree) -> FamilyTag:
@@ -605,19 +570,17 @@ def recognize_family(t: RootedTree) -> FamilyTag:
     UNSUPPORTED with the diameter still filled in.
     """
     an = _family_analysis(t)
-    d, fam = an.diameter, an.family
+    d, fam = diameter(t), an.family
+    cert: dict = {"family": fam.value, "diameter": d}
     if d % 2 == 0:
-        cert: dict = {"family": fam.value, "diameter": d, "main_root": an.center}
+        cert["main_root"] = main_roots(t)[0]
         if fam is not Family.UNSUPPORTED:
             cert["piece"] = an.whole.to_json()
         return FamilyTag(fam, d, cert)
-    u, v = main_roots(t)
-    cert = {"family": fam.value, "diameter": d, "main_edge": [u, v]}
+    cert["main_edge"] = list(main_roots(t))
     if fam is not Family.UNSUPPORTED:
-        cert["sides"] = [
-            {"root": r, "kind": kind, "piece": pc.to_json()}
-            for r, kind, pc in an.sides
-        ]
+        cert["sides"] = [{"root": pc.root, "kind": "uniform" if _uniform(pc) else "short_core",
+                          "piece": pc.to_json()} for pc in an.sides]
     return FamilyTag(fam, d, cert)
 
 
@@ -625,9 +588,11 @@ def _whole_piece_cert(t: RootedTree, at_root: int) -> PieceCert | None:
     """Certificate that the whole tree, rooted at at_root, is one uniform
     piece.  Used by the variant builders, which accept any central rooting."""
     rt = reroot(t, at_root)
-    if t.n < _min_piece_size(rt.height_below[at_root]):
+    # a uniform piece of height L has at least 2**L vertices
+    if t.n < 1 << rt.height_below[at_root]:
         return None
-    return _Recognizer(rt).piece(at_root, None)
+    pc = _piece(rt, at_root)
+    return pc if pc is not None and _uniform(pc) else None
 
 
 # ---------------------------------------------------------------------------

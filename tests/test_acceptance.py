@@ -168,7 +168,7 @@ def test_criterion_08_assembly_bookkeeping(corpus):
             # extreme moved to the pinned and forced positions
             probe = set(merged) | {rec.y, rec.forced}
             for lam in probe:
-                got = counts_within(m, lam, tuple(members), rec.core_root)
+                got = counts_within(m, lam, tuple(members))
                 assert got.equal == pred.get(lam, 0), (lam, rec)
             expect = dict(merged)
             expect[rec.a] -= 1

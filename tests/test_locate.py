@@ -202,7 +202,7 @@ def test_counts_within_matches_reference_on_connected_subsets(m, x, data):
     d, _, _ = reference_elimination(m, x, root, keep)
     vals = list(d.values())
     neg, zero = sum(q < 0 for q in vals), sum(q == 0 for q in vals)
-    c = counts_within(m, -x, keep, root)
+    c = counts_within(m, -x, keep)
     assert (c.below, c.equal, c.above) == (neg, zero, len(keep) - neg - zero)
 
 
@@ -273,7 +273,7 @@ def test_count_in_interval_rejects_reversed():
 
 def test_counts_within_subtree():
     m = path_matrix(5)
-    c = counts_within(m, F(0), (0, 1, 2), root=0)
+    c = counts_within(m, F(0), (0, 1, 2))
     # the restriction is P_3, eigenvalues -sqrt2, 0, sqrt2
     assert (c.below, c.equal, c.above) == (1, 1, 1)
 
@@ -281,9 +281,9 @@ def test_counts_within_subtree():
 def test_counts_within_rejects_disconnected_set():
     m = path_matrix(5)
     with pytest.raises(ValueError):
-        counts_within(m, F(0), (0, 2), root=0)
+        counts_within(m, F(0), (0, 2))
     with pytest.raises(ValueError):
-        counts_within(m, F(0), (0, 1), root=4)
+        counts_within(m, F(0), ())
 
 
 def test_interlacing_under_vertex_deletion():

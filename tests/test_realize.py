@@ -514,10 +514,10 @@ def test_one_tree_is_analysed_once(monkeypatch, fam, d):
     monkeypatch.setattr(diminimal.trees, "_find_center", find_center)
     assert recognize_family(t).family is fam
 
-    def split(self, v, cap=None):
+    def piece(t, v, cap=None):
         raise AssertionError("the tree was recognized twice")
 
-    monkeypatch.setattr(diminimal.trees._Recognizer, "split", split)
+    monkeypatch.setattr(diminimal.trees, "_piece", piece)
     c = realize_integral(t, 0)
     assert verify_certificate(c.matrix, c.dspec) == []
     assert c.matrix.tree is t

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ahu, random_unfolding, subtree_ids
+from helpers import random_unfolding, subtree_ids
 
 from diminimal import (
     Family,
+    RootedTree,
     build_tree,
     diameter,
     duplicate_branch,
@@ -103,6 +104,18 @@ def test_build_tree_rejects_gap_in_ids():
         build_tree([(0, 2)], 0)
 
 
+@pytest.mark.parametrize("parent", [
+    (-1, 5),         # a parent id out of range
+    (-1, -1),        # a second root
+    (-1, 2, 1),      # a cycle away from the root
+    (-1, -3),        # an id below -1
+    (-1, 0, 3, 2),   # a cycle beside a valid branch
+])
+def test_rooted_tree_refuses_parent_arrays_that_are_not_trees(parent):
+    with pytest.raises(ValueError, match="not a tree"):
+        RootedTree(parent, 0)
+
+
 def test_order_puts_parents_after_children():
     t = build_tree([(0, 1), (0, 2), (2, 3), (2, 4)], 0)
     order = t.order
@@ -154,7 +167,7 @@ def test_reroot_preserves_structure(t, data):
     r = data.draw(st.integers(0, t.n - 1))
     s = reroot(t, r)
     assert set(s.edges) == set(t.edges)
-    assert ahu(s, r) == ahu(t, r) or True  # ahu is rooted; edges test suffices
+    assert s.parent == build_tree(t.edges, r).parent
     for v in range(t.n):
         assert s.degree(v) == t.degree(v)
 
@@ -442,7 +455,7 @@ def test_analysis_certifies_uniform_trees_as_one_whole_piece():
                 an = _family_analysis(tr)
                 assert an.family is Family.UNIFORM
                 assert an.whole is not None
-                assert an.whole == _whole_piece_cert(tr, an.center)
+                assert an.whole == _whole_piece_cert(tr, main_roots(tr)[0])
 
 
 # ----------------------------------------------------------- serialization
