@@ -4,7 +4,6 @@ for symmetric matrices whose graph is a tree."""
 from .trees import (
     Family,
     FamilyTag,
-    JoinResult,
     RootedTree,
     build_tree,
     diameter,

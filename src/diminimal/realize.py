@@ -203,9 +203,9 @@ class _Block:
 class _Builder:
     """Bottom-up constructor over a fixed rooting of the target tree.
 
-    Diagonal entries and squared weights accumulate in dicts keyed by the
-    tree's own vertex ids and in the kernel's flat arrays; blocks are vertex
-    subsets with their postorder, so no intermediate matrix is built.
+    Diagonal entries and squared weights (an edge's at its child in this
+    rooting) accumulate in the kernel's flat arrays by vertex id; blocks are
+    vertex subsets with their postorder, so no intermediate matrix is built.
 
     Claimed values are ints N standing for N/q (see the module docstring),
     where q is the least common denominator of alpha,
@@ -223,8 +223,6 @@ class _Builder:
         self.ladders: list[tuple[int, ...] | None] = [None] + _ladder_levels(
             self.alpha, self.beta - self.alpha, max_level)
         self.deep = deep
-        self.diag: dict[int, Fraction] = {}
-        self.w2: dict[tuple[int, int], Fraction] = {}
         n = tree.n
         self.dn, self.dd, self.wn, self.wd = [0] * n, [1] * n, [0] * n, [1] * n
         self.arrays = (self.rt.parent, self.dn, self.dd, self.wn, self.wd)  # all but the order
@@ -281,7 +279,7 @@ class _Builder:
                              f"expected {level}")
         if level == 0:
             val = (self.alpha if anchor is Variant.LOW else self.beta) + shift
-            x = self.diag[cert.root] = self.frac(val)
+            x = self.frac(val)
             self.dn[cert.root], self.dd[cert.root] = x.numerator, x.denominator
             return _Block(cert.root, (cert.root,), {val: 1}, (cert.root,), ((x, 1),))
         ca, cs, pa, ps = self._dispatch(anchor, shift, level)
@@ -303,10 +301,9 @@ class _Builder:
         if d2 <= 0:
             raise RuntimeError(f"solved squared weight {d2} is not positive")
         for p in parts:
-            key = (min(core.root, p.root), max(core.root, p.root))
-            if key in self.w2 or self.rt.parent[p.root] != core.root:
+            # wn is 0 until a part hangs, as d2 > 0
+            if self.wn[p.root] or self.rt.parent[p.root] != core.root:
                 raise RuntimeError(f"part root {p.root} cannot hang from {core.root}")
-            self.w2[key] = d2
             self.wn[p.root], self.wd[p.root] = d2.numerator, d2.denominator
 
         pred: dict[int, int] = dict(core.pred)
@@ -390,10 +387,11 @@ class _Builder:
 
 def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
             variant: str, shift: Fraction | None) -> RealizationCertificate:
-    if blk.vertices != tuple(range(tree.n)) or len(builder.w2) != len(tree.edges):
+    parent, dn, dd, wn, wd = builder.arrays
+    if blk.vertices != tuple(range(tree.n)) or wn.count(0) != 1:
         raise RuntimeError("the final block does not cover the whole tree")
-    diag = tuple(builder.diag[v] for v in range(tree.n))
-    w2 = {e: builder.w2[e] for e in tree.edges}
+    diag = tuple(map(Fraction, dn, dd))
+    w2 = {(c, p): Fraction(wn[c], wd[c]) for c, p in enumerate(parent) if p >= 0}
     m = make_matrix(tree, diag, w2)
     # the closing check on the finished matrix, and the only one of the
     # final block: join_blocks checks each block when it joins it

@@ -8,10 +8,11 @@ this module provides:
   * deterministic bottom-up (postorder) traversal,
   * diameter, per-vertex heights, and the central vertices shared by every
     maximum-length path,
-  * ``join``: gluing rooted trees by adding root-to-root edges,
+  * ``join``: gluing rooted trees by adding root-to-root edges, with the
+    ids of the result read from the postorders,
   * ``duplicate_branch``: appending extra copies of a branch at a vertex,
-  * ``seed``: the recursively defined base trees of the three supported
-    families, and
+  * ``seed``: the base trees of the three supported families, each one or
+    two halves made of smallest uniform pieces, and
   * ``recognize_family``: a certificate-producing recognizer that decides
     which family (if any) an arbitrary tree belongs to.
 """
@@ -253,49 +254,25 @@ def main_roots(t: RootedTree) -> tuple[int, ...]:
     return t._center[1]
 
 
-@dataclass(frozen=True)
-class JoinResult:
-    """Outcome of a join: the combined tree plus id translation maps.
-
-    core_map[i] is the new id of vertex i of the core tree; part_maps[j][i]
-    is the new id of vertex i of the j-th part.
-    """
-
-    tree: RootedTree
-    core_map: tuple[int, ...]
-    part_maps: tuple[tuple[int, ...], ...]
-
-
-def join(core: RootedTree, parts: Sequence[RootedTree]) -> JoinResult:
+def join(core: RootedTree, parts: Sequence[RootedTree]) -> RootedTree:
     """Glue rooted trees by adding an edge from core's root to each part's
     root.  The result is rooted at core's root.
 
-    Ids are relabeled into one contiguous range: core's vertices first, in
-    core's bottom-up order, then each part's vertices in list order (again in
-    bottom-up order within each part).
+    Ids are read from the postorders: vertex v of the core becomes
+    core.pos[v], and vertex v of a part becomes offset + part.pos[v], where
+    offset counts the vertices of the core and of the parts listed before it.
     """
     if not parts:
         raise ValueError("join needs at least one part")
-    core_map = [0] * core.n
-    for new_id, old in enumerate(core.order):
-        core_map[old] = new_id
-    offset = core.n
-    part_maps: list[tuple[int, ...]] = []
-    for p in parts:
-        m = [0] * p.n
-        for k, old in enumerate(p.order):
-            m[old] = offset + k
-        part_maps.append(tuple(m))
-        offset += p.n
-    edges: list[tuple[int, int]] = []
-    for u, v in core.edges:
-        edges.append((core_map[u], core_map[v]))
-    for p, m in zip(parts, part_maps):
-        for u, v in p.edges:
-            edges.append((m[u], m[v]))
-        edges.append((core_map[core.root], m[p.root]))
-    tree = build_tree(edges, core_map[core.root])
-    return JoinResult(tree, tuple(core_map), tuple(part_maps))
+    parent = [-1] * (core.n + sum(p.n for p in parts))
+    root, offset = core.pos[core.root], 0
+    # the core's root stays the root; each part's root hangs from it
+    for t, top in [(core, -1), *((p, root) for p in parts)]:
+        pos = t.pos
+        for v, u in enumerate(t.parent):
+            parent[offset + pos[v]] = top if u < 0 else offset + pos[u]
+        offset += t.n
+    return RootedTree(tuple(parent), root)
 
 
 def duplicate_branch(t: RootedTree, v: int, branch_root: int, copies: int) -> RootedTree:
@@ -342,92 +319,54 @@ def duplicate_branch(t: RootedTree, v: int, branch_root: int, copies: int) -> Ro
 # Seed trees
 # ---------------------------------------------------------------------------
 
-def _seed_uniform(d: int) -> RootedTree:
-    """Base tree of the uniform family for diameter d, rooted centrally."""
-    if d == 0:
-        return build_tree([], 0)
-    if d == 1:
-        return join(_seed_uniform(0), [_seed_uniform(0)]).tree
-    if d == 2:
-        s0 = _seed_uniform(0)
-        return join(s0, [s0, s0]).tree
-    if d % 2 == 1:
-        # d = 2k-1, k >= 2: two copies of the diameter d-2 seed
-        prev = _seed_uniform(d - 2)
-        return join(prev, [prev]).tree
-    # d = 2k, k >= 2: three copies of the diameter 2k-3 = d-3 seed
-    prev = _seed_uniform(d - 3)
-    return join(prev, [prev, prev]).tree
+def _uniform_piece(h: int) -> RootedTree:
+    """The smallest uniform piece of height h: one vertex for h = 0, else a
+    core and one part, each the piece of height h - 1; 2**h vertices."""
+    u = RootedTree((-1,), 0)
+    for _ in range(h):
+        u = join(u, [u])
+    return u
 
 
-def _seed_short_core(d: int) -> RootedTree:
-    if d == 4:
-        s1 = _seed_uniform(1)
-        return join(_seed_uniform(0), [s1, s1]).tree
-    if d == 5:
-        half = join(_seed_uniform(0), [_seed_uniform(1)]).tree
-        return join(half, [half]).tree
-    if d % 2 == 0:
-        # d = 2k+2, k >= 2: short core, two full-height branches
-        k = (d - 2) // 2
-        tall = _seed_uniform(2 * k - 1)
-        return join(_seed_uniform(2 * k - 3), [tall, tall]).tree
-    # d = 2k+3, k >= 2: two short-core halves joined root to root
-    k = (d - 3) // 2
-    half = join(_seed_uniform(2 * k - 3), [_seed_uniform(2 * k - 1)]).tree
-    return join(half, [half]).tree
-
-
-def _seed_mixed(d: int) -> RootedTree:
-    if d == 5:
-        short_half = join(_seed_uniform(0), [_seed_uniform(1)]).tree
-        tall_half = join(_seed_uniform(1), [_seed_uniform(1)]).tree
-        return join(short_half, [tall_half]).tree
-    # d = 2k+3, k >= 2: one short-core half, one uniform half
-    k = (d - 3) // 2
-    short_half = join(_seed_uniform(2 * k - 3), [_seed_uniform(2 * k - 1)]).tree
-    tall = _seed_uniform(2 * k - 1)
-    tall_half = join(tall, [tall]).tree
-    return join(short_half, [tall_half]).tree
-
-
-def _seed_size(family: Family, d: int) -> int:
-    """Vertex count of seed(family, d), summed from the recursions above."""
-    def u(j: int) -> int:  # the uniform seed of diameter j, 1 for j <= 0
-        return 1 if j <= 0 else 2 ** ((j + 1) // 2) if j % 2 else 3 * 2 ** (j // 2 - 1)
+def _seed_halves(family: Family, d: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The halves of seed(family, d), each as (core height, part heights) of
+    smallest uniform pieces: one half, or for odd short-core and mixed d two
+    halves joined root to root."""
+    h = d // 2
     if family is Family.UNIFORM:
-        return u(d)
+        return ((h, (h,)),) if d % 2 else ((h - 1, (h - 1, h - 1)),)
+    short = (h - 2, (h - 1,))
     if family is Family.MIXED:
-        return u(d - 6) + 3 * u(d - 4)
-    return u(d - 5) + 2 * u(d - 3) if d % 2 == 0 else 2 * (u(d - 6) + u(d - 4))
+        return short, (h - 1, (h - 1,))
+    return (short, short) if d % 2 else ((h - 2, (h - 1, h - 1)),)
 
 
 def seed(family: Family, d: int) -> RootedTree:
     """Smallest member of `family` with diameter d, rooted at a central
     vertex (the smaller-id endpoint of the central edge when d is odd).
 
+    The seed is the halves of `_seed_halves` joined root to root, so it has
+    2**c + sum(2**p for p in ps) vertices summed over its halves (c, ps).
     Domains: UNIFORM needs d >= 1, SHORT_CORE d >= 4, MIXED odd d >= 5, and
     the seed may have at most MAX_VERTICES vertices.
     """
-    if family is Family.UNIFORM:
-        if d < 1:
-            raise ValueError("uniform seed needs diameter >= 1")
-        build = _seed_uniform
-    elif family is Family.SHORT_CORE:
-        if d < 4:
-            raise ValueError("short-core seed needs diameter >= 4")
-        build = _seed_short_core
-    elif family is Family.MIXED:
-        if d < 5 or d % 2 == 0:
-            raise ValueError("mixed seed needs odd diameter >= 5")
-        build = _seed_mixed
-    else:
+    if family not in (Family.UNIFORM, Family.SHORT_CORE, Family.MIXED):
         raise ValueError(f"no seed for family {family}")
-    # a diameter-d tree has over d vertices, so a huge d skips _seed_size
-    if d >= MAX_VERTICES or _seed_size(family, d) > MAX_VERTICES:
+    if family is Family.UNIFORM and d < 1:
+        raise ValueError("uniform seed needs diameter >= 1")
+    if family is Family.SHORT_CORE and d < 4:
+        raise ValueError("short-core seed needs diameter >= 4")
+    if family is Family.MIXED and (d < 5 or d % 2 == 0):
+        raise ValueError("mixed seed needs odd diameter >= 5")
+    halves = _seed_halves(family, d)
+    # a diameter-d tree has over d vertices, so a huge d skips the sum
+    if d >= MAX_VERTICES or sum(2 ** c + sum(2 ** p for p in ps)
+                                for c, ps in halves) > MAX_VERTICES:
         raise ValueError(f"the {family.value} seed of diameter {d} has more than "
                          f"the supported {MAX_VERTICES} vertices")
-    return build(d)
+    piece = {h: _uniform_piece(h) for c, ps in halves for h in (c, *ps)}
+    first, *rest = [join(piece[c], [piece[p] for p in ps]) for c, ps in halves]
+    return join(first, rest) if rest else first
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -24,7 +25,7 @@ from diminimal import (
 )
 import diminimal.trees
 from diminimal.trees import (MAX_VERTICES, _family_analysis, _min_family_size,
-                             _seed_size, _whole_piece_cert)
+                             _seed_halves, _whole_piece_cert)
 
 
 @st.composite
@@ -205,33 +206,45 @@ def test_main_roots_parity():
 
 def test_join_star():
     k1 = build_tree([], 0)
-    res = join(k1, (k1, k1, k1))
-    t = res.tree
+    t = join(k1, (k1, k1, k1))
     assert t.n == 4
     assert diameter(t) == 2
-    assert t.degree(res.core_map[0]) == 3
+    assert t.degree(k1.pos[0]) == 3
 
 
 def test_join_path_from_pieces():
     p2 = build_tree([(0, 1)], 0)
-    res = join(p2, (p2,))
-    assert res.tree.n == 4
-    assert res.tree.root == res.core_map[0]
+    t = join(p2, (p2,))
+    assert t.n == 4
+    assert t.root == p2.pos[0]
     # the new edge connects the two roots
-    assert (min(res.core_map[0], res.part_maps[0][0]),
-            max(res.core_map[0], res.part_maps[0][0])) in res.tree.edges
+    core_root, part_root = p2.pos[0], p2.n + p2.pos[0]
+    assert (min(core_root, part_root), max(core_root, part_root)) in t.edges
 
 
 def test_join_relabeling_is_consistent():
+    # core vertex v becomes core.pos[v]; vertex v of a part, offset + part.pos[v]
     core = build_tree([(0, 1), (0, 2)], 0)
     part = build_tree([(0, 1)], 1)
-    res = join(core, (part, part))
-    t = res.tree
+    t = join(core, (part, part))
     assert t.n == 7
     for v in range(core.n):
-        assert t.depth[res.core_map[v]] == core.depth[v]
-    for pm in res.part_maps:
-        assert t.parent[pm[part.root]] == res.core_map[core.root]
+        assert t.depth[core.pos[v]] == core.depth[v]
+    for offset in (core.n, core.n + part.n):
+        assert t.parent[offset + part.pos[part.root]] == core.pos[core.root]
+    # rerooted random cores and parts against build_tree on the relabelled edges
+    rng = random.Random(23)
+    pool = [reroot(s, rng.randrange(s.n)) for s in shuffled_trees(23, count=120, max_n=30)]
+    for _ in range(200):
+        core, *parts = rng.sample(pool, rng.randint(2, 5))
+        root, offset = core.pos[core.root], core.n
+        edges = [(core.pos[u], core.pos[v]) for u, v in core.edges]
+        for p in parts:
+            edges += [(offset + p.pos[u], offset + p.pos[v]) for u, v in p.edges]
+            edges.append((root, offset + p.pos[p.root]))
+            offset += p.n
+        t = join(core, parts)
+        assert (t.parent, t.root) == (build_tree(edges, root).parent, root)
 
 
 # ------------------------------------------------------------ duplication
@@ -306,12 +319,35 @@ def test_seed_size_is_known_before_the_seed_is_built(monkeypatch):
     for fam, lo, step in ((Family.UNIFORM, 1, 1), (Family.SHORT_CORE, 4, 1),
                           (Family.MIXED, 5, 2)):
         for d in range(lo, 16, step):
-            assert _seed_size(fam, d) == seed(fam, d).n, (fam, d)
+            size = sum(2 ** c + sum(2 ** p for p in ps) for c, ps in _seed_halves(fam, d))
+            assert size == seed(fam, d).n, (fam, d)
     # refused without building: seed(UNIFORM, 81) would have 2**41 vertices
-    monkeypatch.setattr(diminimal.trees, "_seed_uniform", None)
+    monkeypatch.setattr(diminimal.trees, "_uniform_piece", None)
     for d in (35, 81, 10 ** 12):
         with pytest.raises(ValueError, match=f"more than the supported {MAX_VERTICES} "):
             seed(Family.UNIFORM, d)
+
+
+def test_seeds_beyond_the_golden_set_are_pinned_and_certified_by_their_halves():
+    # (family, d, root, parent) of every seed with 16 <= d <= 25, hashed when
+    # each family's seeds came from a recursion of its own
+    rows = [(fam.value, d, s.root, s.parent)
+            for fam, lo, step in ((Family.UNIFORM, 16, 1), (Family.SHORT_CORE, 16, 1),
+                                  (Family.MIXED, 17, 2))
+            for d in range(lo, 26, step) for s in [seed(fam, d)]]
+    assert len(rows) == 25
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "0a448fa36b202d8aa43e97e557cf69ed19cf1004921700cb7c45e0a2316b8dff")
+    # the recognizer certifies each half with the heights it was built from:
+    # `whole` for a one-half seed, `sides` for a two-half one
+    for fam, lo, step in ((Family.UNIFORM, 1, 1), (Family.SHORT_CORE, 4, 1),
+                          (Family.MIXED, 5, 2)):
+        for d in range(lo, 16, step):
+            halves = _seed_halves(fam, d)
+            an = _family_analysis(seed(fam, d))
+            certs = (an.whole,) if len(halves) == 1 else an.sides
+            got = tuple((pc.core.height, tuple(p.height for p in pc.parts)) for pc in certs)
+            assert got == halves, (fam, d)
 
 
 def test_a_diameter_outside_the_domain_gets_the_domain_error():
