@@ -20,12 +20,11 @@ Joining blocks is the single primitive: one shared squared weight attaches
 every part root to the core root, chosen so the assembled block gains a
 prescribed eigenvalue strictly beyond all block spectra.  The two extreme
 block eigenvalues merge into the interior and a new extreme value appears on
-the opposite side, with its position forced exactly by the trace.  Each join
-runs the exact kernel once per block it takes in, at the block's claimed
-values and the pin point, and the finished matrix gets one run at all d+1
-values in `verify_certificate`; both check the claims by
-`_spectrum_problems`, so a construction bug cannot survive to the returned
-certificate.
+the opposite side, with its position forced exactly by the trace.  A join
+runs the exact kernel once per block it takes in, at the pin point alone.
+The returned certificate is proved by one run of the finished matrix at all
+d+1 values in `verify_certificate`, so a construction bug cannot survive to
+it; `deep` also proves each block's claims by `_spectrum_problems` at its join.
 
 Every value the builder claims (ladder values, steps, shifts, pin points,
 forced values and predicted spectra) is alpha plus an integer multiple of
@@ -137,7 +136,9 @@ def _delta_squared(core_root_value: Fraction, part_root_values: Sequence[Fractio
 class AssemblyRecord:
     """Audit trail of one internal join: the blocks that went in, the pin
     point, the solved weight, and the multiset bookkeeping (a and b are the
-    extreme block values that merged inward, forced = a + b - y)."""
+    extreme block values that merged inward, forced = a + b - y).  `pred` is
+    a claim: the last one is the proved dspec, and the others are proved only
+    under `deep` (or independently, by counts_within on their vertices)."""
 
     core_root: int
     core_vertices: tuple[int, ...]
@@ -157,8 +158,8 @@ class RealizationCertificate:
     """A constructed matrix together with its fully verified spectrum.
 
     dspec lists (eigenvalue, multiplicity) in increasing eigenvalue order;
-    the distinct count always equals diameter + 1.  Every claim was checked
-    by exact congruence counts before the certificate was issued.
+    the distinct count always equals diameter + 1.  Every dspec claim was
+    checked by exact congruence counts before the certificate was issued.
     """
 
     matrix: WeightedTreeMatrix
@@ -239,18 +240,18 @@ class _Builder:
         return (self.beta - self.alpha) >> j
 
     def _consume(self, blk: _Block, y: int, side: str) -> Fraction:
-        """One kernel run of a block a join takes in, at its claimed values and
-        the pin point y: it proves the claims and that y lies strictly beyond
-        the spectrum on `side`, and gives the root's value at y."""
-        points = _points((*blk.spec, (self.frac(y), 1)))
-        *counts, (neg, zero, (a, b)) = _run(blk.order, *self.arrays, points)
-        problems = _spectrum_problems(blk.spec, counts, len(blk.order))
-        if problems:
-            raise RuntimeError(f"block at {blk.root}: " + "; ".join(problems))
+        """One kernel run of a block a join takes in, at the pin point y (and
+        under `deep` at its claimed values, which it proves): it shows that y
+        lies strictly beyond the spectrum on `side` and gives the root's value."""
+        spec = blk.spec if self.deep else ()
+        *counts, (neg, zero, (a, b)) = _run(blk.order, *self.arrays,
+                                            _points((*spec, (self.frac(y), 1))))
+        problems = _spectrum_problems(spec, counts, len(blk.order)) if self.deep else []
         if zero or neg != (len(blk.order) if side == "max" else 0):
             beyond = "above" if side == "max" else "below"
-            raise ValueError(f"pin point {self.frac(y)} is not strictly {beyond} "
-                             f"a block spectrum")
+            problems.append(f"pin point {self.frac(y)} is not strictly {beyond} its spectrum")
+        if problems:
+            raise RuntimeError(f"block at {blk.root}: " + "; ".join(problems))
         return Fraction(a, b)
 
     # -- anchored recursion ---------------------------------------------------
@@ -393,8 +394,7 @@ def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
     diag = tuple(map(Fraction, dn, dd))
     w2 = {(c, p): Fraction(wn[c], wd[c]) for c, p in enumerate(parent) if p >= 0}
     m = make_matrix(tree, diag, w2)
-    # the closing check on the finished matrix, and the only one of the
-    # final block: join_blocks checks each block when it joins it
+    # the proof of every claim the certificate makes
     problems = verify_certificate(m, blk.spec)
     if problems:
         raise RuntimeError("; ".join(problems))

@@ -378,8 +378,8 @@ def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
 def test_finish_refuses_what_verify_certificate_refuses(monkeypatch):
     # counts that hide one eigenvalue below the minimum pass every
     # multiplicity, sum and diameter check; only the extreme check sees it.
-    # Only whole-tree runs are falsified, so the joined blocks pass their
-    # checks and _finish is the one that refuses.
+    # Only whole-tree runs are falsified, so the joins' pin-point tests pass
+    # and _finish is the one that refuses.
     real = diminimal.realize._run
 
     def one_below(order, parent, *arrays_and_points):
@@ -442,15 +442,31 @@ def sabotage_join(monkeypatch, at):
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_wrong_first_join_is_refused_by_the_block_check(monkeypatch, fam, d):
+    # deep mode checks a joined block twice: its structural probes right
+    # after the join, and its claims when the next join takes it in
     sabotage_join(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: no zero at the root "):
+        realize_family(seed(fam, d), 0, 32, deep=True)
+    monkeypatch.setattr(diminimal.realize._Builder, "_deep_checks", lambda *args: None)
+    sabotage_join(monkeypatch, 1)  # a fresh count of joins
     with pytest.raises(RuntimeError, match=r"^block at \d+: (claimed multiplicity "
                        r"|multiplicities sum to |\d+ eigenvalues (below|above) )"):
+        realize_family(seed(fam, d), 0, 32, deep=True)
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_a_wrong_first_join_is_refused_on_the_default_path(monkeypatch, fam, d):
+    # a later pin-point test or the finished certificate refuses it, as a
+    # construction bug: a RuntimeError, never the ValueError of bad input
+    sabotage_join(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match=r"^(block at \d+: pin point \S+ is not strictly "
+                                           r"(above|below) its spectrum|claimed multiplicity )"):
         realize_family(seed(fam, d), 0, 32)
 
 
 def test_a_pin_point_not_beyond_the_block_spectra_is_refused(monkeypatch):
-    # alpha is in every block spectrum; the run that checks a block's claims
-    # also shows that the pin point is not beyond them
+    # alpha is in every block spectrum; the run at the pin point shows that
+    # it is not beyond them, and no user input can get there
     real = diminimal.realize._Builder._pin
 
     def alpha_pin(self, anchor, shift, level):
@@ -458,8 +474,8 @@ def test_a_pin_point_not_beyond_the_block_spectra_is_refused(monkeypatch):
         return self.alpha, side, forced
 
     monkeypatch.setattr(diminimal.realize._Builder, "_pin", alpha_pin)
-    with pytest.raises(ValueError, match=r"^pin point 0 is not strictly (above|below) "
-                                         r"a block spectrum"):
+    with pytest.raises(RuntimeError, match=r"^block at \d+: pin point 0 is not strictly "
+                                           r"(above|below) its spectrum"):
         realize_family(seed(Family.UNIFORM, 5), 0, 32)
 
 
@@ -472,31 +488,61 @@ def test_a_wrong_last_join_is_refused_by_finish(monkeypatch, fam, d):
         realize_family(t, 0, 32)
 
 
-@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
-def test_each_joined_block_but_the_last_is_checked_once(monkeypatch, fam, d):
-    real, runs = diminimal.realize._run, []
+def join_runs(monkeypatch, fam, d, deep):
+    """Realize seed(fam, d) and record the exact runs of its joins and of
+    verify_certificate, as (sorted vertices, points); the structural probes
+    of deep mode are left out."""
+    real, runs, probing = diminimal.realize._run, [], []
+    real_probes = diminimal.realize._Builder._deep_checks
 
-    def spy(order, *arrays_and_points):
-        runs.append((tuple(sorted(order)), list(arrays_and_points[5])))
-        return real(order, *arrays_and_points)
+    def spy(order, *arrays_and_points, **kwargs):
+        if not probing:
+            runs.append((tuple(sorted(order)), list(arrays_and_points[5])))
+        return real(order, *arrays_and_points, **kwargs)
+
+    def probes(*args):
+        probing.append(True)
+        real_probes(*args)
+        probing.pop()
 
     monkeypatch.setattr(diminimal.realize, "_run", spy)
-    c = realize_family(seed(fam, d), 0, 32)
+    monkeypatch.setattr(diminimal.realize._Builder, "_deep_checks", probes)
+    return realize_family(seed(fam, d), 0, 32, deep=deep), runs
+
+
+def points(spec, *extra):
+    """Kernel points at the values of `spec`, then at `extra`."""
+    return [(-v.numerator, v.denominator) for v in [v for v, _ in spec] + list(extra)]
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_each_joined_block_but_the_last_is_checked_once(monkeypatch, fam, d):
+    c, runs = join_runs(monkeypatch, fam, d, deep=True)
     joined = [tuple(sorted(rec.core_vertices + sum((v for _, v, _ in rec.parts), ())))
               for rec in c.assemblies]
     assert joined[-1] == tuple(range(c.matrix.n))
     checked = [v for v, _ in runs[:-1] if len(v) > 1]
     assert sorted(checked) == sorted(joined[:-1])
 
-    # each join runs every block it consumes once, at the block's claimed
-    # values and the pin point; verify_certificate runs the whole tree once
-    def points(spec, *extra):
-        return [(-v.numerator, v.denominator) for v in [v for v, _ in spec] + list(extra)]
-
+    # in deep mode each join runs every block it consumes once, at the
+    # block's claimed values and the pin point; verify_certificate runs the
+    # whole tree once
     want = []
     for rec in c.assemblies:
         want.append((rec.core_vertices, points(rec.core_pred, rec.y)))
         want += [(v, points(spec, rec.y)) for _, v, spec in rec.parts]
+    want.append((tuple(range(c.matrix.n)), points(c.dspec)))
+    assert runs == want
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_each_joined_block_runs_once_at_its_pin_point(monkeypatch, fam, d):
+    # by default only the finished matrix is proved at claimed values
+    c, runs = join_runs(monkeypatch, fam, d, deep=False)
+    want = []
+    for rec in c.assemblies:
+        want.append((rec.core_vertices, points((), rec.y)))
+        want += [(v, points((), rec.y)) for _, v, _ in rec.parts]
     want.append((tuple(range(c.matrix.n)), points(c.dspec)))
     assert runs == want
 
