@@ -56,7 +56,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -86,7 +86,8 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction) -> AgreementReport:
     Floats within `band` = 10*_TOL*scale of the point count as equal; floats
     between one and ten bands away are deemed too close to call and the
     report comes back inconclusive.  Raises OracleError when the matrix or
-    the point does not fit in floats, since no float verdict exists then.
+    the point does not fit in floats, or the dense float copy does not fit
+    in memory, since no float verdict exists then.
     """
     try:
         top = max([abs(float(q)) for q in m.diag] + [math.sqrt(float(w)) for w in m.sq_edge])
@@ -97,7 +98,10 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction) -> AgreementReport:
     band = 10.0 * _TOL * scale
     if not np.isfinite(band):
         raise OracleError("float expansion overflows: the band is not finite")
-    spectrum = m.float_spectrum
+    try:
+        spectrum = m.float_spectrum
+    except MemoryError as exc:
+        raise OracleError(f"no memory for the dense float spectrum of {m.n} vertices") from exc
     below = equal = above = 0
     grey = False
     for e in spectrum.values:

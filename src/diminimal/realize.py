@@ -16,6 +16,11 @@ each optionally shifted: the LOW bottom value or the HIGH top value is
 raised by a shift below step(L-1).  The public LOW_SHIFT and HIGH_SHIFT
 variants are those shifted shapes.
 
+A short-core or mixed tree is one or two halves, each a piece of height
+L+1 over the level-L ladder with its children at their own heights: the LOW
+half pinned at values[2L+1], and the HIGH half, its core raised by a step of
+its height, at values[0].  Two halves are joined across the central edge.
+
 Joining blocks is the single primitive: one shared squared weight attaches
 every part root to the core root, chosen so the assembled block gains a
 prescribed eigenvalue strictly beyond all block spectra.  The two extreme
@@ -256,8 +261,14 @@ class _Builder:
 
     # -- anchored recursion ---------------------------------------------------
 
-    def _dispatch(self, anchor: Variant, shift: int, level: int):
-        """(anchor, shift) of the core and of the parts, one level down."""
+    def _dispatch(self, cert: PieceCert, anchor: Variant, shift: int, level: int):
+        """(anchor, shift) of the core and of the parts, each at its height."""
+        if cert.height > level:
+            # a half: LOW, or HIGH around a core shifted up one of its steps
+            if anchor is Variant.LOW:
+                return Variant.LOW, 0, Variant.LOW, 0
+            core = Variant.LOW if _uniform(cert) else Variant.HIGH
+            return core, self.step(cert.core.height), Variant.HIGH, 0
         if level == 1:
             return anchor, shift, anchor, 0
         if anchor is Variant.LOW:
@@ -265,30 +276,36 @@ class _Builder:
         s = self.step(level - 1)
         return Variant.LOW, s + shift, Variant.HIGH, s
 
-    def _pin(self, anchor: Variant, shift: int, level: int):
-        """(pin point, side, forced opposite extreme) for a level assembly."""
+    def _pin(self, cert: PieceCert, anchor: Variant, shift: int, level: int):
+        """(pin point, side, forced opposite extreme) for a level assembly;
+        a half is pinned one ladder value further out."""
         vals = self.ladders[level]
+        if cert.height > level:
+            if anchor is Variant.LOW:
+                return vals[2 * level + 1], "max", vals[0] - self.step(level - 1)
+            return vals[0], "min", vals[2 * level + 1] + self.step(cert.core.height)
         if anchor is Variant.LOW:
             return vals[2 * level], "max", vals[0] + shift
         return vals[1], "min", vals[2 * level + 1] + shift
 
     def build(self, cert: PieceCert, anchor: Variant, shift: int, level: int) -> _Block:
         """The piece `cert` of height `level` with the given anchor (LOW or
-        HIGH) and grid shift (0 for none)."""
-        if cert.height != level:
+        HIGH) and grid shift (0 for none), or a half of that anchor: a piece
+        of height level + 1, unshifted."""
+        if not level <= cert.height <= level + 1:
             raise ValueError(f"piece at {cert.root} has height {cert.height}, "
-                             f"expected {level}")
-        if level == 0:
+                             f"expected {level} or {level + 1}")
+        if cert.height == 0:
             val = (self.alpha if anchor is Variant.LOW else self.beta) + shift
             x = self.frac(val)
             self.dn[cert.root], self.dd[cert.root] = x.numerator, x.denominator
             return _Block(cert.root, (cert.root,), {val: 1}, (cert.root,), ((x, 1),))
-        ca, cs, pa, ps = self._dispatch(anchor, shift, level)
-        core = self.build(cert.core, ca, cs, level - 1)
-        parts = [self.build(p, pa, ps, level - 1) for p in cert.parts]
-        y, side, forced = self._pin(anchor, shift, level)
+        ca, cs, pa, ps = self._dispatch(cert, anchor, shift, level)
+        core = self.build(cert.core, ca, cs, cert.core.height)
+        parts = [self.build(p, pa, ps, p.height) for p in cert.parts]
+        y, side, forced = self._pin(cert, anchor, shift, level)
         blk = self.join_blocks(core, parts, y, side, expect_forced=forced)
-        if self.deep:
+        if self.deep and cert.height == level:
             self._deep_checks(blk, anchor, shift, level)
         return blk
 
@@ -438,17 +455,6 @@ def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
     return _finish(builder, blk, t, Family.UNIFORM, variant.value, shift)
 
 
-def _build_low_side(builder: _Builder, side: PieceCert, k: int) -> _Block:
-    """A short-core piece in its bottom-anchored shape (an odd-diameter
-    half, or the whole of an even short-core tree): short core one level
-    down, full-height branches at level k, pinned at the level-k top."""
-    vals = builder.ladders[k]
-    core = builder.build(side.core, Variant.LOW, 0, k - 1)
-    parts = [builder.build(p, Variant.LOW, 0, k) for p in side.parts]
-    return builder.join_blocks(core, parts, vals[2 * k + 1], "max",
-                               expect_forced=vals[0] - builder.step(k - 1))
-
-
 def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
                    deep: bool = False) -> RealizationCertificate:
     """Realize any tree of the three supported families with d+1 distinct
@@ -466,39 +472,27 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
         raise ValueError("need at least one edge to realize")
     big_k = (d + 1) // 2
     if an.family is Family.UNIFORM:
-        builder = _Builder(t, an.whole.root, alpha, beta, big_k, deep)
-        blk = builder.build(an.whole, Variant.LOW, 0, big_k)
-        return _finish(builder, blk, t, Family.UNIFORM, Variant.LOW.value, None)
-    if d < 6:
+        halves, k, variant = [an.whole], big_k, Variant.LOW.value
+    elif d < 6:
         raise ValueError(f"no construction is defined for {an.family.value} "
                          f"trees of diameter {d} (need >= 6)")
-    if d % 2 == 0:
-        # short core at the center, full-height branches around it
-        builder = _Builder(t, an.whole.root, alpha, beta, big_k, deep)
-        blk = _build_low_side(builder, an.whole, (d - 2) // 2)
-        return _finish(builder, blk, t, Family.SHORT_CORE, "short-core-even", None)
-    # odd diameter: two halves joined across the central edge; a short-core
-    # half takes the bottom-anchored shape (stable sort: short-core first)
-    k = (d - 3) // 2
-    low_side, high_side = sorted(an.sides, key=_uniform)
-    variant_name = "short-core-odd" if an.family is Family.SHORT_CORE else "mixed"
-    builder = _Builder(t, low_side.root, alpha, beta, big_k, deep)
-    vals = builder.ladders[k]
-    low_blk = _build_low_side(builder, low_side, k)
-    # the top-anchored half: full-height HIGH branches around a core shifted
-    # up by one step of its level (a short core one level down, or a LOW one)
-    anchor, level = ((Variant.HIGH, k - 1) if an.family is Family.SHORT_CORE
-                     else (Variant.LOW, k))
-    shift = builder.step(level)
-    core = builder.build(high_side.core, anchor, shift, level)
-    parts = [builder.build(p, Variant.HIGH, 0, k) for p in high_side.parts]
-    high_blk = builder.join_blocks(core, parts, vals[0], "min",
-                                   expect_forced=vals[2 * k + 1] + shift)
-    top = max(max(low_blk.pred), max(high_blk.pred))
-    y = top + builder.step(k - 1)
-    blk = builder.join_blocks(low_blk, [high_blk], y, "max",
-                              expect_forced=vals[0] - 2 * builder.step(k - 1))
-    return _finish(builder, blk, t, an.family, variant_name, None)
+    else:
+        # the whole of an even short-core tree is one LOW half; odd halves
+        # are joined across the central edge, and a short-core one is the
+        # LOW half (stable sort: short-core first)
+        halves = sorted(an.sides, key=_uniform) or [an.whole]
+        k = halves[0].height - 1
+        variant = ("mixed" if an.family is Family.MIXED
+                   else "short-core-odd" if d % 2 else "short-core-even")
+    builder = _Builder(t, halves[0].root, alpha, beta, big_k, deep)
+    anchors = (Variant.LOW, Variant.HIGH)
+    blk, *high = [builder.build(h, a, 0, k) for h, a in zip(halves, anchors)]
+    if high:
+        step = builder.step(k - 1)
+        top = max(max(blk.pred), max(high[0].pred))
+        blk = builder.join_blocks(blk, high, top + step, "max",
+                                  expect_forced=builder.ladders[k][0] - 2 * step)
+    return _finish(builder, blk, t, an.family, variant, None)
 
 
 def realize_integral(t: RootedTree, alpha: Fraction,

@@ -510,6 +510,31 @@ def test_cross_check_overflow_is_a_clean_error(tmp_path, capsys):
     assert out.stdout == "below: 1\nequal: 0\nabove: 3\n"
 
 
+def test_cross_check_without_memory_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    import diminimal.oracle as oracle
+    _, mat = make_tree_and_matrix(tmp_path)
+    capsys.readouterr()
+
+    def no_memory(m):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "to_dense_float", no_memory)
+    assert run_cli("verify", "--matrix", mat, "--cross-check") == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", [["recognize", "--tree"],
+                                     ["locate", "--point", "0", "--matrix"]])
+def test_json_nested_too_deep_is_a_clean_error(tmp_path, command):
+    # the decoder recurses once per level and gives up long before this
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    out = run_module(*command, str(deep))
+    assert out.returncode == 1 and out.stdout == ""
+    assert_one_error_line_in(out.stderr)
+    assert out.stderr.startswith(f"error: {deep} is not valid JSON: ")
+
+
 def test_parser_is_reused_across_calls(tmp_path, capsys):
     tree = write_tree(tmp_path / "t.json", [[0, 1], [1, 2], [2, 3]])
     mat = tmp_path / "m.json"

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import random_matrix, random_tree
 
+import diminimal.oracle
 from diminimal import (
     Family,
     OracleError,
@@ -117,6 +118,17 @@ def test_compare_counts_overflow_is_an_oracle_error(diag0, w2, point):
     m = make_matrix(t, (diag0, F(0)), {(0, 1): w2})
     with pytest.raises(OracleError):
         compare_counts(m, point)
+
+
+def test_compare_counts_without_memory_is_an_oracle_error(monkeypatch):
+    # the dense float copy of a matrix at the vertex bound would take 137 GB
+    def no_memory(m):
+        raise MemoryError
+
+    monkeypatch.setattr(diminimal.oracle, "to_dense_float", no_memory)
+    m = make_matrix(build_tree([(0, 1)], 0), (F(0), F(0)), {(0, 1): F(1)})
+    with pytest.raises(OracleError, match="^no memory for the dense float spectrum of 2 vertices"):
+        compare_counts(m, F(0))
 
 
 @pytest.mark.parametrize("family, diameters", [

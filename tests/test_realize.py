@@ -469,14 +469,33 @@ def test_a_pin_point_not_beyond_the_block_spectra_is_refused(monkeypatch):
     # it is not beyond them, and no user input can get there
     real = diminimal.realize._Builder._pin
 
-    def alpha_pin(self, anchor, shift, level):
-        _, side, forced = real(self, anchor, shift, level)
+    def alpha_pin(self, cert, anchor, shift, level):
+        _, side, forced = real(self, cert, anchor, shift, level)
         return self.alpha, side, forced
 
     monkeypatch.setattr(diminimal.realize._Builder, "_pin", alpha_pin)
     with pytest.raises(RuntimeError, match=r"^block at \d+: pin point 0 is not strictly "
                                            r"(above|below) its spectrum"):
         realize_family(seed(Family.UNIFORM, 5), 0, 32)
+
+
+@pytest.mark.parametrize("fam,d,half", [
+    (Family.SHORT_CORE, 8, Variant.LOW), (Family.SHORT_CORE, 7, Variant.LOW),
+    (Family.MIXED, 9, Variant.LOW), (Family.SHORT_CORE, 7, Variant.HIGH),
+    (Family.MIXED, 9, Variant.HIGH)])
+def test_a_wrong_pin_point_at_a_half_is_refused(monkeypatch, fam, d, half):
+    # a half is a piece one level above its ladder, pinned through _pin like
+    # every other piece; even short-core trees have no HIGH half
+    real = diminimal.realize._Builder._pin
+
+    def alpha_pin_at_half(self, cert, anchor, shift, level):
+        y, side, forced = real(self, cert, anchor, shift, level)
+        return (self.alpha if cert.height > level and anchor is half else y), side, forced
+
+    monkeypatch.setattr(diminimal.realize._Builder, "_pin", alpha_pin_at_half)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: pin point \S+ is not strictly "
+                                           r"(above|below) its spectrum"):
+        realize_family(seed(fam, d), 0, 32)
 
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
