@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, inf, isqrt, nan, nextafter
+from math import ceil, gcd, inf, nan, nextafter
 from typing import Collection, Sequence
 
 from .matrices import WeightedTreeMatrix, delete_vertex, enclose
@@ -302,14 +302,9 @@ def counts_within(m: WeightedTreeMatrix, point: Fraction,
 # ---------------------------------------------------------------------------
 
 def gershgorin_bound(m: WeightedTreeMatrix) -> Fraction:
-    """Rational B with every eigenvalue in [-B, B]: the largest row sum of |diag|
-    and, per edge once, (isqrt(num*den) + 1)/den rounded up to 10**-6 steps."""
-    grid, steps = 10 ** 6, [0] * m.n
-    for (u, v), w in zip(m.tree.edges, m.sq_edge):
-        r = -(-(isqrt(w.numerator * w.denominator) + 1) * grid // w.denominator)
-        steps[u], steps[v] = steps[u] + r, steps[v] + r
-    return max(Fraction(abs(q.numerator) * grid + r * q.denominator, q.denominator * grid)
-               for q, r in zip(m.diag, steps))
+    """Rational B with every eigenvalue in [-B, B], computed once per matrix
+    (`WeightedTreeMatrix.gershgorin_bound`)."""
+    return m.gershgorin_bound
 
 
 @dataclass(frozen=True)

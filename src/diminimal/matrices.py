@@ -139,6 +139,18 @@ class WeightedTreeMatrix:
                           [q.denominator for q in self.diag], wn, wd)
 
     @cached_property
+    def gershgorin_bound(self) -> Fraction:
+        """Rational B with every eigenvalue in [-B, B], cached: the largest row
+        sum of |diag| and, per edge once, (isqrt(num*den) + 1)/den rounded up
+        to 10**-6 steps."""
+        grid, steps = 10 ** 6, [0] * self.n
+        for (u, v), w in zip(self.tree.edges, self.sq_edge):
+            r = -(-(math.isqrt(w.numerator * w.denominator) + 1) * grid // w.denominator)
+            steps[u], steps[v] = steps[u] + r, steps[v] + r
+        return max(Fraction(abs(q.numerator) * grid + r * q.denominator, q.denominator * grid)
+                   for q, r in zip(self.diag, steps))
+
+    @cached_property
     def float_bounds(self) -> FloatBounds:
         """Float bounds of `arrays`, cached for the float pass of
         `locate.counts_at`."""

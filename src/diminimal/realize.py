@@ -25,11 +25,13 @@ Joining blocks is the single primitive: one shared squared weight attaches
 every part root to the core root, chosen so the assembled block gains a
 prescribed eigenvalue strictly beyond all block spectra.  The two extreme
 block eigenvalues merge into the interior and a new extreme value appears on
-the opposite side, with its position forced exactly by the trace.  A join
-runs the exact kernel once per block it takes in, at the pin point alone.
-The returned certificate is proved by one run of the finished matrix at all
-d+1 values in `verify_certificate`, so a construction bug cannot survive to
-it; `deep` also proves each block's claims by `_spectrum_problems` at its join.
+the opposite side, with its position forced exactly by the trace.  The weight
+is solved from the claims alone: a block's root value at the pin point y is
+det(B - y)/det(B - root - y), a ratio of products over the claimed spectra,
+so a join runs no kernel.  The returned certificate is proved by one run of
+the finished matrix at all d+1 values in `verify_certificate`, so a wrong
+claim or a construction bug cannot survive to it; `deep` also runs each block
+a join takes in, which proves its claims and its root value at y.
 
 Every value the builder claims (ladder values, steps, shifts, pin points,
 forced values and predicted spectra) is alpha plus an integer multiple of
@@ -37,9 +39,10 @@ forced values and predicted spectra) is alpha plus an integer multiple of
 the builder fixes one common denominator q per construction and holds each
 such value as the int numerator N of N/q: the multiset bookkeeping hashes,
 compares and adds ints.  A Fraction is built only where a value leaves the
-builder: a level-0 diagonal entry, the point handed to the kernel (once per
-distinct N), the assembly records and the certificate.  The solved join
-weights are not on that grid and stay Fractions.
+builder: a level-0 diagonal entry, a point handed to the kernel (once per
+distinct N), the assembly records and the certificate.  Root values at pin
+points are int pairs, and each solved join weight, not on that grid, is one
+Fraction.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -126,11 +130,19 @@ def _ladder_levels(a: int, span: int, k: int) -> list[tuple[int, ...]]:
 # Joining primitives
 # ---------------------------------------------------------------------------
 
-def _delta_squared(core_root_value: Fraction, part_root_values: Sequence[Fraction]) -> Fraction:
+def _delta_squared(core_root_value: tuple[int, int],
+                   part_root_values: Sequence[tuple[int, int]]) -> Fraction:
     """Shared squared weight that zeroes out the assembled root at the pin
-    point: core value divided by the sum of part value reciprocals."""
-    s = sum(Fraction(q.denominator, q.numerator) for q in part_root_values)
-    return core_root_value / s
+    point: core value divided by the sum of part value reciprocals, each
+    value a (num, den) int pair, den nonzero.  Parts of one shape share a
+    value, so each distinct value is added once, times its count."""
+    counts: dict[tuple[int, int], int] = {}
+    for v in part_root_values:
+        counts[v] = counts.get(v, 0) + 1
+    sn, sd = 0, 1
+    for (num, den), c in counts.items():
+        sn, sd = sn * num + c * den * sd, sd * num
+    return Fraction(core_root_value[0] * sd, core_root_value[1] * sn)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +154,10 @@ class AssemblyRecord:
     """Audit trail of one internal join: the blocks that went in, the pin
     point, the solved weight, and the multiset bookkeeping (a and b are the
     extreme block values that merged inward, forced = a + b - y).  `pred` is
-    a claim: the last one is the proved dspec, and the others are proved only
-    under `deep` (or independently, by counts_within on their vertices)."""
+    a claim, and `sq_delta` is solved from the claims of the blocks that went
+    in: the last pred is the proved dspec, and the others, with the root
+    values behind each weight, are proved only under `deep` (or
+    independently, by counts_within on their vertices)."""
 
     core_root: int
     core_vertices: tuple[int, ...]
@@ -202,8 +216,21 @@ class _Block:
     root: int
     vertices: tuple[int, ...]
     pred: dict[int, int]  # grid numerator -> multiplicity
+    net: dict[int, int]  # pred less the preds of B - root, the parts along the core chain
     order: tuple[int, ...]  # postorder of the block, root last
     spec: tuple[tuple[Fraction, int], ...]  # pred as sorted Fractions
+
+
+class _GridFractions(dict):
+    """N/q as a Fraction for each grid numerator N, built once per distinct N."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, n: int) -> Fraction:
+        f = self[n] = Fraction(n, self.q)
+        return f
 
 
 class _Builder:
@@ -224,7 +251,7 @@ class _Builder:
         self.rt = reroot(tree, root)
         self.q = lcm(alpha.denominator, ((beta - alpha) / 2 ** max_level).denominator,
                      1 if shift is None else shift.denominator)
-        self._fracs: dict[int, Fraction] = {}
+        self.frac = _GridFractions(self.q).__getitem__  # N -> N/q
         self.alpha, self.beta = _grid(alpha, self.q), _grid(beta, self.q)
         self.ladders: list[tuple[int, ...] | None] = [None] + _ladder_levels(
             self.alpha, self.beta - self.alpha, max_level)
@@ -234,30 +261,46 @@ class _Builder:
         self.arrays = (self.rt.parent, self.dn, self.dd, self.wn, self.wd)  # all but the order
         self.log: list[AssemblyRecord] = []
 
-    def frac(self, n: int) -> Fraction:
-        """N/q as a Fraction, built once per distinct N."""
-        f = self._fracs.get(n)
-        if f is None:
-            f = self._fracs[n] = Fraction(n, self.q)
-        return f
-
     def step(self, j: int) -> int:
         return (self.beta - self.alpha) >> j
 
-    def _consume(self, blk: _Block, y: int, side: str) -> Fraction:
-        """One kernel run of a block a join takes in, at the pin point y (and
-        under `deep` at its claimed values, which it proves): it shows that y
-        lies strictly beyond the spectrum on `side` and gives the root's value."""
-        spec = blk.spec if self.deep else ()
-        *counts, (neg, zero, (a, b)) = _run(blk.order, *self.arrays,
-                                            _points((*spec, (self.frac(y), 1))))
-        problems = _spectrum_problems(spec, counts, len(blk.order)) if self.deep else []
-        if zero or neg != (len(blk.order) if side == "max" else 0):
-            beyond = "above" if side == "max" else "below"
-            problems.append(f"pin point {self.frac(y)} is not strictly {beyond} its spectrum")
+    def _root_value(self, blk: _Block, y: int, side: str) -> tuple[int, int]:
+        """The root's value at the pin point y of a block a join takes in, as
+        a (num, den) int pair read from the claims: removing the root r of B
+        leaves the parts joined along its core chain, so the value is
+        det(B - y)/det(B - r - y) = prod((N - y)**e)/q over N, e in blk.net.
+        That needs y strictly beyond every claimed value on `side`, and net's
+        exponents each +-1 with sum 1, as Cauchy interlacing gives; then the
+        value is nonzero, negative above the claims and positive below.
+        Under `deep` one kernel run at the claimed values and y proves the
+        claims, the side of y and the value."""
+        pred, net, n = blk.pred, blk.net, len(blk.order)
+        beyond = (max(pred) < y and max(net) < y if side == "max"
+                  else y < min(pred) and y < min(net))
+        problems = []
+        if self.deep:
+            *counts, (neg, zero, top) = _run(blk.order, *self.arrays,
+                                             _points((*blk.spec, (self.frac(y), 1))))
+            problems = _spectrum_problems(blk.spec, counts, n)
+            beyond = beyond and not zero and neg == (n if side == "max" else 0)
+        if not beyond:
+            problems.append(f"pin point {self.frac(y)} is not strictly "
+                            f"{'above' if side == 'max' else 'below'} its spectrum")
+        if sum(net.values()) != 1 or not {*net.values()} <= {1, -1}:
+            problems.append("claimed spectra do not interlace")
+        if not problems:
+            num, den = 1, self.q
+            for lam, e in net.items():
+                if e > 0:
+                    num *= lam - y
+                else:
+                    den *= lam - y
+            if self.deep and Fraction(*top) != Fraction(num, den):
+                problems.append(f"root value {Fraction(*top)} at the pin point, "
+                                f"{Fraction(num, den)} from the claims")
         if problems:
             raise RuntimeError(f"block at {blk.root}: " + "; ".join(problems))
-        return Fraction(a, b)
+        return num, den
 
     # -- anchored recursion ---------------------------------------------------
 
@@ -299,7 +342,7 @@ class _Builder:
             val = (self.alpha if anchor is Variant.LOW else self.beta) + shift
             x = self.frac(val)
             self.dn[cert.root], self.dd[cert.root] = x.numerator, x.denominator
-            return _Block(cert.root, (cert.root,), {val: 1}, (cert.root,), ((x, 1),))
+            return _Block(cert.root, (cert.root,), {val: 1}, {val: 1}, (cert.root,), ((x, 1),))
         ca, cs, pa, ps = self._dispatch(cert, anchor, shift, level)
         core = self.build(cert.core, ca, cs, cert.core.height)
         parts = [self.build(p, pa, ps, p.height) for p in cert.parts]
@@ -313,11 +356,12 @@ class _Builder:
 
     def join_blocks(self, core: _Block, parts: list[_Block], y: int,
                     side: str, expect_forced: int) -> _Block:
-        dc = self._consume(core, y, side)
-        dp = [self._consume(p, y, side) for p in parts]
+        dc = self._root_value(core, y, side)
+        dp = [self._root_value(p, y, side) for p in parts]
         d2 = _delta_squared(dc, dp)
         if d2 <= 0:
-            raise RuntimeError(f"solved squared weight {d2} is not positive")
+            raise RuntimeError(f"block at {core.root}: solved squared weight {d2} "
+                               f"is not positive")
         for p in parts:
             # wn is 0 until a part hangs, as d2 > 0
             if self.wn[p.root] or self.rt.parent[p.root] != core.root:
@@ -340,15 +384,23 @@ class _Builder:
             raise RuntimeError(f"forced value {self.frac(forced)}, "
                                f"expected {self.frac(expect_forced)}")
         lo, hi = (forced, y) if side == "max" else (y, forced)
-        if not all(lo < lam < hi for lam in pred):
+        if pred and not (lo < min(pred) and max(pred) < hi):
             raise RuntimeError(f"merged block values escape "
                                f"({self.frac(lo)}, {self.frac(hi)})")
         pred[y] = 1
         pred[forced] = 1
+        # net(core) + pred - pred(core) - the parts' preds, which is net(core)
+        # with y and forced in and a and b out
+        net = dict(core.net)
+        for lam, e in ((y, 1), (forced, 1), (a, -1), (b, -1)):
+            net[lam] = net.get(lam, 0) + e
+        net = {lam: e for lam, e in net.items() if e}
 
-        order = tuple(v for p in parts for v in p.order) + core.order
+        order = tuple(chain(*(p.order for p in parts), core.order))
+        # sorted runs, which sorted merges
+        vertices = tuple(sorted(chain(core.vertices, *(p.vertices for p in parts))))
         spec = tuple((self.frac(lam), m) for lam, m in sorted(pred.items()))
-        blk = _Block(core.root, tuple(sorted(order)), pred, order, spec)
+        blk = _Block(core.root, vertices, pred, net, order, spec)
         self.log.append(AssemblyRecord(
             core_root=core.root, core_vertices=core.vertices, core_pred=core.spec,
             parts=tuple((p.root, p.vertices, p.spec) for p in parts),

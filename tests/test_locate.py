@@ -619,6 +619,10 @@ def test_gershgorin_contains_spectrum():
         bound = gershgorin_bound(m)
         evs = np.linalg.eigvalsh(to_dense_float(m))
         assert float(-bound) <= evs.min() and evs.max() <= float(bound)
+        # computed once per matrix: a second call returns the cached bound,
+        # which equals the bound of a fresh copy of the matrix
+        assert gershgorin_bound(m) is bound
+        assert gershgorin_bound(WeightedTreeMatrix(m.tree, m.diag, m.sq_edge)) == bound
 
 
 def test_isolate_eigenvalues_path():

@@ -555,15 +555,131 @@ def test_each_joined_block_but_the_last_is_checked_once(monkeypatch, fam, d):
 
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
-def test_each_joined_block_runs_once_at_its_pin_point(monkeypatch, fam, d):
-    # by default only the finished matrix is proved at claimed values
+def test_the_default_path_runs_the_kernel_once_on_the_finished_matrix(monkeypatch, fam, d):
+    # the joint weights come from the claims; the one exact run is
+    # verify_certificate's, of the whole tree at the claimed values
     c, runs = join_runs(monkeypatch, fam, d, deep=False)
-    want = []
-    for rec in c.assemblies:
-        want.append((rec.core_vertices, points((), rec.y)))
-        want += [(v, points((), rec.y)) for _, v, _ in rec.parts]
-    want.append((tuple(range(c.matrix.n)), points(c.dspec)))
-    assert runs == want
+    assert runs == [(tuple(range(c.matrix.n)), points(c.dspec))]
+
+
+def closed_form_cases():
+    """Every seed with d <= 15 of the three families, then 50 random
+    unfoldings of the corpus cells."""
+    rng = random.Random(20)
+    for fam, lo in ((Family.UNIFORM, 1), (Family.SHORT_CORE, 6), (Family.MIXED, 7)):
+        yield from (seed(fam, d) for d in range(lo, 16, 2 if fam is Family.MIXED else 1))
+    for fam, d in rng.sample(CORPUS_CELLS, 50):
+        yield random_unfolding(seed(fam, d), rng, rng.randint(1, 8))
+
+
+def test_the_closed_form_root_value_equals_the_kernel(monkeypatch):
+    real, seen = diminimal.realize._Builder._root_value, []
+
+    def both(self, blk, y, side):
+        num, den = real(self, blk, y, side)
+        (_, _, top), = diminimal.realize._run(blk.order, *self.arrays, [(-y, self.q)])
+        seen.append((F(num, den), F(*top)))
+        return num, den
+
+    monkeypatch.setattr(diminimal.realize._Builder, "_root_value", both)
+    joins = 0
+    for t in closed_form_cases():
+        joins += len(realize_family(t, 0, 32).assemblies)
+    assert len(seen) > joins > 1000
+    assert all(closed == kernel for closed, kernel in seen)
+
+
+def move_one_net_value(monkeypatch):
+    """Move one value of the first consumed block with two or more net
+    values one grid step at a time away from the pin point, to a value
+    not in net: the pin point and the exponents still pass, the root
+    value from the claims is wrong."""
+    real, moved = diminimal.realize._Builder._root_value, []
+
+    def wrong(self, blk, y, side):
+        if not moved and len(blk.net) > 1:
+            lam = next(lam for lam, e in blk.net.items() if e > 0)
+            away = -1 if side == "max" else 1
+            new = lam + away
+            while new in blk.net:
+                new += away
+            blk.net = {new if k == lam else k: e for k, e in blk.net.items()}
+            moved.append(blk.root)
+        return real(self, blk, y, side)
+
+    monkeypatch.setattr(diminimal.realize._Builder, "_root_value", wrong)
+    return moved
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_a_wrong_root_value_is_refused(monkeypatch, fam, d):
+    # deep mode compares each closed form with the kernel at the pin point;
+    # by default the wrong weight it gives is refused by the certificate
+    moved = move_one_net_value(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: root value \S+ at the pin "
+                                           r"point, \S+ from the claims$"):
+        realize_family(seed(fam, d), 0, 32, deep=True)
+    assert moved
+    moved.clear()
+    with pytest.raises(RuntimeError):
+        realize_family(seed(fam, d), 0, 32)
+    assert moved
+
+
+def test_a_weight_that_is_not_positive_is_refused(monkeypatch):
+    # interlacing claims give a positive weight; this guards the kernel
+    # from a zero or negative squared weight all the same
+    real, calls = diminimal.realize._delta_squared, []
+
+    def negated(core_value, part_values):
+        calls.append(1)
+        return -real(core_value, part_values)
+
+    monkeypatch.setattr(diminimal.realize, "_delta_squared", negated)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: solved squared weight -\S+ "
+                                           r"is not positive$"):
+        realize_family(seed(Family.UNIFORM, 5), 0, 32)
+    assert len(calls) == 1
+
+
+def claim_at_first_join(monkeypatch, claim):
+    """Replace the claimed spectrum of the first join's core, always a leaf,
+    by claim(value, y, side); a leaf less its root is empty, so its net is
+    its pred."""
+    real, calls = diminimal.realize._Builder.join_blocks, []
+
+    def wrong(self, core, parts, y, side, expect_forced):
+        if not calls:
+            assert len(core.order) == 1
+            (val,) = core.pred
+            core.pred = core.net = claim(val, y, side)
+        calls.append(core.root)
+        return real(self, core, parts, y, side, expect_forced)
+
+    monkeypatch.setattr(diminimal.realize._Builder, "join_blocks", wrong)
+
+
+WRONG_CLAIMS = {
+    # the multiplicity moves one grid step away from the pin point
+    "moved": (lambda val, y, side: {val + (-1 if side == "max" else 1): 1},
+              r"^forced value \S+, expected \S+$"),
+    "on the pin point": (lambda val, y, side: {y: 1},
+                         r"^block at \d+: pin point \S+ is not strictly (above|below) "
+                         r"its spectrum$"),
+    "not interlacing": (lambda val, y, side: {val: 2},
+                        r"^block at \d+: claimed spectra do not interlace$"),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_CLAIMS)
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_wrong_claims_at_the_first_join_are_refused(monkeypatch, fam, d, wrong):
+    # a RuntimeError, never the ZeroDivisionError of a zero root value or
+    # the ValueError of bad input
+    claim, message = WRONG_CLAIMS[wrong]
+    claim_at_first_join(monkeypatch, claim)
+    with pytest.raises(RuntimeError, match=message):
+        realize_family(seed(fam, d), 0, 32)
 
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH + [(Family.UNIFORM, 8)])
