@@ -555,6 +555,25 @@ def test_each_joined_block_but_the_last_is_checked_once(monkeypatch, fam, d):
 
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_each_joined_block_runs_once_at_its_pin_point(monkeypatch, fam, d):
+    # by default each block a join takes in gives its root value once, at
+    # the join's pin point, from its claims
+    real, runs = diminimal.realize._Builder._root_value, []
+
+    def spy(self, blk, y, side):
+        runs.append((blk.vertices, self.frac(y)))
+        return real(self, blk, y, side)
+
+    monkeypatch.setattr(diminimal.realize._Builder, "_root_value", spy)
+    c = realize_family(seed(fam, d), 0, 32)
+    want = []
+    for rec in c.assemblies:
+        want.append((rec.core_vertices, rec.y))
+        want += [(v, rec.y) for _, v, _ in rec.parts]
+    assert runs == want
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_the_default_path_runs_the_kernel_once_on_the_finished_matrix(monkeypatch, fam, d):
     # the joint weights come from the claims; the one exact run is
     # verify_certificate's, of the whole tree at the claimed values
