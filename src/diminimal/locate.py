@@ -193,7 +193,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
     of M - point*I, by the adaptive pass of the module docstring, eliminating
     from `root` (default: the tree's own root)."""
     if root is not None:
-        m = WeightedTreeMatrix(reroot(m.tree, root), m.diag, m.sq_edge)
+        m = m.rerooted(reroot(m.tree, root))
     p = Fraction(point)
     xn, xd = -p.numerator, p.denominator
     arr, fb = m.arrays, m.float_bounds

@@ -21,27 +21,29 @@ import numpy as np
 from .trees import RootedTree, build_tree, json_int, reroot, tree_from_json, tree_to_json
 
 
+def _ratio(text: str | int | Fraction) -> tuple[int, int]:
+    """`parse_rational` as a reduced (num, den) int pair, den > 0."""
+    if isinstance(text, bool):
+        raise ValueError("booleans are not rationals")
+    if isinstance(text, (int, Fraction)):
+        return text.numerator, text.denominator
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r}")
+    num, slash, den = text.strip().partition("/")
+    num, den = int(num), int(den) if slash else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
 def parse_rational(text: str | int) -> Fraction:
     """Parse "p/q" or a bare integer (string or int) into a Fraction.
 
     Floats are rejected on purpose: every interface of this package is
     exact, and silently accepting 0.1 would poison that.
     """
-    if isinstance(text, bool):
-        raise ValueError("booleans are not rationals")
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        s = text.strip()
-        if "/" in s:
-            num, den = (int(part) for part in s.split("/", 1))
-            if den == 0:
-                raise ValueError(f"zero denominator in {text!r}")
-            return Fraction(num, den)
-        return Fraction(int(s))
-    raise ValueError(f"not a rational: {text!r}")
+    return text if isinstance(text, Fraction) else Fraction(*_ratio(text))
 
 
 def format_rational(q: Fraction) -> str:
@@ -53,15 +55,15 @@ def format_rational(q: Fraction) -> str:
 
 class ElimArrays(NamedTuple):
     """A matrix rooted at order[-1] as the elimination kernel reads it:
-    postorder, parent ids (-1 at the root), diagonal numerators and
-    denominators, and each vertex's squared weight to its parent."""
+    postorder, parent ids (-1 at the root), and reduced pairs for the diagonal
+    entries and each vertex's squared weight to its parent (0/1 at the root)."""
 
     order: tuple[int, ...]
     parent: tuple[int, ...]
-    dn: list[int]
-    dd: list[int]
-    wn: list[int]
-    wd: list[int]
+    dn: tuple[int, ...]
+    dd: tuple[int, ...]
+    wn: tuple[int, ...]
+    wd: tuple[int, ...]
 
 
 class FloatBounds(NamedTuple):
@@ -97,58 +99,83 @@ def _enclose_all(num: list[int], den: list[int]) -> list[list[float]]:
     return [list(map(same.setdefault, b, b)) for b in bounds]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedTreeMatrix:
-    """Symmetric rational matrix supported on a tree.
-
-    diag[i] is the diagonal entry of vertex i; sq_edge[j] is the squared
-    off-diagonal entry of tree.edges[j].  All squared weights are required
-    to be strictly positive, so the matrix graph really is the tree.
-    """
+    """Symmetric rational matrix supported on a tree, held as the kernel's
+    `arrays`, which `from_arrays` takes.  diag[i] is the diagonal entry of
+    vertex i and sq_edge[j] the squared off-diagonal entry of tree.edges[j],
+    tuples of Fractions built on first read.  All squared weights must be
+    strictly positive, so the matrix graph really is the tree."""
 
     tree: RootedTree
-    diag: tuple[Fraction, ...]
-    sq_edge: tuple[Fraction, ...]
+    arrays: ElimArrays
 
-    def __post_init__(self) -> None:
-        if len(self.diag) != self.tree.n:
-            raise ValueError("diag length does not match vertex count")
-        if len(self.sq_edge) != len(self.tree.edges):
+    def __init__(self, tree: RootedTree, diag: Sequence[Fraction],
+                 sq_edge: Sequence[Fraction]) -> None:
+        if len(sq_edge) != len(tree.edges):
             raise ValueError("sq_edge length does not match edge count")
-        for w in self.sq_edge:
-            if w <= 0:
-                raise ValueError(f"squared edge weight must be positive, got {w}")
+        self.__dict__.update(make_matrix(tree, diag, dict(zip(tree.edges, sq_edge))).__dict__)
+
+    @classmethod
+    def from_arrays(cls, tree: RootedTree, dn: Sequence[int], dd: Sequence[int],
+                    wn: Sequence[int], wd: Sequence[int]) -> WeightedTreeMatrix:
+        """The matrix with diagonal entries dn[i]/dd[i] and squared weights
+        wn[c]/wd[c] from each c but the root to its parent: reduced pairs with
+        dd, wd and wn > 0."""
+        n, r = tree.n, tree.root
+        if not len(dn) == len(dd) == len(wn) == len(wd) == n:
+            raise ValueError(f"kernel arrays do not match the vertex count {n}")
+        wn, wd = (*wn[:r], 0, *wn[r + 1:]), (*wd[:r], 1, *wd[r + 1:])
+        if min(dd) <= 0 or min(wd) <= 0:
+            raise ValueError("denominators must be positive")
+        if min(wn[:r] + wn[r + 1:], default=1) <= 0:
+            w = next(Fraction(wn[c], wd[c]) for c in (v if tree.parent[v] == u else u
+                                                       for u, v in tree.edges) if wn[c] <= 0)
+            raise ValueError(f"squared edge weight must be positive, got {w}")
+        m = cls.__new__(cls)
+        m.__dict__.update(tree=tree, arrays=ElimArrays(
+            tree.order, tree.parent, tuple(dn), tuple(dd), wn, wd))
+        return m
 
     @property
     def n(self) -> int:
         return self.tree.n
 
     @cached_property
+    def diag(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.arrays.dn, self.arrays.dd))
+
+    @cached_property
+    def sq_edge(self) -> tuple[Fraction, ...]:
+        a, parent = self.arrays, self.tree.parent
+        return tuple(Fraction(a.wn[c], a.wd[c]) for c in (v if parent[v] == u else u
+                                                          for u, v in self.tree.edges))
+
+    @cached_property
     def sq_weight(self) -> dict[tuple[int, int], Fraction]:
         """Squared weight lookup keyed by normalized (min, max) vertex pair."""
         return dict(zip(self.tree.edges, self.sq_edge))
 
-    @cached_property
-    def arrays(self) -> ElimArrays:
-        """Kernel arrays for the tree's own root, cached."""
-        t, wn, wd = self.tree, [0] * self.n, [1] * self.n
-        for (u, v), w in zip(t.edges, self.sq_edge):
-            c = v if t.parent[v] == u else u
-            wn[c], wd[c] = w.numerator, w.denominator
-        return ElimArrays(t.order, t.parent, [q.numerator for q in self.diag],
-                          [q.denominator for q in self.diag], wn, wd)
+    def rerooted(self, tree: RootedTree) -> WeightedTreeMatrix:
+        """This matrix on `tree`, its tree rooted elsewhere: the weights on the
+        path from the new root up move to the other end of their edge."""
+        a = self.arrays
+        wn, wd, carry, v = list(a.wn), list(a.wd), (0, 1), tree.root
+        while v != -1:
+            carry, (wn[v], wd[v]) = (wn[v], wd[v]), carry
+            v = a.parent[v]
+        return WeightedTreeMatrix.from_arrays(tree, a.dn, a.dd, wn, wd)
 
     @cached_property
     def gershgorin_bound(self) -> Fraction:
         """Rational B with every eigenvalue in [-B, B], cached: the largest row
         sum of |diag| and, per edge once, (isqrt(num*den) + 1)/den rounded up
         to 10**-6 steps."""
-        grid, steps = 10 ** 6, [0] * self.n
-        for (u, v), w in zip(self.tree.edges, self.sq_edge):
-            r = -(-(math.isqrt(w.numerator * w.denominator) + 1) * grid // w.denominator)
-            steps[u], steps[v] = steps[u] + r, steps[v] + r
-        return max(Fraction(abs(q.numerator) * grid + r * q.denominator, q.denominator * grid)
-                   for q, r in zip(self.diag, steps))
+        a, grid, steps = self.arrays, 10 ** 6, [0] * self.n
+        for c in a.order[:-1]:
+            r, p = -(-(math.isqrt(a.wn[c] * a.wd[c]) + 1) * grid // a.wd[c]), a.parent[c]
+            steps[c], steps[p] = steps[c] + r, steps[p] + r
+        return max(Fraction(abs(x) * grid + r * y, y * grid) for x, y, r in zip(a.dn, a.dd, steps))
 
     @cached_property
     def float_bounds(self) -> FloatBounds:
@@ -169,19 +196,25 @@ def make_matrix(tree: RootedTree, diag: Sequence[Fraction | int | str],
                 sq_edge: Mapping[tuple[int, int], Fraction | int | str]) -> WeightedTreeMatrix:
     """Convenience constructor taking a squared-weight mapping keyed by edge
     (either orientation) and any rational-like entry values."""
-    d = tuple(q if isinstance(q, Fraction) else parse_rational(q) for q in diag)
-    w: list[Fraction] = []
+    return _from_ratios(tree, [_ratio(q) for q in diag],
+                        {e: _ratio(w) for e, w in sq_edge.items()})
+
+
+def _from_ratios(tree: RootedTree, diag: list[tuple[int, int]],
+                 sq: Mapping[tuple[int, int], tuple[int, int]]) -> WeightedTreeMatrix:
+    """`make_matrix` on reduced (num, den) pairs."""
+    wn, wd, parent = [0] * tree.n, [1] * tree.n, tree.parent
     for u, v in tree.edges:
-        if (u, v) in sq_edge:
-            raw = sq_edge[(u, v)]
-        elif (v, u) in sq_edge:
-            raw = sq_edge[(v, u)]
-        else:
+        w = sq.get((u, v)) or sq.get((v, u))
+        if w is None:
             raise ValueError(f"missing squared weight for edge ({u}, {v})")
-        w.append(raw if isinstance(raw, Fraction) else parse_rational(raw))
-    if len(sq_edge) != len(tree.edges):
+        c = v if parent[v] == u else u
+        wn[c], wd[c] = w
+    if len(sq) != len(tree.edges):
         raise ValueError("squared-weight mapping mentions edges not in the tree")
-    return WeightedTreeMatrix(tree, d, tuple(w))
+    if len(diag) != tree.n:
+        raise ValueError("diag length does not match vertex count")
+    return WeightedTreeMatrix.from_arrays(tree, [p for p, _ in diag], [q for _, q in diag], wn, wd)
 
 
 def trace(m: WeightedTreeMatrix) -> Fraction:
@@ -246,16 +279,16 @@ def matrix_from_json(obj: dict) -> WeightedTreeMatrix:
         tree = tree_from_json(obj["tree"])
         if not isinstance(obj["diag"], list):
             raise TypeError(f"diag is not a JSON array: {obj['diag']!r}")
-        diag = [parse_rational(q) for q in obj["diag"]]
-        sq: dict[tuple[int, int], Fraction] = {}
+        diag = [_ratio(q) for q in obj["diag"]]
+        sq: dict[tuple[int, int], tuple[int, int]] = {}
         for e in obj["sq_edge"]:
             u, v = json_int(e["u"]), json_int(e["v"])
             if (u, v) in sq or (v, u) in sq:
                 raise ValueError(f"edge ({u}, {v}) is listed twice in sq_edge")
-            sq[(u, v)] = parse_rational(e["w2"])
+            sq[(u, v)] = _ratio(e["w2"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    return make_matrix(tree, diag, sq)
+    return _from_ratios(tree, diag, sq)
 
 
 def matrix_to_dot(m: WeightedTreeMatrix) -> str:

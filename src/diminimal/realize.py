@@ -41,21 +41,21 @@ such value as the int numerator N of N/q: the multiset bookkeeping hashes,
 compares and adds ints.  A Fraction is built only where a value leaves the
 builder: a level-0 diagonal entry, a point handed to the kernel (once per
 distinct N), the assembly records and the certificate.  Root values at pin
-points are int pairs, and each solved join weight, not on that grid, is one
-Fraction.
+points and the solved join weights (not on that grid) stay int pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache, cached_property, partial
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-# bench/spans.py wraps _run, counts_at, diagonalize and join as realize
-# attributes, so all four are imported here; only _run is used
+# bench/spans.py wraps _run, counts_at, diagonalize, make_matrix and join as
+# realize attributes, so all five are imported here; only _run is used
 from .locate import _run, counts_at, diagonalize
 from .matrices import WeightedTreeMatrix, make_matrix
 from .trees import (Family, PieceCert, RootedTree, _family_analysis, _uniform,
@@ -131,18 +131,20 @@ def _ladder_levels(a: int, span: int, k: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def _delta_squared(core_root_value: tuple[int, int],
-                   part_root_values: Sequence[tuple[int, int]]) -> Fraction:
+                   part_root_values: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """Shared squared weight that zeroes out the assembled root at the pin
-    point: core value divided by the sum of part value reciprocals, each
-    value a (num, den) int pair, den nonzero.  Parts of one shape share a
-    value, so each distinct value is added once, times its count."""
+    point, as a reduced pair: core value divided by the sum of part value
+    reciprocals, each value a (num, den) int pair, den nonzero.  Parts of one
+    shape share a value, so each distinct value is added once, times its count."""
     counts: dict[tuple[int, int], int] = {}
     for v in part_root_values:
         counts[v] = counts.get(v, 0) + 1
     sn, sd = 0, 1
     for (num, den), c in counts.items():
         sn, sd = sn * num + c * den * sd, sd * num
-    return Fraction(core_root_value[0] * sd, core_root_value[1] * sn)
+    num, den = core_root_value[0] * sd, core_root_value[1] * sn
+    g = gcd(num, den) if den >= 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,18 @@ class RealizationCertificate:
     beta: Fraction
     shift: Fraction | None
     construction_root: int
-    assemblies: tuple[AssemblyRecord, ...]
+    _log: list[tuple] = field(compare=False, repr=False)  # the builder's, see join_blocks
+
+    @cached_property
+    def assemblies(self) -> tuple[AssemblyRecord, ...]:
+        """The audit trail of every join in build order, built on first read."""
+        return tuple(AssemblyRecord(
+            core_root=blk.root, core_vertices=tuple(sorted(blk.core.order)),
+            core_pred=blk.core.spec,
+            parts=tuple((p.root, tuple(sorted(p.order)), p.spec) for p in blk.parts),
+            y=Fraction(y, blk.q), side=side, sq_delta=Fraction(*d2), a=Fraction(a, blk.q),
+            b=Fraction(b, blk.q), forced=Fraction(forced, blk.q), pred=blk.spec,
+        ) for blk, y, side, d2, a, b, forced in self._log)
 
     @property
     def distinct_values(self) -> int:
@@ -211,26 +224,27 @@ class RealizationCertificate:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class _Block:
+    """A vertex subset joined from a core and parts (None and () at a leaf)."""
+
     root: int
-    vertices: tuple[int, ...]
+    size: int
     pred: dict[int, int]  # grid numerator -> multiplicity
     net: dict[int, int]  # pred less the preds of B - root, the parts along the core chain
-    order: tuple[int, ...]  # postorder of the block, root last
-    spec: tuple[tuple[Fraction, int], ...]  # pred as sorted Fractions
+    q: int  # the grid's denominator
+    core: _Block | None = None
+    parts: tuple[_Block, ...] = ()
 
+    # built on first read, which only `deep` and the assembly records do
+    @cached_property
+    def order(self) -> tuple[int, ...]:  # postorder of the block, root last
+        return (tuple(chain(*(p.order for p in self.parts), self.core.order))
+                if self.core else (self.root,))
 
-class _GridFractions(dict):
-    """N/q as a Fraction for each grid numerator N, built once per distinct N."""
-
-    def __init__(self, q: int):
-        super().__init__()
-        self.q = q
-
-    def __missing__(self, n: int) -> Fraction:
-        f = self[n] = Fraction(n, self.q)
-        return f
+    @cached_property
+    def spec(self) -> tuple[tuple[Fraction, int], ...]:  # pred as sorted Fractions
+        return tuple((Fraction(lam, self.q), m) for lam, m in sorted(self.pred.items()))
 
 
 class _Builder:
@@ -251,7 +265,7 @@ class _Builder:
         self.rt = reroot(tree, root)
         self.q = lcm(alpha.denominator, ((beta - alpha) / 2 ** max_level).denominator,
                      1 if shift is None else shift.denominator)
-        self.frac = _GridFractions(self.q).__getitem__  # N -> N/q
+        self.frac = cache(partial(Fraction, denominator=self.q))  # N -> N/q, once per N
         self.alpha, self.beta = _grid(alpha, self.q), _grid(beta, self.q)
         self.ladders: list[tuple[int, ...] | None] = [None] + _ladder_levels(
             self.alpha, self.beta - self.alpha, max_level)
@@ -259,7 +273,9 @@ class _Builder:
         n = tree.n
         self.dn, self.dd, self.wn, self.wd = [0] * n, [1] * n, [0] * n, [1] * n
         self.arrays = (self.rt.parent, self.dn, self.dd, self.wn, self.wd)  # all but the order
-        self.log: list[AssemblyRecord] = []
+        # (block, y, side, weight pair, a, b, forced) per join, as ints, and
+        # the claim {N: 1} that all leaves of value N share (no join changes it)
+        self.log, self.claims = [], {}
 
     def step(self, j: int) -> int:
         return (self.beta - self.alpha) >> j
@@ -274,7 +290,7 @@ class _Builder:
         value is nonzero, negative above the claims and positive below.
         Under `deep` one kernel run at the claimed values and y proves the
         claims, the side of y and the value."""
-        pred, net, n = blk.pred, blk.net, len(blk.order)
+        pred, net, n = blk.pred, blk.net, blk.size
         beyond = (max(pred) < y and max(net) < y if side == "max"
                   else y < min(pred) and y < min(net))
         problems = []
@@ -340,9 +356,9 @@ class _Builder:
                              f"expected {level} or {level + 1}")
         if cert.height == 0:
             val = (self.alpha if anchor is Variant.LOW else self.beta) + shift
-            x = self.frac(val)
+            x, claim = self.frac(val), self.claims.setdefault(val, {val: 1})
             self.dn[cert.root], self.dd[cert.root] = x.numerator, x.denominator
-            return _Block(cert.root, (cert.root,), {val: 1}, {val: 1}, (cert.root,), ((x, 1),))
+            return _Block(cert.root, 1, claim, claim, self.q)
         ca, cs, pa, ps = self._dispatch(cert, anchor, shift, level)
         core = self.build(cert.core, ca, cs, cert.core.height)
         parts = [self.build(p, pa, ps, p.height) for p in cert.parts]
@@ -359,14 +375,14 @@ class _Builder:
         dc = self._root_value(core, y, side)
         dp = [self._root_value(p, y, side) for p in parts]
         d2 = _delta_squared(dc, dp)
-        if d2 <= 0:
-            raise RuntimeError(f"block at {core.root}: solved squared weight {d2} "
-                               f"is not positive")
+        if min(d2) <= 0:
+            raise RuntimeError(f"block at {core.root}: solved squared weight "
+                               f"{Fraction(*d2)} is not positive")
         for p in parts:
             # wn is 0 until a part hangs, as d2 > 0
             if self.wn[p.root] or self.rt.parent[p.root] != core.root:
                 raise RuntimeError(f"part root {p.root} cannot hang from {core.root}")
-            self.wn[p.root], self.wd[p.root] = d2.numerator, d2.denominator
+            self.wn[p.root], self.wd[p.root] = d2
 
         pred: dict[int, int] = dict(core.pred)
         for p in parts:
@@ -396,17 +412,9 @@ class _Builder:
             net[lam] = net.get(lam, 0) + e
         net = {lam: e for lam, e in net.items() if e}
 
-        order = tuple(chain(*(p.order for p in parts), core.order))
-        # sorted runs, which sorted merges
-        vertices = tuple(sorted(chain(core.vertices, *(p.vertices for p in parts))))
-        spec = tuple((self.frac(lam), m) for lam, m in sorted(pred.items()))
-        blk = _Block(core.root, vertices, pred, net, order, spec)
-        self.log.append(AssemblyRecord(
-            core_root=core.root, core_vertices=core.vertices, core_pred=core.spec,
-            parts=tuple((p.root, p.vertices, p.spec) for p in parts),
-            y=self.frac(y), side=side, sq_delta=d2, a=self.frac(a),
-            b=self.frac(b), forced=self.frac(forced), pred=spec,
-        ))
+        blk = _Block(core.root, core.size + sum(p.size for p in parts), pred, net,
+                     self.q, core, tuple(parts))
+        self.log.append((blk, y, side, d2, a, b, forced))
         return blk
 
     # -- deep structural checks ----------------------------------------------
@@ -433,7 +441,7 @@ class _Builder:
 
         # a block holds whole subtrees of its root's children, so the
         # components of the block minus its root are their postorder blocks
-        rt, inside = self.rt, set(blk.vertices)
+        rt, inside = self.rt, set(blk.order)
         comps = [rt.block(c) for c in rt.children[blk.root] if c in inside]
         if inside != {blk.root}.union(*comps):
             raise RuntimeError(f"block at {blk.root} is not its root and whole "
@@ -457,12 +465,10 @@ class _Builder:
 
 def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
             variant: str, shift: Fraction | None) -> RealizationCertificate:
-    parent, dn, dd, wn, wd = builder.arrays
-    if blk.vertices != tuple(range(tree.n)) or wn.count(0) != 1:
+    # each part root hangs once, the construction root never: n vertices, n - 1 weights
+    if blk.size != tree.n or builder.wn.count(0) != 1:
         raise RuntimeError("the final block does not cover the whole tree")
-    diag = tuple(map(Fraction, dn, dd))
-    w2 = {(c, p): Fraction(wn[c], wd[c]) for c, p in enumerate(parent) if p >= 0}
-    m = make_matrix(tree, diag, w2)
+    m = WeightedTreeMatrix.from_arrays(builder.rt, *builder.arrays[1:]).rerooted(tree)
     # the proof of every claim the certificate makes
     problems = verify_certificate(m, blk.spec)
     if problems:
@@ -470,7 +476,7 @@ def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
     return RealizationCertificate(
         matrix=m, dspec=blk.spec, family=family, variant=variant,
         alpha=builder.frac(builder.alpha), beta=builder.frac(builder.beta),
-        shift=shift, construction_root=builder.rt.root, assemblies=tuple(builder.log))
+        shift=shift, construction_root=builder.rt.root, _log=builder.log)
 
 
 def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_matrix, random_tree
+from helpers import random_matrix, random_tree, rooted_at
 
 from diminimal import (
+    Family,
     WeightedTreeMatrix,
     build_tree,
     delete_vertex,
@@ -20,6 +21,9 @@ from diminimal import (
     matrix_to_dot,
     matrix_to_json,
     parse_rational,
+    realize_family,
+    reroot,
+    seed,
     to_dense_float,
     trace,
 )
@@ -181,6 +185,144 @@ def test_matrix_json_rejects_missing_weight():
     del blob["sq_edge"][0]
     with pytest.raises(ValueError):
         matrix_from_json(blob)
+
+
+def _base_blob():
+    return {"tree": {"n": 3, "root": 0, "edges": [[0, 1], [1, 2]]},
+            "diag": ["1", "2", "3"],
+            "sq_edge": [{"u": 0, "v": 1, "w2": "4"}, {"u": 1, "v": 2, "w2": "9"}]}
+
+
+def _entry(u, v, w2):
+    return {"u": u, "v": v, "w2": w2}
+
+
+# (change to the base blob, error text): matrix_from_json reports the first
+# entry it cannot read, then a missing edge, an edge not in the tree, the
+# diag length and a non-positive weight, in that order
+JSON_ERRORS = [
+    (lambda b: b["diag"].__setitem__(0, 0.5), "not a rational: 0.5"),
+    (lambda b: b["diag"].__setitem__(0, "1.5"), "invalid literal for int() with base 10: '1.5'"),
+    (lambda b: b["sq_edge"][0].__setitem__("w2", "1/0"), "zero denominator in '1/0'"),
+    (lambda b: b["sq_edge"][0].__setitem__("w2", True), "booleans are not rationals"),
+    (lambda b: b["sq_edge"].append(_entry(1, 0, "4")), "edge (1, 0) is listed twice in sq_edge"),
+    (lambda b: b["sq_edge"].extend([_entry(0, 2, "1"), _entry(2, 0, "1")]),
+     "edge (2, 0) is listed twice in sq_edge"),
+    (lambda b: b["sq_edge"].pop(1), "missing squared weight for edge (1, 2)"),
+    (lambda b: b["sq_edge"].__setitem__(1, _entry(7, 1, "1")),
+     "missing squared weight for edge (1, 2)"),
+    (lambda b: b["sq_edge"].append(_entry(-1, 0, "1")),
+     "squared-weight mapping mentions edges not in the tree"),
+    (lambda b: b["sq_edge"].extend([_entry(0, 2, "1"), _entry(5, 6, "x")]),
+     "invalid literal for int() with base 10: 'x'"),
+    (lambda b: b["sq_edge"][0].__setitem__("w2", "0"), "squared edge weight must be positive, got 0"),
+    (lambda b: b["sq_edge"][1].__setitem__("w2", "4/-2"),
+     "squared edge weight must be positive, got -2"),
+    (lambda b: [b["sq_edge"].reverse(), b["sq_edge"][0].__setitem__("w2", "-1"),
+                b["sq_edge"][1].__setitem__("w2", "-3/6")],
+     "squared edge weight must be positive, got -1/2"),
+    (lambda b: [b["diag"].pop(), b["sq_edge"].pop()], "missing squared weight for edge (1, 2)"),
+    (lambda b: [b["diag"].pop(), b["sq_edge"][0].__setitem__("w2", "-1")],
+     "diag length does not match vertex count"),
+    (lambda b: b["sq_edge"][0].pop("w2"), "malformed matrix object: 'w2'"),
+]
+
+
+@pytest.mark.parametrize("change,message", JSON_ERRORS)
+def test_matrix_json_error_texts(change, message):
+    blob = _base_blob()
+    change(blob)
+    with pytest.raises(ValueError) as exc:
+        matrix_from_json(blob)
+    assert str(exc.value) == message
+
+
+def test_matrix_json_reads_reduced_pairs():
+    blob = _base_blob()
+    blob["diag"][0], blob["sq_edge"][1]["w2"] = " -6/4 ", "18/4"
+    m = matrix_from_json(blob)
+    assert m.arrays[2:] == ((-3, 2, 3), (2, 1, 1), (0, 4, 9), (1, 1, 2))
+    assert m == make_matrix(m.tree, (F(-3, 2), 2, 3), {(0, 1): 4, (1, 2): F(9, 2)})
+
+
+def _from_fractions(m):
+    return WeightedTreeMatrix(m.tree, tuple(m.diag), tuple(m.sq_edge))
+
+
+def _from_arrays(m):
+    a = m.arrays
+    return WeightedTreeMatrix.from_arrays(m.tree, *(list(x) for x in a[2:]))
+
+
+def test_both_constructors_give_equal_matrices():
+    rng = random.Random(21)
+    for _ in range(30):
+        t = random_tree(rng.randint(1, 20), rng)
+        m = random_matrix(t, rng)
+        b = _from_arrays(m)
+        assert b == m and hash(b) == hash(m)
+        assert b.diag == m.diag and b.sq_edge == m.sq_edge
+        # a changed entry breaks equality either way
+        if t.n > 1:
+            a = m.arrays
+            dn = list(a.dn)
+            dn[0] += 1
+            other = WeightedTreeMatrix.from_arrays(t, dn, list(a.dd), list(a.wn), list(a.wd))
+            assert other != m
+    # a constructed matrix, built on a rooting at its construction root
+    t = seed(Family.UNIFORM, 7)
+    t = reroot(t, t.n - 1)
+    cert = realize_family(t, 0, 32)
+    assert cert.construction_root != t.root
+    m = cert.matrix
+    assert m.tree is t
+    rebuilt = _from_fractions(m)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert rebuilt.arrays == m.arrays
+
+
+def test_views_are_tuples_of_fractions():
+    m = realize_family(seed(Family.UNIFORM, 5), F(-1, 3), 2).matrix
+    entries = m.diag + m.sq_edge
+    assert isinstance(entries, tuple) and len(entries) == 2 * m.n - 1
+    assert all(type(q) is F for q in entries)
+    assert m.sq_edge == tuple(m.sq_weight[e] for e in m.tree.edges)
+
+
+def test_rerooted_moves_the_path_weights():
+    rng = random.Random(22)
+    for _ in range(20):
+        t = random_tree(rng.randint(1, 15), rng)
+        m = random_matrix(t, rng)
+        r = rng.randrange(t.n)
+        moved = m.rerooted(reroot(t, r))
+        assert moved == rooted_at(m, r)
+        assert moved.sq_edge == m.sq_edge
+
+
+def test_from_arrays_wrong_length_refused():
+    t = build_tree([(0, 1), (1, 2)], 0)
+    with pytest.raises(ValueError, match="^kernel arrays do not match the vertex count 3$"):
+        WeightedTreeMatrix.from_arrays(t, [1, 2], [1, 1], [0, 1, 1], [1, 1, 1])
+    with pytest.raises(ValueError, match="^kernel arrays do not match the vertex count 3$"):
+        WeightedTreeMatrix.from_arrays(t, [1, 2, 3], [1, 1, 1], [0, 1, 1], [1, 1, 1, 1])
+
+
+def test_from_arrays_weight_not_positive_refused():
+    t = build_tree([(0, 1), (1, 2)], 0)
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match=f"^squared edge weight must be positive, got {bad}$"):
+            WeightedTreeMatrix.from_arrays(t, [1, 2, 3], [1, 1, 1], [0, 1, bad], [1, 1, 1])
+    # the root has no weight, so its entry is not read
+    m = WeightedTreeMatrix.from_arrays(t, [1, 2, 3], [1, 1, 1], [-5, 1, 1], [7, 1, 1])
+    assert m.arrays.wn[0] == 0 and m.arrays.wd[0] == 1
+
+
+def test_from_arrays_denominator_not_positive_refused():
+    t = build_tree([(0, 1), (1, 2)], 0)
+    for wd, dd in (([1, 0, 1], [1, 1, 1]), ([1, 1, -2], [1, 1, 1]), ([1, 1, 1], [1, 0, 1])):
+        with pytest.raises(ValueError, match="^denominators must be positive$"):
+            WeightedTreeMatrix.from_arrays(t, [1, 2, 3], dd, [0, 1, 1], wd)
 
 
 def test_matrix_to_dot_labels():

@@ -294,6 +294,51 @@ def test_certificate_json_fields():
     assert len(blob["dspec"]) == 6
 
 
+def test_assembly_records_are_built_on_first_read(monkeypatch):
+    real, made = diminimal.realize.AssemblyRecord.__init__, []
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(diminimal.realize.AssemblyRecord, "__init__", counted)
+    t = seed(Family.MIXED, 9)
+    c = realize_family(t, 0, 32)
+    assert not made
+    records = c.assemblies
+    assert len(made) == len(records) > 1
+    # a second read builds nothing
+    assert c.assemblies is records
+    assert len(made) == len(records)
+    # the last record is the finished block
+    assert records[-1].pred == c.dspec
+    assert sorted(records[-1].core_vertices + sum((v for _, v, _ in records[-1].parts), ())) \
+        == list(range(t.n))
+
+
+def test_two_realizations_of_one_tree_are_equal():
+    t = seed(Family.SHORT_CORE, 7)
+    t = reroot(t, t.n - 1)
+    a, b = realize_family(t, 0, 32), realize_family(t, 0, 32)
+    assert a == b and hash(a) == hash(b)
+    assert a.assemblies == b.assemblies
+    assert a != realize_family(t, 0, 16)
+
+
+def test_a_vertex_left_unjoined_is_refused(monkeypatch):
+    # a join that drops one of three like leaves keeps its claims
+    # consistent, so only the cover check of the finished block sees it
+    real = diminimal.realize._Builder.join_blocks
+
+    def drop_one(self, core, parts, y, side, expect_forced):
+        return real(self, core, parts[:-1], y, side, expect_forced)
+
+    star = build_tree([(0, 1), (0, 2), (0, 3)], 0)
+    monkeypatch.setattr(diminimal.realize._Builder, "join_blocks", drop_one)
+    with pytest.raises(RuntimeError, match="^the final block does not cover the whole tree$"):
+        realize_family(star, 0, 32)
+
+
 # -------------------------------------------------------------- integral
 
 
@@ -434,8 +479,10 @@ def sabotage_join(monkeypatch, at):
 
     def doubled(core_value, part_values):
         calls.append(1)
-        d2 = real(core_value, part_values)
-        return 2 * d2 if len(calls) == at else d2
+        num, den = real(core_value, part_values)
+        if len(calls) == at:
+            num, den = F(2 * num, den).as_integer_ratio()
+        return num, den
 
     monkeypatch.setattr(diminimal.realize, "_delta_squared", doubled)
 
@@ -561,7 +608,7 @@ def test_each_joined_block_runs_once_at_its_pin_point(monkeypatch, fam, d):
     real, runs = diminimal.realize._Builder._root_value, []
 
     def spy(self, blk, y, side):
-        runs.append((blk.vertices, self.frac(y)))
+        runs.append((tuple(sorted(blk.order)), self.frac(y)))
         return real(self, blk, y, side)
 
     monkeypatch.setattr(diminimal.realize._Builder, "_root_value", spy)
@@ -652,7 +699,8 @@ def test_a_weight_that_is_not_positive_is_refused(monkeypatch):
 
     def negated(core_value, part_values):
         calls.append(1)
-        return -real(core_value, part_values)
+        num, den = real(core_value, part_values)
+        return -num, den
 
     monkeypatch.setattr(diminimal.realize, "_delta_squared", negated)
     with pytest.raises(RuntimeError, match=r"^block at \d+: solved squared weight -\S+ "
