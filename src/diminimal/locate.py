@@ -7,23 +7,26 @@ count the multiplicity of -x itself.  Everything else in this module
 (interval counts, Parter vertex search, and isolation, where LAPACK's float
 eigenvalues only choose where to count) is built on that single primitive.
 
-That primitive is one kernel, `_run`, over flat int arrays of the rooted
-tree instead of Fraction objects.  Each value is a reduced (num, den) pair,
-added with Henrici's gcd split and divided with cross-cancellation, so it
-stays exact without per-operation object overhead.  One pass serves a
-batch of points, each with its own Schur sums and zero-pairing, as in the
-multi-shift bisection of LAPACK's dstebz (Demmel, Dhillon and Ren).
+That primitive is one kernel, `_run`, over int rows instead of Fraction
+objects: the classes of equal branches of the matrix's quotient, each run
+once and counted once per copy, or in the n-row form one row per vertex.
+Each value is a reduced (num, den) pair, added with Henrici's gcd split and
+divided with cross-cancellation, so it stays exact without per-operation
+object overhead.  One pass serves a batch of points, each with its own
+Schur sums and zero-pairing, as in the multi-shift bisection of LAPACK's
+dstebz (Demmel, Dhillon and Ren).
 
 `counts_at`, the one counting routine, runs that elimination with adaptive
 precision, after Shewchuk's adaptive predicates and the interval filters of
 Bronnimann, Burnikel and Pion.  It works in float intervals whose every
 bound is rounded outward by one ulp, so each interval encloses the exact
 value.  Where a vertex interval meets 0 or is not finite, `_run` computes
-that vertex's subtree afresh in exact arithmetic, replacing what the pass
-counted in it; the exact Schur term goes on up as an interval, and an
-exact 0 pairs with the parent.  So every count is exact, and exact work is
-spent only where floats cannot decide.  At a true eigenvalue most vertices
-need it, so once repairs dominate the pass ends in one exact run.
+that vertex's subtree afresh in exact arithmetic (n-row form), replacing
+what the pass counted in it; the exact Schur term goes on up as an
+interval, and an exact 0 pairs with the parent.  So every count is exact,
+and exact work is spent only where floats cannot decide.  At a true
+eigenvalue most vertices need it, so once repairs dominate the pass ends in
+one exact run from the root.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 from math import ceil, gcd, inf, nan, nextafter
 from typing import Collection, Sequence
 
-from .matrices import WeightedTreeMatrix, delete_vertex, enclose
+from .matrices import Rows, WeightedTreeMatrix, delete_vertex, enclose
 from .trees import reroot
 
 
@@ -53,38 +56,41 @@ class DiagOutcome:
     pivots: frozenset[int]
 
 
-def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int], dd: Sequence[int],
-         wn: Sequence[int], wd: Sequence[int], points: Sequence[tuple[int, int]],
+def _run(rows: Rows, points: Sequence[tuple[int, int]],
          values: list[dict] | None = None, pivots: list[list] | None = None) -> list[tuple]:
     """The elimination kernel: bottom-up congruence diagonalization of
-    M + x*I over `order`, a postorder whose last entry is the run's root, at
-    each point x = xn/xd of `points`, all in one pass.
+    M + x*I over `rows` (see `Rows`), in postorder with the run's root
+    last, at each point x = xn/xd of `points`, all in one pass.
 
-    Vertex k has diagonal dn[k]/dd[k] and squared weight wn[k]/wd[k] on its
-    edge to parent[k]; values are reduced (num, den) int pairs, den > 0.  If
-    no attached child of k carries a zero at a point, k picks up the usual
-    Schur complement there; otherwise the smallest-id zero child j is paired
-    with k (j's value becomes 2, k's -w2(j,k)/2) and k's edge up is cut.
-    Sums use Henrici's split: with g = gcd(b, q), only a divisor of g can be
-    common to the numerator and the denominator b*q/g of a/b + p/q, and
-    quotients cross-cancel.  Returns (negatives, zeros, root value) per
-    point; `values` and `pivots` hold a dict and a list per point, if given,
-    for the final values and the vertices where the pairing rule fired."""
+    Values are reduced (num, den) int pairs, den > 0.  Row k is d + x plus
+    the Schur terms -w/v of its child rows, a child row that occurs c times
+    under it adding c times its term.  If no child row of k is 0 at a point,
+    k picks up that Schur sum there; otherwise at each copy of k one zero
+    child, of the smallest such row j, pairs with k (it becomes 2, k becomes
+    -w2(j)/2) and k's edges up are cut; other zero children stay zeros.
+    Negatives and zeros count copies[k] times, so a run over the quotient
+    counts every vertex of the tree.  Sums use Henrici's split: with
+    g = gcd(b, q), only a divisor of g can be common to the numerator and
+    the denominator b*q/g of a/b + p/q, and quotients cross-cancel.  Returns
+    (negatives, zeros, root value) per point; `values` and `pivots` hold a
+    dict and a list per point, if given, for the final value of each row and
+    the rows where the pairing rule fired (per vertex in the n-row form)."""
+    order, parent, extra, dn, dd, wn, wd, copies = rows
     idx, blank = range(len(points)), [None] * len(points)
     neg, zero, top = [0] * len(points), [0] * len(points), blank.copy()
-    # per parent and point: Schur terms pushed up so far, smallest zero child
+    # per parent row and point: Schur terms pushed up so far, smallest zero child
     acc, kids, root = {}, {}, order[-1]
     for k in order:
         terms, zk = acc.pop(k, None), kids.pop(k, None) if kids else None
-        d, e, up = dn[k], dd[k], None
+        d, e, cp, up = dn[k], dd[k], copies[k], None
         if k != root:
-            pk, wk, vk = parent[k], wn[k], wd[k]
+            pk, wk, vk, more = parent[k], wn[k], wd[k], extra[k]
             if (up := acc.get(pk)) is None:
                 up = acc[pk] = blank.copy()
         for i in idx:
             if zk is not None and (j := zk[i]) is not None:
                 a, b = (-wn[j], 2 * wd[j]) if wn[j] & 1 else (-(wn[j] >> 1), wd[j])
-                zero[i], neg[i] = zero[i] - 1, neg[i] + 1
+                zero[i], neg[i] = zero[i] - cp, neg[i] + cp
                 if pivots is not None:
                     pivots[i].append(k)
                 if values is not None:
@@ -93,7 +99,7 @@ def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int], dd: Seq
                     top[i] = (a, b)
                 continue
             # a/b = d + x, then + the Schur sum; the sums are inlined on
-            # purpose, the loop body runs once per vertex and point
+            # purpose, the loop body runs once per row and point
             xn, xd = points[i]
             if xd == 1:
                 a, b = d + xn * e, e
@@ -122,14 +128,15 @@ def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int], dd: Seq
                 values[i][k] = (a, b)
             if up is None:
                 top[i] = (a, b)
-                neg[i], zero[i] = neg[i] + (a < 0), zero[i] + (not a)
+                neg[i], zero[i] = neg[i] + cp * (a < 0), zero[i] + cp * (not a)
                 continue
             if not a:
-                zero[i] += 1
-                if (z := kids.get(pk)) is None:
-                    z = kids[pk] = blank.copy()
-                if z[i] is None or z[i] > k:
-                    z[i] = k
+                zero[i] += cp
+                for pj in (pk, *(r for r, _ in more)) if more else (pk,):
+                    if (z := kids.get(pj)) is None:
+                        z = kids[pj] = blank.copy()
+                    if z[i] is None or z[i] > k:
+                        z[i] = k
                 continue
             # the Schur term -w/(a/b) = -(w*b)/(v*a), cross-cancelled
             w, v = wk, vk
@@ -142,8 +149,22 @@ def _run(order: Sequence[int], parent: Sequence[int], dn: Sequence[int], dd: Seq
             if a > 0:
                 p, q = -w * b, v * a
             else:
-                neg[i] += 1
+                neg[i] += cp
                 p, q = w * b, -v * a
+            if more:  # the quotient's further parents: k is j more times under r
+                for r, j in more:
+                    if (t := acc.get(r)) is None:
+                        t = acc[r] = blank.copy()
+                    g = gcd(j, q)
+                    pj, qj = p * (j // g), q // g
+                    if (x := t[i]) is None:
+                        t[i] = (pj, qj)
+                    else:
+                        u, s = x
+                        g = gcd(s, qj)
+                        u, s = u * (qj // g) + pj * (s // g), s // g * qj
+                        g = gcd(u, g)
+                        t[i] = (u // g, s // g)
             if (t := up[i]) is None:
                 up[i] = (p, q)
             else:
@@ -163,12 +184,11 @@ def diagonalize(m: WeightedTreeMatrix, x: Fraction) -> DiagOutcome:
     """Congruence-diagonalize M + x*I bottom-up from the tree's root.
     Exact; never touches floats."""
     x = Fraction(x)
-    arr = m.arrays
     vals, pivots = {}, []
-    (neg, zero, _), = _run(*arr, ((x.numerator, x.denominator),), [vals], [pivots])
-    removed = sorted((min(k, p), max(k, p)) for k in pivots
-                     if (p := arr.parent[k]) != -1)
-    return DiagOutcome({v: Fraction(*vals[v]) for v in arr.order},
+    (neg, zero, _), = _run(m.rows, ((x.numerator, x.denominator),), [vals], [pivots])
+    parent = m.tree.parent
+    removed = sorted((min(k, p), max(k, p)) for k in pivots if (p := parent[k]) != -1)
+    return DiagOutcome({v: Fraction(*vals[v]) for v in m.tree.order},
                        (neg, zero, m.n - neg - zero), tuple(removed),
                        frozenset(pivots))
 
@@ -232,7 +252,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
             continue
         spent += size[k]
         if spent * _EXACT_SHARE > i:
-            (neg, zero, _), = _run(*arr, ((xn, xd),))
+            (neg, zero, _), = _run(m.rows, ((xn, xd),))
             return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
         # k's subtree is the block of the postorder that ends at k; the
         # kernel runs all of it afresh, so what was counted in it is dropped
@@ -241,7 +261,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
             negs.pop()
         while fixes and fixes[-1][0] >= start:
             fixes.pop()
-        (neg, zero, (a, b)), = _run(order[start:i + 1], *arr[1:], ((xn, xd),))
+        (neg, zero, (a, b)), = _run(Rows(order[start:i + 1], *m.rows[1:]), ((xn, xd),))
         fixes.append((i, neg, zero))
         if not a:
             if zero_kid.get(p, k) >= k:
@@ -293,7 +313,7 @@ def counts_within(m: WeightedTreeMatrix, point: Fraction,
             or any(arr.parent[v] not in vs for v in order[:-1])):
         raise ValueError("vertex set does not induce a connected subtree")
     p = Fraction(point)
-    (neg, zero, _), = _run(order, *arr[1:], ((-p.numerator, p.denominator),))
+    (neg, zero, _), = _run(Rows(order, *m.rows[1:]), ((-p.numerator, p.denominator),))
     return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
 
 

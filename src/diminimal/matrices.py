@@ -18,6 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+# bench/spans.py wraps build_tree as a matrices attribute, which nothing here calls
 from .trees import RootedTree, build_tree, json_int, reroot, tree_from_json, tree_to_json
 
 
@@ -54,9 +55,10 @@ def format_rational(q: Fraction) -> str:
 
 
 class ElimArrays(NamedTuple):
-    """A matrix rooted at order[-1] as the elimination kernel reads it:
-    postorder, parent ids (-1 at the root), and reduced pairs for the diagonal
-    entries and each vertex's squared weight to its parent (0/1 at the root)."""
+    """A matrix rooted at order[-1] in ints: postorder, parent ids (-1 at the
+    root), and reduced pairs for the diagonal entries and each vertex's
+    squared weight to its parent (0/1 at the root).  The kernel's `Rows` are
+    read from it."""
 
     order: tuple[int, ...]
     parent: tuple[int, ...]
@@ -64,6 +66,32 @@ class ElimArrays(NamedTuple):
     dd: tuple[int, ...]
     wn: tuple[int, ...]
     wd: tuple[int, ...]
+
+
+class Rows(NamedTuple):
+    """The elimination kernel's input: rows in postorder, the last one the
+    root of the run.  Row k has diagonal dn[k]/dd[k] and squared weight
+    wn[k]/wd[k] to its parent rows, occurs once under parent[k] (-1 at the
+    root) and count more times under row r for each (r, count) of
+    extra[k], and stands for copies[k] vertices of the tree.  A matrix's
+    `rows` is its n-row form, a row per vertex id, and its `quotient` the
+    minimal DAG, a row per class of equal branches."""
+
+    order: Sequence[int]
+    parent: Sequence[int]
+    extra: Sequence[Sequence[tuple[int, int]]]
+    dn: Sequence[int]
+    dd: Sequence[int]
+    wn: Sequence[int]
+    wd: Sequence[int]
+    copies: Sequence[int]
+
+
+def vertex_rows(tree: RootedTree, dn: Sequence[int], dd: Sequence[int],
+                wn: Sequence[int], wd: Sequence[int]) -> Rows:
+    """The n-row form of the arrays on `tree`: its postorder and parents,
+    no further parent rows, every copy 1."""
+    return Rows(tree.order, tree.parent, ((),) * tree.n, dn, dd, wn, wd, (1,) * tree.n)
 
 
 class FloatBounds(NamedTuple):
@@ -101,7 +129,7 @@ def _enclose_all(num: list[int], den: list[int]) -> list[list[float]]:
 
 @dataclass(frozen=True, init=False)
 class WeightedTreeMatrix:
-    """Symmetric rational matrix supported on a tree, held as the kernel's
+    """Symmetric rational matrix supported on a tree, held as its int
     `arrays`, which `from_arrays` takes.  diag[i] is the diagonal entry of
     vertex i and sq_edge[j] the squared off-diagonal entry of tree.edges[j],
     tuples of Fractions built on first read.  All squared weights must be
@@ -167,6 +195,48 @@ class WeightedTreeMatrix:
         return WeightedTreeMatrix.from_arrays(tree, a.dn, a.dd, wn, wd)
 
     @cached_property
+    def rows(self) -> Rows:
+        """The n-row form of `arrays`, cached."""
+        return vertex_rows(self.tree, *self.arrays[2:])
+
+    @cached_property
+    def quotient(self) -> Rows:
+        """The minimal DAG of the weighted tree (Downey, Sethi and Tarjan),
+        cached: vertices with equal entries, equal squared weight to their
+        parents and equal multisets of child classes form one class, found
+        in one postorder pass.  Rows are the classes in postorder; each
+        lists the classes it is a child of, with how often it occurs there,
+        and how many vertices it holds.  Repeated branches factor out of the
+        characteristic polynomial (Schwenk), so the kernel runs each class
+        once and counts it once per copy."""
+        a, children = self.arrays, self.tree.children
+        entry = list(zip(a.dn, a.dd, a.wn, a.wd))
+        # a leaf's key is its entries, another vertex's its entries and its
+        # child classes sorted, a class once per child of it
+        cls, copies, index = [0] * self.n, [0] * self.n, {}
+        for v in a.order:
+            ch = children[v]
+            key = (entry[v], *sorted(map(cls.__getitem__, ch))) if ch else entry[v]
+            cls[v] = k = index.setdefault(key, len(index))
+            copies[k] += 1
+        n = len(index)
+        parent, extra, entries = [-1] * n, [()] * n, []
+        for k, key in enumerate(index):
+            if type(key[0]) is int:
+                entries.append(key)
+                continue
+            entries.append(key[0])
+            tally: dict[int, int] = {}
+            for c in key[1:]:
+                tally[c] = tally.get(c, 0) + 1
+            for c, j in tally.items():
+                if parent[c] == -1:
+                    parent[c], j = k, j - 1
+                if j:
+                    extra[c] += ((k, j),)
+        return Rows(range(n), parent, extra, *zip(*entries), copies[:n])
+
+    @cached_property
     def gershgorin_bound(self) -> Fraction:
         """Rational B with every eigenvalue in [-B, B], cached: the largest row
         sum of |diag| and, per edge once, (isqrt(num*den) + 1)/den rounded up
@@ -227,23 +297,27 @@ def delete_vertex(m: WeightedTreeMatrix, v: int) -> list[WeightedTreeMatrix]:
     Each component comes back as a standalone WeightedTreeMatrix whose tree
     is rooted at the former neighbor of v, with ids compacted to 0..m-1 in
     increasing order of the original ids.  Components come in ascending
-    order of those neighbors.
+    order of those neighbors.  Linear time: the entries are read from the
+    arrays of m rerooted at v, where each vertex's weight is the one to its
+    parent in its component (or to v, which the component root drops).
     """
     if not (0 <= v < m.n):
         raise ValueError(f"vertex {v} out of range")
     t = reroot(m.tree, v)
-    out: list[WeightedTreeMatrix] = []
-    for nb in t.children[v]:
-        comp = t.subtree(nb)
-        # comp is sorted, so relabeling keeps every (min, max) edge normalized
-        relabel = {old: new for new, old in enumerate(comp)}
-        w: dict[tuple[int, int], Fraction] = {}
-        for (a, b), x in zip(m.tree.edges, m.sq_edge):
-            if a in relabel and b in relabel:
-                w[relabel[a], relabel[b]] = x
-        diag = tuple(m.diag[old] for old in comp)
-        out.append(make_matrix(build_tree(w.keys(), relabel[nb]), diag, w))
-    return out
+    a, nbs = m.rerooted(t).arrays, t.children[v]
+    comp, new = [0] * m.n, [0] * m.n  # component index and new id by old id
+    for i, nb in enumerate(nbs):
+        for u in t.block(nb):
+            comp[u] = i
+    members: list[list[int]] = [[] for _ in nbs]
+    for u in range(m.n):
+        if u != v:
+            ids = members[comp[u]]
+            new[u] = len(ids)
+            ids.append(u)
+    return [WeightedTreeMatrix.from_arrays(
+        RootedTree(tuple(-1 if u == nb else new[t.parent[u]] for u in ids), new[nb]),
+        *([x[u] for u in ids] for x in a[2:])) for nb, ids in zip(nbs, members)]
 
 
 def to_dense_float(m: WeightedTreeMatrix) -> np.ndarray:

@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 # bench/spans.py wraps _run, counts_at, diagonalize, make_matrix and join as
 # realize attributes, so all five are imported here; only _run is used
 from .locate import _run, counts_at, diagonalize
-from .matrices import WeightedTreeMatrix, make_matrix
+from .matrices import Rows, WeightedTreeMatrix, make_matrix, vertex_rows
 from .trees import (Family, PieceCert, RootedTree, _family_analysis, _uniform,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
 
@@ -231,7 +231,9 @@ class _Block:
     root: int
     size: int
     pred: dict[int, int]  # grid numerator -> multiplicity
-    net: dict[int, int]  # pred less the preds of B - root, the parts along the core chain
+    # pred less the preds of B - root, the parts along the core chain; None
+    # once a join has consumed the block, as only that join reads it
+    net: dict[int, int] | None
     q: int  # the grid's denominator
     core: _Block | None = None
     parts: tuple[_Block, ...] = ()
@@ -272,13 +274,20 @@ class _Builder:
         self.deep = deep
         n = tree.n
         self.dn, self.dd, self.wn, self.wd = [0] * n, [1] * n, [0] * n, [1] * n
-        self.arrays = (self.rt.parent, self.dn, self.dd, self.wn, self.wd)  # all but the order
         # (block, y, side, weight pair, a, b, forced) per join, as ints, and
         # the claim {N: 1} that all leaves of value N share (no join changes it)
         self.log, self.claims = [], {}
 
     def step(self, j: int) -> int:
         return (self.beta - self.alpha) >> j
+
+    def _rows(self, order: Sequence[int]) -> Rows:
+        """The n-row form of the arrays so far, run over `order`."""
+        return Rows(order, *self._vertex_rows[1:])
+
+    @cached_property
+    def _vertex_rows(self) -> Rows:
+        return vertex_rows(self.rt, self.dn, self.dd, self.wn, self.wd)
 
     def _root_value(self, blk: _Block, y: int, side: str) -> tuple[int, int]:
         """The root's value at the pin point y of a block a join takes in, as
@@ -295,7 +304,7 @@ class _Builder:
                   else y < min(pred) and y < min(net))
         problems = []
         if self.deep:
-            *counts, (neg, zero, top) = _run(blk.order, *self.arrays,
+            *counts, (neg, zero, top) = _run(self._rows(blk.order),
                                              _points((*blk.spec, (self.frac(y), 1))))
             problems = _spectrum_problems(blk.spec, counts, n)
             beyond = beyond and not zero and neg == (n if side == "max" else 0)
@@ -411,6 +420,8 @@ class _Builder:
         for lam, e in ((y, 1), (forced, 1), (a, -1), (b, -1)):
             net[lam] = net.get(lam, 0) + e
         net = {lam: e for lam, e in net.items() if e}
+        for consumed in (core, *parts):
+            consumed.net = None
 
         blk = _Block(core.root, core.size + sum(p.size for p in parts), pred, net,
                      self.q, core, tuple(parts))
@@ -433,7 +444,7 @@ class _Builder:
             zero_at = [vals[2 * i + 1] for i in range(level)] + [vals[2 * level + 1] + shift]
             incr_at = [vals[2 * i] for i in range(1, level + 1)]
 
-        runs = _run(blk.order, *self.arrays, _points((self.frac(lam), 1) for lam in zero_at))
+        runs = _run(self._rows(blk.order), _points((self.frac(lam), 1) for lam in zero_at))
         for lam, (_, _, (a, _)) in zip(zero_at, runs):
             if a != 0:
                 raise RuntimeError(f"block at {blk.root}: no zero at the root "
@@ -447,8 +458,8 @@ class _Builder:
             raise RuntimeError(f"block at {blk.root} is not its root and whole "
                                f"subtrees of its children")
         points, pivots = _points((self.frac(lam), 1) for lam in incr_at), [[] for _ in incr_at]
-        whole = _run(blk.order, *self.arrays, points, pivots=pivots)
-        parts = [_run(comp, *self.arrays, points) for comp in comps]
+        whole = _run(self._rows(blk.order), points, pivots=pivots)
+        parts = [_run(self._rows(comp), points) for comp in comps]
         for i, lam in enumerate(incr_at):
             equal, after = whole[i][1], sum(run[i][1] for run in parts)
             if after != equal + 1:
@@ -468,7 +479,8 @@ def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
     # each part root hangs once, the construction root never: n vertices, n - 1 weights
     if blk.size != tree.n or builder.wn.count(0) != 1:
         raise RuntimeError("the final block does not cover the whole tree")
-    m = WeightedTreeMatrix.from_arrays(builder.rt, *builder.arrays[1:]).rerooted(tree)
+    m = WeightedTreeMatrix.from_arrays(builder.rt, builder.dn, builder.dd,
+                                       builder.wn, builder.wd).rerooted(tree)
     # the proof of every claim the certificate makes
     problems = verify_certificate(m, blk.spec)
     if problems:
@@ -615,7 +627,7 @@ def verify_certificate(m: WeightedTreeMatrix,
     """Re-derive every spectral claim of a certificate from the matrix
     alone.  Returns a list of human-readable failures; empty means the
     certificate holds."""
-    problems = _spectrum_problems(dspec, _run(*m.arrays, _points(dspec)), m.n)
+    problems = _spectrum_problems(dspec, _run(m.quotient, _points(dspec)), m.n)
     values = [v for v, _ in dspec]
     if sorted(values) != values or len(set(values)) != len(values):
         problems.insert(0, "dspec values are not strictly increasing")

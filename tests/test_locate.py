@@ -134,7 +134,7 @@ def assert_matches_reference(m, x, root):
     assert counts_at(rooted_at(m, root), -x) == counts_at(m, -x, root) == counts_at(m, -x)
     # the kernel's own pairs stay reduced with positive denominators
     pairs: dict = {}
-    _run(*rooted_at(m, root).arrays, [(x.numerator, x.denominator)], [pairs])
+    _run(rooted_at(m, root).rows, [(x.numerator, x.denominator)], [pairs])
     assert all(b > 0 and gcd(a, b) == 1 for a, b in pairs.values())
 
 
@@ -152,16 +152,18 @@ def test_kernel_matches_reference_on_200_bit_entries(m, x):
     assert_matches_reference(m, x, m.n - 1)
 
 
-def assert_batch_is_single_runs(arr, points):
+def assert_batch_is_single_runs(m, points):
     """One kernel run over a batch of points gives, at each point, what a
-    run at that point alone gives: counts, root value, values and pivots."""
-    values, pivots = [{} for _ in points], [[] for _ in points]
-    batch = _run(*arr, points, values, pivots)
-    assert len(batch) == len(points)
-    for i, p in enumerate(points):
-        vals, piv = {}, []
-        assert [batch[i]] == _run(*arr, [p], [vals], [piv])
-        assert values[i] == vals and pivots[i] == piv
+    run at that point alone gives: counts, root value, values and pivots,
+    on the n-row form and on the quotient of m."""
+    for rows in (m.rows, m.quotient):
+        values, pivots = [{} for _ in points], [[] for _ in points]
+        batch = _run(rows, points, values, pivots)
+        assert len(batch) == len(points)
+        for i, p in enumerate(points):
+            vals, piv = {}, []
+            assert [batch[i]] == _run(rows, [p], [vals], [piv])
+            assert values[i] == vals and pivots[i] == piv
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,7 +174,7 @@ def test_a_batch_of_points_is_single_point_runs_at_every_root(m, xs):
     # hit exact zeros and the pairing rule at some points but not others
     xs = xs + [-q for q in m.diag[:4]] + [F(0)]
     for r in range(m.n):
-        assert_batch_is_single_runs(rooted_at(m, r).arrays,
+        assert_batch_is_single_runs(rooted_at(m, r),
                                     [(x.numerator, x.denominator) for x in xs])
 
 
@@ -186,7 +188,7 @@ def test_a_batch_at_claimed_values_is_single_point_runs_at_every_root(family, d)
     xs = [-v for v, _ in cert.dspec] + [F(1, 3)]
     xs += [-v - F(1, 2 ** 40) for v, _ in cert.dspec[:2]]
     for r in range(m.n):
-        assert_batch_is_single_runs(rooted_at(m, r).arrays,
+        assert_batch_is_single_runs(rooted_at(m, r),
                                     [(x.numerator, x.denominator) for x in xs])
 
 
@@ -327,12 +329,14 @@ def assert_counts_exact(m, points, roots=None):
 
 @pytest.fixture
 def exact_runs(monkeypatch):
-    """The orders counts_at hands to the exact kernel."""
+    """The orders of the rows counts_at hands to the exact kernel: all of
+    them the n-row form, a row per vertex."""
     seen = []
 
-    def spy(order, *args, **kwargs):
-        seen.append(tuple(order))
-        return _run(order, *args, **kwargs)
+    def spy(rows, *args, **kwargs):
+        assert set(rows.copies) == {1}
+        seen.append(tuple(rows.order))
+        return _run(rows, *args, **kwargs)
 
     monkeypatch.setattr(locate, "_run", spy)
     return seen

@@ -158,6 +158,39 @@ def test_delete_vertex_matches_networkx_components():
             assert got == _components_by_networkx(m, v), (n, v)
 
 
+def _components_by_edge_scan(m, v):
+    """delete_vertex as it was built before it read the rerooted arrays:
+    per component, a scan of every edge and make_matrix on the Fractions."""
+    t = reroot(m.tree, v)
+    out = []
+    for nb in t.children[v]:
+        comp = t.subtree(nb)
+        relabel = {old: new for new, old in enumerate(comp)}
+        w = {}
+        for (a, b), x in zip(m.tree.edges, m.sq_edge):
+            if a in relabel and b in relabel:
+                w[relabel[a], relabel[b]] = x
+        diag = tuple(m.diag[old] for old in comp)
+        out.append(make_matrix(build_tree(w.keys(), relabel[nb]), diag, w))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 10**6))
+def test_delete_vertex_equals_the_edge_scan(n, seed_val):
+    # same components, trees, ids and int arrays, on random trees rooted
+    # anywhere, with entries up to 10^+-300
+    rng = random.Random(seed_val)
+    t = reroot(random_tree(n, rng), rng.randrange(n))
+    m = random_matrix(t, rng)
+    c = F(10) ** rng.choice((-300, 0, 300))
+    m = WeightedTreeMatrix(t, [q * c for q in m.diag], [w * c for w in m.sq_edge])
+    for v in {rng.randrange(n), t.root, max(range(n), key=t.degree)}:
+        got, want = delete_vertex(m, v), _components_by_edge_scan(m, v)
+        assert [(g.tree, g.arrays) for g in got] == [(w.tree, w.arrays) for w in want]
+        assert [(g.diag, g.sq_edge) for g in got] == [(w.diag, w.sq_edge) for w in want]
+
+
 def test_to_dense_float():
     t = build_tree([(0, 1)], 0)
     m = make_matrix(t, (F(1), F(-1)), {(0, 1): F(4)})

@@ -405,15 +405,15 @@ def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
 
     real = diminimal.realize._run
 
-    def spy(order, *arrays_and_points):
-        seen.append((tuple(order), list(arrays_and_points[5])))
-        return real(order, *arrays_and_points)
+    def spy(rows, points):
+        seen.append((rows, list(points)))
+        return real(rows, points)
 
     monkeypatch.setattr(diminimal.realize, "_run", spy)
     assert verify_certificate(c.matrix, c.dspec) == []
-    # one run over the whole tree, at every claimed value
-    assert seen == [(c.matrix.arrays.order,
-                     [(-v.numerator, v.denominator) for v, _ in c.dspec])]
+    # one run over the whole tree, its quotient, at every claimed value
+    assert len(seen) == 1 and seen[0][0] is c.matrix.quotient
+    assert seen[0][1] == [(-v.numerator, v.denominator) for v, _ in c.dspec]
     # the extreme-value checks reuse those counts
     low = ((c.dspec[0][0] + 1, c.dspec[0][1]),) + c.dspec[1:]
     problems = verify_certificate(c.matrix, low)
@@ -423,13 +423,13 @@ def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
 def test_finish_refuses_what_verify_certificate_refuses(monkeypatch):
     # counts that hide one eigenvalue below the minimum pass every
     # multiplicity, sum and diameter check; only the extreme check sees it.
-    # Only whole-tree runs are falsified, so the joins' pin-point tests pass
-    # and _finish is the one that refuses.
+    # Only runs over all rows, as of the whole matrix, are falsified, so
+    # the joins' pin-point tests pass and _finish is the one that refuses.
     real = diminimal.realize._run
 
-    def one_below(order, parent, *arrays_and_points):
-        runs = real(order, parent, *arrays_and_points)
-        if len(order) < len(parent):
+    def one_below(rows, *points):
+        runs = real(rows, *points)
+        if len(rows.order) < len(rows.dn):
             return runs
         return [(neg + 1, zero, top) for neg, zero, top in runs]
 
@@ -444,11 +444,11 @@ def test_certificate_guards_survive_python_O():
         "import diminimal.realize as r\n"
         "from diminimal import Family, seed\n"
         "real = r._run\n"
-        "def fake(order, parent, *arrays_and_points):\n"
-        "    runs = real(order, parent, *arrays_and_points)\n"
-        "    if len(order) < len(parent):\n"
+        "def fake(rows, *points):\n"
+        "    runs = real(rows, *points)\n"
+        "    if len(rows.order) < len(rows.dn):\n"
         "        return runs\n"
-        "    return [(0, len(order), top) for _, _, top in runs]\n"
+        "    return [(0, sum(rows.copies), top) for _, _, top in runs]\n"
         "r._run = fake\n"
         "try:\n"
         "    r.realize_family(seed(Family.UNIFORM, 5), 0, 4)\n"
@@ -556,15 +556,16 @@ def test_a_wrong_last_join_is_refused_by_finish(monkeypatch, fam, d):
 
 def join_runs(monkeypatch, fam, d, deep):
     """Realize seed(fam, d) and record the exact runs of its joins and of
-    verify_certificate, as (sorted vertices, points); the structural probes
-    of deep mode are left out."""
+    verify_certificate, as (sorted vertices, points), a run of the
+    matrix's quotient as all its vertices; the structural probes of deep
+    mode are left out."""
     real, runs, probing = diminimal.realize._run, [], []
     real_probes = diminimal.realize._Builder._deep_checks
 
-    def spy(order, *arrays_and_points, **kwargs):
+    def spy(rows, points, **kwargs):
         if not probing:
-            runs.append((tuple(sorted(order)), list(arrays_and_points[5])))
-        return real(order, *arrays_and_points, **kwargs)
+            runs.append((rows, list(points)))
+        return real(rows, points, **kwargs)
 
     def probes(*args):
         probing.append(True)
@@ -573,7 +574,9 @@ def join_runs(monkeypatch, fam, d, deep):
 
     monkeypatch.setattr(diminimal.realize, "_run", spy)
     monkeypatch.setattr(diminimal.realize._Builder, "_deep_checks", probes)
-    return realize_family(seed(fam, d), 0, 32, deep=deep), runs
+    c = realize_family(seed(fam, d), 0, 32, deep=deep)
+    return c, [(tuple(range(c.matrix.n)) if rows is c.matrix.quotient
+                else tuple(sorted(rows.order)), points) for rows, points in runs]
 
 
 def points(spec, *extra):
@@ -643,7 +646,7 @@ def test_the_closed_form_root_value_equals_the_kernel(monkeypatch):
 
     def both(self, blk, y, side):
         num, den = real(self, blk, y, side)
-        (_, _, top), = diminimal.realize._run(blk.order, *self.arrays, [(-y, self.q)])
+        (_, _, top), = diminimal.realize._run(self._rows(blk.order), [(-y, self.q)])
         seen.append((F(num, den), F(*top)))
         return num, den
 
