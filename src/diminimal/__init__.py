@@ -37,7 +37,6 @@ from .locate import (
     counts_within,
     diagonalize,
     find_parter_vertex,
-    gershgorin_bound,
     is_parter,
     isolate_eigenvalues,
     multiplicity,

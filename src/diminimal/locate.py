@@ -75,7 +75,7 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
     (negatives, zeros, root value) per point; `values` and `pivots` hold a
     dict and a list per point, if given, for the final value of each row and
     the rows where the pairing rule fired (per vertex in the n-row form)."""
-    order, parent, extra, dn, dd, wn, wd, copies = rows
+    order, parent, dn, dd, wn, wd, extra, copies = rows
     idx, blank = range(len(points)), [None] * len(points)
     neg, zero, top = [0] * len(points), [0] * len(points), blank.copy()
     # per parent row and point: Schur terms pushed up so far, smallest zero child
@@ -216,8 +216,8 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
         m = m.rerooted(reroot(m.tree, root))
     p = Fraction(point)
     xn, xd = -p.numerator, p.denominator
-    arr, fb = m.arrays, m.float_bounds
-    order, parent, _, _, wn, wd = arr
+    order, parent, _, _, wn, wd, _, _ = m.rows
+    fb = m.float_bounds
     nxt, up, down = nextafter, inf, -inf
     slo, shi = enclose(xn, xd)
     # Schur sums collect on top of the diagonal; the extra slot takes the
@@ -307,25 +307,19 @@ def counts_within(m: WeightedTreeMatrix, point: Fraction,
     construction in place, without rebuilding matrices."""
     vs = set(vertices)
     # inertia does not depend on the root: run from the set's topmost vertex
-    arr = m.arrays
-    order = [v for v in arr.order if v in vs]
+    rows = m.rows
+    order = [v for v in rows.order if v in vs]
     if (not order or len(order) != len(vs)
-            or any(arr.parent[v] not in vs for v in order[:-1])):
+            or any(rows.parent[v] not in vs for v in order[:-1])):
         raise ValueError("vertex set does not induce a connected subtree")
     p = Fraction(point)
-    (neg, zero, _), = _run(Rows(order, *m.rows[1:]), ((-p.numerator, p.denominator),))
+    (neg, zero, _), = _run(Rows(order, *rows[1:]), ((-p.numerator, p.denominator),))
     return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
 
 
 # ---------------------------------------------------------------------------
 # Bounds and isolation
 # ---------------------------------------------------------------------------
-
-def gershgorin_bound(m: WeightedTreeMatrix) -> Fraction:
-    """Rational B with every eigenvalue in [-B, B], computed once per matrix
-    (`WeightedTreeMatrix.gershgorin_bound`)."""
-    return m.gershgorin_bound
-
 
 @dataclass(frozen=True)
 class IsolatedInterval:
@@ -345,7 +339,7 @@ _ESTIMATE_TOL, _ESTIMATE_MAX_N = 1e-9, 512
 def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[IsolatedInterval]:
     """Cover the spectrum with disjoint half-open intervals of length at most
     `width`, each carrying the exact number of eigenvalues it contains: the
-    nonempty cells (-B-1 + c*l, -B-1 + (c+1)*l], B = gershgorin_bound(m) and
+    nonempty cells (-B-1 + c*l, -B-1 + (c+1)*l], B = m.gershgorin_bound and
     l = (2B+1)/2**L <= width, L least.  The cuts around the cells near each
     estimate in `m.float_spectrum` (if n <= _ESTIMATE_MAX_N) are counted, and
     segments between counted cuts that hold eigenvalues are split at their
@@ -354,7 +348,7 @@ def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[Isolated
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    bound = gershgorin_bound(m)
+    bound = m.gershgorin_bound
     # cut c is (c*span - base)/den; 2**L is the least power of 2 >= (2B+1)/width
     p, q = bound.numerator, bound.denominator
     span = 2 * p + q

@@ -54,49 +54,28 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class ElimArrays(NamedTuple):
-    """A matrix rooted at order[-1] in ints: postorder, parent ids (-1 at the
-    root), and reduced pairs for the diagonal entries and each vertex's
-    squared weight to its parent (0/1 at the root).  The kernel's `Rows` are
-    read from it."""
-
-    order: tuple[int, ...]
-    parent: tuple[int, ...]
-    dn: tuple[int, ...]
-    dd: tuple[int, ...]
-    wn: tuple[int, ...]
-    wd: tuple[int, ...]
-
-
 class Rows(NamedTuple):
     """The elimination kernel's input: rows in postorder, the last one the
     root of the run.  Row k has diagonal dn[k]/dd[k] and squared weight
-    wn[k]/wd[k] to its parent rows, occurs once under parent[k] (-1 at the
-    root) and count more times under row r for each (r, count) of
-    extra[k], and stands for copies[k] vertices of the tree.  A matrix's
-    `rows` is its n-row form, a row per vertex id, and its `quotient` the
-    minimal DAG, a row per class of equal branches."""
+    wn[k]/wd[k] to its parent rows (0/1 at the root), occurs once under
+    parent[k] (-1 at the root) and count more times under row r for each
+    (r, count) of extra[k], and stands for copies[k] vertices of the tree.
+    A matrix's `rows` is its n-row form, a row per vertex id, and its
+    `quotient` the minimal DAG, a row per class of equal branches."""
 
     order: Sequence[int]
     parent: Sequence[int]
-    extra: Sequence[Sequence[tuple[int, int]]]
     dn: Sequence[int]
     dd: Sequence[int]
     wn: Sequence[int]
     wd: Sequence[int]
+    extra: Sequence[Sequence[tuple[int, int]]]
     copies: Sequence[int]
-
-
-def vertex_rows(tree: RootedTree, dn: Sequence[int], dd: Sequence[int],
-                wn: Sequence[int], wd: Sequence[int]) -> Rows:
-    """The n-row form of the arrays on `tree`: its postorder and parents,
-    no further parent rows, every copy 1."""
-    return Rows(tree.order, tree.parent, ((),) * tree.n, dn, dd, wn, wd, (1,) * tree.n)
 
 
 class FloatBounds(NamedTuple):
     """Per-vertex float lower and upper bounds on the diagonal entries and the
-    squared weights to the parent, indexed like `ElimArrays`."""
+    squared weights to the parent, indexed like `Rows`."""
 
     dlo: list[float]
     dhi: list[float]
@@ -129,14 +108,15 @@ def _enclose_all(num: list[int], den: list[int]) -> list[list[float]]:
 
 @dataclass(frozen=True, init=False)
 class WeightedTreeMatrix:
-    """Symmetric rational matrix supported on a tree, held as its int
-    `arrays`, which `from_arrays` takes.  diag[i] is the diagonal entry of
-    vertex i and sq_edge[j] the squared off-diagonal entry of tree.edges[j],
-    tuples of Fractions built on first read.  All squared weights must be
-    strictly positive, so the matrix graph really is the tree."""
+    """Symmetric rational matrix supported on a tree, held as the kernel's
+    `rows` in n-row form, whose entries `from_arrays` takes.  diag[i] is the
+    diagonal entry of vertex i and sq_edge[j] the squared off-diagonal entry
+    of tree.edges[j], tuples of Fractions built on first read.  All squared
+    weights must be strictly positive, so the matrix graph really is the
+    tree."""
 
     tree: RootedTree
-    arrays: ElimArrays
+    rows: Rows
 
     def __init__(self, tree: RootedTree, diag: Sequence[Fraction],
                  sq_edge: Sequence[Fraction]) -> None:
@@ -161,8 +141,8 @@ class WeightedTreeMatrix:
                                                        for u, v in tree.edges) if wn[c] <= 0)
             raise ValueError(f"squared edge weight must be positive, got {w}")
         m = cls.__new__(cls)
-        m.__dict__.update(tree=tree, arrays=ElimArrays(
-            tree.order, tree.parent, tuple(dn), tuple(dd), wn, wd))
+        m.__dict__.update(tree=tree, rows=Rows(tree.order, tree.parent, tuple(dn), tuple(dd),
+                                               wn, wd, ((),) * n, (1,) * n))
         return m
 
     @property
@@ -171,33 +151,23 @@ class WeightedTreeMatrix:
 
     @cached_property
     def diag(self) -> tuple[Fraction, ...]:
-        return tuple(map(Fraction, self.arrays.dn, self.arrays.dd))
+        return tuple(map(Fraction, self.rows.dn, self.rows.dd))
 
     @cached_property
     def sq_edge(self) -> tuple[Fraction, ...]:
-        a, parent = self.arrays, self.tree.parent
+        a, parent = self.rows, self.tree.parent
         return tuple(Fraction(a.wn[c], a.wd[c]) for c in (v if parent[v] == u else u
                                                           for u, v in self.tree.edges))
-
-    @cached_property
-    def sq_weight(self) -> dict[tuple[int, int], Fraction]:
-        """Squared weight lookup keyed by normalized (min, max) vertex pair."""
-        return dict(zip(self.tree.edges, self.sq_edge))
 
     def rerooted(self, tree: RootedTree) -> WeightedTreeMatrix:
         """This matrix on `tree`, its tree rooted elsewhere: the weights on the
         path from the new root up move to the other end of their edge."""
-        a = self.arrays
+        a = self.rows
         wn, wd, carry, v = list(a.wn), list(a.wd), (0, 1), tree.root
         while v != -1:
             carry, (wn[v], wd[v]) = (wn[v], wd[v]), carry
             v = a.parent[v]
         return WeightedTreeMatrix.from_arrays(tree, a.dn, a.dd, wn, wd)
-
-    @cached_property
-    def rows(self) -> Rows:
-        """The n-row form of `arrays`, cached."""
-        return vertex_rows(self.tree, *self.arrays[2:])
 
     @cached_property
     def quotient(self) -> Rows:
@@ -209,7 +179,7 @@ class WeightedTreeMatrix:
         and how many vertices it holds.  Repeated branches factor out of the
         characteristic polynomial (Schwenk), so the kernel runs each class
         once and counts it once per copy."""
-        a, children = self.arrays, self.tree.children
+        a, children = self.rows, self.tree.children
         entry = list(zip(a.dn, a.dd, a.wn, a.wd))
         # a leaf's key is its entries, another vertex's its entries and its
         # child classes sorted, a class once per child of it
@@ -234,14 +204,14 @@ class WeightedTreeMatrix:
                     parent[c], j = k, j - 1
                 if j:
                     extra[c] += ((k, j),)
-        return Rows(range(n), parent, extra, *zip(*entries), copies[:n])
+        return Rows(range(n), parent, *zip(*entries), extra, copies[:n])
 
     @cached_property
     def gershgorin_bound(self) -> Fraction:
         """Rational B with every eigenvalue in [-B, B], cached: the largest row
         sum of |diag| and, per edge once, (isqrt(num*den) + 1)/den rounded up
         to 10**-6 steps."""
-        a, grid, steps = self.arrays, 10 ** 6, [0] * self.n
+        a, grid, steps = self.rows, 10 ** 6, [0] * self.n
         for c in a.order[:-1]:
             r, p = -(-(math.isqrt(a.wn[c] * a.wd[c]) + 1) * grid // a.wd[c]), a.parent[c]
             steps[c], steps[p] = steps[c] + r, steps[p] + r
@@ -249,9 +219,9 @@ class WeightedTreeMatrix:
 
     @cached_property
     def float_bounds(self) -> FloatBounds:
-        """Float bounds of `arrays`, cached for the float pass of
-        `locate.counts_at`."""
-        a = self.arrays
+        """Float bounds of the entries of `rows`, cached for the float pass
+        of `locate.counts_at`."""
+        a = self.rows
         return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd))
 
     @cached_property
@@ -265,14 +235,10 @@ class WeightedTreeMatrix:
 def make_matrix(tree: RootedTree, diag: Sequence[Fraction | int | str],
                 sq_edge: Mapping[tuple[int, int], Fraction | int | str]) -> WeightedTreeMatrix:
     """Convenience constructor taking a squared-weight mapping keyed by edge
-    (either orientation) and any rational-like entry values."""
-    return _from_ratios(tree, [_ratio(q) for q in diag],
-                        {e: _ratio(w) for e, w in sq_edge.items()})
-
-
-def _from_ratios(tree: RootedTree, diag: list[tuple[int, int]],
-                 sq: Mapping[tuple[int, int], tuple[int, int]]) -> WeightedTreeMatrix:
-    """`make_matrix` on reduced (num, den) pairs."""
+    (either orientation) and any rational-like entry values: every entry is
+    parsed first, then each edge's weight goes to its child end."""
+    diag = [_ratio(q) for q in diag]
+    sq = {e: _ratio(w) for e, w in sq_edge.items()}
     wn, wd, parent = [0] * tree.n, [1] * tree.n, tree.parent
     for u, v in tree.edges:
         w = sq.get((u, v)) or sq.get((v, u))
@@ -298,13 +264,13 @@ def delete_vertex(m: WeightedTreeMatrix, v: int) -> list[WeightedTreeMatrix]:
     is rooted at the former neighbor of v, with ids compacted to 0..m-1 in
     increasing order of the original ids.  Components come in ascending
     order of those neighbors.  Linear time: the entries are read from the
-    arrays of m rerooted at v, where each vertex's weight is the one to its
+    rows of m rerooted at v, where each vertex's weight is the one to its
     parent in its component (or to v, which the component root drops).
     """
     if not (0 <= v < m.n):
         raise ValueError(f"vertex {v} out of range")
     t = reroot(m.tree, v)
-    a, nbs = m.rerooted(t).arrays, t.children[v]
+    a, nbs = m.rerooted(t).rows, t.children[v]
     comp, new = [0] * m.n, [0] * m.n  # component index and new id by old id
     for i, nb in enumerate(nbs):
         for u in t.block(nb):
@@ -317,7 +283,7 @@ def delete_vertex(m: WeightedTreeMatrix, v: int) -> list[WeightedTreeMatrix]:
             ids.append(u)
     return [WeightedTreeMatrix.from_arrays(
         RootedTree(tuple(-1 if u == nb else new[t.parent[u]] for u in ids), new[nb]),
-        *([x[u] for u in ids] for x in a[2:])) for nb, ids in zip(nbs, members)]
+        *([x[u] for u in ids] for x in a[2:6])) for nb, ids in zip(nbs, members)]
 
 
 def to_dense_float(m: WeightedTreeMatrix) -> np.ndarray:
@@ -353,16 +319,15 @@ def matrix_from_json(obj: dict) -> WeightedTreeMatrix:
         tree = tree_from_json(obj["tree"])
         if not isinstance(obj["diag"], list):
             raise TypeError(f"diag is not a JSON array: {obj['diag']!r}")
-        diag = [_ratio(q) for q in obj["diag"]]
-        sq: dict[tuple[int, int], tuple[int, int]] = {}
+        sq = {}
         for e in obj["sq_edge"]:
             u, v = json_int(e["u"]), json_int(e["v"])
             if (u, v) in sq or (v, u) in sq:
                 raise ValueError(f"edge ({u}, {v}) is listed twice in sq_edge")
-            sq[(u, v)] = _ratio(e["w2"])
+            sq[(u, v)] = e["w2"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    return _from_ratios(tree, diag, sq)
+    return make_matrix(tree, obj["diag"], sq)
 
 
 def matrix_to_dot(m: WeightedTreeMatrix) -> str:

@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 # bench/spans.py wraps _run, counts_at, diagonalize, make_matrix and join as
 # realize attributes, so all five are imported here; only _run is used
 from .locate import _run, counts_at, diagonalize
-from .matrices import Rows, WeightedTreeMatrix, make_matrix, vertex_rows
+from .matrices import Rows, WeightedTreeMatrix, make_matrix
 from .trees import (Family, PieceCert, RootedTree, _family_analysis, _uniform,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
 
@@ -274,6 +274,9 @@ class _Builder:
         self.deep = deep
         n = tree.n
         self.dn, self.dd, self.wn, self.wd = [0] * n, [1] * n, [0] * n, [1] * n
+        # the n-row form over the lists above, which the build fills in
+        self.rows = Rows(self.rt.order, self.rt.parent, self.dn, self.dd, self.wn, self.wd,
+                         ((),) * n, (1,) * n)
         # (block, y, side, weight pair, a, b, forced) per join, as ints, and
         # the claim {N: 1} that all leaves of value N share (no join changes it)
         self.log, self.claims = [], {}
@@ -282,12 +285,8 @@ class _Builder:
         return (self.beta - self.alpha) >> j
 
     def _rows(self, order: Sequence[int]) -> Rows:
-        """The n-row form of the arrays so far, run over `order`."""
-        return Rows(order, *self._vertex_rows[1:])
-
-    @cached_property
-    def _vertex_rows(self) -> Rows:
-        return vertex_rows(self.rt, self.dn, self.dd, self.wn, self.wd)
+        """The n-row form of the entries so far, run over `order`."""
+        return Rows(order, *self.rows[1:])
 
     def _root_value(self, blk: _Block, y: int, side: str) -> tuple[int, int]:
         """The root's value at the pin point y of a block a join takes in, as
@@ -479,8 +478,7 @@ def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
     # each part root hangs once, the construction root never: n vertices, n - 1 weights
     if blk.size != tree.n or builder.wn.count(0) != 1:
         raise RuntimeError("the final block does not cover the whole tree")
-    m = WeightedTreeMatrix.from_arrays(builder.rt, builder.dn, builder.dd,
-                                       builder.wn, builder.wd).rerooted(tree)
+    m = WeightedTreeMatrix.from_arrays(builder.rt, *builder.rows[2:6]).rerooted(tree)
     # the proof of every claim the certificate makes
     problems = verify_certificate(m, blk.spec)
     if problems:

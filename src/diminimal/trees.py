@@ -300,16 +300,14 @@ def duplicate_branch(t: RootedTree, v: int, branch_root: int, copies: int) -> Ro
     if n + copies * b > MAX_VERTICES:
         raise ValueError(f"{copies} copies of a {b}-vertex branch give {n + copies * b} "
                          f"vertices, more than the supported {MAX_VERTICES}")
+    # a copy's vertex of rank r hangs from v at the branch root, else from
+    # the copy of its parent; RootedTree validates the array
     rank = {old: i for i, old in enumerate(branch)}
-    edges = list(t.edges)
-    branch_set = set(branch)
-    internal = [(a, c) for a, c in t.edges if a in branch_set and c in branch_set]
-    for i in range(copies):
-        base = n + i * b
-        for a, c in internal:
-            edges.append((base + rank[a], base + rank[c]))
-        edges.append((v, base + rank[branch_root]))
-    out = build_tree(edges, t.root)
+    up = [-1 if old == branch_root else rank[t.parent[old]] for old in branch]
+    parent = list(t.parent)
+    for base in range(n, n + copies * b, b):
+        parent += [v if r < 0 else base + r for r in up]
+    out = RootedTree(tuple(parent), t.root)
     if diameter(out) != diameter(t):
         raise RuntimeError("branch duplication changed the diameter")
     return out

@@ -81,7 +81,7 @@ def reference_elimination(m: WeightedTreeMatrix, x: Fraction, root: int,
     optionally restricted to a vertex set that is closed toward the root:
     the reference the package's integer-pair kernel is checked against.
     Returns (final values, pivots, removed edges)."""
-    t = reroot(m.tree, root)
+    t, w2 = reroot(m.tree, root), dict(zip(m.tree.edges, m.sq_edge))
     keep = set(range(m.n) if vertices is None else vertices)
     order = [v for v in t.order if v in keep]
     d = {v: m.diag[v] + x for v in order}
@@ -92,22 +92,22 @@ def reference_elimination(m: WeightedTreeMatrix, x: Fraction, root: int,
         zeros = [c for c in kids if d[c] == 0]
         if zeros:
             j = min(zeros)
-            d[k] = -m.sq_weight[(min(j, k), max(j, k))] / 2
+            d[k] = -w2[(min(j, k), max(j, k))] / 2
             d[j] = Fraction(2)
             pivots.add(k)
             if k != root:
                 removed.add((min(k, t.parent[k]), max(k, t.parent[k])))
         else:
-            d[k] -= sum(m.sq_weight[(min(c, k), max(c, k))] / d[c] for c in kids)
+            d[k] -= sum(w2[(min(c, k), max(c, k))] / d[c] for c in kids)
     return d, pivots, removed
 
 
 def reference_isolate(m: WeightedTreeMatrix, width: Fraction) -> list:
     """Depth-first bisection with one exact counts_at per split point: the
     reference that isolate_eigenvalues must match interval for interval."""
-    from diminimal import IsolatedInterval, counts_at, gershgorin_bound
+    from diminimal import IsolatedInterval, counts_at
 
-    bound = gershgorin_bound(m)
+    bound = m.gershgorin_bound
     memo: dict = {}
 
     def cum(q):

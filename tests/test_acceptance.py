@@ -22,7 +22,6 @@ from diminimal import (
     counts_within,
     delete_vertex,
     find_parter_vertex,
-    gershgorin_bound,
     is_parter,
     isolate_eigenvalues,
     ladder,
@@ -118,7 +117,7 @@ def test_criterion_06_adaptive_isolation_of_extremes():
     mats += [random_matrix(random_tree(rng.randint(3, 15), rng), rng)
              for _ in range(10)]
     for m in mats:
-        width = gershgorin_bound(m) / 2
+        width = m.gershgorin_bound / 2
         for _ in range(80):
             ivs = isolate_eigenvalues(m, width)
             assert sum(iv.count for iv in ivs) == m.n

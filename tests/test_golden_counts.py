@@ -51,7 +51,7 @@ def broom(n, rng):
 
 def scaled(m, c, wc):
     return make_matrix(m.tree, [q * c for q in m.diag],
-                       {e: w * wc for e, w in m.sq_weight.items()})
+                       {e: w * wc for e, w in zip(m.tree.edges, m.sq_edge)})
 
 
 def leaf_points(m, k):

@@ -25,7 +25,6 @@ from diminimal import (
     delete_vertex,
     diagonalize,
     find_parter_vertex,
-    gershgorin_bound,
     is_parter,
     isolate_eigenvalues,
     make_matrix,
@@ -345,7 +344,7 @@ def exact_runs(monkeypatch):
 def assert_subtree_blocks(m, runs):
     """Each exact run is the whole subtree block of its last vertex, a
     contiguous slice of the postorder (the full order for the root)."""
-    order, size = tuple(m.arrays.order), m.tree.size
+    order, size = tuple(m.rows.order), m.tree.size
     for run in runs:
         end = order.index(run[-1]) + 1
         assert len(run) == size[run[-1]] and run == order[end - len(run):end]
@@ -377,7 +376,7 @@ def test_counts_many_at_the_ends_of_the_float_range(m, points, c, squared):
     # the float range altogether
     wc = c * c if squared else c
     scaled = make_matrix(m.tree, [q * c for q in m.diag],
-                         {e: w * wc for e, w in m.sq_weight.items()})
+                         {e: w * wc for e, w in zip(m.tree.edges, m.sq_edge)})
     assert_counts_exact(scaled, [p * c for p in points] + [F(0)])
 
 
@@ -553,7 +552,7 @@ def test_counts_at_repairs_a_leaf_zero_alone(exact_runs):
     leaves = [v for v in t.order[8:] if not t.children[v]]
     m = random_matrix(t, rng)
     m = make_matrix(t, [F(100 + v, 3) if v in leaves else q for v, q in enumerate(m.diag)],
-                    m.sq_weight)
+                    dict(zip(t.edges, m.sq_edge)))
     for v in leaves[::7]:
         p = m.diag[v]
         want = reference_counts(m, p)
@@ -620,13 +619,13 @@ def test_gershgorin_contains_spectrum():
     for _ in range(25):
         t = random_tree(rng.randint(1, 15), rng)
         m = random_matrix(t, rng)
-        bound = gershgorin_bound(m)
+        bound = m.gershgorin_bound
         evs = np.linalg.eigvalsh(to_dense_float(m))
         assert float(-bound) <= evs.min() and evs.max() <= float(bound)
-        # computed once per matrix: a second call returns the cached bound,
+        # computed once per matrix: a second read returns the cached bound,
         # which equals the bound of a fresh copy of the matrix
-        assert gershgorin_bound(m) is bound
-        assert gershgorin_bound(WeightedTreeMatrix(m.tree, m.diag, m.sq_edge)) == bound
+        assert m.gershgorin_bound is bound
+        assert WeightedTreeMatrix(m.tree, m.diag, m.sq_edge).gershgorin_bound == bound
 
 
 def test_isolate_eigenvalues_path():
@@ -673,9 +672,9 @@ def test_gershgorin_bound_matches_the_row_definition():
         sq = tuple(F(rng.randint(1, 16), rng.randint(1, 4))
                    * F(10) ** rng.choice((-300, 0, 0, 300)) for _ in t.edges)
         m = WeightedTreeMatrix(t, diag, sq)
-        rows = [abs(m.diag[v]) + sum(_sqrt_up(w) for e, w in m.sq_weight.items() if v in e)
+        rows = [abs(m.diag[v]) + sum(_sqrt_up(w) for e, w in zip(t.edges, m.sq_edge) if v in e)
                 for v in range(t.n)]
-        bound = gershgorin_bound(m)
+        bound = m.gershgorin_bound
         assert type(bound) is F and bound == max(rows)
 
 
@@ -694,7 +693,7 @@ def _isolate_cases():
 def test_isolate_matches_depth_first_reference():
     mats = _isolate_cases()
     for m in mats:
-        whole = 2 * gershgorin_bound(m) + 1
+        whole = 2 * m.gershgorin_bound + 1
         for w in (F(1, 1000), F(1, 3), F(100), whole, 2 * whole):
             assert isolate_eigenvalues(m, w) == reference_isolate(m, w)
     for m in mats[:3] + mats[-3:]:
@@ -748,7 +747,7 @@ def test_isolate_takes_no_estimates_above_the_vertex_bound(monkeypatch):
     ref = _counting(monkeypatch, diminimal)
     assert got == reference_isolate(big, F(1, 3))
     # plain bisection, point for point (the reference also counts at -B-1)
-    assert sorted(own) == sorted(set(ref) - {-gershgorin_bound(big) - 1})
+    assert sorted(own) == sorted(set(ref) - {-big.gershgorin_bound - 1})
     assert dense == []
     isolate_eigenvalues(path_matrix(locate._ESTIMATE_MAX_N), F(1, 3))
     assert dense == [locate._ESTIMATE_MAX_N]

@@ -70,7 +70,8 @@ def test_make_matrix_accepts_both_edge_orientations():
     a = make_matrix(t, (F(1), F(2), F(3)), {(0, 1): F(4), (1, 2): F(9)})
     b = make_matrix(t, (F(1), F(2), F(3)), {(1, 0): F(4), (2, 1): F(9)})
     assert a.sq_edge == b.sq_edge == (F(4), F(9))
-    assert a.sq_weight[(0, 1)] == F(4)
+    # each weight is held at the child end of its edge
+    assert a.rows.wn == b.rows.wn == (0, 4, 9)
 
 
 def test_trace():
@@ -125,7 +126,7 @@ def _components_by_networkx(m, v):
     """delete_vertex's contract rebuilt in networkx: one component per
     neighbour of v (ascending), ids compacted in increasing order of the
     original ids, rooted at the former neighbour."""
-    g = nx.Graph(m.tree.edges)
+    g, sq = nx.Graph(m.tree.edges), dict(zip(m.tree.edges, m.sq_edge))
     g.add_nodes_from(range(m.n))
     neighbours = sorted(g.neighbors(v))
     g.remove_node(v)
@@ -139,7 +140,7 @@ def _components_by_networkx(m, v):
         w = {}
         for a, b in g.subgraph(comp).edges:
             a, b = min(a, b), max(a, b)
-            w[(relabel[a], relabel[b])] = m.sq_weight[(a, b)]
+            w[(relabel[a], relabel[b])] = sq[(a, b)]
         out.append((tuple(parent), relabel[nb], tuple(m.diag[old] for old in comp),
                     tuple(w[e] for e in sorted(w))))
     return out
@@ -159,7 +160,7 @@ def test_delete_vertex_matches_networkx_components():
 
 
 def _components_by_edge_scan(m, v):
-    """delete_vertex as it was built before it read the rerooted arrays:
+    """delete_vertex as it was built before it read the rerooted rows:
     per component, a scan of every edge and make_matrix on the Fractions."""
     t = reroot(m.tree, v)
     out = []
@@ -178,7 +179,7 @@ def _components_by_edge_scan(m, v):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 60), st.integers(0, 10**6))
 def test_delete_vertex_equals_the_edge_scan(n, seed_val):
-    # same components, trees, ids and int arrays, on random trees rooted
+    # same components, trees, ids and int rows, on random trees rooted
     # anywhere, with entries up to 10^+-300
     rng = random.Random(seed_val)
     t = reroot(random_tree(n, rng), rng.randrange(n))
@@ -187,7 +188,7 @@ def test_delete_vertex_equals_the_edge_scan(n, seed_val):
     m = WeightedTreeMatrix(t, [q * c for q in m.diag], [w * c for w in m.sq_edge])
     for v in {rng.randrange(n), t.root, max(range(n), key=t.degree)}:
         got, want = delete_vertex(m, v), _components_by_edge_scan(m, v)
-        assert [(g.tree, g.arrays) for g in got] == [(w.tree, w.arrays) for w in want]
+        assert [(g.tree, g.rows) for g in got] == [(w.tree, w.rows) for w in want]
         assert [(g.diag, g.sq_edge) for g in got] == [(w.diag, w.sq_edge) for w in want]
 
 
@@ -230,9 +231,10 @@ def _entry(u, v, w2):
     return {"u": u, "v": v, "w2": w2}
 
 
-# (change to the base blob, error text): matrix_from_json reports the first
-# entry it cannot read, then a missing edge, an edge not in the tree, the
-# diag length and a non-positive weight, in that order
+# (change to the base blob, error text): matrix_from_json reports an sq_edge
+# entry listed twice or missing a field, then the first entry it cannot read
+# (diag first), then a missing edge, an edge not in the tree, the diag length
+# and a non-positive weight, in that order
 JSON_ERRORS = [
     (lambda b: b["diag"].__setitem__(0, 0.5), "not a rational: 0.5"),
     (lambda b: b["diag"].__setitem__(0, "1.5"), "invalid literal for int() with base 10: '1.5'"),
@@ -258,6 +260,10 @@ JSON_ERRORS = [
     (lambda b: [b["diag"].pop(), b["sq_edge"][0].__setitem__("w2", "-1")],
      "diag length does not match vertex count"),
     (lambda b: b["sq_edge"][0].pop("w2"), "malformed matrix object: 'w2'"),
+    (lambda b: [b["diag"].__setitem__(0, "1.5"), b["sq_edge"].append(_entry(2, 1, "9"))],
+     "edge (2, 1) is listed twice in sq_edge"),
+    (lambda b: [b["diag"].__setitem__(0, "1.5"), b["sq_edge"][1].pop("u")],
+     "malformed matrix object: 'u'"),
 ]
 
 
@@ -274,7 +280,7 @@ def test_matrix_json_reads_reduced_pairs():
     blob = _base_blob()
     blob["diag"][0], blob["sq_edge"][1]["w2"] = " -6/4 ", "18/4"
     m = matrix_from_json(blob)
-    assert m.arrays[2:] == ((-3, 2, 3), (2, 1, 1), (0, 4, 9), (1, 1, 2))
+    assert m.rows[2:6] == ((-3, 2, 3), (2, 1, 1), (0, 4, 9), (1, 1, 2))
     assert m == make_matrix(m.tree, (F(-3, 2), 2, 3), {(0, 1): 4, (1, 2): F(9, 2)})
 
 
@@ -283,8 +289,15 @@ def _from_fractions(m):
 
 
 def _from_arrays(m):
-    a = m.arrays
-    return WeightedTreeMatrix.from_arrays(m.tree, *(list(x) for x in a[2:]))
+    return WeightedTreeMatrix.from_arrays(m.tree, *(list(x) for x in m.rows[2:6]))
+
+
+def _assert_n_rows(m):
+    """The n-row form that the kernel's callers rely on: the tree's postorder
+    and parents, no further parent rows, every copy 1."""
+    r = m.rows
+    assert (tuple(r.order), tuple(r.parent)) == (m.tree.order, m.tree.parent)
+    assert list(r.extra) == [()] * m.n and list(r.copies) == [1] * m.n
 
 
 def test_both_constructors_give_equal_matrices():
@@ -292,12 +305,18 @@ def test_both_constructors_give_equal_matrices():
     for _ in range(30):
         t = random_tree(rng.randint(1, 20), rng)
         m = random_matrix(t, rng)
-        b = _from_arrays(m)
-        assert b == m and hash(b) == hash(m)
-        assert b.diag == m.diag and b.sq_edge == m.sq_edge
+        same = [_from_fractions(m), make_matrix(t, m.diag, dict(zip(t.edges, m.sq_edge))),
+                _from_arrays(m), matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))]
+        for b in same:
+            assert b == m and hash(b) == hash(m)
+            assert b.diag == m.diag and b.sq_edge == m.sq_edge
+        # every way to a matrix holds the n-row form
+        v = rng.randrange(t.n)
+        for b in (m, *same, m.rerooted(reroot(t, v)), *delete_vertex(m, v)):
+            _assert_n_rows(b)
         # a changed entry breaks equality either way
         if t.n > 1:
-            a = m.arrays
+            a = m.rows
             dn = list(a.dn)
             dn[0] += 1
             other = WeightedTreeMatrix.from_arrays(t, dn, list(a.dd), list(a.wn), list(a.wd))
@@ -311,7 +330,8 @@ def test_both_constructors_give_equal_matrices():
     assert m.tree is t
     rebuilt = _from_fractions(m)
     assert rebuilt == m and hash(rebuilt) == hash(m)
-    assert rebuilt.arrays == m.arrays
+    assert rebuilt.rows == m.rows
+    _assert_n_rows(m)
 
 
 def test_views_are_tuples_of_fractions():
@@ -319,7 +339,6 @@ def test_views_are_tuples_of_fractions():
     entries = m.diag + m.sq_edge
     assert isinstance(entries, tuple) and len(entries) == 2 * m.n - 1
     assert all(type(q) is F for q in entries)
-    assert m.sq_edge == tuple(m.sq_weight[e] for e in m.tree.edges)
 
 
 def test_rerooted_moves_the_path_weights():
@@ -348,7 +367,7 @@ def test_from_arrays_weight_not_positive_refused():
             WeightedTreeMatrix.from_arrays(t, [1, 2, 3], [1, 1, 1], [0, 1, bad], [1, 1, 1])
     # the root has no weight, so its entry is not read
     m = WeightedTreeMatrix.from_arrays(t, [1, 2, 3], [1, 1, 1], [-5, 1, 1], [7, 1, 1])
-    assert m.arrays.wn[0] == 0 and m.arrays.wd[0] == 1
+    assert m.rows.wn[0] == 0 and m.rows.wd[0] == 1
 
 
 def test_from_arrays_denominator_not_positive_refused():

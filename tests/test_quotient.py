@@ -110,7 +110,7 @@ def test_quotient_counts_at_the_ends_of_the_float_range(cell, rng, points, c, sq
     t = random_unfolding(seed(fam, d), rng, rng.randint(0, 3), cap=60)
     cert = realize_family(t, 0, 32)
     m, wc = cert.matrix, c * c if squared else c
-    scaled = make_matrix(t, [q * c for q in m.diag], {e: w * wc for e, w in m.sq_weight.items()})
+    scaled = make_matrix(t, [q * c for q in m.diag], {e: w * wc for e, w in zip(t.edges, m.sq_edge)})
     pts = [v * c for v, _ in cert.dspec] + [p * c for p in points]
     assert_quotient_counts(scaled, pts)
     if squared:
@@ -157,7 +157,7 @@ def test_a_tree_without_repeats_is_its_own_quotient():
     m = make_matrix(t, [F(v) for v in range(t.n)], {e: F(1) for e in t.edges})
     q = m.quotient
     assert len(q.order) == t.n and list(q.copies) == [1] * t.n
-    assert [q.dn[k] for k in q.order] == [m.arrays.dn[v] for v in t.order]
+    assert [q.dn[k] for k in q.order] == [m.rows.dn[v] for v in t.order]
     assert_quotient_counts(m, [F(k, 3) for k in range(-9, 10)])
 
 
@@ -174,5 +174,5 @@ def test_the_quotient_is_read_from_the_matrix_alone():
     rng = random.Random(5)
     for _ in range(20):
         m = random_matrix(random_tree(rng.randint(1, 30), rng), rng)
-        other = WeightedTreeMatrix.from_arrays(m.tree, *m.arrays[2:])
+        other = WeightedTreeMatrix.from_arrays(m.tree, *m.rows[2:6])
         assert other.quotient == m.quotient

@@ -95,7 +95,7 @@ def test_high_level2_full_matrix():
     c = realize_variant(t, ladder(0, 32, 2), Variant.HIGH, deep=True)
     by_vertex = dict(enumerate(c.matrix.diag))
     assert by_vertex == {0: F(0), 1: F(16), 2: F(32), 3: F(48)}
-    w = {e: c.matrix.sq_weight[e] for e in c.matrix.tree.edges}
+    w = dict(zip(c.matrix.tree.edges, c.matrix.sq_edge))
     assert w == {(0, 1): F(512), (1, 3): F(1792), (2, 3): F(1536)}
     assert c.dspec == ((F(-32), 1), (F(0), 1), (F(32), 1), (F(96), 1))
 

@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_unfolding, subtree_ids
@@ -281,6 +281,30 @@ def test_duplicate_branch_rejects_vertex_out_of_range(v):
     assert duplicate_branch(t, 4, 3, 1).n == 7
     with pytest.raises(ValueError, match=f"vertex {v} out of range"):
         duplicate_branch(t, v, 3, 1)
+
+
+def _duplicate_by_edges(t, v, branch_root, copies):
+    """duplicate_branch as it was built before it wrote the parent array:
+    the copies' edges, ids n + i*b + rank, sent through build_tree."""
+    branch = t.subtree(branch_root)
+    rank, edges, b = {old: i for i, old in enumerate(branch)}, list(t.edges), len(branch)
+    for base in range(t.n, t.n + copies * b, b):
+        edges += [(base + rank[a], base + rank[c]) for a, c in t.edges if a in rank and c in rank]
+        edges.append((v, base + rank[branch_root]))
+    return build_tree(edges, t.root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees(), st.data())
+def test_duplicate_branch_equals_the_edge_list_construction(t, data):
+    # random trees rooted anywhere, so v may sit below the branch's ids
+    central = set(main_roots(t))
+    cands = [(p, c) for c, p in enumerate(t.parent)
+             if p != -1 and not central & set(t.block(c))]
+    assume(cands)
+    v, c = data.draw(st.sampled_from(cands))
+    copies = data.draw(st.integers(1, 3))
+    assert duplicate_branch(t, v, c, copies) == _duplicate_by_edges(t, v, c, copies)
 
 
 def test_duplicate_branch_preserves_diameter_randomly():
