@@ -19,7 +19,9 @@ variants are those shifted shapes.
 A short-core or mixed tree is one or two halves, each a piece of height
 L+1 over the level-L ladder with its children at their own heights: the LOW
 half pinned at values[2L+1], and the HIGH half, its core raised by a step of
-its height, at values[0].  Two halves are joined across the central edge.
+its height, at values[0].  Two halves are joined across the central edge
+as one piece of height L+2, the LOW half its core and the HIGH half its
+part, pinned one step(L-1) above the HIGH half's forced top.
 
 Joining blocks is the single primitive: one shared squared weight attaches
 every part root to the core root, chosen so the assembled block gains a
@@ -328,52 +330,50 @@ class _Builder:
 
     # -- anchored recursion ---------------------------------------------------
 
-    def _dispatch(self, cert: PieceCert, anchor: Variant, shift: int, level: int):
-        """(anchor, shift) of the core and of the parts, each at its height."""
-        if cert.height > level:
-            # a half: LOW, or HIGH around a core shifted up one of its steps
+    def _plan(self, cert: PieceCert, anchor: Variant, shift: int, level: int):
+        """The (anchor, shift) of the core and of the parts of `cert` over the
+        level-L ladder, then its pin point, the side of the block spectra it
+        lies beyond and the forced opposite extreme.  By the height of `cert`:
+        L, a piece, pinned at values[2L] (LOW) or values[1] (HIGH); L + 1, a
+        half, pinned one value further out, the HIGH half around a core raised
+        a step of its height; L + 2, the LOW half joined as core to the HIGH
+        half across the central edge, pinned step(L-1) above its forced top."""
+        vals, s = self.ladders[level], self.step(level - 1)
+        if cert.height == level + 2:
+            up = self.step(cert.parts[0].core.height)
+            return (Variant.LOW, 0), (Variant.HIGH, 0), vals[-1] + up + s, "max", vals[0] - 2 * s
+        if cert.height == level + 1:
             if anchor is Variant.LOW:
-                return Variant.LOW, 0, Variant.LOW, 0
+                return (Variant.LOW, 0), (Variant.LOW, 0), vals[-1], "max", vals[0] - s
+            up = self.step(cert.core.height)
             core = Variant.LOW if _uniform(cert) else Variant.HIGH
-            return core, self.step(cert.core.height), Variant.HIGH, 0
-        if level == 1:
-            return anchor, shift, anchor, 0
+            return (core, up), (Variant.HIGH, 0), vals[0], "min", vals[-1] + up
+        # at level 1 the children are leaves: LOW raised by s is the HIGH leaf
         if anchor is Variant.LOW:
-            return Variant.HIGH, shift, Variant.LOW, 0
-        s = self.step(level - 1)
-        return Variant.LOW, s + shift, Variant.HIGH, s
-
-    def _pin(self, cert: PieceCert, anchor: Variant, shift: int, level: int):
-        """(pin point, side, forced opposite extreme) for a level assembly;
-        a half is pinned one ladder value further out."""
-        vals = self.ladders[level]
-        if cert.height > level:
-            if anchor is Variant.LOW:
-                return vals[2 * level + 1], "max", vals[0] - self.step(level - 1)
-            return vals[0], "min", vals[2 * level + 1] + self.step(cert.core.height)
-        if anchor is Variant.LOW:
-            return vals[2 * level], "max", vals[0] + shift
-        return vals[1], "min", vals[2 * level + 1] + shift
+            core = (Variant.HIGH if level > 1 else Variant.LOW, shift)
+            return core, (Variant.LOW, 0), vals[-2], "max", vals[0] + shift
+        part = (Variant.HIGH, s if level > 1 else 0)
+        return (Variant.LOW, s + shift), part, vals[1], "min", vals[-1] + shift
 
     def build(self, cert: PieceCert, anchor: Variant, shift: int, level: int) -> _Block:
-        """The piece `cert` of height `level` with the given anchor (LOW or
-        HIGH) and grid shift (0 for none), or a half of that anchor: a piece
-        of height level + 1, unshifted."""
-        if not level <= cert.height <= level + 1:
+        """`cert` over the level-`level` ladder with the given anchor (LOW or
+        HIGH) and grid shift (0 for none): a piece of that height or, unshifted,
+        a half or two joined halves above it (see _plan).  The children are
+        built at their own heights, capped at `level`."""
+        if not level <= cert.height <= level + 2:
             raise ValueError(f"piece at {cert.root} has height {cert.height}, "
-                             f"expected {level} or {level + 1}")
+                             f"expected {level} to {level + 2}")
         if cert.height == 0:
             val = (self.alpha if anchor is Variant.LOW else self.beta) + shift
             x, claim = self.frac(val), self.claims.setdefault(val, {val: 1})
             self.dn[cert.root], self.dd[cert.root] = x.numerator, x.denominator
             return _Block(cert.root, 1, claim, claim, self.q)
-        ca, cs, pa, ps = self._dispatch(cert, anchor, shift, level)
-        core = self.build(cert.core, ca, cs, cert.core.height)
-        parts = [self.build(p, pa, ps, p.height) for p in cert.parts]
-        y, side, forced = self._pin(cert, anchor, shift, level)
+        (ca, cs), (pa, ps), y, side, forced = self._plan(cert, anchor, shift, level)
+        core = self.build(cert.core, ca, cs, min(cert.core.height, level))
+        parts = [self.build(p, pa, ps, min(p.height, level)) for p in cert.parts]
         blk = self.join_blocks(core, parts, y, side, expect_forced=forced)
         if self.deep and cert.height == level:
-            self._deep_checks(blk, anchor, shift, level)
+            self._deep_checks(blk, anchor, forced, level)
         return blk
 
     # -- assembly ------------------------------------------------------------
@@ -429,19 +429,19 @@ class _Builder:
 
     # -- deep structural checks ----------------------------------------------
 
-    def _deep_checks(self, blk: _Block, anchor: Variant,
-                     shift: int, level: int) -> None:
-        """Strong-realizability probes on one finished block: the required
+    def _deep_checks(self, blk: _Block, anchor: Variant, forced: int, level: int) -> None:
+        """Strong-realizability probes on one finished piece: the required
         eigenvalues put a zero at the block root, and deleting the root
         raises the multiplicity at the interlacing positions (with the run
-        rooted there firing its zero-pairing rule at the root)."""
-        vals = self.ladders[level]
+        rooted there firing its zero-pairing rule at the root).  The zeros
+        are the forced extreme and every second ladder value inside the
+        extremes, values[1:2L+1], counted from the pin point; the
+        interlacing positions are the others."""
+        inner = self.ladders[level][1:2 * level + 1]
         if anchor is Variant.LOW:
-            zero_at = [vals[0] + shift] + [vals[2 * i] for i in range(1, level + 1)]
-            incr_at = [vals[2 * i - 1] for i in range(1, level + 1)]
+            zero_at, incr_at = [forced, *inner[1::2]], inner[::2]
         else:
-            zero_at = [vals[2 * i + 1] for i in range(level)] + [vals[2 * level + 1] + shift]
-            incr_at = [vals[2 * i] for i in range(1, level + 1)]
+            zero_at, incr_at = [*inner[::2], forced], inner[1::2]
 
         runs = _run(self._rows(blk.order), _points((self.frac(lam), 1) for lam in zero_at))
         for lam, (_, _, (a, _)) in zip(zero_at, runs):
@@ -540,26 +540,22 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
         raise ValueError("need at least one edge to realize")
     big_k = (d + 1) // 2
     if an.family is Family.UNIFORM:
-        halves, k, variant = [an.whole], big_k, Variant.LOW.value
+        whole, k, variant = an.whole, big_k, Variant.LOW.value
     elif d < 6:
         raise ValueError(f"no construction is defined for {an.family.value} "
                          f"trees of diameter {d} (need >= 6)")
     else:
         # the whole of an even short-core tree is one LOW half; odd halves
-        # are joined across the central edge, and a short-core one is the
-        # LOW half (stable sort: short-core first)
-        halves = sorted(an.sides, key=_uniform) or [an.whole]
-        k = halves[0].height - 1
+        # are joined across the central edge, a short-core one as the LOW
+        # half (stable sort: short-core first)
+        whole, k = an.whole, d // 2 - 1
+        if d % 2:
+            low, high = sorted(an.sides, key=_uniform)
+            whole = PieceCert(low.root, big_k, (high,), low)
         variant = ("mixed" if an.family is Family.MIXED
                    else "short-core-odd" if d % 2 else "short-core-even")
-    builder = _Builder(t, halves[0].root, alpha, beta, big_k, deep)
-    anchors = (Variant.LOW, Variant.HIGH)
-    blk, *high = [builder.build(h, a, 0, k) for h, a in zip(halves, anchors)]
-    if high:
-        step = builder.step(k - 1)
-        top = max(max(blk.pred), max(high[0].pred))
-        blk = builder.join_blocks(blk, high, top + step, "max",
-                                  expect_forced=builder.ladders[k][0] - 2 * step)
+    builder = _Builder(t, whole.root, alpha, beta, big_k, deep)
+    blk = builder.build(whole, Variant.LOW, 0, k)
     return _finish(builder, blk, t, an.family, variant, None)
 
 

@@ -198,6 +198,39 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["swapped", "repeated"])
+def test_verify_reports_dspec_values_out_of_order_first(tmp_path, capsys, kind):
+    _, mat = make_tree_and_matrix(tmp_path)
+    capsys.readouterr()
+    blob = json.loads(Path(mat).read_text())
+    dspec = blob["certificate"]["dspec"]
+    if kind == "swapped":
+        dspec[0], dspec[1] = dspec[1], dspec[0]
+    else:
+        dspec[1]["value"] = dspec[0]["value"]
+    Path(mat).write_text(json.dumps(blob))
+    assert run_cli("verify", "--matrix", mat) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "FAIL: dspec values are not strictly increasing"
+
+
+def test_verify_reports_a_conclusive_oracle_disagreement(tmp_path, capsys, monkeypatch):
+    import diminimal.cli as cli
+    from diminimal.oracle import AgreementReport
+    _, mat = make_tree_and_matrix(tmp_path)
+    capsys.readouterr()
+
+    def disagree(m, point):
+        return AgreementReport(True, False, (0, 1, 3), (1, 0, 3), 1e-9)
+
+    monkeypatch.setattr(cli, "compare_counts", disagree)
+    assert run_cli("verify", "--matrix", mat, "--cross-check") == 2
+    out = capsys.readouterr().out.splitlines()
+    # the path's four claimed values, each disagreeing
+    assert out == [f"FAIL: float oracle disagrees at {v}: exact (0, 1, 3), approx (1, 0, 3)"
+                   for v in ("-48", "0", "32", "80")]
+
+
 def test_verify_requires_certificate(tmp_path, capsys):
     tree = tmp_path / "t.json"
     mat = tmp_path / "m.json"

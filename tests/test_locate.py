@@ -801,6 +801,28 @@ def test_parter_vertex_on_star():
     assert sum(multiplicity(c, F(0)) for c in comps) == 3
 
 
+def test_parter_scan_takes_over_from_a_failing_candidate(monkeypatch):
+    # the candidate is the parent of the deepest zero of one diagonalization;
+    # a zero faked at a leaf under a degree-2 vertex makes it fail, and the
+    # scan in id order must still find a strong vertex
+    c = realize_family(seed(Family.UNIFORM, 5), 0, 32)
+    m, t = c.matrix, c.matrix.tree
+    point = next(v for v, mult in c.dspec if mult >= 2)
+    leaf = next(v for v in range(t.n) if t.degree(v) == 1 and t.parent[v] != -1
+                and t.degree(t.parent[v]) < 3)
+    calls = []
+
+    def zero_at_leaf(m, x):
+        calls.append(x)
+        return locate.DiagOutcome({leaf: F(0)}, (0, 1, m.n - 1), (), frozenset())
+
+    monkeypatch.setattr(locate, "diagonalize", zero_at_leaf)
+    v = find_parter_vertex(m, point)
+    assert calls == [-point] and v != t.parent[leaf]
+    assert is_parter(m, v, point) and t.degree(v) >= 3
+    assert sum(1 for comp in delete_vertex(m, v) if multiplicity(comp, point)) >= 3
+
+
 def test_is_parter_false_for_leaf():
     t = build_tree([(0, 1), (0, 2), (0, 3)], 0)
     m = make_matrix(t, (F(0),) * 4, {e: F(3) for e in t.edges})

@@ -176,6 +176,11 @@ def test_variant_rejects_non_uniform_tree():
         realize_variant(p5, ladder(0, 32, 2), Variant.LOW)
 
 
+def test_a_variant_of_one_vertex_is_refused():
+    with pytest.raises(ValueError, match="^need at least one edge to realize$"):
+        realize_variant(build_tree([], 0), ladder(0, 32, 1), Variant.LOW)
+
+
 # ------------------------------------------------------- family realization
 
 
@@ -370,6 +375,11 @@ def test_integral_beta_override():
         realize_integral(t, F(1, 2))
 
 
+def test_an_integral_realization_with_a_fractional_beta_is_refused():
+    with pytest.raises(ValueError, match=r"^beta must be an integer, got 17/2$"):
+        realize_integral(seed(Family.UNIFORM, 5), 0, beta=F(17, 2))
+
+
 def test_integral_across_families():
     rng = random.Random(22)
     for fam, d in ((Family.UNIFORM, 8), (Family.SHORT_CORE, 9),
@@ -397,6 +407,16 @@ def test_verify_certificate_flags_corruption():
 
     missing = c.dspec[:-1]
     assert verify_certificate(c.matrix, missing)
+
+
+@pytest.mark.parametrize("reorder", [
+    lambda spec: (spec[1], spec[0], *spec[2:]),
+    lambda spec: (spec[0], (spec[0][0], spec[1][1]), *spec[2:]),
+], ids=["swapped", "repeated"])
+def test_dspec_values_out_of_order_are_refused(reorder):
+    c = realize_family(seed(Family.UNIFORM, 5), 0, 32)
+    problems = verify_certificate(c.matrix, reorder(c.dspec))
+    assert problems[0] == "dspec values are not strictly increasing"
 
 
 def test_verify_certificate_counts_once_per_claimed_value(monkeypatch):
@@ -487,6 +507,75 @@ def sabotage_join(monkeypatch, at):
     monkeypatch.setattr(diminimal.realize, "_delta_squared", doubled)
 
 
+def first_probe(monkeypatch, fault):
+    """Realize in deep mode with `_run` replaced by fault(real, rows,
+    points, pivots) from the first structural probe on, and record the
+    anchor and the ladder values of each probed piece."""
+    real, probed = diminimal.realize._run, []
+    real_probes = diminimal.realize._Builder._deep_checks
+
+    def run(rows, points, pivots=None):
+        return fault(real, rows, points, pivots) if probed else real(rows, points, pivots=pivots)
+
+    def probes(self, blk, anchor, forced, level):
+        probed.append((anchor, [self.frac(v) for v in self.ladders[level]]))
+        real_probes(self, blk, anchor, forced, level)
+
+    monkeypatch.setattr(diminimal.realize, "_run", run)
+    monkeypatch.setattr(diminimal.realize._Builder, "_deep_checks", probes)
+    return probed
+
+
+def first_interlacing_point(anchor, vals):
+    """The first interlacing probe of a piece: values[1] (LOW) or values[2]
+    (HIGH) of its ladder."""
+    return vals[1] if anchor is Variant.LOW else vals[2]
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_a_probe_off_the_forced_value_is_refused(monkeypatch, fam, d):
+    # the zero probes take the forced value from _plan: one grid step away
+    # from it the root keeps a nonzero value
+    real_probes, probed = diminimal.realize._Builder._deep_checks, []
+
+    def moved(self, blk, anchor, forced, level):
+        probed.append(self.frac(forced + 1))
+        real_probes(self, blk, anchor, forced + 1, level)
+
+    monkeypatch.setattr(diminimal.realize._Builder, "_deep_checks", moved)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: no zero at the root at \S+$") as exc:
+        realize_family(seed(fam, d), 0, 32, deep=True)
+    assert exc.value.args[0].endswith(f" at {probed[0]}") and len(probed) == 1
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_a_zero_count_that_does_not_rise_by_one_is_refused(monkeypatch, fam, d):
+    # one more zero in the run of the whole piece at each interlacing point
+    def one_more(real, rows, points, pivots):
+        runs = real(rows, points, pivots=pivots)
+        return runs if pivots is None else [(a, z + 1, top) for a, z, top in runs]
+
+    probed = first_probe(monkeypatch, one_more)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: \d+ -> \d+ zeros at \S+$") as exc:
+        realize_family(seed(fam, d), 0, 32, deep=True)
+    (anchor, vals), = probed
+    equal, after, at = re.search(r"(\d+) -> (\d+) zeros at (\S+)$", exc.value.args[0]).groups()
+    assert int(after) == int(equal) and at == str(first_interlacing_point(anchor, vals))
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_a_run_without_pairing_at_the_root_is_refused(monkeypatch, fam, d):
+    # the pivots of the whole piece's run are dropped, so none is at its root
+    def no_pivots(real, rows, points, pivots):
+        return real(rows, points, pivots=None if pivots is None else [[] for _ in pivots])
+
+    probed = first_probe(monkeypatch, no_pivots)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: no pairing at the root at \S+$") as exc:
+        realize_family(seed(fam, d), 0, 32, deep=True)
+    (anchor, vals), = probed
+    assert exc.value.args[0].endswith(f" at {first_interlacing_point(anchor, vals)}")
+
+
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_wrong_first_join_is_refused_by_the_block_check(monkeypatch, fam, d):
     # deep mode checks a joined block twice: its structural probes right
@@ -514,13 +603,13 @@ def test_a_wrong_first_join_is_refused_on_the_default_path(monkeypatch, fam, d):
 def test_a_pin_point_not_beyond_the_block_spectra_is_refused(monkeypatch):
     # alpha is in every block spectrum; the run at the pin point shows that
     # it is not beyond them, and no user input can get there
-    real = diminimal.realize._Builder._pin
+    real = diminimal.realize._Builder._plan
 
     def alpha_pin(self, cert, anchor, shift, level):
-        _, side, forced = real(self, cert, anchor, shift, level)
-        return self.alpha, side, forced
+        core, part, _, side, forced = real(self, cert, anchor, shift, level)
+        return core, part, self.alpha, side, forced
 
-    monkeypatch.setattr(diminimal.realize._Builder, "_pin", alpha_pin)
+    monkeypatch.setattr(diminimal.realize._Builder, "_plan", alpha_pin)
     with pytest.raises(RuntimeError, match=r"^block at \d+: pin point 0 is not strictly "
                                            r"(above|below) its spectrum"):
         realize_family(seed(Family.UNIFORM, 5), 0, 32)
@@ -531,17 +620,37 @@ def test_a_pin_point_not_beyond_the_block_spectra_is_refused(monkeypatch):
     (Family.MIXED, 9, Variant.LOW), (Family.SHORT_CORE, 7, Variant.HIGH),
     (Family.MIXED, 9, Variant.HIGH)])
 def test_a_wrong_pin_point_at_a_half_is_refused(monkeypatch, fam, d, half):
-    # a half is a piece one level above its ladder, pinned through _pin like
+    # a half is a piece one level above its ladder, pinned through _plan like
     # every other piece; even short-core trees have no HIGH half
-    real = diminimal.realize._Builder._pin
+    real = diminimal.realize._Builder._plan
 
     def alpha_pin_at_half(self, cert, anchor, shift, level):
-        y, side, forced = real(self, cert, anchor, shift, level)
-        return (self.alpha if cert.height > level and anchor is half else y), side, forced
+        core, part, y, side, forced = real(self, cert, anchor, shift, level)
+        at_half = cert.height == level + 1 and anchor is half
+        return core, part, (self.alpha if at_half else y), side, forced
 
-    monkeypatch.setattr(diminimal.realize._Builder, "_pin", alpha_pin_at_half)
+    monkeypatch.setattr(diminimal.realize._Builder, "_plan", alpha_pin_at_half)
     with pytest.raises(RuntimeError, match=r"^block at \d+: pin point \S+ is not strictly "
                                            r"(above|below) its spectrum"):
+        realize_family(seed(fam, d), 0, 32)
+
+
+@pytest.mark.parametrize("fam,d", [(Family.SHORT_CORE, 7), (Family.MIXED, 9)])
+def test_a_wrong_pin_point_at_the_central_join_is_refused(monkeypatch, fam, d):
+    # the two halves of an odd tree are joined through _plan too, as a piece
+    # two levels above its ladder; one step lower the pin point is the HIGH
+    # half's forced top, which is in that half's spectrum
+    real = diminimal.realize._Builder._plan
+
+    def low_pin_at_join(self, cert, anchor, shift, level):
+        core, part, y, side, forced = real(self, cert, anchor, shift, level)
+        if cert.height == level + 2:
+            y -= self.step(level - 1)
+        return core, part, y, side, forced
+
+    monkeypatch.setattr(diminimal.realize._Builder, "_plan", low_pin_at_join)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: pin point \S+ is not strictly "
+                                           r"above its spectrum$"):
         realize_family(seed(fam, d), 0, 32)
 
 

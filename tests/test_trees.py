@@ -117,6 +117,23 @@ def test_rooted_tree_refuses_parent_arrays_that_are_not_trees(parent):
         RootedTree(parent, 0)
 
 
+@pytest.mark.parametrize("root", [2, -1])
+def test_a_root_out_of_range_is_refused(root):
+    with pytest.raises(ValueError, match=f"^root {root} out of range for 2 vertices$"):
+        RootedTree((-1, 0), root)
+
+
+def test_a_root_with_a_parent_is_refused():
+    with pytest.raises(ValueError, match="^root must have parent -1$"):
+        RootedTree((-1, 0), 1)
+
+
+@pytest.mark.parametrize("root", [3, -1])
+def test_a_reroot_out_of_range_is_refused(root):
+    with pytest.raises(ValueError, match=f"^root {root} out of range for 3 vertices$"):
+        reroot(build_tree([(0, 1), (1, 2)], 0), root)
+
+
 def test_order_puts_parents_after_children():
     t = build_tree([(0, 1), (0, 2), (2, 3), (2, 4)], 0)
     order = t.order
@@ -212,6 +229,11 @@ def test_join_star():
     assert t.degree(k1.pos[0]) == 3
 
 
+def test_a_join_without_parts_is_refused():
+    with pytest.raises(ValueError, match="^join needs at least one part$"):
+        join(build_tree([(0, 1)], 0), [])
+
+
 def test_join_path_from_pieces():
     p2 = build_tree([(0, 1)], 0)
     t = join(p2, (p2,))
@@ -272,6 +294,12 @@ def test_duplicate_branch_rejects_non_child():
     t = build_tree([(0, 1), (1, 2)], 0)
     with pytest.raises(ValueError):
         duplicate_branch(t, 0, 2, 1)
+
+
+def test_a_duplication_of_no_copies_is_refused():
+    t = build_tree([(0, 1), (1, 2), (0, 3), (3, 4)], 0)
+    with pytest.raises(ValueError, match="^copies must be >= 1$"):
+        duplicate_branch(t, 1, 2, 0)
 
 
 @pytest.mark.parametrize("v", [999, 5, -1])
