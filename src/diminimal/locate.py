@@ -64,10 +64,13 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
 
     Values are reduced (num, den) int pairs, den > 0.  Row k is d + x plus
     the Schur terms -w/v of its child rows, a child row that occurs c times
-    under it adding c times its term.  If no child row of k is 0 at a point,
-    k picks up that Schur sum there; otherwise at each copy of k one zero
-    child, of the smallest such row j, pairs with k (it becomes 2, k becomes
-    -w2(j)/2) and k's edges up are cut; other zero children stay zeros.
+    under it adding c times its term.  Each row pushes to one slot per
+    parent row and point: its term onto the Schur sum there, or, if it is
+    0, a mark that replaces the sum and that a later term leaves alone.  A
+    marked row pairs at each copy with one zero child, the smallest such
+    row j (j becomes 2, k becomes -w2(j)/2), and pushes nothing up; other
+    zero children stay zeros.  The root is a row like any other: its push
+    lands in a slot nothing reads, and its value is the last one computed.
     Negatives and zeros count copies[k] times, so a run over the quotient
     counts every vertex of the tree.  Sums use Henrici's split: with
     g = gcd(b, q), only a divisor of g can be common to the numerator and
@@ -77,29 +80,22 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
     the rows where the pairing rule fired (per vertex in the n-row form)."""
     order, parent, dn, dd, wn, wd, extra, copies = rows
     idx, blank = range(len(points)), [None] * len(points)
-    neg, zero, top = [0] * len(points), [0] * len(points), blank.copy()
-    # per parent row and point: Schur terms pushed up so far, smallest zero child
-    acc, kids, root = {}, {}, order[-1]
+    neg, zero = [0] * len(points), [0] * len(points)
+    tn, td = blank.copy(), blank.copy()  # the last row's value, at the end the root's
+    # per parent row and point: None, the Schur sum (p, q) with q > 0 of
+    # the terms pushed so far, or (j, 0) for the smallest zero child row j
+    acc = {}
     for k in order:
-        terms, zk = acc.pop(k, None), kids.pop(k, None) if kids else None
-        d, e, cp, up = dn[k], dd[k], copies[k], None
-        if k != root:
-            pk, wk, vk, more = parent[k], wn[k], wd[k], extra[k]
-            if (up := acc.get(pk)) is None:
-                up = acc[pk] = blank.copy()
+        terms, more = acc.pop(k, blank), extra[k]
+        if (up := acc.get(parent[k])) is None:
+            up = acc[parent[k]] = blank.copy()
+        if more:  # the quotient's further parents: k is j more times under r
+            more = [(acc.setdefault(r, blank.copy()), j) for r, j in more]
+        d, e, wk, vk, cp = dn[k], dd[k], wn[k], wd[k], copies[k]
         for i in idx:
-            if zk is not None and (j := zk[i]) is not None:
-                a, b = (-wn[j], 2 * wd[j]) if wn[j] & 1 else (-(wn[j] >> 1), wd[j])
-                zero[i], neg[i] = zero[i] - cp, neg[i] + cp
-                if pivots is not None:
-                    pivots[i].append(k)
-                if values is not None:
-                    values[i][j], values[i][k] = (2, 1), (a, b)
-                if up is None:
-                    top[i] = (a, b)
-                continue
-            # a/b = d + x, then + the Schur sum; the sums are inlined on
-            # purpose, the loop body runs once per row and point
+            # a/b = d + x, then + the Schur sum, or k pairs at a zero mark;
+            # the sums are inlined on purpose, the loop body runs once per
+            # row and point
             xn, xd = points[i]
             if xd == 1:
                 a, b = d + xn * e, e
@@ -114,8 +110,17 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
                     a = d * (xd // g) + xn * s
                     g = gcd(a, g)
                     a, b = (a, s * xd) if g == 1 else (a // g, s * (xd // g))
-            if terms is not None and (t := terms[i]) is not None:
+            if (t := terms[i]) is not None:
                 p, q = t
+                if not q:  # a zero mark: k pairs with its zero child row j
+                    j = p
+                    a, b = (-wn[j], 2 * wd[j]) if wn[j] & 1 else (-(wn[j] >> 1), wd[j])
+                    zero[i], neg[i], tn[i], td[i] = zero[i] - cp, neg[i] + cp, a, b
+                    if pivots is not None:
+                        pivots[i].append(k)
+                    if values is not None:
+                        values[i][j], values[i][k] = (2, 1), (a, b)
+                    continue
                 g = gcd(b, q)
                 if g == 1:
                     a, b = a * q + p * b, b * q
@@ -124,19 +129,14 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
                     a = a * (q // g) + p * s
                     g = gcd(a, g)
                     a, b = (a, s * q) if g == 1 else (a // g, s * (q // g))
+            tn[i], td[i] = a, b
             if values is not None:
                 values[i][k] = (a, b)
-            if up is None:
-                top[i] = (a, b)
-                neg[i], zero[i] = neg[i] + cp * (a < 0), zero[i] + cp * (not a)
-                continue
             if not a:
                 zero[i] += cp
-                for pj in (pk, *(r for r, _ in more)) if more else (pk,):
-                    if (z := kids.get(pj)) is None:
-                        z = kids[pj] = blank.copy()
-                    if z[i] is None or z[i] > k:
-                        z[i] = k
+                for t in (up, *(t for t, _ in more)) if more else (up,):
+                    if (x := t[i]) is None or x[1] or x[0] > k:
+                        t[i] = (k, 0)
                 continue
             # the Schur term -w/(a/b) = -(w*b)/(v*a), cross-cancelled
             w, v = wk, vk
@@ -151,15 +151,13 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
             else:
                 neg[i] += cp
                 p, q = w * b, -v * a
-            if more:  # the quotient's further parents: k is j more times under r
-                for r, j in more:
-                    if (t := acc.get(r)) is None:
-                        t = acc[r] = blank.copy()
+            if more:
+                for t, j in more:
                     g = gcd(j, q)
                     pj, qj = p * (j // g), q // g
                     if (x := t[i]) is None:
                         t[i] = (pj, qj)
-                    else:
+                    elif x[1]:  # a sum; a zero mark stays
                         u, s = x
                         g = gcd(s, qj)
                         u, s = u * (qj // g) + pj * (s // g), s // g * qj
@@ -167,7 +165,7 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
                         t[i] = (u // g, s // g)
             if (t := up[i]) is None:
                 up[i] = (p, q)
-            else:
+            elif t[1]:  # a sum; a zero mark stays
                 r, s = t
                 g = gcd(s, q)
                 if g == 1:
@@ -177,7 +175,7 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
                     r = r * (q // g) + p * s
                     g = gcd(r, g)
                     up[i] = (r, s * q) if g == 1 else (r // g, s * (q // g))
-    return list(zip(neg, zero, top))
+    return list(zip(neg, zero, zip(tn, td)))
 
 
 def diagonalize(m: WeightedTreeMatrix, x: Fraction) -> DiagOutcome:
@@ -225,8 +223,8 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
     alo, ahi = fb.dlo + [0.0], fb.dhi + [0.0]
     wlo, whi, size, pos = fb.wlo, fb.whi, m.tree.size, m.tree.pos
     # float negatives, (postorder position, negatives, zeros) of repairs and
-    # pairings, and by parent the smallest repaired child that is exactly 0
-    negs, fixes, zero_kid = [], [], {}
+    # pairings, and the parents of repaired children that are exactly 0
+    negs, fixes, zero_kid = [], [], set()
     neg_float, spent = negs.append, 0
     for k in order:
         lo = nxt(alo[k] + slo, down)
@@ -264,8 +262,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -
         (neg, zero, (a, b)), = _run(Rows(order[start:i + 1], *m.rows[1:]), ((xn, xd),))
         fixes.append((i, neg, zero))
         if not a:
-            if zero_kid.get(p, k) >= k:
-                zero_kid[p] = k
+            zero_kid.add(p)
             alo[p] = nan
             continue
         t = Fraction(-wn[k] * b, wd[k] * a)
@@ -399,13 +396,15 @@ def find_parter_vertex(m: WeightedTreeMatrix, point: Fraction) -> int:
     >= 3 whose deletion raises the multiplicity and leaves the eigenvalue
     in at least three components.
 
-    The candidate comes from one diagonalization run: the parent of the
-    deepest surviving zero.  If that vertex fails the degree or component
-    conditions the remaining vertices are scanned in id order; on trees such
-    a vertex always exists, so the scan is a fallback, not the common path.
+    The multiplicity and the candidate come from one diagonalization run:
+    its zero count, and the parent of the deepest surviving zero.  If that
+    vertex fails the degree or component conditions the remaining vertices
+    are scanned in id order; on trees such a vertex always exists, so the
+    scan is a fallback, not the common path.
     """
     point = Fraction(point)
-    mult = multiplicity(m, point)
+    out = diagonalize(m, -point)
+    mult = out.inertia[1]
     if mult < 2:
         raise ValueError(f"multiplicity of {point} is {mult}; need at least 2")
 
@@ -416,7 +415,6 @@ def find_parter_vertex(m: WeightedTreeMatrix, point: Fraction) -> int:
         mults = [multiplicity(c, point) for c in comps]
         return sum(mults) == mult + 1 and sum(1 for q in mults if q > 0) >= 3
 
-    out = diagonalize(m, -point)
     depth = m.tree.depth
     zeros = [v for v, q in out.final_values.items() if q == 0]
     # multiplicity >= 2 leaves at least two zeros, so the deepest zero has a

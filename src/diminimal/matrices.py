@@ -181,20 +181,16 @@ class WeightedTreeMatrix:
         once and counts it once per copy."""
         a, children = self.rows, self.tree.children
         entry = list(zip(a.dn, a.dd, a.wn, a.wd))
-        # a leaf's key is its entries, another vertex's its entries and its
-        # child classes sorted, a class once per child of it
+        # a vertex's key is its entries and its child classes sorted, a class
+        # once per child of it (none at a leaf)
         cls, copies, index = [0] * self.n, [0] * self.n, {}
         for v in a.order:
-            ch = children[v]
-            key = (entry[v], *sorted(map(cls.__getitem__, ch))) if ch else entry[v]
+            key = (entry[v], *sorted(map(cls.__getitem__, children[v])))
             cls[v] = k = index.setdefault(key, len(index))
             copies[k] += 1
         n = len(index)
         parent, extra, entries = [-1] * n, [()] * n, []
         for k, key in enumerate(index):
-            if type(key[0]) is int:
-                entries.append(key)
-                continue
             entries.append(key[0])
             tally: dict[int, int] = {}
             for c in key[1:]:

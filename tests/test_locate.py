@@ -191,6 +191,93 @@ def test_a_batch_at_claimed_values_is_single_point_runs_at_every_root(family, d)
                                     [(x.numerator, x.denominator) for x in xs])
 
 
+def descending_postorder(t):
+    """A postorder of t that visits the children of each vertex in
+    descending id order, as `_Block.order` may, since it lists a block's
+    parts before its core."""
+    out, stack = [], [(t.root, False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            out.append(v)
+            continue
+        stack.append((v, True))
+        stack.extend((c, False) for c in sorted(t.children[v]))
+    return out
+
+
+def assert_run_matches_reference(rows, m, x, root):
+    """`_run` over `rows` (m rooted at `root`, in any postorder) gives the
+    reference's final values, pivots, counts and root value."""
+    vals, piv = {}, []
+    (neg, zero, top), = _run(rows, [(x.numerator, x.denominator)], [vals], [piv])
+    d, pivots, _ = reference_elimination(m, x, root)
+    assert {v: F(*q) for v, q in vals.items()} == d and set(piv) == pivots
+    assert (neg, zero) == (sum(q < 0 for q in d.values()), sum(q == 0 for q in d.values()))
+    assert F(*top) == d[root]
+
+
+def test_zero_children_in_descending_order_pair_with_the_smallest():
+    # three zero leaves under a zero hub, run in the order 3, 2, 1, 0: the
+    # hub pairs with leaf 1, the last zero pushed, which is the smallest
+    t = build_tree([(0, 1), (0, 2), (0, 3)], 0)
+    m = make_matrix(t, (F(0),) * 4, {(0, 1): F(2), (0, 2): F(3), (0, 3): F(5)})
+    rows = m.rows._replace(order=(3, 2, 1, 0))
+    vals, piv = {}, []
+    _run(rows, [(0, 1)], [vals], [piv])
+    assert vals == {3: (0, 1), 2: (0, 1), 1: (2, 1), 0: (-1, 1)} and piv == [0]
+    assert_run_matches_reference(rows, m, F(0), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMALL, st.integers(-3, 3).map(F), st.data())
+def test_kernel_in_descending_child_order_matches_reference(m, x, data):
+    root = data.draw(st.integers(0, m.n - 1))
+    mr = rooted_at(m, root)
+    rows = mr.rows._replace(order=descending_postorder(mr.tree))
+    assert_run_matches_reference(rows, m, x, root)
+
+
+@pytest.mark.parametrize("hub", [F(0), F(5, 2)])
+def test_schur_terms_that_cancel_leave_a_sum_not_a_pairing(hub):
+    # at x = 0 the leaves are 3, 3 and -3/2 with unit weights: their Schur
+    # terms -1/3 - 1/3 + 2/3 sum to exactly 0, so the hub is its own entry,
+    # 0 or 5/2, and pairs with nothing; in the quotient the two equal leaves
+    # are one class that occurs twice, whose term is added once more
+    t = build_tree([(0, 1), (0, 2), (0, 3)], 0)
+    m = make_matrix(t, (hub, F(3), F(3), F(-3, 2)), {e: F(1) for e in t.edges})
+    assert_run_matches_reference(m.rows, m, F(0), 0)
+    d, _, _ = reference_elimination(m, F(0), 0)
+    assert d[0] == hub
+    vals, piv = {}, []
+    (neg, zero, top), = _run(m.quotient, [(0, 1)], [vals], [piv])
+    assert len(vals) == 3 and piv == []
+    assert (neg, zero, F(*top)) == (1, hub == 0, hub)
+    # a zero child beside the cancelling ones still pairs with the hub: its
+    # mark comes first, and the sums pushed after it leave it alone
+    tz = build_tree([(0, 1), (0, 2), (0, 3), (0, 4)], 0)
+    z = make_matrix(tz, (hub, F(0), F(3), F(3), F(-3, 2)), {e: F(1) for e in tz.edges})
+    assert_run_matches_reference(z.rows, z, F(0), 0)
+    (_, _, top), = _run(z.quotient, [(0, 1)])
+    assert top == (-1, 2)
+
+
+def test_a_zero_mark_survives_the_terms_pushed_after_it():
+    # leaves 5, 7 (weight 3), 0 and 2, 2 under a hub: in the quotient the
+    # zero leaf's class 2 marks the hub's slot, then the class of the two
+    # leaves 2 adds its term (q = 2) through its parent and, once more, its
+    # further parent; the hub still pairs with class 2, not class 1
+    t = build_tree([(0, v) for v in range(1, 6)], 0)
+    m = make_matrix(t, (F(1), F(5), F(7), F(0), F(2), F(2)),
+                    {e: F(3) if e == (0, 2) else F(1) for e in t.edges})
+    q = m.quotient
+    assert q.extra[3] == ((4, 1),) and q.dn[2] == 0
+    assert_run_matches_reference(m.rows, m, F(0), 0)
+    vals, piv = {}, []
+    (neg, zero, top), = _run(q, [(0, 1)], [vals], [piv])
+    assert piv == [4] and vals[2] == (2, 1) and top == (-1, 2) and (neg, zero) == (1, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(SMALL, st.integers(-3, 3).map(F), st.data())
 def test_counts_within_matches_reference_on_connected_subsets(m, x, data):
@@ -802,25 +889,48 @@ def test_parter_vertex_on_star():
 
 
 def test_parter_scan_takes_over_from_a_failing_candidate(monkeypatch):
-    # the candidate is the parent of the deepest zero of one diagonalization;
-    # a zero faked at a leaf under a degree-2 vertex makes it fail, and the
-    # scan in id order must still find a strong vertex
+    # the multiplicity and the candidate, the parent of the deepest zero, come
+    # from one diagonalization; a zero faked at a leaf under a degree-2 vertex,
+    # with the run's true inertia, makes the candidate fail, and the scan in
+    # id order must still find a strong vertex
     c = realize_family(seed(Family.UNIFORM, 5), 0, 32)
     m, t = c.matrix, c.matrix.tree
     point = next(v for v, mult in c.dspec if mult >= 2)
     leaf = next(v for v in range(t.n) if t.degree(v) == 1 and t.parent[v] != -1
                 and t.degree(t.parent[v]) < 3)
-    calls = []
+    calls, real = [], locate.diagonalize
 
     def zero_at_leaf(m, x):
         calls.append(x)
-        return locate.DiagOutcome({leaf: F(0)}, (0, 1, m.n - 1), (), frozenset())
+        return locate.DiagOutcome({leaf: F(0)}, real(m, x).inertia, (), frozenset())
 
     monkeypatch.setattr(locate, "diagonalize", zero_at_leaf)
     v = find_parter_vertex(m, point)
     assert calls == [-point] and v != t.parent[leaf]
     assert is_parter(m, v, point) and t.degree(v) >= 3
     assert sum(1 for comp in delete_vertex(m, v) if multiplicity(comp, point)) >= 3
+
+
+def test_parter_search_reads_the_multiplicity_from_its_one_run(monkeypatch):
+    # one diagonalization gives the multiplicity and the candidate: the
+    # matrix itself is never counted again, only the components of a
+    # candidate's deletion are
+    cert = realize_family(seed(Family.UNIFORM, 5), 0, 32)
+    m, point = cert.matrix, next(v for v, mult in cert.dspec if mult >= 2)
+    counted, real = [], locate.counts_at
+
+    def spy(mm, point, root=None):
+        counted.append(mm.n)
+        return real(mm, point, root)
+
+    monkeypatch.setattr(locate, "counts_at", spy)
+    with mock.patch.object(locate, "diagonalize", wraps=locate.diagonalize) as runs:
+        with pytest.raises(ValueError, match=r"^multiplicity of 1/3 is 0; need at least 2$"):
+            find_parter_vertex(m, F(1, 3))
+        assert runs.call_count == 1 and counted == []
+        v = find_parter_vertex(m, point)
+        assert runs.call_count == 2 and m.n not in counted
+    assert is_parter(m, v, point) and m.tree.degree(v) >= 3
 
 
 def test_is_parter_false_for_leaf():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -882,6 +883,104 @@ def test_one_tree_is_analysed_once(monkeypatch, fam, d):
     assert verify_certificate(c.matrix, c.dspec) == []
     assert c.matrix.tree is t
     assert len(swept) == 1 and swept[0] is t
+
+
+# ------------------------------------- guards no realization reaches
+#
+# Each test below reaches a claim check by a direct call or through one
+# monkeypatched collaborator: the checks hold on every input the public
+# functions accept, so only a broken construction could trip them.
+
+
+def test_a_value_off_the_grid_is_refused():
+    with pytest.raises(RuntimeError, match=r"^1/3 is not a multiple of 1/2$"):
+        diminimal.realize._grid(F(1, 3), 2)
+
+
+@pytest.mark.parametrize("span, k, level", [(0, 1, 1), (1, 2, 2)])
+def test_a_ladder_that_is_not_strictly_increasing_is_refused(span, k, level):
+    # a span of 0, or one that 2**(k-1) does not divide: the step of level 2
+    # is span >> 1 = 0, and values repeat
+    with pytest.raises(RuntimeError, match=f"^ladder level {level} is not strictly increasing$"):
+        diminimal.realize._ladder_levels(0, span, k)
+
+
+@pytest.mark.parametrize("level", [0, 4])
+def test_a_piece_built_at_a_wrong_height_is_refused(level):
+    t = seed(Family.UNIFORM, 5)
+    cert = diminimal.realize._whole_piece_cert(t, t.root)
+    b = diminimal.realize._Builder(t, t.root, F(0), F(32), 3, False)
+    with pytest.raises(ValueError, match=f"^piece at {t.root} has height 3, "
+                                         f"expected {level} to {level + 2}$"):
+        b.build(cert, Variant.LOW, 0, level)
+
+
+def bare_builder(monkeypatch, root_value=(-1, 1)):
+    """A builder over the path 1 - 0 - 2 rooted at 0, its grid the integers,
+    whose blocks all have `root_value` at every pin point."""
+    b = diminimal.realize._Builder(build_tree([(0, 1), (0, 2)], 0), 0, F(0), F(32), 1, False)
+    monkeypatch.setattr(b, "_root_value", lambda blk, y, side: root_value)
+    return b
+
+
+def leaf(b, v, lam):
+    """The one-vertex block of v claiming the value lam."""
+    return diminimal.realize._Block(v, 1, {lam: 1}, {lam: 1}, b.q)
+
+
+@pytest.mark.parametrize("core, parts", [
+    ((1, 0), [(0, 20)]),  # the tree's root as a part of its own child
+    ((0, 0), [(2, 20), (2, 20)]),  # one vertex as two parts: it hangs twice
+])
+def test_a_part_root_that_cannot_hang_is_refused(monkeypatch, core, parts):
+    b = bare_builder(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"^part root {parts[-1][0]} cannot "
+                                           f"hang from {core[0]}$"):
+        b.join_blocks(leaf(b, *core), [leaf(b, *p) for p in parts], 40, "max",
+                      expect_forced=-40)
+
+
+def test_a_join_of_a_lone_vertex_is_refused(monkeypatch):
+    # with no parts the merged claim is one value, which cannot be both the
+    # lowest and the highest to merge inward
+    b = bare_builder(monkeypatch)
+    monkeypatch.setattr(diminimal.realize, "_delta_squared", lambda dc, dp: (1, 1))
+    with pytest.raises(RuntimeError, match=r"^block extremes 5, 5 cannot both merge inward$"):
+        b.join_blocks(leaf(b, 0, 5), [], 40, "max", expect_forced=-30)
+
+
+def test_a_merged_value_that_escapes_the_pin_point_is_refused(monkeypatch):
+    # a pin point 5 inside the claims 0, 10, 20: 0 and 20 merge inward and
+    # force 15, and the 10 left over lies outside (15, 5)
+    b = bare_builder(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^merged block values escape \(15, 5\)$"):
+        b.join_blocks(leaf(b, 0, 0), [leaf(b, 1, 10), leaf(b, 2, 20)], 5, "max",
+                      expect_forced=15)
+
+
+def test_a_block_that_is_not_root_and_whole_subtrees_is_refused(monkeypatch):
+    # the block {0, 1} of the path 0 - 1 - 2 leaves out 1's child 2; every
+    # run reports a zero at the root, so the zero probes pass
+    monkeypatch.setattr(diminimal.realize, "_run",
+                        lambda rows, points, pivots=None: [(0, 0, (0, 1))] * len(points))
+    b = diminimal.realize._Builder(build_tree([(0, 1), (1, 2)], 0), 0, F(0), F(32), 1, False)
+    blk = diminimal.realize._Block(0, 2, {0: 1, 32: 1}, None, b.q, leaf(b, 0, 32), (leaf(b, 1, 0),))
+    with pytest.raises(RuntimeError, match="^block at 0 is not its root and whole "
+                                           "subtrees of its children$"):
+        b._deep_checks(blk, Variant.LOW, -32, 1)
+
+
+def test_an_integral_realization_with_a_fractional_eigenvalue_is_refused(monkeypatch):
+    real = diminimal.realize.realize_family
+
+    def off_by_half(t, alpha, beta, deep=False):
+        (lam, mult), *rest = real(t, alpha, beta, deep).dspec
+        return SimpleNamespace(dspec=((lam + F(1, 2), mult), *rest))
+
+    monkeypatch.setattr(diminimal.realize, "realize_family", off_by_half)
+    with pytest.raises(RuntimeError, match="^integral construction produced a "
+                                           "fractional eigenvalue$"):
+        realize_integral(seed(Family.UNIFORM, 5), 0)
 
 
 # ------------------------------------------- contracts on random trees

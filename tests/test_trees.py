@@ -296,6 +296,15 @@ def test_duplicate_branch_rejects_non_child():
         duplicate_branch(t, 0, 2, 1)
 
 
+def test_a_duplication_that_changes_the_diameter_is_refused(monkeypatch):
+    # no duplication away from the centre changes the diameter; a diameter
+    # that reads the vertex count sees the copy as a change
+    t = build_tree([(0, 1), (1, 2), (0, 3), (3, 4)], 0)
+    monkeypatch.setattr(diminimal.trees, "diameter", lambda tree: tree.n)
+    with pytest.raises(RuntimeError, match="^branch duplication changed the diameter$"):
+        duplicate_branch(t, 1, 2, 1)
+
+
 def test_a_duplication_of_no_copies_is_refused():
     t = build_tree([(0, 1), (1, 2), (0, 3), (3, 4)], 0)
     with pytest.raises(ValueError, match="^copies must be >= 1$"):
