@@ -37,7 +37,6 @@ from math import ceil, gcd, inf, nan, nextafter
 from typing import Collection, Sequence
 
 from .matrices import Rows, WeightedTreeMatrix, delete_vertex, enclose
-from .trees import reroot
 
 
 @dataclass(frozen=True)
@@ -206,12 +205,10 @@ class CountsAt:
 _EXACT_SHARE = 8
 
 
-def counts_at(m: WeightedTreeMatrix, point: Fraction, root: int | None = None) -> CountsAt:
+def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
     """How many eigenvalues of m are <, ==, > the query point: the inertia
     of M - point*I, by the adaptive pass of the module docstring, eliminating
-    from `root` (default: the tree's own root)."""
-    if root is not None:
-        m = m.rerooted(reroot(m.tree, root))
+    from the tree's root."""
     p = Fraction(point)
     xn, xd = -p.numerator, p.denominator
     order, parent, _, _, wn, wd, _, _ = m.rows

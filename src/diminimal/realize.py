@@ -32,8 +32,9 @@ is solved from the claims alone: a block's root value at the pin point y is
 det(B - y)/det(B - root - y), a ratio of products over the claimed spectra,
 so a join runs no kernel.  The returned certificate is proved by one run of
 the finished matrix at all d+1 values in `verify_certificate`, so a wrong
-claim or a construction bug cannot survive to it; `deep` also runs each block
-a join takes in, which proves its claims and its root value at y.
+claim or a construction bug cannot survive to it.  `deep` then audits the
+finished certificate (`_audit`): each block a join took in, run at its claims
+and y, and each piece built at its own level, probed at its root.
 
 Every value the builder claims (ladder values, steps, shifts, pin points,
 forced values and predicted spectra) is alpha plus an integer multiple of
@@ -59,7 +60,7 @@ from typing import Iterable, Sequence
 # bench/spans.py wraps _run, counts_at, diagonalize, make_matrix and join as
 # realize attributes, so all five are imported here; only _run is used
 from .locate import _run, counts_at, diagonalize
-from .matrices import Rows, WeightedTreeMatrix, make_matrix
+from .matrices import Rows, WeightedTreeMatrix, format_rational, make_matrix
 from .trees import (Family, PieceCert, RootedTree, _family_analysis, _uniform,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
 
@@ -160,7 +161,7 @@ class AssemblyRecord:
     extreme block values that merged inward, forced = a + b - y).  `pred` is
     a claim, and `sq_delta` is solved from the claims of the blocks that went
     in: the last pred is the proved dspec, and the others, with the root
-    values behind each weight, are proved only under `deep` (or
+    values behind each weight, are proved only by the audit of `deep` (or
     independently, by counts_within on their vertices)."""
 
     core_root: int
@@ -204,14 +205,13 @@ class RealizationCertificate:
             parts=tuple((p.root, tuple(sorted(p.order)), p.spec) for p in blk.parts),
             y=Fraction(y, blk.q), side=side, sq_delta=Fraction(*d2), a=Fraction(a, blk.q),
             b=Fraction(b, blk.q), forced=Fraction(forced, blk.q), pred=blk.spec,
-        ) for blk, y, side, d2, a, b, forced in self._log)
+        ) for blk, y, side, d2, a, b, forced, *_ in self._log)
 
     @property
     def distinct_values(self) -> int:
         return len(self.dspec)
 
     def to_json(self) -> dict:
-        from .matrices import format_rational
         return {
             "family": self.family.value,
             "variant": self.variant,
@@ -240,7 +240,7 @@ class _Block:
     core: _Block | None = None
     parts: tuple[_Block, ...] = ()
 
-    # built on first read, which only `deep` and the assembly records do
+    # built on first read, which only the audit and the assembly records do
     @cached_property
     def order(self) -> tuple[int, ...]:  # postorder of the block, root last
         return (tuple(chain(*(p.order for p in self.parts), self.core.order))
@@ -264,8 +264,7 @@ class _Builder:
     """
 
     def __init__(self, tree: RootedTree, root: int, alpha: Fraction,
-                 beta: Fraction, max_level: int, deep: bool,
-                 shift: Fraction | None = None):
+                 beta: Fraction, max_level: int, shift: Fraction | None = None):
         self.rt = reroot(tree, root)
         self.q = lcm(alpha.denominator, ((beta - alpha) / 2 ** max_level).denominator,
                      1 if shift is None else shift.denominator)
@@ -273,22 +272,15 @@ class _Builder:
         self.alpha, self.beta = _grid(alpha, self.q), _grid(beta, self.q)
         self.ladders: list[tuple[int, ...] | None] = [None] + _ladder_levels(
             self.alpha, self.beta - self.alpha, max_level)
-        self.deep = deep
         n = tree.n
         self.dn, self.dd, self.wn, self.wd = [0] * n, [1] * n, [0] * n, [1] * n
-        # the n-row form over the lists above, which the build fills in
-        self.rows = Rows(self.rt.order, self.rt.parent, self.dn, self.dd, self.wn, self.wd,
-                         ((),) * n, (1,) * n)
-        # (block, y, side, weight pair, a, b, forced) per join, as ints, and
-        # the claim {N: 1} that all leaves of value N share (no join changes it)
-        self.log, self.claims = [], {}
+        # per join (block, y, side, weight pair, a, b, forced, root values of core
+        # and parts) as ints, per piece at its own level (block, anchor, forced,
+        # level), and the claim {N: 1} all leaves of value N share (no join changes it)
+        self.log, self.pieces, self.claims = [], [], {}
 
     def step(self, j: int) -> int:
         return (self.beta - self.alpha) >> j
-
-    def _rows(self, order: Sequence[int]) -> Rows:
-        """The n-row form of the entries so far, run over `order`."""
-        return Rows(order, *self.rows[1:])
 
     def _root_value(self, blk: _Block, y: int, side: str) -> tuple[int, int]:
         """The root's value at the pin point y of a block a join takes in, as
@@ -298,34 +290,23 @@ class _Builder:
         That needs y strictly beyond every claimed value on `side`, and net's
         exponents each +-1 with sum 1, as Cauchy interlacing gives; then the
         value is nonzero, negative above the claims and positive below.
-        Under `deep` one kernel run at the claimed values and y proves the
-        claims, the side of y and the value."""
-        pred, net, n = blk.pred, blk.net, blk.size
-        beyond = (max(pred) < y and max(net) < y if side == "max"
-                  else y < min(pred) and y < min(net))
+        `_audit` proves the claims, the side of y and the value."""
+        pred, net = blk.pred, blk.net
         problems = []
-        if self.deep:
-            *counts, (neg, zero, top) = _run(self._rows(blk.order),
-                                             _points((*blk.spec, (self.frac(y), 1))))
-            problems = _spectrum_problems(blk.spec, counts, n)
-            beyond = beyond and not zero and neg == (n if side == "max" else 0)
-        if not beyond:
+        if not (max(pred) < y and max(net) < y if side == "max"
+                else y < min(pred) and y < min(net)):
             problems.append(f"pin point {self.frac(y)} is not strictly "
                             f"{'above' if side == 'max' else 'below'} its spectrum")
         if sum(net.values()) != 1 or not {*net.values()} <= {1, -1}:
             problems.append("claimed spectra do not interlace")
-        if not problems:
-            num, den = 1, self.q
-            for lam, e in net.items():
-                if e > 0:
-                    num *= lam - y
-                else:
-                    den *= lam - y
-            if self.deep and Fraction(*top) != Fraction(num, den):
-                problems.append(f"root value {Fraction(*top)} at the pin point, "
-                                f"{Fraction(num, den)} from the claims")
         if problems:
             raise RuntimeError(f"block at {blk.root}: " + "; ".join(problems))
+        num, den = 1, self.q
+        for lam, e in net.items():
+            if e > 0:
+                num *= lam - y
+            else:
+                den *= lam - y
         return num, den
 
     # -- anchored recursion ---------------------------------------------------
@@ -372,8 +353,8 @@ class _Builder:
         core = self.build(cert.core, ca, cs, min(cert.core.height, level))
         parts = [self.build(p, pa, ps, min(p.height, level)) for p in cert.parts]
         blk = self.join_blocks(core, parts, y, side, expect_forced=forced)
-        if self.deep and cert.height == level:
-            self._deep_checks(blk, anchor, forced, level)
+        if cert.height == level:
+            self.pieces.append((blk, anchor, forced, level))
         return blk
 
     # -- assembly ------------------------------------------------------------
@@ -385,7 +366,7 @@ class _Builder:
         d2 = _delta_squared(dc, dp)
         if min(d2) <= 0:
             raise RuntimeError(f"block at {core.root}: solved squared weight "
-                               f"{Fraction(*d2)} is not positive")
+                               f"{d2[0]}/{d2[1]} is not positive")
         for p in parts:
             # wn is 0 until a part hangs, as d2 > 0
             if self.wn[p.root] or self.rt.parent[p.root] != core.root:
@@ -424,49 +405,64 @@ class _Builder:
 
         blk = _Block(core.root, core.size + sum(p.size for p in parts), pred, net,
                      self.q, core, tuple(parts))
-        self.log.append((blk, y, side, d2, a, b, forced))
+        self.log.append((blk, y, side, d2, a, b, forced, dc, dp))
         return blk
 
-    # -- deep structural checks ----------------------------------------------
 
-    def _deep_checks(self, blk: _Block, anchor: Variant, forced: int, level: int) -> None:
-        """Strong-realizability probes on one finished piece: the required
-        eigenvalues put a zero at the block root, and deleting the root
-        raises the multiplicity at the interlacing positions (with the run
-        rooted there firing its zero-pairing rule at the root).  The zeros
-        are the forced extreme and every second ladder value inside the
-        extremes, values[1:2L+1], counted from the pin point; the
-        interlacing positions are the others."""
-        inner = self.ladders[level][1:2 * level + 1]
+def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
+    """The checks of `deep` on the finished, verified matrix m rooted at the
+    construction root, where each block is a postorder slice, root last,
+    with the entries it was built with (no later join changes them).  Each
+    block a join took in is run at its claims and the pin point y: that
+    proves them, the side of y and the root value there.  Each piece at its
+    own level is probed: the forced extreme and every second ladder value
+    inside the extremes, values[1:2L+1], from the pin point, are zeros at
+    its root; at the others deleting the root adds a zero, paired at it."""
+    rt, frac, tail = builder.rt, builder.frac, m.rerooted(builder.rt).rows[1:]
+    for blk, y, side, *_, dc, dp in builder.log:
+        for c, value in zip((blk.core, *blk.parts), (dc, *dp)):
+            *counts, (neg, zero, top) = _run(Rows(c.order, *tail),
+                                             _points((*c.spec, (frac(y), 1))))
+            problems = _spectrum_problems(c.spec, counts, c.size)
+            if zero or neg != (c.size if side == "max" else 0):
+                problems.append(f"pin point {frac(y)} is not strictly "
+                                f"{'above' if side == 'max' else 'below'} its spectrum")
+            if not problems and Fraction(*top) != Fraction(*value):
+                problems.append(f"root value {Fraction(*top)} at the pin point, "
+                                f"{Fraction(*value)} from the claims")
+            if problems:
+                raise RuntimeError(f"block at {c.root}: " + "; ".join(problems))
+
+    for blk, anchor, forced, level in builder.pieces:
+        inner = builder.ladders[level][1:2 * level + 1]
         if anchor is Variant.LOW:
             zero_at, incr_at = [forced, *inner[1::2]], inner[::2]
         else:
             zero_at, incr_at = [*inner[::2], forced], inner[1::2]
-
-        runs = _run(self._rows(blk.order), _points((self.frac(lam), 1) for lam in zero_at))
+        runs = _run(Rows(blk.order, *tail), _points((frac(lam), 1) for lam in zero_at))
         for lam, (_, _, (a, _)) in zip(zero_at, runs):
             if a != 0:
                 raise RuntimeError(f"block at {blk.root}: no zero at the root "
-                                   f"at {self.frac(lam)}")
+                                   f"at {frac(lam)}")
 
         # a block holds whole subtrees of its root's children, so the
         # components of the block minus its root are their postorder blocks
-        rt, inside = self.rt, set(blk.order)
+        inside = set(blk.order)
         comps = [rt.block(c) for c in rt.children[blk.root] if c in inside]
         if inside != {blk.root}.union(*comps):
             raise RuntimeError(f"block at {blk.root} is not its root and whole "
                                f"subtrees of its children")
-        points, pivots = _points((self.frac(lam), 1) for lam in incr_at), [[] for _ in incr_at]
-        whole = _run(self._rows(blk.order), points, pivots=pivots)
-        parts = [_run(self._rows(comp), points) for comp in comps]
+        points, pivots = _points((frac(lam), 1) for lam in incr_at), [[] for _ in incr_at]
+        whole = _run(Rows(blk.order, *tail), points, pivots=pivots)
+        parts = [_run(Rows(comp, *tail), points) for comp in comps]
         for i, lam in enumerate(incr_at):
             equal, after = whole[i][1], sum(run[i][1] for run in parts)
             if after != equal + 1:
                 raise RuntimeError(f"block at {blk.root}: {equal} -> {after} zeros "
-                                   f"at {self.frac(lam)}")
+                                   f"at {frac(lam)}")
             if blk.root not in pivots[i]:
                 raise RuntimeError(f"block at {blk.root}: no pairing at the root "
-                                   f"at {self.frac(lam)}")
+                                   f"at {frac(lam)}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +470,18 @@ class _Builder:
 # ---------------------------------------------------------------------------
 
 def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
-            variant: str, shift: Fraction | None) -> RealizationCertificate:
+            variant: str, shift: Fraction | None, deep: bool) -> RealizationCertificate:
     # each part root hangs once, the construction root never: n vertices, n - 1 weights
     if blk.size != tree.n or builder.wn.count(0) != 1:
         raise RuntimeError("the final block does not cover the whole tree")
-    m = WeightedTreeMatrix.from_arrays(builder.rt, *builder.rows[2:6]).rerooted(tree)
+    m = WeightedTreeMatrix.from_arrays(builder.rt, builder.dn, builder.dd, builder.wn,
+                                       builder.wd).rerooted(tree)
     # the proof of every claim the certificate makes
     problems = verify_certificate(m, blk.spec)
     if problems:
         raise RuntimeError("; ".join(problems))
+    if deep:
+        _audit(builder, m)
     return RealizationCertificate(
         matrix=m, dspec=blk.spec, family=family, variant=variant,
         alpha=builder.frac(builder.alpha), beta=builder.frac(builder.beta),
@@ -517,10 +516,10 @@ def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
     cert = _whole_piece_cert(t, t.root)
     if cert is None or cert.height != k:
         raise ValueError("tree is not uniformly decomposable from its root")
-    builder = _Builder(t, t.root, lad.alpha, lad.beta, k, deep, shift)
+    builder = _Builder(t, t.root, lad.alpha, lad.beta, k, shift)
     anchor = Variant.LOW if variant in (Variant.LOW, Variant.LOW_SHIFT) else Variant.HIGH
     blk = builder.build(cert, anchor, 0 if shift is None else _grid(shift, builder.q), k)
-    return _finish(builder, blk, t, Family.UNIFORM, variant.value, shift)
+    return _finish(builder, blk, t, Family.UNIFORM, variant.value, shift, deep)
 
 
 def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
@@ -554,9 +553,9 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
             whole = PieceCert(low.root, big_k, (high,), low)
         variant = ("mixed" if an.family is Family.MIXED
                    else "short-core-odd" if d % 2 else "short-core-even")
-    builder = _Builder(t, whole.root, alpha, beta, big_k, deep)
+    builder = _Builder(t, whole.root, alpha, beta, big_k)
     blk = builder.build(whole, Variant.LOW, 0, k)
-    return _finish(builder, blk, t, an.family, variant, None)
+    return _finish(builder, blk, t, an.family, variant, None, deep)
 
 
 def realize_integral(t: RootedTree, alpha: Fraction,

@@ -130,7 +130,7 @@ def assert_matches_reference(m, x, root):
     vals = list(d.values())
     neg, zero = sum(q < 0 for q in vals), sum(q == 0 for q in vals)
     assert out.inertia == (neg, zero, len(vals) - neg - zero)
-    assert counts_at(rooted_at(m, root), -x) == counts_at(m, -x, root) == counts_at(m, -x)
+    assert counts_at(rooted_at(m, root), -x) == counts_at(m, -x)
     # the kernel's own pairs stay reduced with positive denominators
     pairs: dict = {}
     _run(rooted_at(m, root).rows, [(x.numerator, x.denominator)], [pairs])
@@ -843,9 +843,9 @@ def test_isolate_takes_no_estimates_above_the_vertex_bound(monkeypatch):
 def _counting(monkeypatch, module):
     seen = []
 
-    def spy(m, point, root=None):
+    def spy(m, point):
         seen.append(point)
-        return counts_at(m, point, root)
+        return counts_at(m, point)
 
     monkeypatch.setattr(module, "counts_at", spy)
     return seen
@@ -919,9 +919,9 @@ def test_parter_search_reads_the_multiplicity_from_its_one_run(monkeypatch):
     m, point = cert.matrix, next(v for v, mult in cert.dspec if mult >= 2)
     counted, real = [], locate.counts_at
 
-    def spy(mm, point, root=None):
+    def spy(mm, point):
         counted.append(mm.n)
-        return real(mm, point, root)
+        return real(mm, point)
 
     monkeypatch.setattr(locate, "counts_at", spy)
     with mock.patch.object(locate, "diagonalize", wraps=locate.diagonalize) as runs:

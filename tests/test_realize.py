@@ -20,6 +20,7 @@ from diminimal import (
     build_tree,
     ladder,
     main_roots,
+    make_matrix,
     realize_family,
     realize_integral,
     realize_variant,
@@ -29,6 +30,7 @@ from diminimal import (
     trace,
     verify_certificate,
 )
+from diminimal.matrices import Rows
 
 
 # ----------------------------------------------------------------- ladders
@@ -508,22 +510,33 @@ def sabotage_join(monkeypatch, at):
     monkeypatch.setattr(diminimal.realize, "_delta_squared", doubled)
 
 
+def audit_with(monkeypatch, mutate):
+    """Run the audit of deep mode after mutate(builder), which may change
+    what the build logged: the claims, or the pieces to probe."""
+    real = diminimal.realize._audit
+
+    def audit(builder, m):
+        mutate(builder)
+        real(builder, m)
+
+    monkeypatch.setattr(diminimal.realize, "_audit", audit)
+
+
 def first_probe(monkeypatch, fault):
     """Realize in deep mode with `_run` replaced by fault(real, rows,
-    points, pivots) from the first structural probe on, and record the
-    anchor and the ladder values of each probed piece."""
+    points, pivots) in the audit, and record the anchor and the ladder
+    values of the first piece it probes."""
     real, probed = diminimal.realize._run, []
-    real_probes = diminimal.realize._Builder._deep_checks
 
     def run(rows, points, pivots=None):
         return fault(real, rows, points, pivots) if probed else real(rows, points, pivots=pivots)
 
-    def probes(self, blk, anchor, forced, level):
-        probed.append((anchor, [self.frac(v) for v in self.ladders[level]]))
-        real_probes(self, blk, anchor, forced, level)
+    def first(builder):
+        _, anchor, _, level = builder.pieces[0]
+        probed.append((anchor, [builder.frac(v) for v in builder.ladders[level]]))
 
     monkeypatch.setattr(diminimal.realize, "_run", run)
-    monkeypatch.setattr(diminimal.realize._Builder, "_deep_checks", probes)
+    audit_with(monkeypatch, first)
     return probed
 
 
@@ -535,18 +548,20 @@ def first_interlacing_point(anchor, vals):
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_probe_off_the_forced_value_is_refused(monkeypatch, fam, d):
-    # the zero probes take the forced value from _plan: one grid step away
-    # from it the root keeps a nonzero value
-    real_probes, probed = diminimal.realize._Builder._deep_checks, []
+    # the zero probes take the forced value the build logged: one grid step
+    # away from it the root keeps a nonzero value
+    probed = []
 
-    def moved(self, blk, anchor, forced, level):
-        probed.append(self.frac(forced + 1))
-        real_probes(self, blk, anchor, forced + 1, level)
+    def moved(builder):
+        blk, anchor, forced, level = builder.pieces[0]
+        builder.pieces[0] = blk, anchor, forced + 1, level
+        probed.append((blk.root, builder.frac(forced + 1)))
 
-    monkeypatch.setattr(diminimal.realize._Builder, "_deep_checks", moved)
+    audit_with(monkeypatch, moved)
     with pytest.raises(RuntimeError, match=r"^block at \d+: no zero at the root at \S+$") as exc:
         realize_family(seed(fam, d), 0, 32, deep=True)
-    assert exc.value.args[0].endswith(f" at {probed[0]}") and len(probed) == 1
+    (root, at), = probed
+    assert exc.value.args[0] == f"block at {root}: no zero at the root at {at}"
 
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
@@ -579,15 +594,17 @@ def test_a_run_without_pairing_at_the_root_is_refused(monkeypatch, fam, d):
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_wrong_first_join_is_refused_by_the_block_check(monkeypatch, fam, d):
-    # deep mode checks a joined block twice: its structural probes right
-    # after the join, and its claims when the next join takes it in
+    # the audit checks a joined block twice: its claims where the next join
+    # takes it in, and its structural probes as a piece.  verify_certificate
+    # refuses the wrong matrix before the audit, so here it lets all through
+    monkeypatch.setattr(diminimal.realize, "verify_certificate", lambda m, dspec: [])
     sabotage_join(monkeypatch, 1)
-    with pytest.raises(RuntimeError, match=r"^block at \d+: no zero at the root "):
-        realize_family(seed(fam, d), 0, 32, deep=True)
-    monkeypatch.setattr(diminimal.realize._Builder, "_deep_checks", lambda *args: None)
-    sabotage_join(monkeypatch, 1)  # a fresh count of joins
     with pytest.raises(RuntimeError, match=r"^block at \d+: (claimed multiplicity "
                        r"|multiplicities sum to |\d+ eigenvalues (below|above) )"):
+        realize_family(seed(fam, d), 0, 32, deep=True)
+    audit_with(monkeypatch, lambda builder: builder.log.clear())
+    sabotage_join(monkeypatch, 1)  # a fresh count of joins
+    with pytest.raises(RuntimeError, match=r"^block at \d+: no zero at the root "):
         realize_family(seed(fam, d), 0, 32, deep=True)
 
 
@@ -665,25 +682,18 @@ def test_a_wrong_last_join_is_refused_by_finish(monkeypatch, fam, d):
 
 
 def join_runs(monkeypatch, fam, d, deep):
-    """Realize seed(fam, d) and record the exact runs of its joins and of
-    verify_certificate, as (sorted vertices, points), a run of the
-    matrix's quotient as all its vertices; the structural probes of deep
-    mode are left out."""
-    real, runs, probing = diminimal.realize._run, [], []
-    real_probes = diminimal.realize._Builder._deep_checks
+    """Realize seed(fam, d) and record the exact runs of verify_certificate
+    and of the audit's checks of the blocks joins took in, as (sorted
+    vertices, points), a run of the matrix's quotient as all its vertices;
+    the audit's structural probes of the pieces are left out."""
+    real, runs = diminimal.realize._run, []
 
     def spy(rows, points, **kwargs):
-        if not probing:
-            runs.append((rows, list(points)))
+        runs.append((rows, list(points)))
         return real(rows, points, **kwargs)
 
-    def probes(*args):
-        probing.append(True)
-        real_probes(*args)
-        probing.pop()
-
     monkeypatch.setattr(diminimal.realize, "_run", spy)
-    monkeypatch.setattr(diminimal.realize._Builder, "_deep_checks", probes)
+    audit_with(monkeypatch, lambda builder: builder.pieces.clear())
     c = realize_family(seed(fam, d), 0, 32, deep=deep)
     return c, [(tuple(range(c.matrix.n)) if rows is c.matrix.quotient
                 else tuple(sorted(rows.order)), points) for rows, points in runs]
@@ -700,17 +710,16 @@ def test_each_joined_block_but_the_last_is_checked_once(monkeypatch, fam, d):
     joined = [tuple(sorted(rec.core_vertices + sum((v for _, v, _ in rec.parts), ())))
               for rec in c.assemblies]
     assert joined[-1] == tuple(range(c.matrix.n))
-    checked = [v for v, _ in runs[:-1] if len(v) > 1]
+    checked = [v for v, _ in runs[1:] if len(v) > 1]
     assert sorted(checked) == sorted(joined[:-1])
 
-    # in deep mode each join runs every block it consumes once, at the
-    # block's claimed values and the pin point; verify_certificate runs the
-    # whole tree once
-    want = []
+    # verify_certificate runs the whole tree once; then the audit runs every
+    # block a join took in once, at the block's claimed values and the pin
+    # point, in the order of the joins
+    want = [(tuple(range(c.matrix.n)), points(c.dspec))]
     for rec in c.assemblies:
         want.append((rec.core_vertices, points(rec.core_pred, rec.y)))
         want += [(v, points(spec, rec.y)) for _, v, spec in rec.parts]
-    want.append((tuple(range(c.matrix.n)), points(c.dspec)))
     assert runs == want
 
 
@@ -752,18 +761,22 @@ def closed_form_cases():
 
 
 def test_the_closed_form_root_value_equals_the_kernel(monkeypatch):
-    real, seen = diminimal.realize._Builder._root_value, []
+    # in place of the audit: each logged closed form against one kernel run
+    # of its block in the finished matrix, at the pin point
+    seen = []
 
-    def both(self, blk, y, side):
-        num, den = real(self, blk, y, side)
-        (_, _, top), = diminimal.realize._run(self._rows(blk.order), [(-y, self.q)])
-        seen.append((F(num, den), F(*top)))
-        return num, den
+    def both(builder, m):
+        tail = m.rerooted(builder.rt).rows[1:]
+        for blk, y, *_, dc, dp in builder.log:
+            for block, value in zip((blk.core, *blk.parts), (dc, *dp)):
+                (_, _, top), = diminimal.realize._run(Rows(block.order, *tail),
+                                                      [(-y, builder.q)])
+                seen.append((F(*value), F(*top)))
 
-    monkeypatch.setattr(diminimal.realize._Builder, "_root_value", both)
+    monkeypatch.setattr(diminimal.realize, "_audit", both)
     joins = 0
     for t in closed_form_cases():
-        joins += len(realize_family(t, 0, 32).assemblies)
+        joins += len(realize_family(t, 0, 32, deep=True).assemblies)
     assert len(seen) > joins > 1000
     assert all(closed == kernel for closed, kernel in seen)
 
@@ -792,17 +805,43 @@ def move_one_net_value(monkeypatch):
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_wrong_root_value_is_refused(monkeypatch, fam, d):
-    # deep mode compares each closed form with the kernel at the pin point;
-    # by default the wrong weight it gives is refused by the certificate
+    # a wrong closed form gives a wrong weight, which the certificate
+    # refuses; the audit compares each logged closed form with the kernel at
+    # the pin point, so it refuses a wrong value logged for a right matrix
     moved = move_one_net_value(monkeypatch)
-    with pytest.raises(RuntimeError, match=r"^block at \d+: root value \S+ at the pin "
-                                           r"point, \S+ from the claims$"):
-        realize_family(seed(fam, d), 0, 32, deep=True)
-    assert moved
-    moved.clear()
     with pytest.raises(RuntimeError):
         realize_family(seed(fam, d), 0, 32)
     assert moved
+    monkeypatch.undo()
+    logged = []
+
+    def one_more(builder):
+        blk, *rest, dc, dp = builder.log[0]
+        builder.log[0] = (blk, *rest, (dc[0] + dc[1], dc[1]), dp)
+        logged.append((blk.root, F(*dc), F(*dc) + 1))
+
+    audit_with(monkeypatch, one_more)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: root value \S+ at the pin "
+                                           r"point, \S+ from the claims$") as exc:
+        realize_family(seed(fam, d), 0, 32, deep=True)
+    (root, kernel, claimed), = logged
+    assert exc.value.args[0] == (f"block at {root}: root value {kernel} at the pin point, "
+                                 f"{claimed} from the claims")
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_a_logged_pin_point_inside_a_block_spectrum_is_refused(monkeypatch, fam, d):
+    # the first join logged with its core's claimed value as the pin point:
+    # the audit's kernel run counts a zero there, so it is not beyond
+    def inside(builder):
+        blk, _, side, *rest = builder.log[0]
+        (lam,) = blk.core.pred
+        builder.log[0] = (blk, lam, side, *rest)
+
+    audit_with(monkeypatch, inside)
+    with pytest.raises(RuntimeError, match=r"^block at \d+: pin point \S+ is not strictly "
+                                           r"(above|below) its spectrum$"):
+        realize_family(seed(fam, d), 0, 32, deep=True)
 
 
 def test_a_weight_that_is_not_positive_is_refused(monkeypatch):
@@ -909,7 +948,7 @@ def test_a_ladder_that_is_not_strictly_increasing_is_refused(span, k, level):
 def test_a_piece_built_at_a_wrong_height_is_refused(level):
     t = seed(Family.UNIFORM, 5)
     cert = diminimal.realize._whole_piece_cert(t, t.root)
-    b = diminimal.realize._Builder(t, t.root, F(0), F(32), 3, False)
+    b = diminimal.realize._Builder(t, t.root, F(0), F(32), 3)
     with pytest.raises(ValueError, match=f"^piece at {t.root} has height 3, "
                                          f"expected {level} to {level + 2}$"):
         b.build(cert, Variant.LOW, 0, level)
@@ -918,7 +957,7 @@ def test_a_piece_built_at_a_wrong_height_is_refused(level):
 def bare_builder(monkeypatch, root_value=(-1, 1)):
     """A builder over the path 1 - 0 - 2 rooted at 0, its grid the integers,
     whose blocks all have `root_value` at every pin point."""
-    b = diminimal.realize._Builder(build_tree([(0, 1), (0, 2)], 0), 0, F(0), F(32), 1, False)
+    b = diminimal.realize._Builder(build_tree([(0, 1), (0, 2)], 0), 0, F(0), F(32), 1)
     monkeypatch.setattr(b, "_root_value", lambda blk, y, side: root_value)
     return b
 
@@ -949,6 +988,15 @@ def test_a_join_of_a_lone_vertex_is_refused(monkeypatch):
         b.join_blocks(leaf(b, 0, 5), [], 40, "max", expect_forced=-30)
 
 
+def test_a_join_without_parts_is_refused(monkeypatch):
+    # with no parts the solved squared weight has a zero denominator; the
+    # refusal names the pair instead of dividing by it
+    b = bare_builder(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^block at 0: solved squared weight -1/0 "
+                                           r"is not positive$"):
+        b.join_blocks(leaf(b, 0, 5), [], 40, "max", expect_forced=-30)
+
+
 def test_a_merged_value_that_escapes_the_pin_point_is_refused(monkeypatch):
     # a pin point 5 inside the claims 0, 10, 20: 0 and 20 merge inward and
     # force 15, and the 10 left over lies outside (15, 5)
@@ -959,15 +1007,17 @@ def test_a_merged_value_that_escapes_the_pin_point_is_refused(monkeypatch):
 
 
 def test_a_block_that_is_not_root_and_whole_subtrees_is_refused(monkeypatch):
-    # the block {0, 1} of the path 0 - 1 - 2 leaves out 1's child 2; every
+    # the piece {0, 1} of the path 0 - 1 - 2 leaves out 1's child 2; every
     # run reports a zero at the root, so the zero probes pass
     monkeypatch.setattr(diminimal.realize, "_run",
                         lambda rows, points, pivots=None: [(0, 0, (0, 1))] * len(points))
-    b = diminimal.realize._Builder(build_tree([(0, 1), (1, 2)], 0), 0, F(0), F(32), 1, False)
+    t = build_tree([(0, 1), (1, 2)], 0)
+    b = diminimal.realize._Builder(t, 0, F(0), F(32), 1)
     blk = diminimal.realize._Block(0, 2, {0: 1, 32: 1}, None, b.q, leaf(b, 0, 32), (leaf(b, 1, 0),))
+    b.pieces.append((blk, Variant.LOW, -32, 1))
     with pytest.raises(RuntimeError, match="^block at 0 is not its root and whole "
                                            "subtrees of its children$"):
-        b._deep_checks(blk, Variant.LOW, -32, 1)
+        diminimal.realize._audit(b, make_matrix(t, [0, 0, 0], {(0, 1): 1, (1, 2): 1}))
 
 
 def test_an_integral_realization_with_a_fractional_eigenvalue_is_refused(monkeypatch):
