@@ -513,9 +513,9 @@ def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
         if shift >= lad.step(k - 1):
             raise ValueError(f"shift {shift} too large at level {k}; "
                              f"must stay below {lad.step(k - 1)}")
-    cert = _whole_piece_cert(t, t.root)
-    if cert is None or cert.height != k:
+    if _family_analysis(t).family is not Family.UNIFORM:
         raise ValueError("tree is not uniformly decomposable from its root")
+    cert = _whole_piece_cert(t, t.root)
     builder = _Builder(t, t.root, lad.alpha, lad.beta, k, shift)
     anchor = Variant.LOW if variant in (Variant.LOW, Variant.LOW_SHIFT) else Variant.HIGH
     blk = builder.build(cert, anchor, 0 if shift is None else _grid(shift, builder.q), k)
@@ -539,20 +539,18 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
         raise ValueError("need at least one edge to realize")
     big_k = (d + 1) // 2
     if an.family is Family.UNIFORM:
-        whole, k, variant = an.whole, big_k, Variant.LOW.value
+        k, variant = big_k, Variant.LOW.value
     elif d < 6:
         raise ValueError(f"no construction is defined for {an.family.value} "
                          f"trees of diameter {d} (need >= 6)")
     else:
-        # the whole of an even short-core tree is one LOW half; odd halves
-        # are joined across the central edge, a short-core one as the LOW
-        # half (stable sort: short-core first)
-        whole, k = an.whole, d // 2 - 1
-        if d % 2:
-            low, high = sorted(an.sides, key=_uniform)
-            whole = PieceCert(low.root, big_k, (high,), low)
+        # the whole of an even short-core tree is one LOW half
+        k = d // 2 - 1
         variant = ("mixed" if an.family is Family.MIXED
                    else "short-core-odd" if d % 2 else "short-core-even")
+    # odd d: the half at this root is the core of the central join, the LOW
+    # half; min is stable, so it is a short-core half if there is one
+    whole = _whole_piece_cert(t, min(an.pieces, key=_uniform).root)
     builder = _Builder(t, whole.root, alpha, beta, big_k)
     blk = builder.build(whole, Variant.LOW, 0, k)
     return _finish(builder, blk, t, an.family, variant, None, deep)

@@ -14,7 +14,8 @@ this module provides:
   * ``seed``: the base trees of the three supported families, each one or
     two halves made of smallest uniform pieces, and
   * ``recognize_family``: a certificate-producing recognizer that decides
-    which family (if any) an arbitrary tree belongs to.
+    which family (if any) an arbitrary tree belongs to by the pieces at its
+    centre, which ``_whole_piece_cert`` joins into the builder's one piece.
 """
 
 from __future__ import annotations
@@ -440,16 +441,15 @@ def _piece(t: RootedTree, v: int, cap: int | None = None) -> PieceCert | None:
 class _FamilyAnalysis:
     """Structured recognizer output shared with the realization engine.
 
-    `whole` certifies the split at the centre for every supported tree of
-    even diameter (the core is one level short for SHORT_CORE) and, for
-    uniform trees of odd diameter, the entire tree as one piece rooted at
-    the smaller central-edge endpoint.  Odd diameter: `sides` certifies the
-    halves rooted at the two endpoints, smaller id first.
+    `pieces` holds the decomposition at the centre of every supported tree:
+    for even diameter the piece at the central vertex (its core one level
+    short for SHORT_CORE), for odd diameter the two halves rooted at the
+    endpoints of the central edge, smaller id first.  `_whole_piece_cert`
+    joins them into the one piece the builder takes.
     """
 
     family: Family
-    sides: tuple[PieceCert, ...] = ()
-    whole: PieceCert | None = None
+    pieces: tuple[PieceCert, ...] = ()
 
 
 def _min_family_size(d: int) -> int:
@@ -480,23 +480,18 @@ def _analyze_family(t: RootedTree) -> _FamilyAnalysis:
         if whole is None:
             return _FamilyAnalysis(Family.UNSUPPORTED)
         fam = Family.UNIFORM if _uniform(whole) else Family.SHORT_CORE
-        return _FamilyAnalysis(fam, whole=whole)
+        return _FamilyAnalysis(fam, (whole,))
     u, v = main_roots(t)
     rt = reroot(t, u)
     b = _piece(rt, v)
     # side A is everything except v's subtree; with the tree rooted at u the
     # branch toward v is the unique tallest one, so capping at the side
     # height picks out exactly side A
-    h_side = (d - 1) // 2
-    a = _piece(rt, u, h_side - 1)
+    a = _piece(rt, u, (d - 1) // 2 - 1)
     if a is None or b is None:
         return _FamilyAnalysis(Family.UNSUPPORTED)
-    if _uniform(a) and _uniform(b):
-        # the whole tree is one uniform piece when rooted at either endpoint;
-        # seen from u, side B is the unique tallest branch and side A is the
-        # core formed by u and everything shorter
-        return _FamilyAnalysis(Family.UNIFORM, (a, b), PieceCert(u, h_side + 1, (b,), a))
-    fam = Family.MIXED if _uniform(a) or _uniform(b) else Family.SHORT_CORE
+    fam = (Family.UNIFORM if _uniform(a) and _uniform(b)
+           else Family.MIXED if _uniform(a) or _uniform(b) else Family.SHORT_CORE)
     return _FamilyAnalysis(fam, (a, b))
 
 
@@ -512,24 +507,26 @@ def recognize_family(t: RootedTree) -> FamilyTag:
     if d % 2 == 0:
         cert["main_root"] = main_roots(t)[0]
         if fam is not Family.UNSUPPORTED:
-            cert["piece"] = an.whole.to_json()
+            cert["piece"] = an.pieces[0].to_json()
         return FamilyTag(fam, d, cert)
     cert["main_edge"] = list(main_roots(t))
     if fam is not Family.UNSUPPORTED:
         cert["sides"] = [{"root": pc.root, "kind": "uniform" if _uniform(pc) else "short_core",
-                          "piece": pc.to_json()} for pc in an.sides]
+                          "piece": pc.to_json()} for pc in an.pieces]
     return FamilyTag(fam, d, cert)
 
 
-def _whole_piece_cert(t: RootedTree, at_root: int) -> PieceCert | None:
-    """Certificate that the whole tree, rooted at at_root, is one uniform
-    piece.  Used by the variant builders, which accept any central rooting."""
-    rt = reroot(t, at_root)
-    # a uniform piece of height L has at least 2**L vertices
-    if t.n < 1 << rt.height_below[at_root]:
-        return None
-    pc = _piece(rt, at_root)
-    return pc if pc is not None and _uniform(pc) else None
+def _whole_piece_cert(t: RootedTree, r: int) -> PieceCert | None:
+    """The whole tree as one piece rooted at its central vertex r, read
+    from the cached analysis; None outside the families.  Even diameter:
+    the piece at the centre.  Odd diameter: the central join, the half at
+    r as core and the other half as its one part, which for a uniform tree
+    is the piece the recognizer would certify from r."""
+    pieces = _family_analysis(t).pieces
+    if len(pieces) < 2:
+        return pieces[0] if pieces else None
+    own, other = pieces if pieces[0].root == r else pieces[::-1]
+    return PieceCert(r, own.height + 1, (other,), own)
 
 
 # ---------------------------------------------------------------------------

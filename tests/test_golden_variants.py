@@ -5,9 +5,11 @@ and `realize_integral`, which never ask for a shifted variant.  This test
 hashes every certificate, constructed matrix and assembly log of
 `realize_variant` in all four shapes over the uniform seeds of diameter 1
 to 9 and one seeded random unfolding of each, with and without the deep
-checks.  The anchors (-7/3, 2/5) are not dyadic and the shifts, 1/3 and
-5/7 of the top ladder step, have odd denominators, so the builder's
-arithmetic meets denominators from every source at once.
+checks.  A second digest pins the odd ones among those trees rerooted at
+the larger-id endpoint of the central edge, the other central root
+`realize_variant` accepts.  The anchors (-7/3, 2/5) are not dyadic and the
+shifts, 1/3 and 5/7 of the top ladder step, have odd denominators, so the
+builder's arithmetic meets denominators from every source at once.
 """
 
 import hashlib
@@ -18,10 +20,12 @@ from fractions import Fraction
 
 from helpers import random_unfolding
 
-from diminimal import Family, Variant, ladder, matrix_to_json, realize_variant, seed
+from diminimal import (Family, Variant, ladder, main_roots, matrix_to_json,
+                       realize_variant, reroot, seed)
 from diminimal.matrices import format_rational
 
 GOLDEN = "684d7a9b861b973672a00fe45041230b5c02b7287e1ea6c98f5b996d73e0f4d9"
+GOLDEN_OTHER_ENDPOINT = "a95931773fe807e2bf2a6f9d59ea0102ff8459da6662ecf661173316c1dd06b5"
 
 ALPHA, BETA = Fraction(-7, 3), Fraction(2, 5)
 
@@ -53,12 +57,22 @@ def variant_records(t, d):
     return {"tree": [t.root, list(t.parent)], "runs": out}
 
 
-def variant_digest():
-    records = [variant_records(t, d) for d, t in variant_trees()]
+def other_endpoint_trees():
+    for d, t in variant_trees():
+        if d % 2:
+            yield d, reroot(t, main_roots(t)[1])
+
+
+def variant_digest(trees):
+    records = [variant_records(t, d) for d, t in trees]
     text = json.dumps(records, sort_keys=True, separators=(",", ":"),
                       default=format_rational)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_variant_construction_output_is_unchanged():
-    assert variant_digest() == GOLDEN
+    assert variant_digest(variant_trees()) == GOLDEN
+
+
+def test_variant_output_at_the_other_endpoint_is_unchanged():
+    assert variant_digest(other_endpoint_trees()) == GOLDEN_OTHER_ENDPOINT

@@ -18,6 +18,7 @@ from diminimal import (
     Family,
     Variant,
     build_tree,
+    diameter,
     ladder,
     main_roots,
     make_matrix,
@@ -173,10 +174,28 @@ def test_variant_requires_matching_ladder_level():
         realize_variant(t, ladder(0, 32, 3), Variant.LOW)
 
 
+NOT_UNIFORM = "^tree is not uniformly decomposable from its root$"
+
+
 def test_variant_rejects_non_uniform_tree():
     p5 = build_tree([(0, 1), (1, 2), (2, 3), (3, 4)], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=NOT_UNIFORM):
         realize_variant(p5, ladder(0, 32, 2), Variant.LOW)
+
+
+@pytest.mark.parametrize("fam, d", [(Family.SHORT_CORE, 8), (Family.SHORT_CORE, 9),
+                                    (Family.MIXED, 9)])
+def test_variant_rejects_short_core_and_mixed_trees_at_every_central_root(fam, d):
+    # each central root has a whole-piece certificate, a short-core one, so
+    # the family check is the only refusal
+    t = seed(fam, d)
+    for r in main_roots(t):
+        tr = reroot(t, r)
+        assert diminimal.realize._whole_piece_cert(tr, r) is not None
+        for variant in Variant:
+            shift = None if variant in (Variant.LOW, Variant.HIGH) else F(1)
+            with pytest.raises(ValueError, match=NOT_UNIFORM):
+                realize_variant(tr, ladder(0, 32, (d + 1) // 2), variant, shift)
 
 
 def test_a_variant_of_one_vertex_is_refused():
@@ -204,16 +223,32 @@ def test_family_keeps_caller_labels():
     assert c.matrix.tree.parent == t.parent
 
 
-def test_family_builds_uniform_trees_from_one_recognition(monkeypatch):
-    def second_recognition(*args):
-        raise RuntimeError("uniform trees must not be recognized twice")
+def test_realize_entries_read_one_recognition(monkeypatch):
+    # once a tree's analysis is cached, no public realize entry certifies a
+    # piece again: each reads its certificate through _whole_piece_cert
+    real_piece, calls = diminimal.trees._piece, []
 
-    monkeypatch.setattr(diminimal.realize, "_whole_piece_cert", second_recognition)
+    def piece(t, v, cap=None):
+        calls.append(v)
+        return real_piece(t, v, cap)
+
+    monkeypatch.setattr(diminimal.trees, "_piece", piece)
+    trees = [seed(fam, d) for fam, d in ONE_PER_PATH]
     for d in range(1, 12):
-        t = seed(Family.UNIFORM, d)
-        c = realize_family(reroot(t, t.n - 1), 0, 32)
-        assert c.distinct_values == d + 1
-        assert verify_certificate(c.matrix, c.dspec) == []
+        s = seed(Family.UNIFORM, d)
+        trees += [reroot(s, r) for r in main_roots(s)] + [reroot(s, s.n - 1)]
+    for t in trees:
+        d = diameter(t)
+        recognize_family(t)
+        assert calls, "the recognizer certifies its pieces through _piece"
+        calls.clear()
+        certs = [realize_family(t, 0, 32), realize_integral(t, 0)]
+        if t.root in main_roots(t) and recognize_family(t).family is Family.UNIFORM:
+            certs.append(realize_variant(t, ladder(0, 32, (d + 1) // 2), Variant.HIGH))
+        assert calls == [], (t.root, t.parent)
+        for c in certs:
+            assert c.distinct_values == d + 1
+            assert verify_certificate(c.matrix, c.dspec) == []
 
 
 def test_family_short_core_even():

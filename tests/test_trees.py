@@ -24,7 +24,7 @@ from diminimal import (
     tree_to_json,
 )
 import diminimal.trees
-from diminimal.trees import (MAX_VERTICES, _family_analysis, _min_family_size,
+from diminimal.trees import (MAX_VERTICES, _family_analysis, _min_family_size, _piece,
                              _seed_halves, _whole_piece_cert)
 
 
@@ -400,13 +400,15 @@ def test_seeds_beyond_the_golden_set_are_pinned_and_certified_by_their_halves():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "0a448fa36b202d8aa43e97e557cf69ed19cf1004921700cb7c45e0a2316b8dff")
     # the recognizer certifies each half with the heights it was built from:
-    # `whole` for a one-half seed, `sides` for a two-half one
+    # the whole tree from its root for a one-half seed, the analysis's
+    # halves for a two-half one
     for fam, lo, step in ((Family.UNIFORM, 1, 1), (Family.SHORT_CORE, 4, 1),
                           (Family.MIXED, 5, 2)):
         for d in range(lo, 16, step):
             halves = _seed_halves(fam, d)
-            an = _family_analysis(seed(fam, d))
-            certs = (an.whole,) if len(halves) == 1 else an.sides
+            s = seed(fam, d)
+            certs = ((_whole_piece_cert(s, s.root),) if len(halves) == 1
+                     else _family_analysis(s).pieces)
             got = tuple((pc.core.height, tuple(p.height for p in pc.parts)) for pc in certs)
             assert got == halves, (fam, d)
 
@@ -540,19 +542,17 @@ def test_recognize_deep_trees_without_recursing(make, n):
 
 
 def test_analysis_certifies_uniform_trees_as_one_whole_piece():
-    # realize_family builds a uniform tree from this certificate alone, with
-    # no second recognition through _whole_piece_cert
+    # the central join of the cached analysis is the piece a second
+    # recognition from either central root would certify
     rng = random.Random(55)
     for d in range(14):
         s = seed(Family.UNIFORM, d) if d else build_tree([], 0)
         for t in (s, random_unfolding(s, rng, 3, cap=120)):
             off = [v for v in range(t.n) if v not in main_roots(t)]
-            for r in [t.root] + off[:1]:
-                tr = reroot(t, r)
-                an = _family_analysis(tr)
-                assert an.family is Family.UNIFORM
-                assert an.whole is not None
-                assert an.whole == _whole_piece_cert(tr, main_roots(tr)[0])
+            for tr in [reroot(t, r) for r in [t.root] + off[:1]]:
+                assert _family_analysis(tr).family is Family.UNIFORM
+                for r in main_roots(tr):
+                    assert _whole_piece_cert(tr, r) == _piece(reroot(tr, r), r)
 
 
 # ----------------------------------------------------------- serialization
