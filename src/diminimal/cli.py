@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .locate import counts_at, isolate_eigenvalues
+from .locate import CountsAt, counts_at, isolate_eigenvalues
 from .matrices import (format_rational, matrix_from_json, matrix_to_dot,
                        matrix_to_json, parse_rational)
 from .oracle import OracleError, compare_counts
@@ -169,8 +169,13 @@ def cmd_verify(args) -> int:
         raise CliError(f"malformed certificate: {exc}") from exc
     problems = verify_certificate(m, dspec)
     if args.cross_check:
-        for lam, _ in dspec:
-            rep = compare_counts(m, lam)
+        # a verified dspec gives the exact counts at its values; a refused
+        # one is counted afresh
+        below = 0
+        for lam, mult in dspec:
+            exact = None if problems else CountsAt(below, mult, m.n - below - mult)
+            below += mult
+            rep = compare_counts(m, lam, exact)
             if rep.conclusive and not rep.agree:
                 problems.append(f"float oracle disagrees at {format_rational(lam)}: "
                                 f"exact {rep.exact}, approx {rep.approx}")

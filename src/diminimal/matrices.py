@@ -24,14 +24,17 @@ from .trees import RootedTree, build_tree, json_int, reroot, tree_from_json, tre
 
 def _ratio(text: str | int | Fraction) -> tuple[int, int]:
     """`parse_rational` as a reduced (num, den) int pair, den > 0."""
-    if isinstance(text, bool):
-        raise ValueError("booleans are not rationals")
-    if isinstance(text, (int, Fraction)):
-        return text.numerator, text.denominator
-    if not isinstance(text, str):
-        raise ValueError(f"not a rational: {text!r}")
+    if type(text) is not str:  # a str, as JSON gives, goes straight on
+        if isinstance(text, bool):
+            raise ValueError("booleans are not rationals")
+        if isinstance(text, (int, Fraction)):
+            return text.numerator, text.denominator
+        if not isinstance(text, str):
+            raise ValueError(f"not a rational: {text!r}")
     num, slash, den = text.strip().partition("/")
-    num, den = int(num), int(den) if slash else 1
+    if not slash:
+        return int(num), 1
+    num, den = int(num), int(den)
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
@@ -49,9 +52,12 @@ def parse_rational(text: str | int) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Inverse of parse_rational: "p/q", or "p" when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _pair_text(q.numerator, q.denominator)
+
+
+def _pair_text(p: int, q: int) -> str:
+    """`format_rational` of the reduced pair p/q, q > 0."""
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 class Rows(NamedTuple):
@@ -137,8 +143,7 @@ class WeightedTreeMatrix:
         if min(dd) <= 0 or min(wd) <= 0:
             raise ValueError("denominators must be positive")
         if min(wn[:r] + wn[r + 1:], default=1) <= 0:
-            w = next(Fraction(wn[c], wd[c]) for c in (v if tree.parent[v] == u else u
-                                                       for u, v in tree.edges) if wn[c] <= 0)
+            w = next(Fraction(wn[c], wd[c]) for c in _edge_children(tree) if wn[c] <= 0)
             raise ValueError(f"squared edge weight must be positive, got {w}")
         m = cls.__new__(cls)
         m.__dict__.update(tree=tree, rows=Rows(tree.order, tree.parent, tuple(dn), tuple(dd),
@@ -155,9 +160,8 @@ class WeightedTreeMatrix:
 
     @cached_property
     def sq_edge(self) -> tuple[Fraction, ...]:
-        a, parent = self.rows, self.tree.parent
-        return tuple(Fraction(a.wn[c], a.wd[c]) for c in (v if parent[v] == u else u
-                                                          for u, v in self.tree.edges))
+        a = self.rows
+        return tuple(Fraction(a.wn[c], a.wd[c]) for c in _edge_children(self.tree))
 
     def rerooted(self, tree: RootedTree) -> WeightedTreeMatrix:
         """This matrix on `tree`, its tree rooted elsewhere: the weights on the
@@ -221,11 +225,28 @@ class WeightedTreeMatrix:
         return FloatBounds(*_enclose_all(a.dn, a.dd), *_enclose_all(a.wn, a.wd))
 
     @cached_property
+    def float_scale(self) -> float:
+        """max(1, n times the largest |diagonal entry| or weight) in floats,
+        cached: the scale of the band of `oracle.compare_counts`.  Int true
+        division is correctly rounded, as float(Fraction) is, and raises
+        OverflowError when an entry is beyond the float range."""
+        a = self.rows
+        top = max(max(map(abs, map(truediv, a.dn, a.dd))),
+                  math.sqrt(max(map(truediv, a.wn, a.wd))))  # the root's 0/1 adds 0
+        return max(1.0, top * self.n)
+
+    @cached_property
     def float_spectrum(self):
         """`oracle.dense_eigenvalues(to_dense_float(self))`, cached; an error and
         the n*n floats are not.  Read by `compare_counts` and isolation."""
         from . import oracle  # oracle imports this module
         return oracle.dense_eigenvalues(oracle.to_dense_float(self))
+
+
+def _edge_children(tree: RootedTree) -> list[int]:
+    """The child end of each edge of tree.edges, where its weight is kept."""
+    parent = tree.parent
+    return [v if parent[v] == u else u for u, v in tree.edges]
 
 
 def make_matrix(tree: RootedTree, diag: Sequence[Fraction | int | str],
@@ -284,15 +305,15 @@ def delete_vertex(m: WeightedTreeMatrix, v: int) -> list[WeightedTreeMatrix]:
 
 def to_dense_float(m: WeightedTreeMatrix) -> np.ndarray:
     """Float expansion: diagonal as-is, off-diagonals +sqrt of the stored
-    squared weights.  Its spectrum is a witness or an estimate, never a count."""
-    a = np.zeros((m.n, m.n), dtype=float)
-    for i, q in enumerate(m.diag):
-        a[i, i] = float(q)
-    for (u, v), w in zip(m.tree.edges, m.sq_edge):
-        x = math.sqrt(float(w))
-        a[u, v] = x
-        a[v, u] = x
-    return a
+    squared weights, each entry rounded once from its int pair.  Its
+    spectrum is a witness or an estimate, never a count."""
+    a, n = m.rows, m.n
+    out = np.zeros((n, n), dtype=float)
+    out.flat[::n + 1] = list(map(truediv, a.dn, a.dd))
+    kids = np.array(a.order[:-1], dtype=np.intp)
+    ups = np.array([a.parent[c] for c in a.order[:-1]], dtype=np.intp)
+    out[kids, ups] = out[ups, kids] = [math.sqrt(a.wn[c] / a.wd[c]) for c in a.order[:-1]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,42 +321,70 @@ def to_dense_float(m: WeightedTreeMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(m: WeightedTreeMatrix) -> dict:
+    a = m.rows
     return {
         "tree": tree_to_json(m.tree),
-        "diag": [format_rational(q) for q in m.diag],
+        "diag": list(map(_pair_text, a.dn, a.dd)),
         "sq_edge": [
-            {"u": u, "v": v, "w2": format_rational(w)}
-            for (u, v), w in zip(m.tree.edges, m.sq_edge)
+            {"u": u, "v": v, "w2": _pair_text(a.wn[c], a.wd[c])}
+            for (u, v), c in zip(m.tree.edges, _edge_children(m.tree))
         ],
     }
 
 
 def matrix_from_json(obj: dict) -> WeightedTreeMatrix:
+    """The matrix of a `matrix_to_json` object.  Each sq_edge entry's weight
+    goes straight to the child end of its edge; an entry whose ends are not
+    a tree edge is kept aside, to be reported after the missing ones."""
     try:
         tree = tree_from_json(obj["tree"])
-        if not isinstance(obj["diag"], list):
-            raise TypeError(f"diag is not a JSON array: {obj['diag']!r}")
-        sq = {}
+        diag = obj["diag"]
+        if not isinstance(diag, list):
+            raise TypeError(f"diag is not a JSON array: {diag!r}")
+        n, parent = tree.n, tree.parent
+        at, w2, seen, other = [], [], [False] * n, set()
         for e in obj["sq_edge"]:
             u, v = json_int(e["u"]), json_int(e["v"])
-            if (u, v) in sq or (v, u) in sq:
+            c = -1  # the child end of a tree edge, else -1
+            if 0 <= u < n and 0 <= v < n:
+                c = v if parent[v] == u else u if parent[u] == v else -1
+            if c >= 0 and not seen[c]:
+                seen[c] = True
+            elif c < 0 and (pair := (min(u, v), max(u, v))) not in other:
+                other.add(pair)
+            else:
                 raise ValueError(f"edge ({u}, {v}) is listed twice in sq_edge")
-            sq[(u, v)] = e["w2"]
+            at.append(c)
+            w2.append(e["w2"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    return make_matrix(tree, obj["diag"], sq)
+    dn, dd = zip(*map(_ratio, diag)) if diag else ((), ())
+    wn, wd = [0] * n, [1] * n
+    for c, w in zip(at, map(_ratio, w2)):
+        if c >= 0:
+            wn[c], wd[c] = w
+    if seen.count(False) > 1:  # the root's is always False
+        u, v = next(e for e, c in zip(tree.edges, _edge_children(tree)) if not seen[c])
+        raise ValueError(f"missing squared weight for edge ({u}, {v})")
+    if other:
+        raise ValueError("squared-weight mapping mentions edges not in the tree")
+    if len(dn) != n:
+        raise ValueError("diag length does not match vertex count")
+    return WeightedTreeMatrix.from_arrays(tree, dn, dd, wn, wd)
 
 
 def matrix_to_dot(m: WeightedTreeMatrix) -> str:
+    a = m.rows
     lines = ["graph matrix {"]
     for v in range(m.n):
         shape = ", shape=box" if v == m.tree.root else ""
-        lines.append(f'  {v} [label="{v}: {format_rational(m.diag[v])}"{shape}];')
-    for (u, v), w in zip(m.tree.edges, m.sq_edge):
+        lines.append(f'  {v} [label="{v}: {_pair_text(a.dn[v], a.dd[v])}"{shape}];')
+    for (u, v), c in zip(m.tree.edges, _edge_children(m.tree)):
+        p, q = a.wn[c], a.wd[c]
         try:
-            note = f"  // weight ~ {math.sqrt(float(w)):.6g}"
+            note = f"  // weight ~ {math.sqrt(p / q):.6g}"
         except OverflowError:
             note = ""  # the exact label stands alone when w2 exceeds floats
-        lines.append(f'  {u} -- {v} [label="w2={format_rational(w)}"];{note}')
+        lines.append(f'  {u} -- {v} [label="w2={_pair_text(p, q)}"];{note}')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,13 +11,12 @@ agreement is an independent witness, never a proof.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .locate import counts_at
+from .locate import CountsAt, counts_at
 from .matrices import WeightedTreeMatrix, to_dense_float  # noqa: F401, float_spectrum calls it
 
 # relative float tolerance of compare_counts: its band is 10 * _TOL * scale
@@ -79,22 +78,25 @@ class AgreementReport:
     band: float
 
 
-def compare_counts(m: WeightedTreeMatrix, point: Fraction) -> AgreementReport:
+def compare_counts(m: WeightedTreeMatrix, point: Fraction,
+                   exact: CountsAt | None = None) -> AgreementReport:
     """Compare exact below/equal/above counts at `point` with counts derived
-    from the float oracle.
+    from the float oracle.  `exact` is the exact counts when the caller has
+    already proved them (as a verified certificate does); else they are
+    computed here by `counts_at`.
 
-    Floats within `band` = 10*_TOL*scale of the point count as equal; floats
-    between one and ten bands away are deemed too close to call and the
-    report comes back inconclusive.  Raises OracleError when the matrix or
-    the point does not fit in floats, or the dense float copy does not fit
-    in memory, since no float verdict exists then.
+    Floats within `band` = 10*_TOL*scale of the point count as equal, where
+    scale is `m.float_scale`; floats between one and ten bands away are
+    deemed too close to call and the report comes back inconclusive.
+    Raises OracleError when the matrix or the point does not fit in floats,
+    or the dense float copy does not fit in memory, since no float verdict
+    exists then.
     """
     try:
-        top = max([abs(float(q)) for q in m.diag] + [math.sqrt(float(w)) for w in m.sq_edge])
+        scale = m.float_scale
         pf = float(Fraction(point))
     except OverflowError as exc:
         raise OracleError(f"float expansion overflows: {exc}") from exc
-    scale = max(1.0, top * m.n)
     band = 10.0 * _TOL * scale
     if not np.isfinite(band):
         raise OracleError("float expansion overflows: the band is not finite")
@@ -115,7 +117,8 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction) -> AgreementReport:
             below += 1
         else:
             above += 1
-    exact = counts_at(m, point)
+    if exact is None:
+        exact = counts_at(m, point)
     ex = (exact.below, exact.equal, exact.above)
     ap = (below, equal, above)
     if grey:

@@ -417,52 +417,78 @@ def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
     proves them, the side of y and the root value there.  Each piece at its
     own level is probed: the forced extreme and every second ladder value
     inside the extremes, values[1:2L+1], from the pin point, are zeros at
-    its root; at the others deleting the root adds a zero, paired at it."""
-    rt, frac, tail = builder.rt, builder.frac, m.rerooted(builder.rt).rows[1:]
-    for blk, y, side, *_, dc, dp in builder.log:
-        for c, value in zip((blk.core, *blk.parts), (dc, *dp)):
-            *counts, (neg, zero, top) = _run(Rows(c.order, *tail),
-                                             _points((*c.spec, (frac(y), 1))))
-            problems = _spectrum_problems(c.spec, counts, c.size)
-            if zero or neg != (c.size if side == "max" else 0):
-                problems.append(f"pin point {frac(y)} is not strictly "
-                                f"{'above' if side == 'max' else 'below'} its spectrum")
-            if not problems and Fraction(*top) != Fraction(*value):
-                problems.append(f"root value {Fraction(*top)} at the pin point, "
-                                f"{Fraction(*value)} from the claims")
-            if problems:
-                raise RuntimeError(f"block at {c.root}: " + "; ".join(problems))
+    its root; at the others deleting the root adds a zero, paired at it.
 
+    The checks are collected first, then each slice runs once at every
+    point they ask of it: a slice is fixed by its root and size, as blocks
+    at one root are nested and a component is the whole subtree of its root."""
+    rt, frac, tail = builder.rt, builder.frac, m.rerooted(builder.rt).rows[1:]
+    asked: dict[tuple[int, int], tuple[Sequence[int], dict[Fraction, int]]] = {}
+
+    def ask(order: Sequence[int], values: Iterable[Fraction]) -> None:
+        at = asked.setdefault((order[-1], len(order)), (order, {}))[1]
+        for lam in values:
+            at.setdefault(lam, len(at))
+
+    joins = [(c, frac(y), side, value) for blk, y, side, *_, dc, dp in builder.log
+             for c, value in zip((blk.core, *blk.parts), (dc, *dp))]
+    for c, y, *_ in joins:
+        ask(c.order, [*(lam for lam, _ in c.spec), y])
+    pieces = []
     for blk, anchor, forced, level in builder.pieces:
         inner = builder.ladders[level][1:2 * level + 1]
         if anchor is Variant.LOW:
             zero_at, incr_at = [forced, *inner[1::2]], inner[::2]
         else:
             zero_at, incr_at = [*inner[::2], forced], inner[1::2]
-        runs = _run(Rows(blk.order, *tail), _points((frac(lam), 1) for lam in zero_at))
-        for lam, (_, _, (a, _)) in zip(zero_at, runs):
-            if a != 0:
-                raise RuntimeError(f"block at {blk.root}: no zero at the root "
-                                   f"at {frac(lam)}")
-
+        zero_at, incr_at = list(map(frac, zero_at)), list(map(frac, incr_at))
         # a block holds whole subtrees of its root's children, so the
         # components of the block minus its root are their postorder blocks
         inside = set(blk.order)
         comps = [rt.block(c) for c in rt.children[blk.root] if c in inside]
+        ask(blk.order, zero_at + incr_at)
+        for comp in comps:
+            ask(comp, incr_at)
+        pieces.append((blk, zero_at, incr_at, inside, comps))
+
+    # per slice and point: negatives, zeros, root value and pivots
+    runs: dict[tuple[int, int], dict[Fraction, tuple]] = {}
+    for key, (order, at) in asked.items():
+        pivots = [[] for _ in at]
+        out = _run(Rows(order, *tail), _points((lam, 1) for lam in at), pivots=pivots)
+        runs[key] = {lam: (*out[i], pivots[i]) for lam, i in at.items()}
+
+    def run(order: Sequence[int], lam: Fraction) -> tuple:
+        return runs[order[-1], len(order)][lam]
+
+    for c, y, side, value in joins:
+        neg, zero, top, _ = run(c.order, y)
+        problems = _spectrum_problems(c.spec, [run(c.order, lam) for lam, _ in c.spec], c.size)
+        if zero or neg != (c.size if side == "max" else 0):
+            problems.append(f"pin point {y} is not strictly "
+                            f"{'above' if side == 'max' else 'below'} its spectrum")
+        if not problems and Fraction(*top) != Fraction(*value):
+            problems.append(f"root value {Fraction(*top)} at the pin point, "
+                            f"{Fraction(*value)} from the claims")
+        if problems:
+            raise RuntimeError(f"block at {c.root}: " + "; ".join(problems))
+
+    for blk, zero_at, incr_at, inside, comps in pieces:
+        for lam in zero_at:
+            if run(blk.order, lam)[2][0] != 0:
+                raise RuntimeError(f"block at {blk.root}: no zero at the root at {lam}")
         if inside != {blk.root}.union(*comps):
             raise RuntimeError(f"block at {blk.root} is not its root and whole "
                                f"subtrees of its children")
-        points, pivots = _points((frac(lam), 1) for lam in incr_at), [[] for _ in incr_at]
-        whole = _run(Rows(blk.order, *tail), points, pivots=pivots)
-        parts = [_run(Rows(comp, *tail), points) for comp in comps]
-        for i, lam in enumerate(incr_at):
-            equal, after = whole[i][1], sum(run[i][1] for run in parts)
+        for lam in incr_at:
+            _, equal, _, pivots = run(blk.order, lam)
+            after = sum(run(comp, lam)[1] for comp in comps)
             if after != equal + 1:
                 raise RuntimeError(f"block at {blk.root}: {equal} -> {after} zeros "
-                                   f"at {frac(lam)}")
-            if blk.root not in pivots[i]:
+                                   f"at {lam}")
+            if blk.root not in pivots:
                 raise RuntimeError(f"block at {blk.root}: no pairing at the root "
-                                   f"at {frac(lam)}")
+                                   f"at {lam}")
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,10 @@ class RootedTree:
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         kids: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self.parent):
+        for v, p in enumerate(self.parent):  # ascending v, so each list is sorted
             if p >= 0:
                 kids[p].append(v)
-        return tuple(tuple(sorted(k)) for k in kids)
+        return tuple(map(tuple, kids))
 
     @cached_property
     def order(self) -> tuple[int, ...]:
@@ -166,18 +166,18 @@ def build_tree(edge_list: Iterable[tuple[int, int]], root: int) -> RootedTree:
     ValueError on self-loops, duplicate edges, out-of-range ids, cycles, or a
     disconnected input.
     """
-    edges = [tuple(e) for e in edge_list]
+    edges = list(edge_list)
     n = len(edges) + 1
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # min * n + max per edge
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-        key = (min(u, v), max(u, v))
+        key = u * n + v if u < v else v * n + u
         if key in seen:
-            raise ValueError(f"duplicate edge {key}")
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
         seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
@@ -534,12 +534,12 @@ def _whole_piece_cert(t: RootedTree, r: int) -> PieceCert | None:
 # ---------------------------------------------------------------------------
 
 def tree_to_json(t: RootedTree) -> dict:
-    return {"n": t.n, "root": t.root, "edges": [[u, v] for u, v in t.edges]}
+    return {"n": t.n, "root": t.root, "edges": list(map(list, t.edges))}
 
 
 def json_int(value) -> int:
     """An int field of a JSON document; a float or bool is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"not an integer: {value!r}")
     return value
 
@@ -548,7 +548,8 @@ def tree_from_json(obj: dict) -> RootedTree:
     try:
         n = json_int(obj["n"])
         root = json_int(obj["root"])
-        edges = [(json_int(u), json_int(v)) for u, v in obj["edges"]]
+        edges = [(u, v) if type(u) is type(v) is int else (json_int(u), json_int(v))
+                 for u, v in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tree object: {exc}") from exc
     if n > MAX_VERTICES:

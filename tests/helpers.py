@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from diminimal import (
     Family,
@@ -11,8 +14,10 @@ from diminimal import (
     WeightedTreeMatrix,
     build_tree,
     duplicate_branch,
+    format_rational,
     main_roots,
     reroot,
+    tree_to_json,
 )
 
 
@@ -182,3 +187,46 @@ CORPUS_WEIGHTS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(-5), Fraction(3)),
     (Fraction(-7, 3), Fraction(11, 3)),
 )
+
+
+# The matrix writers and the float expansion as they were written over the
+# Fraction views: the references the int-pair versions must match byte for
+# byte and bit for bit.
+
+def reference_matrix_to_json(m: WeightedTreeMatrix) -> dict:
+    return {
+        "tree": tree_to_json(m.tree),
+        "diag": [format_rational(q) for q in m.diag],
+        "sq_edge": [{"u": u, "v": v, "w2": format_rational(w)}
+                    for (u, v), w in zip(m.tree.edges, m.sq_edge)],
+    }
+
+
+def reference_matrix_to_dot(m: WeightedTreeMatrix) -> str:
+    lines = ["graph matrix {"]
+    for v in range(m.n):
+        shape = ", shape=box" if v == m.tree.root else ""
+        lines.append(f'  {v} [label="{v}: {format_rational(m.diag[v])}"{shape}];')
+    for (u, v), w in zip(m.tree.edges, m.sq_edge):
+        try:
+            note = f"  // weight ~ {math.sqrt(float(w)):.6g}"
+        except OverflowError:
+            note = ""
+        lines.append(f'  {u} -- {v} [label="w2={format_rational(w)}"];{note}')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_to_dense_float(m: WeightedTreeMatrix) -> np.ndarray:
+    a = np.zeros((m.n, m.n), dtype=float)
+    for i, q in enumerate(m.diag):
+        a[i, i] = float(q)
+    for (u, v), w in zip(m.tree.edges, m.sq_edge):
+        a[u, v] = a[v, u] = math.sqrt(float(w))
+    return a
+
+
+def reference_float_scale(m: WeightedTreeMatrix) -> float:
+    """The scale of the oracle's band: max(1, n * the largest |entry|)."""
+    top = max([abs(float(q)) for q in m.diag] + [math.sqrt(float(w)) for w in m.sq_edge])
+    return max(1.0, top * m.n)

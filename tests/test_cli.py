@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import diminimal
-from diminimal import Family, realize_integral, seed, tree_to_json
+from diminimal import Family, counts_at, realize_integral, seed, tree_to_json
 from diminimal.cli import main
 
 
@@ -220,7 +220,7 @@ def test_verify_reports_a_conclusive_oracle_disagreement(tmp_path, capsys, monke
     _, mat = make_tree_and_matrix(tmp_path)
     capsys.readouterr()
 
-    def disagree(m, point):
+    def disagree(m, point, exact=None):
         return AgreementReport(True, False, (0, 1, 3), (1, 0, 3), 1e-9)
 
     monkeypatch.setattr(cli, "compare_counts", disagree)
@@ -522,6 +522,66 @@ def test_diag_must_be_a_json_array(tmp_path, capsys, diag, command):
     mat.write_text(json.dumps({"matrix": matrix, "certificate": {"dspec": []}}))
     assert run_cli(command[0], "--matrix", str(mat), *command[1:]) == 1
     assert_one_error_line(capsys)
+
+
+def test_a_passing_cross_check_runs_the_kernel_once(tmp_path, capsys, monkeypatch):
+    # verify_certificate's one run proves the counts at every claimed value;
+    # the cross-check reads them from the dspec instead of counting again
+    import diminimal.cli as cli
+    import diminimal.locate as locate
+    import diminimal.oracle as oracle
+    import diminimal.realize as realize
+    tree, mat = tmp_path / "t.json", tmp_path / "m.json"
+    run_cli("seed", "--family", "uniform", "--diameter", "7", "--out", str(tree))
+    run_cli("construct", "--tree", str(tree), "--alpha", "0", "--beta", "32",
+            "--out", str(mat))
+    capsys.readouterr()
+    real_run, real_compare, calls, reports = locate._run, oracle.compare_counts, [], []
+
+    def run(*args, **kwargs):
+        calls.append("_run")
+        return real_run(*args, **kwargs)
+
+    def compare(m, point, exact=None):
+        reports.append((m, point, real_compare(m, point, exact)))
+        return reports[-1][2]
+
+    monkeypatch.setattr(locate, "_run", run)
+    monkeypatch.setattr(realize, "_run", run)
+    for module in (locate, oracle, cli):
+        monkeypatch.setattr(module, "counts_at", lambda *a: calls.append("counts_at"))
+    monkeypatch.setattr(cli, "compare_counts", compare)
+    assert run_cli("verify", "--matrix", str(mat), "--cross-check") == 0
+    assert capsys.readouterr().out == "ok: 8 distinct eigenvalues verified on 16 vertices\n"
+    assert calls == ["_run"]
+    monkeypatch.undo()
+    # the counts read from the dspec are the counts at each value
+    assert len(reports) == 8
+    for m, point, rep in reports:
+        c = counts_at(m, point)
+        assert rep.conclusive and rep.agree and rep.exact == (c.below, c.equal, c.above)
+
+
+def test_a_refused_certificate_is_cross_checked_from_fresh_counts(tmp_path, capsys, monkeypatch):
+    # a refused dspec implies no counts: the cross-check counts each value
+    # itself, so the float oracle agrees and only the refusals are printed
+    import diminimal.locate as locate
+    import diminimal.oracle as oracle
+    _, mat = make_tree_and_matrix(tmp_path)
+    capsys.readouterr()
+    blob = json.loads(Path(mat).read_text())
+    blob["certificate"]["dspec"][1]["multiplicity"] = 2
+    Path(mat).write_text(json.dumps(blob))
+    counted = []
+    monkeypatch.setattr(oracle, "counts_at", lambda m, point: counted.append(point)
+                        or locate.counts_at(m, point))
+    want = ["FAIL: claimed multiplicity 2 at 0, measured 1",
+            "FAIL: multiplicities sum to 5, matrix order is 4"]
+    assert run_cli("verify", "--matrix", mat) == 2
+    assert capsys.readouterr().out.splitlines() == want
+    assert run_cli("verify", "--matrix", mat, "--cross-check") == 2
+    assert capsys.readouterr().out.splitlines() == want
+    assert counted == [-48, 0, 32, 80]
 
 
 def test_cross_check_overflow_is_a_clean_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,12 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_matrix, random_tree, rooted_at
+from helpers import (
+    random_matrix,
+    random_tree,
+    reference_float_scale,
+    reference_matrix_to_dot,
+    reference_matrix_to_json,
+    reference_to_dense_float,
+    rooted_at,
+)
 
 from diminimal import (
     Family,
+    OracleError,
     WeightedTreeMatrix,
     build_tree,
+    compare_counts,
     delete_vertex,
     format_rational,
     make_matrix,
@@ -22,6 +33,7 @@ from diminimal import (
     matrix_to_json,
     parse_rational,
     realize_family,
+    realize_integral,
     reroot,
     seed,
     to_dense_float,
@@ -395,3 +407,94 @@ def test_delete_then_sizes_sum(n, seed_val):
     comps = delete_vertex(m, v)
     assert sum(c.n for c in comps) == n - 1
     assert sum(trace(c) for c in comps) == trace(m) - m.diag[v]
+
+
+# ------------------------------------------------- int pairs in, text out
+#
+# The writers and the float expansion read the int pairs of `rows` as they
+# are, so every matrix the package builds must hold reduced pairs with
+# positive denominators, and the output must equal the Fraction-view
+# references of tests/helpers.py.
+
+
+def assert_reduced_pairs(m):
+    a = m.rows
+    for p, q in [*zip(a.dn, a.dd), *zip(a.wn, a.wd)]:
+        assert q > 0 and math.gcd(p, q) == 1, (p, q)
+
+
+def test_every_matrix_the_package_builds_holds_reduced_pairs():
+    t = build_tree([(0, 1), (1, 2), (1, 3)], 0)
+    raw = (" -6/4 ", 4, F(10, 4), "3/-9"), {(1, 0): "18/4", (1, 2): F(8, 12), (3, 1): "-4/-2"}
+    m = make_matrix(t, *raw)
+    blob = _base_blob()
+    blob["diag"], blob["sq_edge"][1]["w2"] = ["0/5", "-12/8", "7/1"], "100/20"
+    built = [m, matrix_from_json(blob), m.rerooted(reroot(t, 2)), *delete_vertex(m, 1)]
+    for fam, d in ((Family.UNIFORM, 6), (Family.SHORT_CORE, 7), (Family.MIXED, 9)):
+        c = realize_family(seed(fam, d), F(-7, 3), F(11, 3))
+        built += [c.matrix, realize_integral(seed(fam, d), -2).matrix,
+                  *delete_vertex(c.matrix, c.construction_root)]
+        v = c.matrix.n - 1
+        built.append(c.matrix.rerooted(reroot(c.matrix.tree, v)))
+    for b in built:
+        assert_reduced_pairs(b)
+
+
+BIG = 10 ** 700  # beyond floats, and its square root too
+
+
+@st.composite
+def matrices(draw):
+    """Small matrices with entries from a few units up to beyond the float
+    range, in reduced and unreduced form."""
+    n = draw(st.integers(1, 9))
+    t = build_tree([(draw(st.integers(0, i - 1)), i) for i in range(1, n)],
+                   draw(st.integers(0, n - 1)))
+    nums = st.one_of(st.integers(-40, 40), st.integers(-2 ** 1100, 2 ** 1100), st.just(BIG))
+    dens = st.one_of(st.integers(1, 12), st.integers(1, 2 ** 1100))
+    diag = [F(draw(nums), draw(dens)) for _ in range(n)]
+    w2 = {e: F(abs(draw(nums)) or 1, draw(dens)) for e in t.edges}
+    return make_matrix(t, diag, w2)
+
+
+def outcome(f, m):
+    """f(m), or the type and text of the error it raises."""
+    try:
+        return f(m)
+    except (OverflowError, OracleError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_the_int_pair_writers_equal_the_fraction_views(m):
+    fresh = lambda: WeightedTreeMatrix.from_arrays(m.tree, *m.rows[2:6])  # noqa: E731
+    text = json.dumps(matrix_to_json(fresh()), sort_keys=True, separators=(",", ":"))
+    assert text == json.dumps(reference_matrix_to_json(m), sort_keys=True, separators=(",", ":"))
+    assert matrix_from_json(json.loads(text)) == m
+    assert matrix_to_dot(fresh()) == reference_matrix_to_dot(m)
+    dense, ref = outcome(to_dense_float, fresh()), outcome(reference_to_dense_float, m)
+    if isinstance(ref, np.ndarray):
+        assert dense.tobytes() == ref.tobytes()
+    else:
+        assert dense == ref
+    scale = outcome(lambda b: b.float_scale, fresh())
+    ref = outcome(reference_float_scale, m)
+    assert scale == ref
+    if type(ref) is tuple:
+        with pytest.raises(OracleError) as exc:
+            compare_counts(fresh(), F(0))
+        assert str(exc.value) == f"float expansion overflows: {ref[1]}"
+
+
+def test_a_weight_beyond_floats_has_no_dot_note_and_an_oracle_error():
+    t = build_tree([(0, 1), (1, 2)], 0)
+    m = make_matrix(t, (1, 2, 3), {(0, 1): BIG, (1, 2): 4})
+    dot = matrix_to_dot(m)
+    assert dot == reference_matrix_to_dot(m)
+    assert f'  0 -- 1 [label="w2={BIG}"];\n' in dot
+    assert '  1 -- 2 [label="w2=4"];  // weight ~ 2\n' in dot
+    (_, text) = outcome(reference_float_scale, m)
+    with pytest.raises(OracleError) as exc:
+        compare_counts(m, F(1))
+    assert str(exc.value) == f"float expansion overflows: {text}"

@@ -559,16 +559,21 @@ def audit_with(monkeypatch, mutate):
 
 def first_probe(monkeypatch, fault):
     """Realize in deep mode with `_run` replaced by fault(real, rows,
-    points, pivots) in the audit, and record the anchor and the ladder
-    values of the first piece it probes."""
+    points, pivots, order) in the audit, where order is the postorder of
+    the first piece it probes, and record that piece's anchor and ladder
+    values.  The audit runs each slice once for all its checks, so the join
+    checks, which would read a faulty run of the piece first, are dropped."""
     real, probed = diminimal.realize._run, []
 
     def run(rows, points, pivots=None):
-        return fault(real, rows, points, pivots) if probed else real(rows, points, pivots=pivots)
+        if not probed:
+            return real(rows, points, pivots=pivots)
+        return fault(real, rows, points, pivots, probed[0][2])
 
     def first(builder):
-        _, anchor, _, level = builder.pieces[0]
-        probed.append((anchor, [builder.frac(v) for v in builder.ladders[level]]))
+        blk, anchor, _, level = builder.pieces[0]
+        probed.append((anchor, [builder.frac(v) for v in builder.ladders[level]], blk.order))
+        builder.log.clear()
 
     monkeypatch.setattr(diminimal.realize, "_run", run)
     audit_with(monkeypatch, first)
@@ -601,15 +606,16 @@ def test_a_probe_off_the_forced_value_is_refused(monkeypatch, fam, d):
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_zero_count_that_does_not_rise_by_one_is_refused(monkeypatch, fam, d):
-    # one more zero in the run of the whole piece at each interlacing point
-    def one_more(real, rows, points, pivots):
+    # one more zero in the run of the whole piece at each of its points;
+    # the zero probes read the root value, not the count
+    def one_more(real, rows, points, pivots, order):
         runs = real(rows, points, pivots=pivots)
-        return runs if pivots is None else [(a, z + 1, top) for a, z, top in runs]
+        return runs if rows.order != order else [(a, z + 1, top) for a, z, top in runs]
 
     probed = first_probe(monkeypatch, one_more)
     with pytest.raises(RuntimeError, match=r"^block at \d+: \d+ -> \d+ zeros at \S+$") as exc:
         realize_family(seed(fam, d), 0, 32, deep=True)
-    (anchor, vals), = probed
+    (anchor, vals, _), = probed
     equal, after, at = re.search(r"(\d+) -> (\d+) zeros at (\S+)$", exc.value.args[0]).groups()
     assert int(after) == int(equal) and at == str(first_interlacing_point(anchor, vals))
 
@@ -617,13 +623,13 @@ def test_a_zero_count_that_does_not_rise_by_one_is_refused(monkeypatch, fam, d):
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_run_without_pairing_at_the_root_is_refused(monkeypatch, fam, d):
     # the pivots of the whole piece's run are dropped, so none is at its root
-    def no_pivots(real, rows, points, pivots):
-        return real(rows, points, pivots=None if pivots is None else [[] for _ in pivots])
+    def no_pivots(real, rows, points, pivots, order):
+        return real(rows, points, pivots=[[] for _ in pivots] if rows.order == order else pivots)
 
     probed = first_probe(monkeypatch, no_pivots)
     with pytest.raises(RuntimeError, match=r"^block at \d+: no pairing at the root at \S+$") as exc:
         realize_family(seed(fam, d), 0, 32, deep=True)
-    (anchor, vals), = probed
+    (anchor, vals, _), = probed
     assert exc.value.args[0].endswith(f" at {first_interlacing_point(anchor, vals)}")
 
 
@@ -783,6 +789,23 @@ def test_the_default_path_runs_the_kernel_once_on_the_finished_matrix(monkeypatc
     # verify_certificate's, of the whole tree at the claimed values
     c, runs = join_runs(monkeypatch, fam, d, deep=False)
     assert runs == [(tuple(range(c.matrix.n)), points(c.dspec))]
+
+
+@pytest.mark.parametrize("fam,d,slices", [(Family.UNIFORM, 9, 63), (Family.SHORT_CORE, 10, 77),
+                                           (Family.MIXED, 11, 110)])
+def test_the_audit_runs_each_slice_once(monkeypatch, fam, d, slices):
+    # verify_certificate runs the quotient; then the audit runs each vertex
+    # set it checks once, at all the points its checks ask of it
+    real, runs = diminimal.realize._run, []
+
+    def spy(rows, points, **kwargs):
+        runs.append(rows.order if isinstance(rows.order, range) else frozenset(rows.order))
+        return real(rows, points, **kwargs)
+
+    monkeypatch.setattr(diminimal.realize, "_run", spy)
+    c = realize_family(seed(fam, d), 0, 32, deep=True)
+    assert runs[0] == range(len(c.matrix.quotient.order))
+    assert len(runs) == len(set(runs)) == 1 + slices
 
 
 def closed_form_cases():
