@@ -297,8 +297,8 @@ def count_in_interval(m: WeightedTreeMatrix, a: Fraction, b: Fraction,
 def counts_within(m: WeightedTreeMatrix, point: Fraction,
                   vertices: Collection[int]) -> CountsAt:
     """Counts for the principal submatrix of m on `vertices`, which must be
-    non-empty and induce a subtree.  Used to audit sub-blocks of a
-    construction in place, without rebuilding matrices."""
+    non-empty and induce a subtree, without building it: a public count that
+    checks one block, such as an `AssemblyRecord`'s `pred`, from outside."""
     vs = set(vertices)
     # inertia does not depend on the root: run from the set's topmost vertex
     rows = m.rows

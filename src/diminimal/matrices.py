@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import truediv
-from typing import Mapping, NamedTuple, Sequence
+from operator import index, truediv
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,7 +128,7 @@ class WeightedTreeMatrix:
                  sq_edge: Sequence[Fraction]) -> None:
         if len(sq_edge) != len(tree.edges):
             raise ValueError("sq_edge length does not match edge count")
-        self.__dict__.update(make_matrix(tree, diag, dict(zip(tree.edges, sq_edge))).__dict__)
+        self._hold(tree, *_read(tree, diag, zip(tree.edges, sq_edge)))
 
     @classmethod
     def from_arrays(cls, tree: RootedTree, dn: Sequence[int], dd: Sequence[int],
@@ -136,6 +136,13 @@ class WeightedTreeMatrix:
         """The matrix with diagonal entries dn[i]/dd[i] and squared weights
         wn[c]/wd[c] from each c but the root to its parent: reduced pairs with
         dd, wd and wn > 0."""
+        m = cls.__new__(cls)
+        m._hold(tree, dn, dd, wn, wd)
+        return m
+
+    def _hold(self, tree: RootedTree, dn: Sequence[int], dd: Sequence[int],
+              wn: Sequence[int], wd: Sequence[int]) -> None:
+        """Check the pairs of `from_arrays` and keep them as this matrix."""
         n, r = tree.n, tree.root
         if not len(dn) == len(dd) == len(wn) == len(wd) == n:
             raise ValueError(f"kernel arrays do not match the vertex count {n}")
@@ -145,10 +152,8 @@ class WeightedTreeMatrix:
         if min(wn[:r] + wn[r + 1:], default=1) <= 0:
             w = next(Fraction(wn[c], wd[c]) for c in _edge_children(tree) if wn[c] <= 0)
             raise ValueError(f"squared edge weight must be positive, got {w}")
-        m = cls.__new__(cls)
-        m.__dict__.update(tree=tree, rows=Rows(tree.order, tree.parent, tuple(dn), tuple(dd),
-                                               wn, wd, ((),) * n, (1,) * n))
-        return m
+        self.__dict__.update(tree=tree, rows=Rows(tree.order, tree.parent, tuple(dn), tuple(dd),
+                                                  wn, wd, ((),) * n, (1,) * n))
 
     @property
     def n(self) -> int:
@@ -251,23 +256,44 @@ def _edge_children(tree: RootedTree) -> list[int]:
 
 def make_matrix(tree: RootedTree, diag: Sequence[Fraction | int | str],
                 sq_edge: Mapping[tuple[int, int], Fraction | int | str]) -> WeightedTreeMatrix:
-    """Convenience constructor taking a squared-weight mapping keyed by edge
-    (either orientation) and any rational-like entry values: every entry is
-    parsed first, then each edge's weight goes to its child end."""
-    diag = [_ratio(q) for q in diag]
-    sq = {e: _ratio(w) for e, w in sq_edge.items()}
-    wn, wd, parent = [0] * tree.n, [1] * tree.n, tree.parent
-    for u, v in tree.edges:
-        w = sq.get((u, v)) or sq.get((v, u))
-        if w is None:
-            raise ValueError(f"missing squared weight for edge ({u}, {v})")
-        c = v if parent[v] == u else u
-        wn[c], wd[c] = w
-    if len(sq) != len(tree.edges):
+    """Convenience constructor taking a squared-weight mapping keyed by edge,
+    in either orientation, with int or numpy int ends, and rational-like values."""
+    try:  # index takes ints and numpy ints, and refuses floats and strs
+        sq = [((index(u), index(v)), w) for (u, v), w in sq_edge.items()]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"sq_edge keys must be pairs of ints: {exc}") from None
+    return WeightedTreeMatrix.from_arrays(tree, *_read(tree, diag, sq))
+
+
+def _read(tree: RootedTree, diag: Iterable, entries: Iterable) -> tuple[Sequence[int], ...]:
+    """The `from_arrays` pairs of diag and of the weights w2 of entries
+    ((u, v), w2), for every constructor from rationals.  An edge listed twice
+    is refused as the entries are read, then an entry that is not a rational
+    (diag first); an entry off the tree is reported after the missing edges."""
+    n, parent = tree.n, tree.parent
+    got, seen, other = [], [False] * n, set()
+    for (u, v), w in entries:
+        c = n  # the child end of a tree edge, else n, a slot past the arrays
+        if 0 <= u < n and 0 <= v < n:
+            c = v if parent[v] == u else u if parent[u] == v else n
+        if c < n and not seen[c]:
+            seen[c] = True
+        elif c == n and (pair := (min(u, v), max(u, v))) not in other:
+            other.add(pair)
+        else:
+            raise ValueError(f"edge ({u}, {v}) is listed twice in sq_edge")
+        got.append((c, w))
+    d, wn, wd = list(map(_ratio, diag)), [0] * (n + 1), [1] * (n + 1)
+    for c, w in got:
+        wn[c], wd[c] = _ratio(w)
+    if seen.count(False) > 1:  # the root's is always False
+        u, v = next(e for e, c in zip(tree.edges, _edge_children(tree)) if not seen[c])
+        raise ValueError(f"missing squared weight for edge ({u}, {v})")
+    if other:
         raise ValueError("squared-weight mapping mentions edges not in the tree")
-    if len(diag) != tree.n:
+    if len(d) != n:
         raise ValueError("diag length does not match vertex count")
-    return WeightedTreeMatrix.from_arrays(tree, [p for p, _ in diag], [q for _, q in diag], wn, wd)
+    return (*zip(*d), wn[:n], wd[:n])
 
 
 def trace(m: WeightedTreeMatrix) -> Fraction:
@@ -333,44 +359,17 @@ def matrix_to_json(m: WeightedTreeMatrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> WeightedTreeMatrix:
-    """The matrix of a `matrix_to_json` object.  Each sq_edge entry's weight
-    goes straight to the child end of its edge; an entry whose ends are not
-    a tree edge is kept aside, to be reported after the missing ones."""
+    """The matrix of a `matrix_to_json` object, its sq_edge entries read as
+    they come, so a malformed one is reported at its place in the list."""
     try:
         tree = tree_from_json(obj["tree"])
         diag = obj["diag"]
         if not isinstance(diag, list):
             raise TypeError(f"diag is not a JSON array: {diag!r}")
-        n, parent = tree.n, tree.parent
-        at, w2, seen, other = [], [], [False] * n, set()
-        for e in obj["sq_edge"]:
-            u, v = json_int(e["u"]), json_int(e["v"])
-            c = -1  # the child end of a tree edge, else -1
-            if 0 <= u < n and 0 <= v < n:
-                c = v if parent[v] == u else u if parent[u] == v else -1
-            if c >= 0 and not seen[c]:
-                seen[c] = True
-            elif c < 0 and (pair := (min(u, v), max(u, v))) not in other:
-                other.add(pair)
-            else:
-                raise ValueError(f"edge ({u}, {v}) is listed twice in sq_edge")
-            at.append(c)
-            w2.append(e["w2"])
+        return WeightedTreeMatrix.from_arrays(tree, *_read(tree, diag, (
+            ((json_int(e["u"]), json_int(e["v"])), e["w2"]) for e in obj["sq_edge"])))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    dn, dd = zip(*map(_ratio, diag)) if diag else ((), ())
-    wn, wd = [0] * n, [1] * n
-    for c, w in zip(at, map(_ratio, w2)):
-        if c >= 0:
-            wn[c], wd[c] = w
-    if seen.count(False) > 1:  # the root's is always False
-        u, v = next(e for e, c in zip(tree.edges, _edge_children(tree)) if not seen[c])
-        raise ValueError(f"missing squared weight for edge ({u}, {v})")
-    if other:
-        raise ValueError("squared-weight mapping mentions edges not in the tree")
-    if len(dn) != n:
-        raise ValueError("diag length does not match vertex count")
-    return WeightedTreeMatrix.from_arrays(tree, dn, dd, wn, wd)
 
 
 def matrix_to_dot(m: WeightedTreeMatrix) -> str:

@@ -65,25 +65,43 @@ def test_format_rational():
     assert parse_rational(format_rational(F(22, 7))) == F(22, 7)
 
 
+def _refusal(build, *args):
+    """The text of the ValueError that build(*args) raises."""
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    return str(exc.value)
+
+
 def test_matrix_validation():
     t = build_tree([(0, 1)], 0)
-    with pytest.raises(ValueError):
-        WeightedTreeMatrix(t, (F(0),), (F(1),))  # diag too short
-    with pytest.raises(ValueError):
-        WeightedTreeMatrix(t, (F(0), F(0)), ())  # missing edge weight
-    with pytest.raises(ValueError):
-        WeightedTreeMatrix(t, (F(0), F(0)), (F(0),))  # zero weight off-tree
-    with pytest.raises(ValueError):
-        WeightedTreeMatrix(t, (F(0), F(0)), (F(-1),))
+    assert (_refusal(WeightedTreeMatrix, t, (F(0),), (F(1),))
+            == "diag length does not match vertex count")
+    assert (_refusal(WeightedTreeMatrix, t, (F(0), F(0)), ())
+            == "sq_edge length does not match edge count")
+    assert (_refusal(WeightedTreeMatrix, t, (F(0), F(0)), (F(0),))
+            == "squared edge weight must be positive, got 0")
+    assert (_refusal(WeightedTreeMatrix, t, (F(0), F(0)), (F(-1),))
+            == "squared edge weight must be positive, got -1")
 
 
 def test_make_matrix_accepts_both_edge_orientations():
     t = build_tree([(0, 1), (1, 2)], 0)
     a = make_matrix(t, (F(1), F(2), F(3)), {(0, 1): F(4), (1, 2): F(9)})
     b = make_matrix(t, (F(1), F(2), F(3)), {(1, 0): F(4), (2, 1): F(9)})
+    c = make_matrix(t, (F(1), F(2), F(3)), {(np.int64(1), np.int32(0)): F(4),
+                                            (np.intp(1), np.uint8(2)): F(9)})
+    assert a == b == c
     assert a.sq_edge == b.sq_edge == (F(4), F(9))
     # each weight is held at the child end of its edge
     assert a.rows.wn == b.rows.wn == (0, 4, 9)
+
+
+# the text goes on with Python's own reason, which its versions word apart
+@pytest.mark.parametrize("key", [("0", "1"), (0.0, 1.0), (0, np.float64(1)), (0, 1, 2), 1])
+def test_make_matrix_keys_that_are_not_int_pairs_are_refused(key):
+    t = build_tree([(0, 1), (1, 2)], 0)
+    assert (_refusal(make_matrix, t, (1, 2, 3), {key: 4, (1, 2): 9})
+            .startswith("sq_edge keys must be pairs of ints: "))
 
 
 def test_trace():
@@ -286,6 +304,52 @@ def test_matrix_json_error_texts(change, message):
     with pytest.raises(ValueError) as exc:
         matrix_from_json(blob)
     assert str(exc.value) == message
+
+
+BY_ALL = ("matrix_from_json", "make_matrix", "WeightedTreeMatrix")
+BY_KEYS = BY_ALL[:2]  # WeightedTreeMatrix takes no keys, one weight per edge
+
+# (the constructors that can express the fault, diag, sq_edge entries in
+# order, error text) on the tree of _base_blob: the three constructors read
+# through one reader, so a fault has one text
+SHARED_ERRORS = [
+    (BY_KEYS, ["1", "2", "3"], [((0, 1), "4"), ((1, 2), "9"), ((1, 0), "4")],
+     "edge (1, 0) is listed twice in sq_edge"),
+    (BY_KEYS, ["1", "2", "3"], [((0, 1), "4")], "missing squared weight for edge (1, 2)"),
+    (BY_KEYS, ["1", "2", "3"], [((0, 1), "4"), ((1, 2), "9"), ((0, 2), "1")],
+     "squared-weight mapping mentions edges not in the tree"),
+    (BY_ALL, ["1", "2"], [((0, 1), "4"), ((1, 2), "9")],
+     "diag length does not match vertex count"),
+    (BY_ALL, ["1", "2", "3"], [((0, 1), "4"), ((1, 2), 0.5)], "not a rational: 0.5"),
+    (BY_ALL, ["1", "2", "3"], [((0, 1), "4"), ((1, 2), "9/x")],
+     "invalid literal for int() with base 10: 'x'"),
+    (BY_ALL, ["1", "2", "3"], [((0, 1), "-4/2"), ((1, 2), "9")],
+     "squared edge weight must be positive, got -2"),
+]
+
+
+@pytest.mark.parametrize("names,diag,entries,message", SHARED_ERRORS)
+def test_the_constructors_share_error_texts(names, diag, entries, message):
+    blob = _base_blob()
+    blob["diag"], blob["sq_edge"] = diag, [_entry(u, v, w2) for (u, v), w2 in entries]
+    t = build_tree(blob["tree"]["edges"], blob["tree"]["root"])
+    build = {"matrix_from_json": lambda: matrix_from_json(blob),
+             "make_matrix": lambda: make_matrix(t, diag, dict(entries)),
+             "WeightedTreeMatrix": lambda: WeightedTreeMatrix(t, diag, [w2 for _, w2 in entries])}
+    for name in names:
+        assert _refusal(build[name]) == message, name
+
+
+# of two faulty sq_edge entries, an edge listed twice and an entry missing
+# a field, the first one in the list is reported
+@pytest.mark.parametrize("extra,message", [
+    ([_entry(1, 0, "4"), {"v": 2, "w2": "1"}], "edge (1, 0) is listed twice in sq_edge"),
+    ([{"v": 2, "w2": "1"}, _entry(1, 0, "4")], "malformed matrix object: 'u'"),
+])
+def test_error_texts_of_two_faulty_entries_follow_the_list(extra, message):
+    blob = _base_blob()
+    blob["sq_edge"] += extra
+    assert _refusal(matrix_from_json, blob) == message
 
 
 def test_matrix_json_reads_reduced_pairs():
