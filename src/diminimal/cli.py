@@ -201,8 +201,10 @@ def cmd_export(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on first use and reused by every later call."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and its subcommand table, built once.  `main` hands the
+    arguments after a command name to that command's parser, and all else
+    (-h, an unknown command, nothing) to the top-level parser."""
     p = _Parser(prog="diminimal",
                 description="Exact eigenvalue location and minimum distinct "
                             "eigenvalue realization for weighted trees.")
@@ -259,7 +261,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--matrix", required=True)
     s.add_argument("--format", required=True, choices=["dot", "json"])
     s.set_defaults(fn=cmd_export)
-    return p
+    return p, sub.choices
 
 
 # options whose values are rationals and may start with a minus sign, which
@@ -284,11 +286,17 @@ def _fold_rational_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fold_rational_flags(list(argv)))
+        argv = _fold_rational_flags(list(argv))
+        if argv and argv[0] in commands:
+            args, rest = commands[argv[0]].parse_known_args(argv[1:])
+            if rest:  # refused as the top-level parser refuses them
+                parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        else:
+            args = parser.parse_args(argv)
         code = args.fn(args)
         if sys.stdout is not None:  # None when fd 1 was closed at startup
             sys.stdout.flush()

@@ -177,10 +177,14 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
     return list(zip(neg, zero, zip(tn, td)))
 
 
+def _fraction(x) -> Fraction:  # Fraction() of a Fraction costs an ABC check
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def diagonalize(m: WeightedTreeMatrix, x: Fraction) -> DiagOutcome:
     """Congruence-diagonalize M + x*I bottom-up from the tree's root.
     Exact; never touches floats."""
-    x = Fraction(x)
+    x = _fraction(x)
     vals, pivots = {}, []
     (neg, zero, _), = _run(m.rows, ((x.numerator, x.denominator),), [vals], [pivots])
     parent = m.tree.parent
@@ -209,7 +213,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
     """How many eigenvalues of m are <, ==, > the query point: the inertia
     of M - point*I, by the adaptive pass of the module docstring, eliminating
     from the tree's root."""
-    p = Fraction(point)
+    p = _fraction(point)
     xn, xd = -p.numerator, p.denominator
     order, parent, _, _, wn, wd, _, _ = m.rows
     fb = m.float_bounds
@@ -279,7 +283,7 @@ def count_in_interval(m: WeightedTreeMatrix, a: Fraction, b: Fraction,
                       include_a: bool = True, include_b: bool = True) -> int:
     """Number of eigenvalues in the interval from a to b with the given
     endpoint inclusions.  Raises ValueError when a > b."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _fraction(a), _fraction(b)
     if a > b:
         raise ValueError(f"empty interval: {a} > {b}")
     if a == b:
@@ -306,7 +310,7 @@ def counts_within(m: WeightedTreeMatrix, point: Fraction,
     if (not order or len(order) != len(vs)
             or any(rows.parent[v] not in vs for v in order[:-1])):
         raise ValueError("vertex set does not induce a connected subtree")
-    p = Fraction(point)
+    p = _fraction(point)
     (neg, zero, _), = _run(Rows(order, *rows[1:]), ((-p.numerator, p.denominator),))
     return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
 
@@ -339,7 +343,7 @@ def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[Isolated
     segments between counted cuts that hold eigenvalues are split at their
     most aligned cut.  Every count is a difference of exact counts, so a wrong
     estimate costs counts, never an interval; with none, this is bisection."""
-    width = Fraction(width)
+    width = _fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     bound = m.gershgorin_bound
@@ -399,7 +403,7 @@ def find_parter_vertex(m: WeightedTreeMatrix, point: Fraction) -> int:
     are scanned in id order; on trees such a vertex always exists, so the
     scan is a fallback, not the common path.
     """
-    point = Fraction(point)
+    point = _fraction(point)
     out = diagonalize(m, -point)
     mult = out.inertia[1]
     if mult < 2:

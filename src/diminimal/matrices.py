@@ -30,7 +30,10 @@ def _ratio(text: str | int | Fraction) -> tuple[int, int]:
         if isinstance(text, (int, Fraction)):
             return text.numerator, text.denominator
         if not isinstance(text, str):
-            raise ValueError(f"not a rational: {text!r}")
+            try:  # numpy ints; numpy floats and bools raise TypeError
+                return index(text), 1
+            except TypeError:
+                raise ValueError(f"not a rational: {text!r}") from None
     num, slash, den = text.strip().partition("/")
     if not slash:
         return int(num), 1

@@ -8,7 +8,7 @@ import pytest
 
 import diminimal
 from diminimal import Family, counts_at, realize_integral, seed, tree_to_json
-from diminimal.cli import main
+from diminimal.cli import _build_parser, _fold_rational_flags, main
 
 
 def run_cli(*argv):
@@ -690,6 +690,74 @@ def test_bad_usage_exits_one(capsys):
     assert run_cli("locate", "--matrix") == 1
     assert run_cli() == 1
     assert run_cli("frobnicate") == 1
+
+
+# (argv, exit code, the command whose parser prints, None for the top level,
+# and the start of the error line, None for help).  A command's own usage
+# errors print its usage; arguments left over after a full command, like a
+# command that is not one, print the top-level usage.  Usage and help come
+# from the parsers themselves and only the stable start of each error line is
+# pinned, since Python versions word argparse's messages apart.  No file is
+# read before these.
+USAGE_CASES = [
+    ([], 1, None, "error: the following arguments are required: command"),
+    (["bogus"], 1, None, "error: argument command: invalid choice: 'bogus' "),
+    (["loc"], 1, None, "error: argument command: invalid choice: 'loc' "),
+    (["-h"], 0, None, None),
+    (["locate", "-h"], 0, "locate", None),
+    (["locate"], 1, "locate",
+     "error: the following arguments are required: --matrix, --point\n"),
+    (["locate", "--matrix"], 1, "locate",
+     "error: argument --matrix: expected one argument\n"),
+    (["seed", "--family", "nope"], 1, "seed",
+     "error: argument --family: invalid choice: 'nope' "),
+    (["isolate", "--matrix", "m.json", "--width", "1/x"], 1, "isolate",
+     "error: argument --width: not a rational: '1/x'\n"),
+    (["locate", "--matrix", "m.json", "--point", "1/3", "stray"], 1, None,
+     "error: unrecognized arguments: stray\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, command, error", USAGE_CASES,
+                         ids=[" ".join(argv) or "no-arguments" for argv, *_ in USAGE_CASES])
+def test_usage_output_is_pinned(capsys, monkeypatch, argv, code, command, error):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    top, commands = _build_parser()
+    parser = commands[command] if command else top
+    assert run_cli(*argv) == code
+    out, err = capsys.readouterr()
+    if error is None:
+        assert (out, err) == (parser.format_help(), "")
+        return
+    usage = parser.format_usage()
+    assert out == "" and err.startswith(usage), err
+    line = err[len(usage):]
+    assert line.startswith(error) and line.endswith("\n") and line.count("\n") == 1
+
+
+# one full argument list per command
+FULL_COMMANDS = [
+    ["seed", "--family", "mixed", "--diameter", "3"],
+    ["unfold", "--tree", "t.json", "--vertex", "0", "--branch", "1", "--copies", "2"],
+    ["recognize", "--tree", "t.json"],
+    ["construct", "--tree", "t.json", "--alpha", "0", "--integral"],
+    ["locate", "--matrix", "m.json", "--point", "-1/2"],
+    ["isolate", "--matrix", "m.json", "--width", "1/8"],
+    ["verify", "--matrix", "m.json", "--cross-check"],
+    ["export", "--matrix", "m.json", "--format", "dot"],
+]
+
+
+def test_a_command_parses_alike_on_its_own_and_through_the_top_level():
+    # main hands a command's arguments to that command's parser, so an option
+    # or default of the top-level parser would be lost on the way
+    top, commands = _build_parser()
+    assert sorted(commands) == sorted(argv[0] for argv in FULL_COMMANDS)
+    for argv in FULL_COMMANDS:
+        via_top = vars(top.parse_args(_fold_rational_flags(argv)))
+        assert via_top.pop("command") == argv[0]
+        own = commands[argv[0]].parse_args(_fold_rational_flags(argv)[1:])
+        assert vars(own) == via_top
 
 
 def test_module_entry_point(tmp_path):

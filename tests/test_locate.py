@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd, isqrt
 from unittest import mock
@@ -297,14 +298,19 @@ def test_counts_within_matches_reference_on_connected_subsets(m, x, data):
 # -------------------------------------------------------------- counting
 
 
-def test_counts_at_worked_matrix():
-    # hub with one pendant leaf and two arms of length 2
+def worked_matrix():
+    # hub with one pendant leaf and two arms of length 2; eigenvalues -2, -1,
+    # 0, 1 (twice) and 3
     t = build_tree([(0, 1), (0, 2), (2, 4), (0, 3), (3, 5)], 0)
-    m = make_matrix(
+    return make_matrix(
         t,
         (F(1), F(1), F(0), F(0), F(0), F(0)),
         {(0, 1): F(1), (0, 2): F(2), (0, 3): F(2), (2, 4): F(1), (3, 5): F(1)},
     )
+
+
+def test_counts_at_worked_matrix():
+    m = worked_matrix()
     assert trace(m) == F(2)
     spectrum = {F(-2): 1, F(-1): 1, F(0): 1, F(1): 2, F(3): 1}
     for lam, mult in spectrum.items():
@@ -357,6 +363,35 @@ def test_count_in_interval_rejects_reversed():
     m = path_matrix(2)
     with pytest.raises(ValueError):
         count_in_interval(m, F(1), F(0))
+
+
+class SubFraction(F):
+    """A Fraction subclass: converted to a Fraction like any other point."""
+
+
+# one point in the forms a point may take: a Fraction is used as it is, and
+# every other form is converted once
+POINT_FORMS = [
+    (F(-2), -2, "-2", SubFraction(-2)),
+    (F(1), 1, " 1 ", SubFraction(1), Decimal(1)),
+    (F(1, 2), "1/2", SubFraction(1, 2), 0.5, Decimal("0.5")),
+    (F(-7, 3), "-7/3", SubFraction(-7, 3)),
+]
+
+
+@pytest.mark.parametrize("forms", POINT_FORMS)
+def test_counts_take_a_point_in_any_rational_form(forms):
+    m = worked_matrix()
+    want = counts_at(m, forms[0])
+    assert type(forms[0]) is F and all(type(x) is not F for x in forms[1:])
+    for x in forms[1:]:
+        assert counts_at(m, x) == want, x
+        assert counts_within(m, x, range(m.n)) == want, x
+    lo, hi = F(-5, 2), F(5, 2)
+    for x in forms:
+        assert count_in_interval(m, x, hi) == count_in_interval(m, forms[0], hi), x
+        assert count_in_interval(m, lo, x) == count_in_interval(m, lo, forms[0]), x
+        assert count_in_interval(m, x, x) == want.equal, x
 
 
 def test_counts_within_subtree():
@@ -859,13 +894,24 @@ def test_isolate_counts_only_around_the_estimates(monkeypatch, family, d):
     ivs = isolate_eigenvalues(m, F(1, 1000))
     assert len(ivs) == d + 1
     assert len(own) <= 3 * len(ivs)
+    _assert_every_end_counted_once(m, ivs, own)
     # deep cells: never more counts than blind bisection takes
     w = F(1, 10**40)
     own.clear()
     ivs = isolate_eigenvalues(m, w)
+    _assert_every_end_counted_once(m, ivs, own)
     ref = _counting(monkeypatch, diminimal)
     assert reference_isolate(m, w) == ivs
     assert len(own) <= len(ref)
+
+
+def _assert_every_end_counted_once(m, ivs, seen):
+    # every end of an interval but the outer two, -B-1 and B, is a cut that
+    # isolation counted through locate.counts_at, and no cut is counted twice
+    bound = m.gershgorin_bound
+    ends = {x for iv in ivs for x in (iv.lo, iv.hi)} - {-bound - 1, bound}
+    assert ends and ends <= set(seen)
+    assert len(seen) == len(set(seen))
 
 
 def test_isolate_rejects_bad_width():

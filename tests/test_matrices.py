@@ -96,6 +96,22 @@ def test_make_matrix_accepts_both_edge_orientations():
     assert a.rows.wn == b.rows.wn == (0, 4, 9)
 
 
+def test_make_matrix_accepts_numpy_ints():
+    t = build_tree([(0, 1), (1, 2)], 0)
+    want = make_matrix(t, (0, -3, 0), {(0, 1): 1, (1, 2): 5})
+    assert make_matrix(t, np.array([0, -3, 0]), {(0, 1): np.int64(1), (1, 2): np.uint8(5)}) == want
+    assert WeightedTreeMatrix(t, np.array([0, -3, 0]), np.array([1, 5])) == want
+    assert parse_rational(np.int32(-3)) == F(-3)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.True_])
+def test_numpy_floats_and_bools_are_refused(value):
+    t = build_tree([(0, 1), (1, 2)], 0)
+    message = f"not a rational: {value!r}"  # np.float64(0.5), np.True_
+    assert _refusal(make_matrix, t, (0, value, 0), {(0, 1): 1, (1, 2): 5}) == message
+    assert _refusal(make_matrix, t, (0, 0, 0), {(0, 1): 1, (1, 2): value}) == message
+
+
 # the text goes on with Python's own reason, which its versions word apart
 @pytest.mark.parametrize("key", [("0", "1"), (0.0, 1.0), (0, np.float64(1)), (0, 1, 2), 1])
 def test_make_matrix_keys_that_are_not_int_pairs_are_refused(key):
