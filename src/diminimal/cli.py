@@ -1,6 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 validation or usage error, 2 verification failure.
+The command name comes first; a leading option or `--` is refused with exit 1
+(`-h` alone prints the help).
 A reader that closes stdout before all output is written, as `| true`
 does, also gives exit 1, with nothing on stderr; so does a stdout closed at
 startup (`>&-`), for `--help` and for every command that writes to it.
@@ -203,8 +205,9 @@ def cmd_export(args) -> int:
 @functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The parser and its subcommand table, built once.  `main` hands the
-    arguments after a command name to that command's parser, and all else
-    (-h, an unknown command, nothing) to the top-level parser."""
+    arguments after a command name to that command's parser, the only path
+    to a command, and all else (-h, an unknown command, nothing, a leading
+    option or `--`) to the top-level parser, for help or a refusal."""
     p = _Parser(prog="diminimal",
                 description="Exact eigenvalue location and minimum distinct "
                             "eigenvalue realization for weighted trees.")
@@ -291,12 +294,13 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         argv = _fold_rational_flags(list(argv))
-        if argv and argv[0] in commands:
-            args, rest = commands[argv[0]].parse_known_args(argv[1:])
-            if rest:  # refused as the top-level parser refuses them
-                parser.error(f"unrecognized arguments: {' '.join(rest)}")
-        else:
-            args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:  # -h or a refusal; a namespace here is refused too
+            parser.parse_args(argv)
+            parser.error("the command name comes first")
+        args, rest = command.parse_known_args(argv[1:])
+        if rest:  # refused as the top-level parser refuses them
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
         code = args.fn(args)
         if sys.stdout is not None:  # None when fd 1 was closed at startup
             sys.stdout.flush()

@@ -410,8 +410,8 @@ class _Builder:
 
 
 def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
-    """The checks of `deep` on the finished, verified matrix m rooted at the
-    construction root, where each block is a postorder slice, root last,
+    """The checks of `deep` on the finished, verified matrix m, as built at
+    the construction root, where each block is a postorder slice, root last,
     with the entries it was built with (no later join changes them).  Each
     block a join took in is run at its claims and the pin point y: that
     proves them, the side of y and the root value there.  Each piece at its
@@ -422,7 +422,7 @@ def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
     The checks are collected first, then each slice runs once at every
     point they ask of it: a slice is fixed by its root and size, as blocks
     at one root are nested and a component is the whole subtree of its root."""
-    rt, frac, tail = builder.rt, builder.frac, m.rerooted(builder.rt).rows[1:]
+    rt, frac, tail = builder.rt, builder.frac, m.rows[1:]
     asked: dict[tuple[int, int], tuple[Sequence[int], dict[Fraction, int]]] = {}
 
     def ask(order: Sequence[int], values: Iterable[Fraction]) -> None:
@@ -500,14 +500,15 @@ def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
     # each part root hangs once, the construction root never: n vertices, n - 1 weights
     if blk.size != tree.n or builder.wn.count(0) != 1:
         raise RuntimeError("the final block does not cover the whole tree")
-    m = WeightedTreeMatrix.from_arrays(builder.rt, builder.dn, builder.dd, builder.wn,
-                                       builder.wd).rerooted(tree)
+    built = WeightedTreeMatrix.from_arrays(builder.rt, builder.dn, builder.dd,
+                                           builder.wn, builder.wd)
+    m = built.rerooted(tree)
     # the proof of every claim the certificate makes
     problems = verify_certificate(m, blk.spec)
     if problems:
         raise RuntimeError("; ".join(problems))
     if deep:
-        _audit(builder, m)
+        _audit(builder, built)
     return RealizationCertificate(
         matrix=m, dspec=blk.spec, family=family, variant=variant,
         alpha=builder.frac(builder.alpha), beta=builder.frac(builder.beta),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 import diminimal
 from diminimal import Family, counts_at, realize_integral, seed, tree_to_json
-from diminimal.cli import _build_parser, _fold_rational_flags, main
+from diminimal.cli import (_RATIONAL_FLAGS, _build_parser, _fold_rational_flags,
+                           _rational_arg, main)
 
 
 def run_cli(*argv):
@@ -715,6 +717,9 @@ USAGE_CASES = [
      "error: argument --width: not a rational: '1/x'\n"),
     (["locate", "--matrix", "m.json", "--point", "1/3", "stray"], 1, None,
      "error: unrecognized arguments: stray\n"),
+    # the command name comes first; Python versions refuse a leading `--`
+    # in their own words, or main refuses what the parser let through
+    (["--", "seed", "--family", "uniform", "--diameter", "3"], 1, None, "error: "),
 ]
 
 
@@ -748,9 +753,35 @@ FULL_COMMANDS = [
 ]
 
 
+def test_a_namespace_from_the_top_level_parser_is_refused(capsys, monkeypatch):
+    # as CPython 3.13.13 returns for a leading `--`: only a command's own
+    # parser leads to a command
+    top, _ = _build_parser()
+    calls = []
+    ns = argparse.Namespace(fn=lambda args: calls.append(args) or 0)
+    monkeypatch.setattr(top, "parse_args", lambda argv: ns)
+    assert run_cli("--", "seed", "--family", "uniform", "--diameter", "3") == 1
+    assert calls == []
+    out, err = capsys.readouterr()
+    usage = top.format_usage()
+    assert out == "" and err.startswith(usage)
+    line = err[len(usage):]
+    assert line.startswith("error: ") and line.count("\n") == 1
+
+
+def test_the_folded_flags_are_the_rational_options():
+    # _fold_rational_flags keeps a value like "-1/2" with its option; the
+    # parsers say which options take a rational
+    _, commands = _build_parser()
+    rational = {flag for command in commands.values() for action in command._actions
+                if action.type is _rational_arg for flag in action.option_strings}
+    assert rational == _RATIONAL_FLAGS == {"--alpha", "--beta", "--point", "--width"}
+
+
 def test_a_command_parses_alike_on_its_own_and_through_the_top_level():
-    # main hands a command's arguments to that command's parser, so an option
-    # or default of the top-level parser would be lost on the way
+    # main parses a command's arguments only with that command's parser; the
+    # namespaces match only while the top-level parser has no option or
+    # default of its own, which nothing would read
     top, commands = _build_parser()
     assert sorted(commands) == sorted(argv[0] for argv in FULL_COMMANDS)
     for argv in FULL_COMMANDS:

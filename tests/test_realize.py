@@ -808,6 +808,17 @@ def test_the_audit_runs_each_slice_once(monkeypatch, fam, d, slices):
     assert len(runs) == len(set(runs)) == 1 + slices
 
 
+@pytest.mark.parametrize("fam,d", [(Family.UNIFORM, 6), (Family.SHORT_CORE, 8),
+                                   (Family.MIXED, 9)])
+def test_the_audit_reads_the_matrix_at_the_construction_root(fam, d):
+    # the certificate's matrix is rooted as the input tree; the audit's
+    # slices are postorder blocks of the construction root
+    t = seed(fam, d)
+    for r in (t.n - 1, t.n // 2):
+        c = realize_family(reroot(t, r), 0, 32, deep=True)
+        assert c.matrix.tree.root == r != c.construction_root
+
+
 def closed_form_cases():
     """Every seed with d <= 15 of the three families, then 50 random
     unfoldings of the corpus cells."""
