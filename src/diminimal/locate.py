@@ -279,23 +279,16 @@ def multiplicity(m: WeightedTreeMatrix, point: Fraction) -> int:
     return counts_at(m, point).equal
 
 
-def count_in_interval(m: WeightedTreeMatrix, a: Fraction, b: Fraction,
-                      include_a: bool = True, include_b: bool = True) -> int:
-    """Number of eigenvalues in the interval from a to b with the given
-    endpoint inclusions.  Raises ValueError when a > b."""
+def count_in_interval(m: WeightedTreeMatrix, a: Fraction, b: Fraction) -> int:
+    """Number of eigenvalues in the closed interval [a, b].  Raises
+    ValueError when a > b."""
     a, b = _fraction(a), _fraction(b)
     if a > b:
         raise ValueError(f"empty interval: {a} > {b}")
     if a == b:
-        return counts_at(m, a).equal if include_a and include_b else 0
-    at_a = counts_at(m, a)
-    at_b = counts_at(m, b)
-    n = at_b.below - at_a.below - at_a.equal
-    if include_a:
-        n += at_a.equal
-    if include_b:
-        n += at_b.equal
-    return n
+        return counts_at(m, a).equal
+    at_a, at_b = counts_at(m, a), counts_at(m, b)
+    return at_b.below + at_b.equal - at_a.below
 
 
 def counts_within(m: WeightedTreeMatrix, point: Fraction,

@@ -32,9 +32,9 @@ is solved from the claims alone: a block's root value at the pin point y is
 det(B - y)/det(B - root - y), a ratio of products over the claimed spectra,
 so a join runs no kernel.  The returned certificate is proved by one run of
 the finished matrix at all d+1 values in `verify_certificate`, so a wrong
-claim or a construction bug cannot survive to it.  `deep` then audits the
-finished certificate (`_audit`): each block a join took in, run at its claims
-and y, and each piece built at its own level, probed at its root.
+claim or a construction bug cannot survive to it.  Its `audit()` then checks
+every intermediate claim (`_audit`): each block a join took in, run at its
+claims and y, and each piece built at its own level, probed at its root.
 
 Every value the builder claims (ladder values, steps, shifts, pin points,
 forced values and predicted spectra) is alpha plus an integer multiple of
@@ -161,8 +161,8 @@ class AssemblyRecord:
     extreme block values that merged inward, forced = a + b - y).  `pred` is
     a claim, and `sq_delta` is solved from the claims of the blocks that went
     in: the last pred is the proved dspec, and the others, with the root
-    values behind each weight, are proved only by the audit of `deep` (or
-    independently, by counts_within on their vertices)."""
+    values behind each weight, are proved only by the certificate's `audit()`
+    (or independently, by counts_within on their vertices)."""
 
     core_root: int
     core_vertices: tuple[int, ...]
@@ -194,7 +194,7 @@ class RealizationCertificate:
     beta: Fraction
     shift: Fraction | None
     construction_root: int
-    _log: list[tuple] = field(compare=False, repr=False)  # the builder's, see join_blocks
+    _builder: _Builder = field(compare=False, repr=False)
 
     @cached_property
     def assemblies(self) -> tuple[AssemblyRecord, ...]:
@@ -205,7 +205,14 @@ class RealizationCertificate:
             parts=tuple((p.root, tuple(sorted(p.order)), p.spec) for p in blk.parts),
             y=Fraction(y, blk.q), side=side, sq_delta=Fraction(*d2), a=Fraction(a, blk.q),
             b=Fraction(b, blk.q), forced=Fraction(forced, blk.q), pred=blk.spec,
-        ) for blk, y, side, d2, a, b, forced, *_ in self._log)
+        ) for blk, y, side, d2, a, b, forced, *_ in self._builder.log)
+
+    def audit(self) -> RealizationCertificate:
+        """Check every claim the build made on the way (see `_audit`) and
+        return the certificate; a failed check raises RuntimeError."""
+        b = self._builder
+        _audit(b, self.matrix if self.matrix.tree is b.rt else self.matrix.rerooted(b.rt))
+        return self
 
     @property
     def distinct_values(self) -> int:
@@ -410,7 +417,7 @@ class _Builder:
 
 
 def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
-    """The checks of `deep` on the finished, verified matrix m, as built at
+    """The checks of `audit()` on the finished, verified matrix m, as built at
     the construction root, where each block is a postorder slice, root last,
     with the entries it was built with (no later join changes them).  Each
     block a join took in is run at its claims and the pin point y: that
@@ -496,27 +503,24 @@ def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
 # ---------------------------------------------------------------------------
 
 def _finish(builder: _Builder, blk: _Block, tree: RootedTree, family: Family,
-            variant: str, shift: Fraction | None, deep: bool) -> RealizationCertificate:
+            variant: str, shift: Fraction | None) -> RealizationCertificate:
     # each part root hangs once, the construction root never: n vertices, n - 1 weights
     if blk.size != tree.n or builder.wn.count(0) != 1:
         raise RuntimeError("the final block does not cover the whole tree")
-    built = WeightedTreeMatrix.from_arrays(builder.rt, builder.dn, builder.dd,
-                                           builder.wn, builder.wd)
-    m = built.rerooted(tree)
+    m = WeightedTreeMatrix.from_arrays(builder.rt, builder.dn, builder.dd,
+                                       builder.wn, builder.wd).rerooted(tree)
     # the proof of every claim the certificate makes
     problems = verify_certificate(m, blk.spec)
     if problems:
         raise RuntimeError("; ".join(problems))
-    if deep:
-        _audit(builder, built)
     return RealizationCertificate(
         matrix=m, dspec=blk.spec, family=family, variant=variant,
         alpha=builder.frac(builder.alpha), beta=builder.frac(builder.beta),
-        shift=shift, construction_root=builder.rt.root, _log=builder.log)
+        shift=shift, construction_root=builder.rt.root, _builder=builder)
 
 
 def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
-                    shift: Fraction | None = None, deep: bool = False) -> RealizationCertificate:
+                    shift: Fraction | None = None) -> RealizationCertificate:
     """Realize a uniformly decomposable tree in one of the four spectral
     shapes over `lad`: LOW or HIGH, or LOW_SHIFT or HIGH_SHIFT with a
     shift 0 < shift < lad.step(lad.k - 1).  The tree must be rooted at a
@@ -546,11 +550,10 @@ def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
     builder = _Builder(t, t.root, lad.alpha, lad.beta, k, shift)
     anchor = Variant.LOW if variant in (Variant.LOW, Variant.LOW_SHIFT) else Variant.HIGH
     blk = builder.build(cert, anchor, 0 if shift is None else _grid(shift, builder.q), k)
-    return _finish(builder, blk, t, Family.UNIFORM, variant.value, shift, deep)
+    return _finish(builder, blk, t, Family.UNIFORM, variant.value, shift)
 
 
-def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
-                   deep: bool = False) -> RealizationCertificate:
+def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction) -> RealizationCertificate:
     """Realize any tree of the three supported families with d+1 distinct
     eigenvalues anchored at (alpha, beta).  Raises ValueError for trees
     outside the families, and for short-core or mixed trees of diameter
@@ -580,11 +583,11 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction,
     whole = _whole_piece_cert(t, min(an.pieces, key=_uniform).root)
     builder = _Builder(t, whole.root, alpha, beta, big_k)
     blk = builder.build(whole, Variant.LOW, 0, k)
-    return _finish(builder, blk, t, an.family, variant, None, deep)
+    return _finish(builder, blk, t, an.family, variant, None)
 
 
 def realize_integral(t: RootedTree, alpha: Fraction,
-                     beta: Fraction | None = None, deep: bool = False) -> RealizationCertificate:
+                     beta: Fraction | None = None) -> RealizationCertificate:
     """Realize with an all-integer spectrum.
 
     alpha must be an integer.  The default beta = alpha + 2**(k-1), where k
@@ -609,7 +612,7 @@ def realize_integral(t: RootedTree, alpha: Fraction,
         if (beta - alpha) % grain != 0:
             raise ValueError(f"beta - alpha must be divisible by {grain} "
                              f"for an integral spectrum at diameter {d}")
-    cert = realize_family(t, alpha, beta, deep)
+    cert = realize_family(t, alpha, beta)
     if any(v.denominator != 1 for v, _ in cert.dspec):
         raise RuntimeError("integral construction produced a fractional eigenvalue")
     return cert

@@ -222,7 +222,7 @@ def test_criterion_10_deep_instrumented_realizations():
             t, d = uniform_sample()
             k = (d + 1) // 2
             lad = ladder(0, 32, k)
-            cert = realize_variant(t, lad, variant, deep=True)
+            cert = realize_variant(t, lad, variant).audit()
             drops = drop_map[(variant, d % 2)]
             expect = set(lad.values) - {lad.values[i] for i in drops}
             assert {v for v, _ in cert.dspec} == expect
@@ -238,7 +238,7 @@ def test_criterion_10_deep_instrumented_realizations():
             for _ in range(3):
                 shift = F(rng.randint(1, 8 * top.numerator - 1),
                           8 * top.denominator)
-                cert = realize_variant(t, lad, variant, shift, deep=True)
+                cert = realize_variant(t, lad, variant, shift).audit()
                 vals = {v for v, _ in cert.dspec}
                 base = set(lad.values) - {lad.values[0], lad.values[-1]}
                 if variant is Variant.LOW_SHIFT:

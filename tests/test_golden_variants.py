@@ -4,10 +4,10 @@
 and `realize_integral`, which never ask for a shifted variant.  This test
 hashes every certificate, constructed matrix and assembly log of
 `realize_variant` in all four shapes over the uniform seeds of diameter 1
-to 9 and one seeded random unfolding of each, with and without the deep
-checks.  A second digest pins the odd ones among those trees rerooted at
-the larger-id endpoint of the central edge, the other central root
-`realize_variant` accepts.  The anchors (-7/3, 2/5) are not dyadic and the
+to 9 and one seeded random unfolding of each, with and without the
+certificate's audit.  A second digest pins the odd ones among those trees
+rerooted at the larger-id endpoint of the central edge, the other central
+root `realize_variant` accepts.  The anchors (-7/3, 2/5) are not dyadic and the
 shifts, 1/3 and 5/7 of the top ladder step, have odd denominators, so the
 builder's arithmetic meets denominators from every source at once.
 """
@@ -47,8 +47,10 @@ def variant_records(t, d):
         runs += [(v, top / 3), (v, 5 * top / 7)]
     out = []
     for variant, shift in runs:
-        for deep in (False, True):
-            cert = realize_variant(t, lad, variant, shift, deep)
+        for audited in (False, True):
+            cert = realize_variant(t, lad, variant, shift)
+            if audited:
+                cert.audit()
             out.append({
                 "matrix": matrix_to_json(cert.matrix),
                 "certificate": cert.to_json(),

@@ -343,8 +343,6 @@ def test_counts_against_numpy():
 def test_count_in_interval_boundary_flags():
     m = path_matrix(3)  # eigenvalues -sqrt2, 0, sqrt2
     assert count_in_interval(m, F(0), F(2)) == 2
-    assert count_in_interval(m, F(0), F(2), include_a=False) == 1
-    assert count_in_interval(m, F(-2), F(0), include_b=False) == 1
     assert count_in_interval(m, F(-2), F(2)) == 3
 
 
@@ -352,8 +350,6 @@ def test_count_in_interval_single_point():
     m = path_matrix(3)  # eigenvalues -sqrt2, 0, sqrt2
     assert count_in_interval(m, F(0), F(0)) == 1
     assert count_in_interval(m, F(1), F(1)) == 0
-    for include_a, include_b in ((False, False), (True, False), (False, True)):
-        assert count_in_interval(m, F(0), F(0), include_a, include_b) == 0
     with mock.patch.object(locate, "counts_at", wraps=locate.counts_at) as spy:
         count_in_interval(m, F(0), F(0))
     assert spy.call_count == 1

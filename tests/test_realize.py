@@ -96,7 +96,7 @@ def test_low_on_star():
 
 def test_high_level2_full_matrix():
     t = seed(Family.UNIFORM, 3)
-    c = realize_variant(t, ladder(0, 32, 2), Variant.HIGH, deep=True)
+    c = realize_variant(t, ladder(0, 32, 2), Variant.HIGH).audit()
     by_vertex = dict(enumerate(c.matrix.diag))
     assert by_vertex == {0: F(0), 1: F(16), 2: F(32), 3: F(48)}
     w = dict(zip(c.matrix.tree.edges, c.matrix.sq_edge))
@@ -106,23 +106,23 @@ def test_high_level2_full_matrix():
 
 def test_low_level2():
     t = seed(Family.UNIFORM, 3)
-    c = realize_variant(t, ladder(0, 32, 2), Variant.LOW, deep=True)
+    c = realize_variant(t, ladder(0, 32, 2), Variant.LOW).audit()
     assert c.dspec == ((F(-48), 1), (F(0), 1), (F(32), 1), (F(80), 1))
 
 
 def test_low_level3():
     t = seed(Family.UNIFORM, 5)
-    c = realize_variant(t, ladder(0, 32, 3), Variant.LOW, deep=True)
+    c = realize_variant(t, ladder(0, 32, 3), Variant.LOW).audit()
     assert c.dspec == ((F(-56), 1), (F(-32), 1), (F(0), 2),
                        (F(32), 2), (F(80), 1), (F(104), 1))
 
 
 def test_level4_both_variants():
     t = seed(Family.UNIFORM, 7)
-    c = realize_variant(t, ladder(0, 32, 4), Variant.LOW, deep=True)
+    c = realize_variant(t, ladder(0, 32, 4), Variant.LOW).audit()
     assert c.dspec == ((F(-60), 1), (F(-48), 1), (F(-32), 2), (F(0), 4),
                        (F(32), 4), (F(80), 2), (F(104), 1), (F(116), 1))
-    c = realize_variant(t, ladder(0, 32, 4), Variant.HIGH, deep=True)
+    c = realize_variant(t, ladder(0, 32, 4), Variant.HIGH).audit()
     assert c.dspec == ((F(-56), 1), (F(-48), 1), (F(-32), 2), (F(0), 4),
                        (F(32), 4), (F(80), 2), (F(104), 1), (F(120), 1))
 
@@ -254,7 +254,7 @@ def test_realize_entries_read_one_recognition(monkeypatch):
 def test_family_short_core_even():
     for d in (6, 8, 10):
         t = seed(Family.SHORT_CORE, d)
-        c = realize_family(t, 0, 32, deep=True)
+        c = realize_family(t, 0, 32).audit()
         assert c.distinct_values == d + 1
         assert sum(m for _, m in c.dspec) == t.n
         assert verify_certificate(c.matrix, c.dspec) == []
@@ -263,7 +263,7 @@ def test_family_short_core_even():
 def test_family_short_core_odd():
     for d in (7, 9):
         t = seed(Family.SHORT_CORE, d)
-        c = realize_family(t, 0, 32, deep=True)
+        c = realize_family(t, 0, 32).audit()
         assert c.distinct_values == d + 1
         assert sum(m for _, m in c.dspec) == t.n
 
@@ -271,14 +271,14 @@ def test_family_short_core_odd():
 def test_family_mixed():
     for d in (7, 9, 11):
         t = seed(Family.MIXED, d)
-        c = realize_family(t, 0, 32, deep=True)
+        c = realize_family(t, 0, 32).audit()
         assert c.distinct_values == d + 1
         assert sum(m for _, m in c.dspec) == t.n
 
 
 def test_family_rational_endpoints():
     t = seed(Family.MIXED, 7)
-    c = realize_family(t, F(-7, 3), F(11, 3), deep=True)
+    c = realize_family(t, F(-7, 3), F(11, 3)).audit()
     assert c.distinct_values == 8
     assert c.dspec[3][0] == F(-7, 3) or F(-7, 3) in [v for v, _ in c.dspec]
 
@@ -306,7 +306,7 @@ def test_family_on_unfoldings():
     for fam, d in ((Family.UNIFORM, 6), (Family.SHORT_CORE, 7),
                    (Family.MIXED, 9)):
         t = random_unfolding(seed(fam, d), rng, 5)
-        c = realize_family(t, 0, 32, deep=True)
+        c = realize_family(t, 0, 32).audit()
         assert c.distinct_values == d + 1
         assert sum(m for _, m in c.dspec) == t.n
         assert verify_certificate(c.matrix, c.dspec) == []
@@ -545,39 +545,25 @@ def sabotage_join(monkeypatch, at):
     monkeypatch.setattr(diminimal.realize, "_delta_squared", doubled)
 
 
-def audit_with(monkeypatch, mutate):
-    """Run the audit of deep mode after mutate(builder), which may change
-    what the build logged: the claims, or the pieces to probe."""
-    real = diminimal.realize._audit
-
-    def audit(builder, m):
-        mutate(builder)
-        real(builder, m)
-
-    monkeypatch.setattr(diminimal.realize, "_audit", audit)
+def audit_with(cert, mutate):
+    """The audit of `cert` after mutate(builder), which may change what the
+    build logged: the claims, or the pieces to probe."""
+    mutate(cert._builder)
+    return cert.audit()
 
 
-def first_probe(monkeypatch, fault):
-    """Realize in deep mode with `_run` replaced by fault(real, rows,
-    points, pivots, order) in the audit, where order is the postorder of
-    the first piece it probes, and record that piece's anchor and ladder
-    values.  The audit runs each slice once for all its checks, so the join
-    checks, which would read a faulty run of the piece first, are dropped."""
-    real, probed = diminimal.realize._run, []
-
-    def run(rows, points, pivots=None):
-        if not probed:
-            return real(rows, points, pivots=pivots)
-        return fault(real, rows, points, pivots, probed[0][2])
-
-    def first(builder):
-        blk, anchor, _, level = builder.pieces[0]
-        probed.append((anchor, [builder.frac(v) for v in builder.ladders[level]], blk.order))
-        builder.log.clear()
-
-    monkeypatch.setattr(diminimal.realize, "_run", run)
-    audit_with(monkeypatch, first)
-    return probed
+def first_probe(monkeypatch, cert, fault):
+    """Ready the audit of `cert` with `_run` replaced by fault(real, rows,
+    points, pivots, order), where order is the postorder of the first piece
+    it probes, and record that piece's anchor and ladder values.  The audit
+    runs each slice once for all its checks, so the join checks, which would
+    read a faulty run of the piece first, are dropped."""
+    real, builder = diminimal.realize._run, cert._builder
+    blk, anchor, _, level = builder.pieces[0]
+    builder.log.clear()
+    monkeypatch.setattr(diminimal.realize, "_run", lambda rows, points, pivots=None:
+                        fault(real, rows, points, pivots, blk.order))
+    return [(anchor, [builder.frac(v) for v in builder.ladders[level]], blk.order)]
 
 
 def first_interlacing_point(anchor, vals):
@@ -597,9 +583,9 @@ def test_a_probe_off_the_forced_value_is_refused(monkeypatch, fam, d):
         builder.pieces[0] = blk, anchor, forced + 1, level
         probed.append((blk.root, builder.frac(forced + 1)))
 
-    audit_with(monkeypatch, moved)
+    cert = realize_family(seed(fam, d), 0, 32)
     with pytest.raises(RuntimeError, match=r"^block at \d+: no zero at the root at \S+$") as exc:
-        realize_family(seed(fam, d), 0, 32, deep=True)
+        audit_with(cert, moved)
     (root, at), = probed
     assert exc.value.args[0] == f"block at {root}: no zero at the root at {at}"
 
@@ -612,9 +598,10 @@ def test_a_zero_count_that_does_not_rise_by_one_is_refused(monkeypatch, fam, d):
         runs = real(rows, points, pivots=pivots)
         return runs if rows.order != order else [(a, z + 1, top) for a, z, top in runs]
 
-    probed = first_probe(monkeypatch, one_more)
+    cert = realize_family(seed(fam, d), 0, 32)
+    probed = first_probe(monkeypatch, cert, one_more)
     with pytest.raises(RuntimeError, match=r"^block at \d+: \d+ -> \d+ zeros at \S+$") as exc:
-        realize_family(seed(fam, d), 0, 32, deep=True)
+        cert.audit()
     (anchor, vals, _), = probed
     equal, after, at = re.search(r"(\d+) -> (\d+) zeros at (\S+)$", exc.value.args[0]).groups()
     assert int(after) == int(equal) and at == str(first_interlacing_point(anchor, vals))
@@ -626,9 +613,10 @@ def test_a_run_without_pairing_at_the_root_is_refused(monkeypatch, fam, d):
     def no_pivots(real, rows, points, pivots, order):
         return real(rows, points, pivots=[[] for _ in pivots] if rows.order == order else pivots)
 
-    probed = first_probe(monkeypatch, no_pivots)
+    cert = realize_family(seed(fam, d), 0, 32)
+    probed = first_probe(monkeypatch, cert, no_pivots)
     with pytest.raises(RuntimeError, match=r"^block at \d+: no pairing at the root at \S+$") as exc:
-        realize_family(seed(fam, d), 0, 32, deep=True)
+        cert.audit()
     (anchor, vals, _), = probed
     assert exc.value.args[0].endswith(f" at {first_interlacing_point(anchor, vals)}")
 
@@ -640,13 +628,12 @@ def test_a_wrong_first_join_is_refused_by_the_block_check(monkeypatch, fam, d):
     # refuses the wrong matrix before the audit, so here it lets all through
     monkeypatch.setattr(diminimal.realize, "verify_certificate", lambda m, dspec: [])
     sabotage_join(monkeypatch, 1)
+    cert = realize_family(seed(fam, d), 0, 32)
     with pytest.raises(RuntimeError, match=r"^block at \d+: (claimed multiplicity "
                        r"|multiplicities sum to |\d+ eigenvalues (below|above) )"):
-        realize_family(seed(fam, d), 0, 32, deep=True)
-    audit_with(monkeypatch, lambda builder: builder.log.clear())
-    sabotage_join(monkeypatch, 1)  # a fresh count of joins
+        cert.audit()
     with pytest.raises(RuntimeError, match=r"^block at \d+: no zero at the root "):
-        realize_family(seed(fam, d), 0, 32, deep=True)
+        audit_with(cert, lambda builder: builder.log.clear())
 
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
@@ -722,7 +709,7 @@ def test_a_wrong_last_join_is_refused_by_finish(monkeypatch, fam, d):
         realize_family(t, 0, 32)
 
 
-def join_runs(monkeypatch, fam, d, deep):
+def join_runs(monkeypatch, fam, d, audited):
     """Realize seed(fam, d) and record the exact runs of verify_certificate
     and of the audit's checks of the blocks joins took in, as (sorted
     vertices, points), a run of the matrix's quotient as all its vertices;
@@ -734,8 +721,9 @@ def join_runs(monkeypatch, fam, d, deep):
         return real(rows, points, **kwargs)
 
     monkeypatch.setattr(diminimal.realize, "_run", spy)
-    audit_with(monkeypatch, lambda builder: builder.pieces.clear())
-    c = realize_family(seed(fam, d), 0, 32, deep=deep)
+    c = realize_family(seed(fam, d), 0, 32)
+    if audited:
+        audit_with(c, lambda builder: builder.pieces.clear())
     return c, [(tuple(range(c.matrix.n)) if rows is c.matrix.quotient
                 else tuple(sorted(rows.order)), points) for rows, points in runs]
 
@@ -747,7 +735,7 @@ def points(spec, *extra):
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_each_joined_block_but_the_last_is_checked_once(monkeypatch, fam, d):
-    c, runs = join_runs(monkeypatch, fam, d, deep=True)
+    c, runs = join_runs(monkeypatch, fam, d, audited=True)
     joined = [tuple(sorted(rec.core_vertices + sum((v for _, v, _ in rec.parts), ())))
               for rec in c.assemblies]
     assert joined[-1] == tuple(range(c.matrix.n))
@@ -787,7 +775,7 @@ def test_each_joined_block_runs_once_at_its_pin_point(monkeypatch, fam, d):
 def test_the_default_path_runs_the_kernel_once_on_the_finished_matrix(monkeypatch, fam, d):
     # the joint weights come from the claims; the one exact run is
     # verify_certificate's, of the whole tree at the claimed values
-    c, runs = join_runs(monkeypatch, fam, d, deep=False)
+    c, runs = join_runs(monkeypatch, fam, d, audited=False)
     assert runs == [(tuple(range(c.matrix.n)), points(c.dspec))]
 
 
@@ -803,7 +791,7 @@ def test_the_audit_runs_each_slice_once(monkeypatch, fam, d, slices):
         return real(rows, points, **kwargs)
 
     monkeypatch.setattr(diminimal.realize, "_run", spy)
-    c = realize_family(seed(fam, d), 0, 32, deep=True)
+    c = realize_family(seed(fam, d), 0, 32).audit()
     assert runs[0] == range(len(c.matrix.quotient.order))
     assert len(runs) == len(set(runs)) == 1 + slices
 
@@ -815,7 +803,7 @@ def test_the_audit_reads_the_matrix_at_the_construction_root(fam, d):
     # slices are postorder blocks of the construction root
     t = seed(fam, d)
     for r in (t.n - 1, t.n // 2):
-        c = realize_family(reroot(t, r), 0, 32, deep=True)
+        c = realize_family(reroot(t, r), 0, 32).audit()
         assert c.matrix.tree.root == r != c.construction_root
 
 
@@ -829,23 +817,24 @@ def closed_form_cases():
         yield random_unfolding(seed(fam, d), rng, rng.randint(1, 8))
 
 
-def test_the_closed_form_root_value_equals_the_kernel(monkeypatch):
+def test_the_closed_form_root_value_equals_the_kernel():
     # in place of the audit: each logged closed form against one kernel run
     # of its block in the finished matrix, at the pin point
     seen = []
 
-    def both(builder, m):
-        tail = m.rerooted(builder.rt).rows[1:]
+    def both(cert):
+        builder = cert._builder
+        tail = cert.matrix.rerooted(builder.rt).rows[1:]
         for blk, y, *_, dc, dp in builder.log:
             for block, value in zip((blk.core, *blk.parts), (dc, *dp)):
                 (_, _, top), = diminimal.realize._run(Rows(block.order, *tail),
                                                       [(-y, builder.q)])
                 seen.append((F(*value), F(*top)))
+        return cert
 
-    monkeypatch.setattr(diminimal.realize, "_audit", both)
     joins = 0
     for t in closed_form_cases():
-        joins += len(realize_family(t, 0, 32, deep=True).assemblies)
+        joins += len(both(realize_family(t, 0, 32)).assemblies)
     assert len(seen) > joins > 1000
     assert all(closed == kernel for closed, kernel in seen)
 
@@ -889,10 +878,10 @@ def test_a_wrong_root_value_is_refused(monkeypatch, fam, d):
         builder.log[0] = (blk, *rest, (dc[0] + dc[1], dc[1]), dp)
         logged.append((blk.root, F(*dc), F(*dc) + 1))
 
-    audit_with(monkeypatch, one_more)
+    cert = realize_family(seed(fam, d), 0, 32)
     with pytest.raises(RuntimeError, match=r"^block at \d+: root value \S+ at the pin "
                                            r"point, \S+ from the claims$") as exc:
-        realize_family(seed(fam, d), 0, 32, deep=True)
+        audit_with(cert, one_more)
     (root, kernel, claimed), = logged
     assert exc.value.args[0] == (f"block at {root}: root value {kernel} at the pin point, "
                                  f"{claimed} from the claims")
@@ -907,10 +896,10 @@ def test_a_logged_pin_point_inside_a_block_spectrum_is_refused(monkeypatch, fam,
         (lam,) = blk.core.pred
         builder.log[0] = (blk, lam, side, *rest)
 
-    audit_with(monkeypatch, inside)
+    cert = realize_family(seed(fam, d), 0, 32)
     with pytest.raises(RuntimeError, match=r"^block at \d+: pin point \S+ is not strictly "
                                            r"(above|below) its spectrum$"):
-        realize_family(seed(fam, d), 0, 32, deep=True)
+        audit_with(cert, inside)
 
 
 def test_a_weight_that_is_not_positive_is_refused(monkeypatch):
@@ -1092,8 +1081,8 @@ def test_a_block_that_is_not_root_and_whole_subtrees_is_refused(monkeypatch):
 def test_an_integral_realization_with_a_fractional_eigenvalue_is_refused(monkeypatch):
     real = diminimal.realize.realize_family
 
-    def off_by_half(t, alpha, beta, deep=False):
-        (lam, mult), *rest = real(t, alpha, beta, deep).dspec
+    def off_by_half(t, alpha, beta):
+        (lam, mult), *rest = real(t, alpha, beta).dspec
         return SimpleNamespace(dspec=((lam + F(1, 2), mult), *rest))
 
     monkeypatch.setattr(diminimal.realize, "realize_family", off_by_half)
