@@ -20,13 +20,19 @@ dstebz (Demmel, Dhillon and Ren).
 precision, after Shewchuk's adaptive predicates and the interval filters of
 Bronnimann, Burnikel and Pion.  It works in float intervals whose every
 bound is rounded outward by one ulp, so each interval encloses the exact
-value.  Where a vertex interval meets 0 or is not finite, `_run` computes
-that vertex's subtree afresh in exact arithmetic (n-row form), replacing
-what the pass counted in it; the exact Schur term goes on up as an
-interval, and an exact 0 pairs with the parent.  So every count is exact,
-and exact work is spent only where floats cannot decide.  At a true
-eigenvalue most vertices need it, so once repairs dominate the pass ends in
-one exact run from the root.
+value.  A child whose finite interval [-d, d] meets 0 pushes nothing: if
+w/d exceeds |A|, A its parent's value without its term, the two hold one
+negative, whether the child is 0 (the parent pairs with it) or +-eps (the
+parent takes the other sign), and the parent's term goes up as an interval
+about 0, the tiny pivots of `pivmin` in LAPACK's dstebz (Kahan) made
+rigorous.  For two such children under one vertex, one that does not
+dominate, a non-finite interval or a root meeting 0, `_run` computes the
+vertex's subtree afresh in exact arithmetic (n-row form), replacing what
+the pass counted in it; the exact Schur term goes on up as an interval, an
+exact 0 pairs with the parent, and a vertex that pairs inside its subtree
+sends nothing up.  So every count is exact, and exact work is spent only
+where floats cannot decide.  At a true eigenvalue most vertices need it,
+so once repairs dominate the pass ends in one exact run from the root.
 """
 
 from __future__ import annotations
@@ -212,7 +218,9 @@ _EXACT_SHARE = 8
 def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
     """How many eigenvalues of m are <, ==, > the query point: the inertia
     of M - point*I, by the adaptive pass of the module docstring, eliminating
-    from the tree's root."""
+    from the tree's root.  A vertex goes exact, with its subtree, when two of
+    its children may be 0 or one that may be does not dominate it, when its
+    interval is not finite, and when it is the root and may be 0."""
     p = _fraction(point)
     xn, xd = -p.numerator, p.denominator
     order, parent, _, _, wn, wd, _, _ = m.rows
@@ -224,35 +232,52 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
     alo, ahi = fb.dlo + [0.0], fb.dhi + [0.0]
     wlo, whi, size, pos = fb.wlo, fb.whi, m.tree.size, m.tree.pos
     # float negatives, (postorder position, negatives, zeros) of repairs and
-    # pairings, and the parents of repaired children that are exactly 0
-    negs, fixes, zero_kid = [], [], set()
+    # pairings, the parents of repaired children that are exactly 0, and
+    # parent -> (child, d) for a child in [-d, d] that pushed nothing (d is
+    # inf once a second one came)
+    negs, fixes, zero_kid, near = [], [], set(), {}
     neg_float, spent = negs.append, 0
     for k in order:
         lo = nxt(alo[k] + slo, down)
         hi = nxt(ahi[k] + shi, up)
         p = parent[k]
-        if 0.0 < lo and hi < up:
+        if near and k in near:
+            # [lo, hi] holds A, k's value without the term of its child c;
+            # if w/d > |A|, c and k hold one negative and |k| >= big, or k
+            # pairs with c = 0 and pushes nothing
+            c, d = near.pop(k)
+            big = nxt(nxt(wlo[c] / d, down) - max(-lo, hi), down)
+            if big > 0.0 and down < lo and hi < up:
+                fixes.append((pos[k], 1, 0))
+                t = nxt(whi[k] / big, up)
+                alo[p], ahi[p] = nxt(alo[p] - t, down), nxt(ahi[p] + t, up)
+                continue
+        elif 0.0 < lo and hi < up:
             # -w/v for v in [lo, hi], v > 0; the bounds hold for any w in
             # [wlo, whi] with w > 0, so a wlo below 0 from underflow is safe
             alo[p] = nxt(alo[p] - nxt(whi[k] / lo, up), down)
             ahi[p] = nxt(ahi[p] - nxt(wlo[k] / hi, down), up)
             continue
-        if hi < 0.0 and down < lo:
+        elif hi < 0.0 and down < lo:
             neg_float(k)
             # -w/v = w/|v| for |v| in [-hi, -lo]
             alo[p] = nxt(alo[p] + nxt(wlo[k] / -lo, down), down)
             ahi[p] = nxt(ahi[p] + nxt(whi[k] / -hi, up), up)
             continue
-        i = pos[k]
-        if k in zero_kid:
+        elif down < lo and hi < up and p != -1:
+            # k is in [-d, d] and leaves its sign to the pair with its parent
+            near[p] = (k, inf if p in near else max(-lo, hi))
+            continue
+        elif k in zero_kid:
             # lo is nan: a repaired child of k is exactly 0, so k pairs with
             # it (the child turns positive, k negative) and cuts its edge up
-            fixes.append((i, 1, -1))
+            fixes.append((pos[k], 1, -1))
             continue
+        i = pos[k]
         spent += size[k]
         if spent * _EXACT_SHARE > i:
             (neg, zero, _), = _run(m.rows, ((xn, xd),))
-            return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
+            return CountsAt(neg, zero, len(order) - neg - zero)
         # k's subtree is the block of the postorder that ends at k; the
         # kernel runs all of it afresh, so what was counted in it is dropped
         start = i + 1 - size[k]
@@ -260,8 +285,11 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
             negs.pop()
         while fixes and fixes[-1][0] >= start:
             fixes.pop()
-        (neg, zero, (a, b)), = _run(Rows(order[start:i + 1], *m.rows[1:]), ((xn, xd),))
+        (neg, zero, (a, b)), = _run(Rows(order[start:i + 1], *m.rows[1:]), ((xn, xd),),
+                                    None, [pivots := []])
         fixes.append((i, neg, zero))
+        if pivots[-1:] == [k]:  # k paired with a zero child and cut its edge up
+            continue
         if not a:
             zero_kid.add(p)
             alo[p] = nan
@@ -272,7 +300,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
     neg, zero = len(negs), 0
     for _, n, z in fixes:
         neg, zero = neg + n, zero + z
-    return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
+    return CountsAt(neg, zero, len(order) - neg - zero)
 
 
 def multiplicity(m: WeightedTreeMatrix, point: Fraction) -> int:

@@ -420,8 +420,9 @@ def test_interlacing_under_vertex_deletion():
 
 # ------------------------------------------- float pass and exact repair
 #
-# counts_at runs the elimination in float intervals and repairs exactly only
-# the subtrees whose interval meets 0.  The tests named test_counts_many_*
+# counts_at runs the elimination in float intervals, pairs a child whose
+# interval meets 0 with a parent it dominates, and repairs exactly only the
+# subtrees it cannot decide that way.  The tests named test_counts_many_*
 # count many points through counts_at; they keep the names of the float
 # filter tests they took over when that filter became part of counts_at.
 
@@ -568,9 +569,12 @@ def test_counts_many_falls_back_at_every_constructed_eigenvalue(family, d, exact
 @pytest.mark.parametrize("family, d", [(f, d) for f, d in SEEDS if d >= 3])
 def test_counts_at_nests_repairs_at_constructed_eigenvalues(family, d, exact_runs,
                                                             monkeypatch):
-    # with the switch to one exact run turned off, the pass repairs the zero
-    # subtrees of a true eigenvalue one inside the other; each run is the
-    # whole block of its subtree, so it computes the blocks inside it again
+    # with the switch to one exact run turned off, the pass pairs the zeros
+    # that dominate their parents in floats and repairs the vertices under
+    # which two children may be 0, one inside the other; each run is the
+    # whole block of its subtree, so it computes the blocks inside it again.
+    # The number of eigenvalues with nested runs is pinned: d - 4 on the
+    # odd uniform and the mixed trees, d - 5 on the others, 0 below d = 5
     monkeypatch.setattr(locate, "_EXACT_SHARE", 0)
     cert = realize_family(seed(family, d), 0, 32)
     m = cert.matrix
@@ -582,7 +586,7 @@ def test_counts_at_nests_repairs_at_constructed_eigenvalues(family, d, exact_run
         assert c.equal == mult and c == want
         assert_subtree_blocks(m, exact_runs)
         nested += any(set(a) < set(b) for a, b in zip(exact_runs, exact_runs[1:]))
-    assert nested >= (d - 1) // 2
+    assert nested == max(0, d - 4 - (d % 2 == 0 or family is Family.SHORT_CORE))
 
 
 @settings(max_examples=25, deadline=None)
@@ -660,11 +664,11 @@ def test_counts_many_decides_guarded_points(exact_runs):
 
 def test_counts_at_repairs_a_leaf_zero_alone(exact_runs):
     # a point equal to a leaf's diagonal entry makes that leaf exactly 0;
-    # one exact run of the leaf alone decides it, and its parent pairs
-    # with it in the float pass.  Each leaf has its own diagonal entry, so
-    # no other vertex value comes near 0.  (A zero among the first eight
-    # vertices of the postorder is an exact share above an eighth, which
-    # ends the float pass in one exact run; the leaves here come later.)
+    # its interval meets 0, it dominates its parent, and the two pair in
+    # the float pass with no exact run at all.  Each leaf has its own
+    # diagonal entry, so no other vertex value comes near 0.  (The test's
+    # name is from the schedule before that pairing, when such a leaf was
+    # repaired alone.)
     rng = random.Random(12)
     t = random_tree(300, rng)
     leaves = [v for v in t.order[8:] if not t.children[v]]
@@ -676,7 +680,58 @@ def test_counts_at_repairs_a_leaf_zero_alone(exact_runs):
         want = reference_counts(m, p)
         exact_runs.clear()
         assert counts_at(m, p) == want
-        assert exact_runs == [(v,)]
+        assert exact_runs == []
+
+
+def test_counts_at_pairs_in_floats_a_zero_spine_vertex(exact_runs):
+    # a caterpillar whose spine vertex 40, heading over 200 vertices, is
+    # exactly 0 at the point 1/7: its interval is a few ulps about 0 and
+    # its term dominates its parent, so the two pair in the float pass,
+    # with no exact run of the subtree below
+    rng = random.Random(3)
+    t = build_tree([(v, v + 1) for v in range(239)]
+                   + [(rng.randrange(240), v) for v in range(240, 300)], 0)
+    m, p, s = random_matrix(t, rng), F(1, 7), 40
+    diag = list(m.diag)
+    diag[s] -= diagonalize(m, -p).final_values[s]
+    m = make_matrix(t, diag, dict(zip(t.edges, m.sq_edge)))
+    # vertex 40 is the one zero, and its parent pairs with it (a zero turns 2)
+    out = diagonalize(m, -p)
+    assert t.size[s] > 200 and out.pivots == {39} and out.final_values[s] == 2
+    want = reference_counts(m, p)
+    exact_runs.clear()
+    assert counts_at(m, p) == want
+    assert exact_runs == []
+    assert_counts_exact(m, [p])
+
+
+def test_counts_at_pairs_in_floats_only_a_child_that_dominates(exact_runs):
+    # at the point 1 the leaf is 2^-80, inside its float interval of about
+    # +-2^-52, and the root without the leaf's term is 2^80 + 1, which the
+    # leaf's term of -2^80 does not dominate: both values are positive, so
+    # a pairing would count one negative too many, and the pass goes exact
+    t = build_tree([(0, 1)], 0)
+    m = make_matrix(t, (2 + 2 ** 80, 1 + F(1, 2 ** 80)), {(0, 1): F(1)})
+    exact_runs.clear()
+    assert counts_at(m, F(1)) == locate.CountsAt(below=0, equal=0, above=2)
+    assert exact_runs == [t.order]
+    assert_counts_exact(m, [F(1)])
+
+
+def test_counts_at_pairs_in_floats_nothing_above_a_block_root_that_pairs(exact_runs):
+    # the star of three leaves on vertex 0, all entries 0 and rooted at leaf
+    # 1, at the point 0 (its eigenvalues are -sqrt(3), 0, 0 and sqrt(3)):
+    # leaves 2 and 3 may both be 0, so vertex 0 is repaired as a block in
+    # which it pairs with leaf 2.  It sends nothing up, which leaves the
+    # root at 0; sending up its exact term of 2 would make the root positive
+    t = build_tree([(0, 1), (0, 2), (0, 3)], 1)
+    m = make_matrix(t, (F(0),) * 4, {e: F(1) for e in t.edges})
+    for share, runs in ((locate._EXACT_SHARE, [t.order]), (0, [(2, 3, 0), t.order])):
+        with mock.patch.object(locate, "_EXACT_SHARE", share):
+            exact_runs.clear()
+            assert counts_at(m, F(0)) == locate.CountsAt(below=1, equal=2, above=1)
+            assert exact_runs == runs
+    assert_counts_exact(m, [F(0)])
 
 
 def test_counts_at_sums_the_exact_terms_of_repaired_siblings():
@@ -690,21 +745,32 @@ def test_counts_at_sums_the_exact_terms_of_repaired_siblings():
     assert counts_at(m, F(1)) == locate.CountsAt(below=1, equal=0, above=3)
 
 
-STAR = [(0, v) for v in range(1, 13)]
-BRANCH = [(0, v) for v in range(1, 9)] + [(0, 9), (9, 10)] + [(0, v) for v in range(11, 14)]
+def hub_after(fill):
+    """Leaves 1..fill of the root 0, then the vertex fill + 1 holding the
+    leaves fill + 2 and fill + 3, last in the postorder but the root."""
+    return [(0, v) for v in range(1, fill + 2)] + [(fill + 1, fill + 2), (fill + 1, fill + 3)]
+
+
+CHAIN = [(0, v) for v in range(1, 10)] + [(9, 10), (10, 11)]
 
 
 @pytest.mark.parametrize("edges, zeros, whole", [
-    (STAR, {8: 0}, True),             # leaf 8 at position 7: 1 of 8 passed
-    (STAR, {9: 0}, False),            # leaf 9 at position 8: 1 of 9
-    (BRANCH, {9: 1, 10: 1}, True),    # block (10, 9) at position 9: 2 of 10
+    # two zero leaves under one vertex: its block of 3 at position 23, 3 of
+    # 24 passed, then at position 24, 3 of 25
+    (hub_after(21), {22: 1, 23: 0, 24: 0}, True),
+    (hub_after(22), {23: 1, 24: 0, 25: 0}, False),
+    # vertex 10 is 2^-80 with a term of -2^80 on vertex 9, whose diagonal
+    # entry is 2^80 + 1: the child does not dominate, so the block (11, 10,
+    # 9) at position 10 is repaired, 3 of 11 passed
+    (CHAIN, {9: 2 ** 80 + 1, 10: 1 + F(1, 2 ** 80), 11: 1}, True),
 ])
 def test_counts_at_ends_the_float_pass_when_repairs_dominate(edges, zeros, whole,
                                                              exact_runs):
     # at the point 0, only the listed vertices have the diagonal entries
-    # that make the value of their subtree exactly 0; once the repaired
-    # subtrees hold more than an eighth of the vertices passed, the pass
-    # ends in one exact run from the root
+    # that bring a vertex value to 0 or next to it where the float pass
+    # cannot pair it, and they make up the block it repairs; once the
+    # repaired subtrees hold more than an eighth of the vertices passed,
+    # the pass ends in one exact run from the root
     t = build_tree(edges, 0)
     diag = [zeros.get(v, F(100 + v, 3)) for v in range(t.n)]
     m = make_matrix(t, diag, {e: F(1) for e in t.edges})
