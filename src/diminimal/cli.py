@@ -33,7 +33,11 @@ from .trees import (Family, duplicate_branch, json_int, recognize_family, seed,
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; here 2 is reserved for
-    verification failures, so usage errors are remapped to 1."""
+    verification failures, so usage errors are remapped to 1.  Options are
+    taken by their full names only, the names `_fold_rational_flags` knows."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

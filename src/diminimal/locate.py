@@ -16,30 +16,29 @@ object overhead.  One pass serves a batch of points, each with its own
 Schur sums and zero-pairing, as in the multi-shift bisection of LAPACK's
 dstebz (Demmel, Dhillon and Ren).
 
-`counts_at`, the one counting routine, runs that elimination with adaptive
-precision, after Shewchuk's adaptive predicates and the interval filters of
-Bronnimann, Burnikel and Pion.  It works in float intervals whose every
-bound is rounded outward by one ulp, so each interval encloses the exact
-value.  A child whose finite interval [-d, d] meets 0 pushes nothing: if
-w/d exceeds |A|, A its parent's value without its term, the two hold one
+`counts_at`, the one counting routine, is a filtered predicate after
+Shewchuk's adaptive predicates and the interval filters of Bronnimann,
+Burnikel and Pion: a float pass, and where it cannot decide, one exact
+evaluation.  The pass works in float intervals whose every bound is
+rounded outward by one ulp, so each interval encloses the exact value.  A
+child whose finite interval [-d, d] meets 0 pushes nothing: if w/d
+exceeds |A|, A its parent's value without its term, the two hold one
 negative, whether the child is 0 (the parent pairs with it) or +-eps (the
-parent takes the other sign), and the parent's term goes up as an interval
-about 0, the tiny pivots of `pivmin` in LAPACK's dstebz (Kahan) made
-rigorous.  For two such children under one vertex, one that does not
-dominate, a non-finite interval or a root meeting 0, `_run` computes the
-vertex's subtree afresh in exact arithmetic (n-row form), replacing what
-the pass counted in it; the exact Schur term goes on up as an interval, an
-exact 0 pairs with the parent, and a vertex that pairs inside its subtree
-sends nothing up.  So every count is exact, and exact work is spent only
-where floats cannot decide.  At a true eigenvalue most vertices need it,
-so once repairs dominate the pass ends in one exact run from the root.
+parent takes the other sign), and the parent's term goes up as an
+interval about 0, the tiny pivots of `pivmin` in LAPACK's dstebz (Kahan)
+made rigorous.  For two such children under one vertex, one that does not
+dominate, a non-finite interval or a root meeting 0, the pass ends in
+`_run` over the whole tree (n-row form), whose counts are returned as they
+are.  So every count is exact, and its exact work is no run or one run of
+n rows; a true eigenvalue leaves a zero that no pairing removes, so a
+count there always makes that run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, inf, nan, nextafter
+from math import ceil, gcd, inf, nextafter
 from typing import Collection, Sequence
 
 from .matrices import Rows, WeightedTreeMatrix, delete_vertex, enclose
@@ -209,34 +208,26 @@ class CountsAt:
     above: int
 
 
-# counts_at ends its float pass in one exact run from the root once the
-# subtrees it repaired hold over 1/_EXACT_SHARE of the vertices it passed,
-# so its exact work stays within n + n/8 vertices.
-_EXACT_SHARE = 8
-
-
 def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
     """How many eigenvalues of m are <, ==, > the query point: the inertia
-    of M - point*I, by the adaptive pass of the module docstring, eliminating
-    from the tree's root.  A vertex goes exact, with its subtree, when two of
-    its children may be 0 or one that may be does not dominate it, when its
-    interval is not finite, and when it is the root and may be 0."""
+    of M - point*I, by the float pass of the module docstring, eliminating
+    from the tree's root.  Where floats cannot decide a vertex (two of its
+    children may be 0, one that may be does not dominate it, its interval is
+    not finite, or it is the root and may be 0) the pass ends in one exact
+    run of the whole tree, whose counts are returned as they are."""
     p = _fraction(point)
     xn, xd = -p.numerator, p.denominator
-    order, parent, _, _, wn, wd, _, _ = m.rows
+    order, parent = m.rows.order, m.rows.parent
     fb = m.float_bounds
     nxt, up, down = nextafter, inf, -inf
     slo, shi = enclose(xn, xd)
     # Schur sums collect on top of the diagonal; the extra slot takes the
     # root's term (its parent is -1) and is never read
     alo, ahi = fb.dlo + [0.0], fb.dhi + [0.0]
-    wlo, whi, size, pos = fb.wlo, fb.whi, m.tree.size, m.tree.pos
-    # float negatives, (postorder position, negatives, zeros) of repairs and
-    # pairings, the parents of repaired children that are exactly 0, and
-    # parent -> (child, d) for a child in [-d, d] that pushed nothing (d is
-    # inf once a second one came)
-    negs, fixes, zero_kid, near = [], [], set(), {}
-    neg_float, spent = negs.append, 0
+    wlo, whi = fb.wlo, fb.whi
+    # one negative per float negative and per pairing; parent -> (child, d)
+    # for a child in [-d, d] that pushed nothing (d is inf once a second came)
+    neg, near = 0, {}
     for k in order:
         lo = nxt(alo[k] + slo, down)
         hi = nxt(ahi[k] + shi, up)
@@ -248,7 +239,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
             c, d = near.pop(k)
             big = nxt(nxt(wlo[c] / d, down) - max(-lo, hi), down)
             if big > 0.0 and down < lo and hi < up:
-                fixes.append((pos[k], 1, 0))
+                neg += 1
                 t = nxt(whi[k] / big, up)
                 alo[p], ahi[p] = nxt(alo[p] - t, down), nxt(ahi[p] + t, up)
                 continue
@@ -259,7 +250,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
             ahi[p] = nxt(ahi[p] - nxt(wlo[k] / hi, down), up)
             continue
         elif hi < 0.0 and down < lo:
-            neg_float(k)
+            neg += 1
             # -w/v = w/|v| for |v| in [-hi, -lo]
             alo[p] = nxt(alo[p] + nxt(wlo[k] / -lo, down), down)
             ahi[p] = nxt(ahi[p] + nxt(whi[k] / -hi, up), up)
@@ -268,39 +259,9 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
             # k is in [-d, d] and leaves its sign to the pair with its parent
             near[p] = (k, inf if p in near else max(-lo, hi))
             continue
-        elif k in zero_kid:
-            # lo is nan: a repaired child of k is exactly 0, so k pairs with
-            # it (the child turns positive, k negative) and cuts its edge up
-            fixes.append((pos[k], 1, -1))
-            continue
-        i = pos[k]
-        spent += size[k]
-        if spent * _EXACT_SHARE > i:
-            (neg, zero, _), = _run(m.rows, ((xn, xd),))
-            return CountsAt(neg, zero, len(order) - neg - zero)
-        # k's subtree is the block of the postorder that ends at k; the
-        # kernel runs all of it afresh, so what was counted in it is dropped
-        start = i + 1 - size[k]
-        while negs and pos[negs[-1]] >= start:
-            negs.pop()
-        while fixes and fixes[-1][0] >= start:
-            fixes.pop()
-        (neg, zero, (a, b)), = _run(Rows(order[start:i + 1], *m.rows[1:]), ((xn, xd),),
-                                    None, [pivots := []])
-        fixes.append((i, neg, zero))
-        if pivots[-1:] == [k]:  # k paired with a zero child and cut its edge up
-            continue
-        if not a:
-            zero_kid.add(p)
-            alo[p] = nan
-            continue
-        t = Fraction(-wn[k] * b, wd[k] * a)
-        lo, hi = enclose(t.numerator, t.denominator)
-        alo[p], ahi[p] = nxt(alo[p] + lo, down), nxt(ahi[p] + hi, up)
-    neg, zero = len(negs), 0
-    for _, n, z in fixes:
-        neg, zero = neg + n, zero + z
-    return CountsAt(neg, zero, len(order) - neg - zero)
+        (neg, zero, _), = _run(m.rows, ((xn, xd),))
+        return CountsAt(neg, zero, len(order) - neg - zero)
+    return CountsAt(neg, 0, len(order) - neg)
 
 
 def multiplicity(m: WeightedTreeMatrix, point: Fraction) -> int:

@@ -717,6 +717,12 @@ USAGE_CASES = [
      "error: argument --width: not a rational: '1/x'\n"),
     (["locate", "--matrix", "m.json", "--point", "1/3", "stray"], 1, None,
      "error: unrecognized arguments: stray\n"),
+    # options are taken by their full names only, so a rational value that
+    # starts with "-" is never split from an abbreviated option
+    (["locate", "--matrix", "m.json", "--poin", "-1/3"], 1, "locate",
+     "error: the following arguments are required: --point\n"),
+    (["construct", "--tree", "t.json", "--alph", "-1/2"], 1, "construct",
+     "error: the following arguments are required: --alpha\n"),
     # the command name comes first; Python versions refuse a leading `--`
     # in their own words, or main refuses what the parser let through
     (["--", "seed", "--family", "uniform", "--diameter", "3"], 1, None, "error: "),

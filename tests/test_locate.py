@@ -1,7 +1,8 @@
 import random
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import gcd, isqrt, nextafter
 from unittest import mock
 
 import numpy as np
@@ -418,13 +419,15 @@ def test_interlacing_under_vertex_deletion():
         assert abs(after - before) <= 1
 
 
-# ------------------------------------------- float pass and exact repair
+# ---------------------------------------------- float pass and exact run
 #
-# counts_at runs the elimination in float intervals, pairs a child whose
-# interval meets 0 with a parent it dominates, and repairs exactly only the
-# subtrees it cannot decide that way.  The tests named test_counts_many_*
-# count many points through counts_at; they keep the names of the float
-# filter tests they took over when that filter became part of counts_at.
+# counts_at runs the elimination in float intervals and pairs a child whose
+# interval meets 0 with a parent it dominates; where floats cannot decide a
+# vertex, it ends in one exact run of the whole tree.  The tests named
+# test_counts_many_* count many points through counts_at; they keep the
+# names of the float filter tests they took over when that filter became
+# part of counts_at, and the tests named after repairs keep the names of
+# the exact subtree repairs that the one exact run replaced.
 
 
 def reference_counts(m, point):
@@ -432,23 +435,10 @@ def reference_counts(m, point):
     return locate.CountsAt(below=neg, equal=zero, above=pos)
 
 
-def assert_counts_exact(m, points, roots=None):
-    """counts_at against the plain exact kernel, on m and on m rooted at
-    every vertex, with and without the switch to one exact run (an exact
-    share of 0 never switches, so every undecided subtree is repaired on
-    its own)."""
-    rooted = [rooted_at(m, r) for r in (range(m.n) if roots is None else roots)]
-    for share in (locate._EXACT_SHARE, 0):
-        with mock.patch.object(locate, "_EXACT_SHARE", share):
-            for mr in rooted + [m]:
-                for p in points:
-                    assert counts_at(mr, p) == reference_counts(mr, p)
-
-
-@pytest.fixture
-def exact_runs(monkeypatch):
-    """The orders of the rows counts_at hands to the exact kernel: all of
-    them the n-row form, a row per vertex."""
+@contextmanager
+def spying_runs():
+    """The orders of the rows handed to the exact kernel while the block
+    runs: all of them the n-row form, a row per vertex."""
     seen = []
 
     def spy(rows, *args, **kwargs):
@@ -456,17 +446,27 @@ def exact_runs(monkeypatch):
         seen.append(tuple(rows.order))
         return _run(rows, *args, **kwargs)
 
-    monkeypatch.setattr(locate, "_run", spy)
-    return seen
+    with mock.patch.object(locate, "_run", spy):
+        yield seen
 
 
-def assert_subtree_blocks(m, runs):
-    """Each exact run is the whole subtree block of its last vertex, a
-    contiguous slice of the postorder (the full order for the root)."""
-    order, size = tuple(m.rows.order), m.tree.size
-    for run in runs:
-        end = order.index(run[-1]) + 1
-        assert len(run) == size[run[-1]] and run == order[end - len(run):end]
+@pytest.fixture
+def exact_runs():
+    with spying_runs() as seen:
+        yield seen
+
+
+def assert_counts_exact(m, points, roots=None):
+    """counts_at against the plain exact kernel, on m and on m rooted at
+    every vertex; each count makes no exact run or one of the whole tree."""
+    rooted = [rooted_at(m, r) for r in (range(m.n) if roots is None else roots)]
+    with spying_runs() as runs:
+        for mr in rooted + [m]:
+            for p in points:
+                want = reference_counts(mr, p)
+                runs.clear()
+                assert counts_at(mr, p) == want
+                assert runs in ([], [tuple(mr.rows.order)])
 
 
 POINTS = st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 8)), max_size=12)
@@ -546,6 +546,23 @@ def test_counts_many_at_single_rounding_edges(root_diag, leaf_diag, w2, point):
     assert counts_at(m, point) == locate.CountsAt(neg, zero, 2 - neg - zero)
 
 
+def test_counts_at_rounds_each_schur_term_outward_on_a_hub():
+    # a root of 64 leaves whose terms cancel its diagonal to -2^-60.  Each
+    # leaf is 1 + 2^-51, so its lower bound is 1.0, and its weight is just
+    # below t = 2^-6 + 2^-54 - 2^-58, so its upper bound is t.  t is just
+    # under half an ulp past a multiple of 2^-53, the ulp of the root's
+    # running sum in [1/2, 1), so each subtraction of t rounded to nearest
+    # rounds up by just under 2^-54.  Over the 32 steps there that beats the
+    # slack of the bounds, about 2^-50, and a lower bound rounded to nearest
+    # would call the root positive
+    n, t = 64, 2.0 ** -6 + 2.0 ** -54 - 2.0 ** -58
+    leaf, w = 1 + F(1, 2 ** 51), F(nextafter(t, 0))
+    tree = build_tree([(0, v) for v in range(1, n + 1)], 0)
+    m = make_matrix(tree, [n * w / leaf - F(1, 2 ** 60)] + [leaf] * n,
+                    {e: w for e in tree.edges})
+    assert counts_at(m, F(0)) == reference_counts(m, F(0)) == locate.CountsAt(1, 0, n)
+
+
 SEEDS = [(Family.UNIFORM, d) for d in range(1, 16)] + [
     (Family.SHORT_CORE, d) for d in range(6, 16)] + [
     (Family.MIXED, d) for d in range(7, 16, 2)]
@@ -553,9 +570,8 @@ SEEDS = [(Family.UNIFORM, d) for d in range(1, 16)] + [
 
 @pytest.mark.parametrize("family, d", SEEDS)
 def test_counts_many_falls_back_at_every_constructed_eigenvalue(family, d, exact_runs):
-    # a true eigenvalue leaves some vertex exactly 0, so each point needs
-    # exact runs; there the first repair already ends the float pass in one
-    # exact run, so no vertex runs twice
+    # a true eigenvalue leaves a zero that no pairing removes, which the
+    # float pass cannot count, so each point ends in one exact run
     cert = realize_family(seed(family, d), 0, 32)
     m = cert.matrix
     for v, mult in cert.dspec:
@@ -563,30 +579,7 @@ def test_counts_many_falls_back_at_every_constructed_eigenvalue(family, d, exact
         exact_runs.clear()
         c = counts_at(m, v)
         assert c.equal == mult and c == want
-        assert exact_runs and sum(map(len, exact_runs)) <= m.n
-
-
-@pytest.mark.parametrize("family, d", [(f, d) for f, d in SEEDS if d >= 3])
-def test_counts_at_nests_repairs_at_constructed_eigenvalues(family, d, exact_runs,
-                                                            monkeypatch):
-    # with the switch to one exact run turned off, the pass pairs the zeros
-    # that dominate their parents in floats and repairs the vertices under
-    # which two children may be 0, one inside the other; each run is the
-    # whole block of its subtree, so it computes the blocks inside it again.
-    # The number of eigenvalues with nested runs is pinned: d - 4 on the
-    # odd uniform and the mixed trees, d - 5 on the others, 0 below d = 5
-    monkeypatch.setattr(locate, "_EXACT_SHARE", 0)
-    cert = realize_family(seed(family, d), 0, 32)
-    m = cert.matrix
-    nested = 0
-    for v, mult in cert.dspec:
-        want = reference_counts(m, v)
-        exact_runs.clear()
-        c = counts_at(m, v)
-        assert c.equal == mult and c == want
-        assert_subtree_blocks(m, exact_runs)
-        nested += any(set(a) < set(b) for a, b in zip(exact_runs, exact_runs[1:]))
-    assert nested == max(0, d - 4 - (d % 2 == 0 or family is Family.SHORT_CORE))
+        assert exact_runs == [tuple(m.rows.order)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -594,23 +587,21 @@ def test_counts_at_nests_repairs_at_constructed_eigenvalues(family, d, exact_run
        st.randoms(use_true_random=False), st.data())
 def test_counts_at_matches_the_reference_where_repairs_nest(cell, rng, data):
     # constructed eigenvalues of random unfoldings, rooted at the
-    # construction's root and anywhere else: without the switch to one
-    # exact run the zero subtrees are repaired one inside the other
+    # construction's root and anywhere else: their zero subtrees nest, where
+    # exact subtree repairs once ran one inside the other
     fam, d = cell
     cert = realize_family(random_unfolding(seed(fam, d), rng, 4, cap=60), 0, 32)
     m = cert.matrix
     mr = rooted_at(m, data.draw(st.integers(0, m.n - 1)))
-    with mock.patch.object(locate, "_EXACT_SHARE", 0):
-        for v, mult in cert.dspec:
-            for mm in (m, mr):
-                c = counts_at(mm, v)
-                assert c == reference_counts(mm, v) and c.equal == mult
+    for v, mult in cert.dspec:
+        for mm in (m, mr):
+            c = counts_at(mm, v)
+            assert c == reference_counts(mm, v) and c.equal == mult
 
 
 # a root with eight nonzero leaves and a zero path of 22 vertices below it:
-# at the point 0 every other vertex of the path is 0, each repair holds
-# the one before it, and the first one comes late enough that the switch
-# does not fire at once
+# at the point 0 every other vertex of the path is 0, and each pairs with
+# its parent in the float pass
 ZERO_PATH = make_matrix(
     build_tree([(0, v) for v in range(1, 10)] + [(v, v + 1) for v in range(9, 30)], 0),
     [F(0) if v >= 9 else F(100 + v, 3) for v in range(31)],
@@ -622,15 +613,14 @@ ZERO_PATH = make_matrix(
 @given(m=st.one_of(SMALL, MIXED))
 @example(m=ZERO_PATH)
 def test_counts_at_keeps_exact_work_within_an_eighth_over_n(exact_runs, m):
-    # the repairs stop before they pass an eighth of the vertices passed,
-    # and the one exact run after them covers n (the spy's list is cleared
-    # per point, so sharing it between examples is safe)
+    # exact work is no run or one run of the whole tree, n rows, well within
+    # the n + n/8 of the subtree repairs the name is from (the spy's list is
+    # cleared per point, so sharing it between examples is safe)
     for p in [*m.diag, F(0), F(1), F(-1)]:
         want = reference_counts(m, p)
         exact_runs.clear()
         assert counts_at(m, p) == want
-        assert sum(map(len, exact_runs)) <= m.n + m.n // 8
-        assert_subtree_blocks(m, exact_runs)
+        assert exact_runs in ([], [tuple(m.rows.order)])
 
 
 @pytest.mark.parametrize("family, d", [(f, d) for f, d in SEEDS if d <= 9])
@@ -721,16 +711,14 @@ def test_counts_at_pairs_in_floats_only_a_child_that_dominates(exact_runs):
 def test_counts_at_pairs_in_floats_nothing_above_a_block_root_that_pairs(exact_runs):
     # the star of three leaves on vertex 0, all entries 0 and rooted at leaf
     # 1, at the point 0 (its eigenvalues are -sqrt(3), 0, 0 and sqrt(3)):
-    # leaves 2 and 3 may both be 0, so vertex 0 is repaired as a block in
-    # which it pairs with leaf 2.  It sends nothing up, which leaves the
-    # root at 0; sending up its exact term of 2 would make the root positive
+    # leaves 2 and 3 may both be 0, so the pass ends in one exact run, in
+    # which vertex 0 pairs with leaf 2 and sends nothing up.  That leaves
+    # the root at 0; sending up an exact term of 2 would make it positive
     t = build_tree([(0, 1), (0, 2), (0, 3)], 1)
     m = make_matrix(t, (F(0),) * 4, {e: F(1) for e in t.edges})
-    for share, runs in ((locate._EXACT_SHARE, [t.order]), (0, [(2, 3, 0), t.order])):
-        with mock.patch.object(locate, "_EXACT_SHARE", share):
-            exact_runs.clear()
-            assert counts_at(m, F(0)) == locate.CountsAt(below=1, equal=2, above=1)
-            assert exact_runs == runs
+    exact_runs.clear()
+    assert counts_at(m, F(0)) == locate.CountsAt(below=1, equal=2, above=1)
+    assert exact_runs == [t.order]
     assert_counts_exact(m, [F(0)])
 
 
@@ -754,40 +742,32 @@ def hub_after(fill):
 CHAIN = [(0, v) for v in range(1, 10)] + [(9, 10), (10, 11)]
 
 
-@pytest.mark.parametrize("edges, zeros, whole", [
-    # two zero leaves under one vertex: its block of 3 at position 23, 3 of
-    # 24 passed, then at position 24, 3 of 25
-    (hub_after(21), {22: 1, 23: 0, 24: 0}, True),
-    (hub_after(22), {23: 1, 24: 0, 25: 0}, False),
+@pytest.mark.parametrize("edges, zeros", [
+    # two zero leaves under one vertex, late and last in the postorder
+    (hub_after(21), {22: 1, 23: 0, 24: 0}),
+    (hub_after(22), {23: 1, 24: 0, 25: 0}),
     # vertex 10 is 2^-80 with a term of -2^80 on vertex 9, whose diagonal
-    # entry is 2^80 + 1: the child does not dominate, so the block (11, 10,
-    # 9) at position 10 is repaired, 3 of 11 passed
-    (CHAIN, {9: 2 ** 80 + 1, 10: 1 + F(1, 2 ** 80), 11: 1}, True),
+    # entry is 2^80 + 1: the child does not dominate
+    (CHAIN, {9: 2 ** 80 + 1, 10: 1 + F(1, 2 ** 80), 11: 1}),
 ])
-def test_counts_at_ends_the_float_pass_when_repairs_dominate(edges, zeros, whole,
-                                                             exact_runs):
+def test_counts_at_ends_the_float_pass_when_repairs_dominate(edges, zeros, exact_runs):
     # at the point 0, only the listed vertices have the diagonal entries
     # that bring a vertex value to 0 or next to it where the float pass
-    # cannot pair it, and they make up the block it repairs; once the
-    # repaired subtrees hold more than an eighth of the vertices passed,
-    # the pass ends in one exact run from the root
+    # cannot pair it; however few vertices that is, the pass ends in one
+    # exact run of the whole tree, where subtree repairs once ran
     t = build_tree(edges, 0)
     diag = [zeros.get(v, F(100 + v, 3)) for v in range(t.n)]
     m = make_matrix(t, diag, {e: F(1) for e in t.edges})
     want = reference_counts(m, F(0))
     exact_runs.clear()
     assert counts_at(m, F(0)) == want
-    block = tuple(v for v in t.order if v in zeros)
-    assert exact_runs == ([t.order] if whole else [block])
+    assert exact_runs == [t.order]
 
 
-@pytest.mark.parametrize("share", [locate._EXACT_SHARE, 0])
-def test_counts_at_on_zero_levels(share, monkeypatch):
+def test_counts_at_on_zero_levels():
     # all-zero diagonals and unit weights on a complete binary tree make the
-    # leaves and then every other level exactly 0 at the point 0: with the
-    # switch the first leaf ends the float pass in one exact run, without
-    # it every zero leaf is repaired alone and pairs with its parent
-    monkeypatch.setattr(locate, "_EXACT_SHARE", share)
+    # leaves and then every other level exactly 0 at the point 0: two zero
+    # leaves under one vertex end the float pass in one exact run
     edges = [((v - 1) // 2, v) for v in range(1, 127)]
     t = build_tree(edges, 0)
     m = make_matrix(t, (F(0),) * 127, {e: F(1) for e in t.edges})
