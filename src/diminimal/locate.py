@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import ceil, gcd, inf, nextafter
 from typing import Collection, Sequence
 
-from .matrices import Rows, WeightedTreeMatrix, delete_vertex, enclose
+from .matrices import Rows, WeightedTreeMatrix, delete_vertex, enclose, parse_rational
 
 
 @dataclass(frozen=True)
@@ -182,14 +182,10 @@ def _run(rows: Rows, points: Sequence[tuple[int, int]],
     return list(zip(neg, zero, zip(tn, td)))
 
 
-def _fraction(x) -> Fraction:  # Fraction() of a Fraction costs an ABC check
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def diagonalize(m: WeightedTreeMatrix, x: Fraction) -> DiagOutcome:
     """Congruence-diagonalize M + x*I bottom-up from the tree's root.
     Exact; never touches floats."""
-    x = _fraction(x)
+    x = parse_rational(x)
     vals, pivots = {}, []
     (neg, zero, _), = _run(m.rows, ((x.numerator, x.denominator),), [vals], [pivots])
     parent = m.tree.parent
@@ -215,7 +211,7 @@ def counts_at(m: WeightedTreeMatrix, point: Fraction) -> CountsAt:
     children may be 0, one that may be does not dominate it, its interval is
     not finite, or it is the root and may be 0) the pass ends in one exact
     run of the whole tree, whose counts are returned as they are."""
-    p = _fraction(point)
+    p = parse_rational(point)
     xn, xd = -p.numerator, p.denominator
     order, parent = m.rows.order, m.rows.parent
     fb = m.float_bounds
@@ -271,7 +267,7 @@ def multiplicity(m: WeightedTreeMatrix, point: Fraction) -> int:
 def count_in_interval(m: WeightedTreeMatrix, a: Fraction, b: Fraction) -> int:
     """Number of eigenvalues in the closed interval [a, b].  Raises
     ValueError when a > b."""
-    a, b = _fraction(a), _fraction(b)
+    a, b = parse_rational(a), parse_rational(b)
     if a > b:
         raise ValueError(f"empty interval: {a} > {b}")
     if a == b:
@@ -292,7 +288,7 @@ def counts_within(m: WeightedTreeMatrix, point: Fraction,
     if (not order or len(order) != len(vs)
             or any(rows.parent[v] not in vs for v in order[:-1])):
         raise ValueError("vertex set does not induce a connected subtree")
-    p = _fraction(point)
+    p = parse_rational(point)
     (neg, zero, _), = _run(Rows(order, *rows[1:]), ((-p.numerator, p.denominator),))
     return CountsAt(below=neg, equal=zero, above=len(order) - neg - zero)
 
@@ -325,7 +321,7 @@ def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[Isolated
     segments between counted cuts that hold eigenvalues are split at their
     most aligned cut.  Every count is a difference of exact counts, so a wrong
     estimate costs counts, never an interval; with none, this is bisection."""
-    width = _fraction(width)
+    width = parse_rational(width)
     if width <= 0:
         raise ValueError("width must be positive")
     bound = m.gershgorin_bound
@@ -385,7 +381,7 @@ def find_parter_vertex(m: WeightedTreeMatrix, point: Fraction) -> int:
     are scanned in id order; on trees such a vertex always exists, so the
     scan is a fallback, not the common path.
     """
-    point = _fraction(point)
+    point = parse_rational(point)
     out = diagonalize(m, -point)
     mult = out.inertia[1]
     if mult < 2:

@@ -4,6 +4,7 @@ Off-diagonal entries are stored squared: the algorithms downstream only ever
 consume squared edge weights, and keeping them squared means every quantity
 in the package stays inside the rationals.  The float expansion used by the
 cross-checking oracle takes square roots at the last possible moment.
+`parse_rational` is the one reader of every rational a caller passes in.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ def _ratio(text: str | int | Fraction) -> tuple[int, int]:
     return num // g, den // g
 
 
-def parse_rational(text: str | int) -> Fraction:
-    """Parse "p/q" or a bare integer (string or int) into a Fraction.
-
-    Floats are rejected on purpose: every interface of this package is
-    exact, and silently accepting 0.1 would poison that.
-    """
+def parse_rational(text: str | int | Fraction) -> Fraction:
+    """The package's one reader of a rational, for every entry point: an int,
+    numpy int, Fraction (as it is) or "p/q" or integer string.  Floats, bools,
+    numpy floats, Decimals and decimal strings are ValueErrors on purpose:
+    every interface is exact, and silently accepting 0.1 would poison that."""
     return text if isinstance(text, Fraction) else Fraction(*_ratio(text))
 
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .locate import CountsAt, counts_at
-from .matrices import WeightedTreeMatrix, to_dense_float  # noqa: F401, float_spectrum calls it
+# float_spectrum calls to_dense_float
+from .matrices import WeightedTreeMatrix, parse_rational, to_dense_float  # noqa: F401
 
 # relative float tolerance of compare_counts: its band is 10 * _TOL * scale
 _TOL = 1e-12
@@ -92,9 +93,10 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction,
     or the dense float copy does not fit in memory, since no float verdict
     exists then.
     """
+    point = parse_rational(point)
     try:
         scale = m.float_scale
-        pf = float(Fraction(point))
+        pf = float(point)
     except OverflowError as exc:
         raise OracleError(f"float expansion overflows: {exc}") from exc
     band = 10.0 * _TOL * scale

@@ -60,7 +60,7 @@ from typing import Iterable, Sequence
 # bench/spans.py wraps _run, counts_at, diagonalize, make_matrix and join as
 # realize attributes, so all five are imported here; only _run is used
 from .locate import _run, counts_at, diagonalize
-from .matrices import Rows, WeightedTreeMatrix, format_rational, make_matrix
+from .matrices import Rows, WeightedTreeMatrix, format_rational, make_matrix, parse_rational
 from .trees import (Family, PieceCert, RootedTree, _family_analysis, _uniform,
                     _whole_piece_cert, diameter, join, main_roots, reroot)
 
@@ -94,7 +94,7 @@ class Ladder:
 
 
 def ladder(alpha: Fraction, beta: Fraction, k: int) -> Ladder:
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = parse_rational(alpha), parse_rational(beta)
     if beta <= alpha:
         raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
     if k < 1:
@@ -538,7 +538,7 @@ def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
         if shift is not None:
             raise ValueError(f"the {variant.value} variant takes no shift")
     else:
-        shift = None if shift is None else Fraction(shift)
+        shift = None if shift is None else parse_rational(shift)
         if shift is None or shift <= 0:
             raise ValueError("shift variants need a positive shift")
         if shift >= lad.step(k - 1):
@@ -558,7 +558,7 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction) -> Realizatio
     eigenvalues anchored at (alpha, beta).  Raises ValueError for trees
     outside the families, and for short-core or mixed trees of diameter
     less than 6, where no construction is defined."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = parse_rational(alpha), parse_rational(beta)
     if beta <= alpha:
         raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
     an = _family_analysis(t)
@@ -593,7 +593,7 @@ def realize_integral(t: RootedTree, alpha: Fraction,
     alpha must be an integer.  The default beta = alpha + 2**(k-1), where k
     is the top ladder level, makes every ladder step an integer; an override
     is accepted when it satisfies the same divisibility."""
-    alpha = Fraction(alpha)
+    alpha = parse_rational(alpha)
     if alpha.denominator != 1:
         raise ValueError(f"alpha must be an integer, got {alpha}")
     d = diameter(t)
@@ -604,7 +604,7 @@ def realize_integral(t: RootedTree, alpha: Fraction,
     if beta is None:
         beta = alpha + grain
     else:
-        beta = Fraction(beta)
+        beta = parse_rational(beta)
         if beta.denominator != 1:
             raise ValueError(f"beta must be an integer, got {beta}")
         if beta <= alpha:

@@ -1,6 +1,5 @@
 import random
 from contextlib import contextmanager
-from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd, isqrt, nextafter
 from unittest import mock
@@ -363,15 +362,15 @@ def test_count_in_interval_rejects_reversed():
 
 
 class SubFraction(F):
-    """A Fraction subclass: converted to a Fraction like any other point."""
+    """A Fraction subclass: used as it is, like any other Fraction."""
 
 
-# one point in the forms a point may take: a Fraction is used as it is, and
-# every other form is converted once
+# one point in the forms parse_rational reads: a Fraction is used as it is,
+# an int, numpy int or string is read once; floats and Decimals are refused
 POINT_FORMS = [
-    (F(-2), -2, "-2", SubFraction(-2)),
-    (F(1), 1, " 1 ", SubFraction(1), Decimal(1)),
-    (F(1, 2), "1/2", SubFraction(1, 2), 0.5, Decimal("0.5")),
+    (F(-2), -2, "-2", np.int64(-2), SubFraction(-2)),
+    (F(1), 1, " 1 ", np.uint8(1), SubFraction(1)),
+    (F(1, 2), "1/2", SubFraction(1, 2)),
     (F(-7, 3), "-7/3", SubFraction(-7, 3)),
 ]
 

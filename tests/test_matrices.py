@@ -1,7 +1,10 @@
+import ast
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -19,21 +22,33 @@ from helpers import (
     rooted_at,
 )
 
+import diminimal
 from diminimal import (
     Family,
     OracleError,
+    Variant,
     WeightedTreeMatrix,
     build_tree,
     compare_counts,
+    count_in_interval,
+    counts_at,
+    counts_within,
     delete_vertex,
+    diagonalize,
+    find_parter_vertex,
     format_rational,
+    is_parter,
+    isolate_eigenvalues,
+    ladder,
     make_matrix,
     matrix_from_json,
     matrix_to_dot,
     matrix_to_json,
+    multiplicity,
     parse_rational,
     realize_family,
     realize_integral,
+    realize_variant,
     reroot,
     seed,
     to_dense_float,
@@ -110,6 +125,51 @@ def test_numpy_floats_and_bools_are_refused(value):
     message = f"not a rational: {value!r}"  # np.float64(0.5), np.True_
     assert _refusal(make_matrix, t, (0, value, 0), {(0, 1): 1, (1, 2): 5}) == message
     assert _refusal(make_matrix, t, (0, 0, 0), {(0, 1): 1, (1, 2): value}) == message
+
+
+# the public functions that take a rational, each called with x in one of
+# its rational arguments; at x = 2 each has a result: 2 is an eigenvalue of
+# multiplicity 2 of the star, and a valid anchor and shift of a realization
+STAR = make_matrix(build_tree([(0, 1), (0, 2), (0, 3)], 0), (2,) * 4,
+                   dict.fromkeys([(0, 1), (0, 2), (0, 3)], 3))
+D3 = seed(Family.UNIFORM, 3)
+ENTRY_POINTS = {
+    "diagonalize": lambda x: diagonalize(STAR, x),
+    "counts_at": lambda x: counts_at(STAR, x),
+    "multiplicity": lambda x: multiplicity(STAR, x),
+    "count_in_interval-a": lambda x: count_in_interval(STAR, x, 9),
+    "count_in_interval-b": lambda x: count_in_interval(STAR, -9, x),
+    "counts_within": lambda x: counts_within(STAR, x, (0, 1, 2)),
+    "isolate_eigenvalues": lambda x: isolate_eigenvalues(STAR, x),
+    "is_parter": lambda x: is_parter(STAR, 0, x),
+    "find_parter_vertex": lambda x: find_parter_vertex(STAR, x),
+    "compare_counts": lambda x: compare_counts(STAR, x),
+    "ladder-alpha": lambda x: ladder(x, 34, 2),
+    "ladder-beta": lambda x: ladder(0, x, 2),
+    "realize_variant": lambda x: realize_variant(D3, ladder(0, 32, 2), Variant.HIGH_SHIFT, x),
+    "realize_family-alpha": lambda x: realize_family(D3, x, 34),
+    "realize_family-beta": lambda x: realize_family(D3, 0, x),
+    "realize_integral-alpha": lambda x: realize_integral(D3, x),
+    "realize_integral-beta": lambda x: realize_integral(D3, 0, x),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_take_the_forms_and_the_refused_values_of_parse_rational(name):
+    call = ENTRY_POINTS[name]
+    for value in (0.5, True, np.float64(0.5), Decimal("0.5"), "0.5"):
+        assert _refusal(call, value) == _refusal(parse_rational, value), value
+    want = call(F(2))
+    for form in (2, np.int64(2), "4/2"):
+        assert call(form) == want, form
+
+
+def test_no_module_of_the_package_has_an_assert_statement():
+    # python -O strips asserts, so every check of the package must be code
+    src = Path(diminimal.__file__).parent
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 # the text goes on with Python's own reason, which its versions word apart
