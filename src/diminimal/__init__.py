@@ -25,7 +25,6 @@ from .matrices import (
     matrix_to_dot,
     matrix_to_json,
     parse_rational,
-    to_dense_float,
     trace,
 )
 from .locate import (
@@ -47,6 +46,7 @@ from .oracle import (
     OracleError,
     compare_counts,
     dense_eigenvalues,
+    to_dense_float,
 )
 from .realize import (
     AssemblyRecord,

@@ -2,8 +2,7 @@
 
 Off-diagonal entries are stored squared: the algorithms downstream only ever
 consume squared edge weights, and keeping them squared means every quantity
-in the package stays inside the rationals.  The float expansion used by the
-cross-checking oracle takes square roots at the last possible moment.
+in the package stays inside the rationals.
 `parse_rational` is the one reader of every rational a caller passes in.
 """
 
@@ -16,8 +15,6 @@ from functools import cached_property
 from itertools import repeat
 from operator import index, truediv
 from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 # bench/spans.py wraps build_tree as a matrices attribute, which nothing here calls
 from .trees import RootedTree, build_tree, json_int, reroot, tree_from_json, tree_to_json
@@ -245,8 +242,9 @@ class WeightedTreeMatrix:
 
     @cached_property
     def float_spectrum(self):
-        """`oracle.dense_eigenvalues(to_dense_float(self))`, cached; an error and
-        the n*n floats are not.  Read by `compare_counts` and isolation."""
+        """`dense_eigenvalues(to_dense_float(self))` of `oracle`, cached; an
+        error and the n*n floats are not.  Read by `compare_counts` and
+        isolation."""
         from . import oracle  # oracle imports this module
         return oracle.dense_eigenvalues(oracle.to_dense_float(self))
 
@@ -330,19 +328,6 @@ def delete_vertex(m: WeightedTreeMatrix, v: int) -> list[WeightedTreeMatrix]:
     return [WeightedTreeMatrix.from_arrays(
         RootedTree(tuple(-1 if u == nb else new[t.parent[u]] for u in ids), new[nb]),
         *([x[u] for u in ids] for x in a[2:6])) for nb, ids in zip(nbs, members)]
-
-
-def to_dense_float(m: WeightedTreeMatrix) -> np.ndarray:
-    """Float expansion: diagonal as-is, off-diagonals +sqrt of the stored
-    squared weights, each entry rounded once from its int pair.  Its
-    spectrum is a witness or an estimate, never a count."""
-    a, n = m.rows, m.n
-    out = np.zeros((n, n), dtype=float)
-    out.flat[::n + 1] = list(map(truediv, a.dn, a.dd))
-    kids = np.array(a.order[:-1], dtype=np.intp)
-    ups = np.array([a.parent[c] for c in a.order[:-1]], dtype=np.intp)
-    out[kids, ups] = out[ups, kids] = [math.sqrt(a.wn[c] / a.wd[c]) for c in a.order[:-1]]
-    return out
 
 
 # ---------------------------------------------------------------------------

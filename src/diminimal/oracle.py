@@ -1,7 +1,8 @@
 """Independent floating-point cross-check for the exact locator.
 
-LAPACK's symmetric eigensolver (`np.linalg.eigvalsh`) computes all
-eigenvalues of the dense float expansion of a matrix.  compare_counts then
+The float expansion of a matrix takes square roots of its squared weights
+at the last possible moment, and LAPACK's symmetric eigensolver
+(`np.linalg.eigvalsh`) computes all of its eigenvalues.  compare_counts then
 buckets those float eigenvalues against a rational query point and
 reconciles the buckets with the exact inertia counts, refusing to issue a
 verdict when a float eigenvalue sits too close to the decision boundary to
@@ -11,14 +12,12 @@ agreement is an independent witness, never a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .locate import CountsAt, counts_at
-# float_spectrum calls to_dense_float
-from .matrices import WeightedTreeMatrix, parse_rational, to_dense_float  # noqa: F401
+from .matrices import WeightedTreeMatrix, parse_rational
 
 # relative float tolerance of compare_counts: its band is 10 * _TOL * scale
 _TOL = 1e-12
@@ -39,6 +38,20 @@ class FloatSpectrum:
     sweeps: int
 
 
+def to_dense_float(m: WeightedTreeMatrix) -> np.ndarray:
+    """Float expansion: diagonal as-is, off-diagonals +sqrt of the stored
+    squared weights, each entry rounded once from its int pair.  Its
+    spectrum is a witness or an estimate, never a count."""
+    import numpy as np  # imported on first use, so the exact core runs without it
+    a, n = m.rows, m.n
+    out = np.zeros((n, n), dtype=float)
+    out.flat[::n + 1] = [p / q for p, q in zip(a.dn, a.dd)]
+    kids = np.array(a.order[:-1], dtype=np.intp)
+    ups = np.array([a.parent[c] for c in a.order[:-1]], dtype=np.intp)
+    out[kids, ups] = out[ups, kids] = [math.sqrt(a.wn[c] / a.wd[c]) for c in a.order[:-1]]
+    return out
+
+
 def dense_eigenvalues(a: np.ndarray) -> FloatSpectrum:
     """All eigenvalues of a dense symmetric float matrix, by LAPACK.
 
@@ -46,9 +59,9 @@ def dense_eigenvalues(a: np.ndarray) -> FloatSpectrum:
     and when the computed spectrum is not finite (entries near the float
     limit can overflow inside the solver).
     """
+    import numpy as np
     a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise OracleError(f"not square: {a.shape}")
     if not np.isfinite(a).all():
         raise OracleError("matrix has a non-finite entry")
@@ -100,7 +113,7 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction,
     except OverflowError as exc:
         raise OracleError(f"float expansion overflows: {exc}") from exc
     band = 10.0 * _TOL * scale
-    if not np.isfinite(band):
+    if not math.isfinite(band):
         raise OracleError("float expansion overflows: the band is not finite")
     try:
         spectrum = m.float_spectrum

@@ -804,3 +804,65 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout)["n"] == 14
+
+
+# Runs `main` on each argv of argv[3] (a JSON list) in directory argv[2], then
+# `verify --cross-check`; prints every exit status and stdout, the files the
+# commands wrote, and the cross-check's status or the import error it raised.
+# With argv[1] == "block", numpy is None in sys.modules, so importing it raises.
+_EXACT_PATH = r'''
+import contextlib, io, json, os, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from diminimal.cli import main
+os.chdir(sys.argv[2])
+out = {}
+for argv in json.loads(sys.argv[3]):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        out[" ".join(argv)] = [main(argv), buf.getvalue()]
+for name in sorted(os.listdir()):
+    with open(name) as f:
+        out[name] = f.read()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["cross-check"] = main(["verify", "--matrix", "m.json", "--cross-check"])
+except ImportError as exc:
+    out["cross-check"] = type(exc).__name__
+print(json.dumps(out))
+'''
+
+
+def test_exact_commands_run_without_numpy(tmp_path):
+    # numpy is the float oracle's: every command but `verify --cross-check`
+    # and `isolate` runs with it blocked, and prints what it prints with it
+    commands = [
+        ["seed", "--family", "uniform", "--diameter", "7", "--out", "t.json"],
+        ["recognize", "--tree", "t.json"],
+        ["unfold", "--tree", "t.json", "--vertex", "7", "--branch", "0",
+         "--copies", "2", "--out", "t2.json"],
+        ["construct", "--tree", "t2.json", "--alpha", "0", "--beta", "32", "--out", "m.json"],
+        ["construct", "--tree", "t2.json", "--alpha", "-2", "--integral", "--out", "mi.json"],
+        ["verify", "--matrix", "m.json"],
+        ["locate", "--matrix", "m.json", "--point", "1/3"],
+        ["export", "--matrix", "m.json", "--format", "json"],
+        ["export", "--matrix", "m.json", "--format", "dot"],
+    ]
+    src = str(Path(diminimal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = {}
+    for mode in ("block", "plain"):
+        (tmp_path / mode).mkdir()
+        proc = subprocess.run([sys.executable, "-c", _EXACT_PATH, mode, str(tmp_path / mode),
+                               json.dumps(commands)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    blocked, plain = runs["block"], runs["plain"]
+    assert blocked.pop("cross-check") == "ModuleNotFoundError"  # the block holds
+    assert plain.pop("cross-check") == 0
+    assert blocked == plain
+    assert [plain[" ".join(argv)][0] for argv in commands] == [0] * len(commands)
+    assert {"t.json", "t2.json", "m.json", "mi.json"} <= set(plain)
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys, diminimal; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert fresh.stdout == "False\n", fresh.stderr

@@ -46,8 +46,10 @@ def test_jacobi_against_numpy():
 
 
 def test_jacobi_rejects_nonsquare():
-    with pytest.raises(OracleError):
-        dense_eigenvalues(np.zeros((2, 3)))
+    # a scalar, a vector and a stack of matrices are not square either
+    for bad in (np.zeros((2, 3)), 5, np.zeros(3), [1.0], np.zeros((2, 2, 2))):
+        with pytest.raises(OracleError, match=r"^not square: \("):
+            dense_eigenvalues(bad)
 
 
 def test_jacobi_rejects_asymmetric():
