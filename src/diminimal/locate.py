@@ -336,8 +336,8 @@ def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[Isolated
         x0, per = float(-bound - 1), float(Fraction(den, span))  # cells per unit
         # the cut below the cell of e - tol and the cut above that of e + tol
         near = [ceil((e + t - x0) * per) - (t < 0) for e in est for t in (-tol, tol)]
-    except (OverflowError, ValueError, RuntimeError, MemoryError):
-        near = []  # overflow, LinAlgError, ceil(nan), OracleError, no memory
+    except (OverflowError, ValueError, RuntimeError, MemoryError, ImportError):
+        near = []  # overflow, LinAlgError, ceil(nan), OracleError, no memory, no numpy
     marks = sorted({0, cells, *(min(max(c, 0), cells) for c in near)})
     # counted cut -> (its point, eigenvalues at or below it); segments are
     # taken in ascending order, so a segment's lower cut is already counted

@@ -259,8 +259,10 @@ def make_matrix(tree: RootedTree, diag: Sequence[Fraction | int | str],
                 sq_edge: Mapping[tuple[int, int], Fraction | int | str]) -> WeightedTreeMatrix:
     """Convenience constructor taking a squared-weight mapping keyed by edge,
     in either orientation, with int or numpy int ends, and rational-like values."""
-    try:  # index takes ints and numpy ints, and refuses floats and strs
+    try:  # index takes ints, numpy ints and bools (refused next), not floats or strs
         sq = [((index(u), index(v)), w) for (u, v), w in sq_edge.items()]
+        if any(isinstance(x, bool) for key in sq_edge for x in key):
+            raise TypeError("a bool is not a vertex id")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"sq_edge keys must be pairs of ints: {exc}") from None
     return WeightedTreeMatrix.from_arrays(tree, *_read(tree, diag, sq))
@@ -307,27 +309,19 @@ def delete_vertex(m: WeightedTreeMatrix, v: int) -> list[WeightedTreeMatrix]:
     Each component comes back as a standalone WeightedTreeMatrix whose tree
     is rooted at the former neighbor of v, with ids compacted to 0..m-1 in
     increasing order of the original ids.  Components come in ascending
-    order of those neighbors.  Linear time: the entries are read from the
-    rows of m rerooted at v, where each vertex's weight is the one to its
-    parent in its component (or to v, which the component root drops).
+    order of those neighbors.  They are the subtrees of v's children in the
+    tree rerooted at v, whose rows give the entries: each vertex's weight is
+    the one to its parent in its component (or to v, which its root drops).
     """
     if not (0 <= v < m.n):
         raise ValueError(f"vertex {v} out of range")
     t = reroot(m.tree, v)
     a, nbs = m.rerooted(t).rows, t.children[v]
-    comp, new = [0] * m.n, [0] * m.n  # component index and new id by old id
-    for i, nb in enumerate(nbs):
-        for u in t.block(nb):
-            comp[u] = i
-    members: list[list[int]] = [[] for _ in nbs]
-    for u in range(m.n):
-        if u != v:
-            ids = members[comp[u]]
-            new[u] = len(ids)
-            ids.append(u)
+    comps = [t.subtree(nb) for nb in nbs]
+    new = {u: i for ids in comps for i, u in enumerate(ids)}  # new id by old id
     return [WeightedTreeMatrix.from_arrays(
         RootedTree(tuple(-1 if u == nb else new[t.parent[u]] for u in ids), new[nb]),
-        *([x[u] for u in ids] for x in a[2:6])) for nb, ids in zip(nbs, members)]
+        *([x[u] for u in ids] for x in a[2:6])) for nb, ids in zip(nbs, comps)]
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,8 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction,
     scale is `m.float_scale`; floats between one and ten bands away are
     deemed too close to call and the report comes back inconclusive.
     Raises OracleError when the matrix or the point does not fit in floats,
-    or the dense float copy does not fit in memory, since no float verdict
-    exists then.
+    the dense float copy does not fit in memory or numpy is missing, since
+    no float verdict exists then.
     """
     point = parse_rational(point)
     try:
@@ -119,6 +119,8 @@ def compare_counts(m: WeightedTreeMatrix, point: Fraction,
         spectrum = m.float_spectrum
     except MemoryError as exc:
         raise OracleError(f"no memory for the dense float spectrum of {m.n} vertices") from exc
+    except ImportError as exc:
+        raise OracleError(f"the float spectrum needs numpy: {exc}") from exc
     below = equal = above = 0
     grey = False
     for e in spectrum.values:

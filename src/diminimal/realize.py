@@ -424,12 +424,17 @@ def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
     proves them, the side of y and the root value there.  Each piece at its
     own level is probed: the forced extreme and every second ladder value
     inside the extremes, values[1:2L+1], from the pin point, are zeros at
-    its root; at the others deleting the root adds a zero, paired at it.
+    its root; at the others deleting the root r adds a zero, paired at it.
+    The piece less r is its order less the last row, one slice: a forest of
+    postorder blocks whose roots push into r's slot, which nothing reads.
 
     The checks are collected first, then each slice runs once at every
-    point they ask of it: a slice is fixed by its root and size, as blocks
-    at one root are nested and a component is the whole subtree of its root."""
-    rt, frac, tail = builder.rt, builder.frac, m.rows[1:]
+    point they ask of it.  A slice is fixed by its last vertex and size:
+    blocks at one root are nested and hold only its descendants, and a
+    piece at r less r ends at x, a child of r and the root of the last part
+    of r's innermost join; any other slice ending at x is a block at x
+    (x's part, if r has one child in the piece) or a nested piece at r less r."""
+    frac, tail = builder.frac, m.rows[1:]
     asked: dict[tuple[int, int], tuple[Sequence[int], dict[Fraction, int]]] = {}
 
     def ask(order: Sequence[int], values: Iterable[Fraction]) -> None:
@@ -449,14 +454,9 @@ def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
         else:
             zero_at, incr_at = [*inner[::2], forced], inner[1::2]
         zero_at, incr_at = list(map(frac, zero_at)), list(map(frac, incr_at))
-        # a block holds whole subtrees of its root's children, so the
-        # components of the block minus its root are their postorder blocks
-        inside = set(blk.order)
-        comps = [rt.block(c) for c in rt.children[blk.root] if c in inside]
         ask(blk.order, zero_at + incr_at)
-        for comp in comps:
-            ask(comp, incr_at)
-        pieces.append((blk, zero_at, incr_at, inside, comps))
+        ask(blk.order[:-1], incr_at)
+        pieces.append((blk, zero_at, incr_at))
 
     # per slice and point: negatives, zeros, root value and pivots
     runs: dict[tuple[int, int], dict[Fraction, tuple]] = {}
@@ -480,16 +480,13 @@ def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
         if problems:
             raise RuntimeError(f"block at {c.root}: " + "; ".join(problems))
 
-    for blk, zero_at, incr_at, inside, comps in pieces:
+    for blk, zero_at, incr_at in pieces:
         for lam in zero_at:
             if run(blk.order, lam)[2][0] != 0:
                 raise RuntimeError(f"block at {blk.root}: no zero at the root at {lam}")
-        if inside != {blk.root}.union(*comps):
-            raise RuntimeError(f"block at {blk.root} is not its root and whole "
-                               f"subtrees of its children")
         for lam in incr_at:
             _, equal, _, pivots = run(blk.order, lam)
-            after = sum(run(comp, lam)[1] for comp in comps)
+            after = run(blk.order[:-1], lam)[1]
             if after != equal + 1:
                 raise RuntimeError(f"block at {blk.root}: {equal} -> {after} zeros "
                                    f"at {lam}")

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,15 @@ def test_construct_integral_takes_beta(tmp_path, capsys):
     assert run_cli("construct", "--tree", str(tree), "--alpha", "0", "--integral",
                    "--beta", "7") == 1
     assert_one_error_line(capsys)
+
+
+def test_construct_without_beta_or_integral_is_refused(tmp_path, capsys):
+    tree = write_tree(tmp_path / "t.json", [[0, 1], [1, 2]])
+    mat = tmp_path / "m.json"
+    assert run_cli("construct", "--tree", tree, "--alpha", "0", "--out", str(mat)) == 1
+    assert capsys.readouterr() == ("", "error: construct needs --beta unless "
+                                       "--integral is given\n")
+    assert not mat.exists()
 
 
 def test_construct_has_no_beta_override(tmp_path, capsys):
@@ -823,18 +833,16 @@ for argv in json.loads(sys.argv[3]):
 for name in sorted(os.listdir()):
     with open(name) as f:
         out[name] = f.read()
-try:
-    with contextlib.redirect_stdout(io.StringIO()):
-        out["cross-check"] = main(["verify", "--matrix", "m.json", "--cross-check"])
-except ImportError as exc:
-    out["cross-check"] = type(exc).__name__
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+    out["cross-check"] = [main(["verify", "--matrix", "m.json", "--cross-check"]), err.getvalue()]
 print(json.dumps(out))
 '''
 
 
 def test_exact_commands_run_without_numpy(tmp_path):
     # numpy is the float oracle's: every command but `verify --cross-check`
-    # and `isolate` runs with it blocked, and prints what it prints with it
+    # runs with it blocked and prints what it prints with it; `isolate`
+    # takes no estimates and bisects to the same intervals
     commands = [
         ["seed", "--family", "uniform", "--diameter", "7", "--out", "t.json"],
         ["recognize", "--tree", "t.json"],
@@ -844,6 +852,7 @@ def test_exact_commands_run_without_numpy(tmp_path):
         ["construct", "--tree", "t2.json", "--alpha", "-2", "--integral", "--out", "mi.json"],
         ["verify", "--matrix", "m.json"],
         ["locate", "--matrix", "m.json", "--point", "1/3"],
+        ["isolate", "--matrix", "m.json", "--width", "8"],
         ["export", "--matrix", "m.json", "--format", "json"],
         ["export", "--matrix", "m.json", "--format", "dot"],
     ]
@@ -857,8 +866,10 @@ def test_exact_commands_run_without_numpy(tmp_path):
         assert proc.returncode == 0, proc.stderr
         runs[mode] = json.loads(proc.stdout)
     blocked, plain = runs["block"], runs["plain"]
-    assert blocked.pop("cross-check") == "ModuleNotFoundError"  # the block holds
-    assert plain.pop("cross-check") == 0
+    # the block holds: the cross-check refuses with one error: line
+    code, err = blocked.pop("cross-check")
+    assert code == 1 and re.fullmatch(r"error: [^\n]*numpy[^\n]*\n", err), err
+    assert plain.pop("cross-check") == [0, ""]
     assert blocked == plain
     assert [plain[" ".join(argv)][0] for argv in commands] == [0] * len(commands)
     assert {"t.json", "t2.json", "m.json", "mi.json"} <= set(plain)

@@ -173,7 +173,8 @@ def test_no_module_of_the_package_has_an_assert_statement():
 
 
 # the text goes on with Python's own reason, which its versions word apart
-@pytest.mark.parametrize("key", [("0", "1"), (0.0, 1.0), (0, np.float64(1)), (0, 1, 2), 1])
+@pytest.mark.parametrize("key", [("0", "1"), (0.0, 1.0), (0, np.float64(1)), (0, 1, 2), 1,
+                                 (True, 0), (0, False)])
 def test_make_matrix_keys_that_are_not_int_pairs_are_refused(key):
     t = build_tree([(0, 1), (1, 2)], 0)
     assert (_refusal(make_matrix, t, (1, 2, 3), {key: 4, (1, 2): 9})

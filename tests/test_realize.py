@@ -779,8 +779,8 @@ def test_the_default_path_runs_the_kernel_once_on_the_finished_matrix(monkeypatc
     assert runs == [(tuple(range(c.matrix.n)), points(c.dspec))]
 
 
-@pytest.mark.parametrize("fam,d,slices", [(Family.UNIFORM, 9, 63), (Family.SHORT_CORE, 10, 77),
-                                           (Family.MIXED, 11, 110)])
+@pytest.mark.parametrize("fam,d,slices", [(Family.UNIFORM, 9, 78), (Family.SHORT_CORE, 10, 94),
+                                           (Family.MIXED, 11, 134)])
 def test_the_audit_runs_each_slice_once(monkeypatch, fam, d, slices):
     # verify_certificate runs the quotient; then the audit runs each vertex
     # set it checks once, at all the points its checks ask of it
@@ -794,6 +794,30 @@ def test_the_audit_runs_each_slice_once(monkeypatch, fam, d, slices):
     c = realize_family(seed(fam, d), 0, 32).audit()
     assert runs[0] == range(len(c.matrix.quotient.order))
     assert len(runs) == len(set(runs)) == 1 + slices
+
+
+@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
+def test_each_piece_less_its_root_runs_as_one_slice(monkeypatch, fam, d):
+    # the deletion probe of a piece at r is one run of its order less r, a
+    # forest of r's children's blocks, at all its interlacing points; where
+    # r has one child in the piece, that slice is the child's part
+    real, runs = diminimal.realize._run, []
+
+    def spy(rows, points, **kwargs):
+        runs.append((tuple(rows.order), {F(-xn, xd) for xn, xd in points}))
+        return real(rows, points, **kwargs)
+
+    monkeypatch.setattr(diminimal.realize, "_run", spy)
+    c = realize_family(seed(fam, d), 0, 32).audit()
+    b, children = c._builder, []
+    for blk, anchor, _, level in b.pieces:
+        inner = [b.frac(v) for v in b.ladders[level][1:2 * level + 1]]
+        (at,) = [at for order, at in runs if order == blk.order[:-1]]
+        assert set(inner[::2] if anchor is Variant.LOW else inner[1::2]) <= at
+        children.append(len(set(b.rt.children[blk.root]) & set(blk.order)))
+        if children[-1] == 1:
+            assert [p.order for p in blk.parts] == [blk.order[:-1]]
+    assert min(children) == 1 < max(children)
 
 
 @pytest.mark.parametrize("fam,d", [(Family.UNIFORM, 6), (Family.SHORT_CORE, 8),
@@ -1062,20 +1086,6 @@ def test_a_merged_value_that_escapes_the_pin_point_is_refused(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^merged block values escape \(15, 5\)$"):
         b.join_blocks(leaf(b, 0, 0), [leaf(b, 1, 10), leaf(b, 2, 20)], 5, "max",
                       expect_forced=15)
-
-
-def test_a_block_that_is_not_root_and_whole_subtrees_is_refused(monkeypatch):
-    # the piece {0, 1} of the path 0 - 1 - 2 leaves out 1's child 2; every
-    # run reports a zero at the root, so the zero probes pass
-    monkeypatch.setattr(diminimal.realize, "_run",
-                        lambda rows, points, pivots=None: [(0, 0, (0, 1))] * len(points))
-    t = build_tree([(0, 1), (1, 2)], 0)
-    b = diminimal.realize._Builder(t, 0, F(0), F(32), 1)
-    blk = diminimal.realize._Block(0, 2, {0: 1, 32: 1}, None, b.q, leaf(b, 0, 32), (leaf(b, 1, 0),))
-    b.pieces.append((blk, Variant.LOW, -32, 1))
-    with pytest.raises(RuntimeError, match="^block at 0 is not its root and whole "
-                                           "subtrees of its children$"):
-        diminimal.realize._audit(b, make_matrix(t, [0, 0, 0], {(0, 1): 1, (1, 2): 1}))
 
 
 def test_an_integral_realization_with_a_fractional_eigenvalue_is_refused(monkeypatch):
