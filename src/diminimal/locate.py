@@ -42,6 +42,7 @@ from math import ceil, gcd, inf, nextafter
 from typing import Collection, Sequence
 
 from .matrices import Rows, WeightedTreeMatrix, delete_vertex, enclose, parse_rational
+from .trees import reroot
 
 
 @dataclass(frozen=True)
@@ -364,10 +365,16 @@ def isolate_eigenvalues(m: WeightedTreeMatrix, width: Fraction) -> list[Isolated
 
 def is_parter(m: WeightedTreeMatrix, v: int, point: Fraction) -> bool:
     """True when deleting vertex v raises the multiplicity of `point` by
-    exactly one."""
-    before = multiplicity(m, point)
-    after = sum(multiplicity(c, point) for c in delete_vertex(m, v))
-    return after == before + 1
+    exactly one: when v pairs in one run rooted at v.  The run of the tree
+    less v is that run less its last row, so v's own row changes the zero
+    count by -1 where it pairs, +1 where it ends at 0, and 0 otherwise."""
+    point = parse_rational(point)
+    if not (0 <= v < m.n):
+        raise ValueError(f"vertex {v} out of range")
+    pivots = []
+    _run(m.rerooted(reroot(m.tree, v)).rows, ((-point.numerator, point.denominator),),
+         pivots=[pivots])
+    return v in pivots
 
 
 def find_parter_vertex(m: WeightedTreeMatrix, point: Fraction) -> int:

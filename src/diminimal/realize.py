@@ -424,28 +424,25 @@ def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
     proves them, the side of y and the root value there.  Each piece at its
     own level is probed: the forced extreme and every second ladder value
     inside the extremes, values[1:2L+1], from the pin point, are zeros at
-    its root; at the others deleting the root r adds a zero, paired at it.
-    The piece less r is its order less the last row, one slice: a forest of
-    postorder blocks whose roots push into r's slot, which nothing reads.
+    its root; at the others the root r pairs, so deleting r adds a zero: the
+    run of the piece less r is the run of the piece less its last row, row
+    for row (Jacobs and Trevisan), and r's own row changes the zero count by
+    -1 where r pairs, +1 where r ends at 0, and 0 otherwise.
 
-    The checks are collected first, then each slice runs once at every
-    point they ask of it.  A slice is fixed by its last vertex and size:
-    blocks at one root are nested and hold only its descendants, and a
-    piece at r less r ends at x, a child of r and the root of the last part
-    of r's innermost join; any other slice ending at x is a block at x
-    (x's part, if r has one child in the piece) or a nested piece at r less r."""
+    The checks are collected first, then each block runs once at every
+    point they ask of it.  Every block is made once, so it is its own key."""
     frac, tail = builder.frac, m.rows[1:]
-    asked: dict[tuple[int, int], tuple[Sequence[int], dict[Fraction, int]]] = {}
+    asked: dict[_Block, dict[Fraction, int]] = {}
 
-    def ask(order: Sequence[int], values: Iterable[Fraction]) -> None:
-        at = asked.setdefault((order[-1], len(order)), (order, {}))[1]
+    def ask(blk: _Block, values: Iterable[Fraction]) -> None:
+        at = asked.setdefault(blk, {})
         for lam in values:
             at.setdefault(lam, len(at))
 
     joins = [(c, frac(y), side, value) for blk, y, side, *_, dc, dp in builder.log
              for c, value in zip((blk.core, *blk.parts), (dc, *dp))]
     for c, y, *_ in joins:
-        ask(c.order, [*(lam for lam, _ in c.spec), y])
+        ask(c, [*(lam for lam, _ in c.spec), y])
     pieces = []
     for blk, anchor, forced, level in builder.pieces:
         inner = builder.ladders[level][1:2 * level + 1]
@@ -454,23 +451,19 @@ def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
         else:
             zero_at, incr_at = [*inner[::2], forced], inner[1::2]
         zero_at, incr_at = list(map(frac, zero_at)), list(map(frac, incr_at))
-        ask(blk.order, zero_at + incr_at)
-        ask(blk.order[:-1], incr_at)
+        ask(blk, zero_at + incr_at)
         pieces.append((blk, zero_at, incr_at))
 
-    # per slice and point: negatives, zeros, root value and pivots
-    runs: dict[tuple[int, int], dict[Fraction, tuple]] = {}
-    for key, (order, at) in asked.items():
+    # per block and point: negatives, zeros, root value and pivots
+    runs: dict[_Block, dict[Fraction, tuple]] = {}
+    for blk, at in asked.items():
         pivots = [[] for _ in at]
-        out = _run(Rows(order, *tail), _points((lam, 1) for lam in at), pivots=pivots)
-        runs[key] = {lam: (*out[i], pivots[i]) for lam, i in at.items()}
-
-    def run(order: Sequence[int], lam: Fraction) -> tuple:
-        return runs[order[-1], len(order)][lam]
+        out = _run(Rows(blk.order, *tail), _points((lam, 1) for lam in at), pivots=pivots)
+        runs[blk] = {lam: (*out[i], pivots[i]) for lam, i in at.items()}
 
     for c, y, side, value in joins:
-        neg, zero, top, _ = run(c.order, y)
-        problems = _spectrum_problems(c.spec, [run(c.order, lam) for lam, _ in c.spec], c.size)
+        neg, zero, top, _ = runs[c][y]
+        problems = _spectrum_problems(c.spec, [runs[c][lam] for lam, _ in c.spec], c.size)
         if zero or neg != (c.size if side == "max" else 0):
             problems.append(f"pin point {y} is not strictly "
                             f"{'above' if side == 'max' else 'below'} its spectrum")
@@ -482,15 +475,10 @@ def _audit(builder: _Builder, m: WeightedTreeMatrix) -> None:
 
     for blk, zero_at, incr_at in pieces:
         for lam in zero_at:
-            if run(blk.order, lam)[2][0] != 0:
+            if runs[blk][lam][2][0] != 0:
                 raise RuntimeError(f"block at {blk.root}: no zero at the root at {lam}")
         for lam in incr_at:
-            _, equal, _, pivots = run(blk.order, lam)
-            after = run(blk.order[:-1], lam)[1]
-            if after != equal + 1:
-                raise RuntimeError(f"block at {blk.root}: {equal} -> {after} zeros "
-                                   f"at {lam}")
-            if blk.root not in pivots:
+            if blk.root not in runs[blk][lam][3]:
                 raise RuntimeError(f"block at {blk.root}: no pairing at the root "
                                    f"at {lam}")
 

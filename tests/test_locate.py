@@ -37,6 +37,7 @@ from diminimal import (
     trace,
 )
 from diminimal.locate import _run
+from diminimal.matrices import Rows
 
 
 def path_matrix(n, diag=0, w2=1):
@@ -1018,6 +1019,67 @@ def test_parter_search_reads_the_multiplicity_from_its_one_run(monkeypatch):
         v = find_parter_vertex(m, point)
         assert runs.call_count == 2 and m.n not in counted
     assert is_parter(m, v, point) and m.tree.degree(v) >= 3
+
+
+def sign_matrix(t, rng):
+    """Entries 0 and +-1 on the diagonal, squared weights 1: zeros and
+    pairings at 0 and +-1 are common."""
+    return WeightedTreeMatrix(t, tuple(F(rng.choice((-1, 0, 1))) for _ in range(t.n)),
+                              (F(1),) * (t.n - 1))
+
+
+def parter_cases(rng):
+    """(matrix, points): random matrices of 1-16 vertices and sign matrices,
+    at 0, +-1, 2 and the diagonal entries."""
+    for n in range(1, 17):
+        for make in (random_matrix, sign_matrix) * 4:
+            m = make(random_tree(n, rng), rng)
+            yield m, sorted({F(0), F(1), F(-1), F(2), *m.diag})
+
+
+def test_the_run_less_its_root_is_the_prefix_of_the_run():
+    # the run of M less its root r is the run of M less its last row, row
+    # for row (Jacobs and Trevisan), so r's own row changes the zero count
+    # by -1 where r pairs, +1 where r ends at 0, and 0 otherwise
+    seen = {-1: 0, 0: 0, 1: 0}
+    for m, lams in parter_cases(random.Random(38)):
+        for v in range(m.n):
+            rows = rooted_at(m, v).rows
+            for lam in lams:
+                x, piv = [(-lam.numerator, lam.denominator)], [[]]
+                (_, zero, top), = _run(rows, x, pivots=piv)
+                (_, less, _), = _run(Rows(rows.order[:-1], *rows[1:]), x)
+                rise = less - zero
+                assert rise == (v in piv[0]) - (top[0] == 0)
+                seen[rise] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_is_parter_is_a_rise_of_one_on_deleting_the_vertex():
+    # one run rooted at v against the definition: the multiplicities of the
+    # components of M less v, at constructed eigenvalues and random points
+    cases = [(c.matrix, [lam for lam, _ in c.dspec]) for c in
+             (realize_family(seed(fam, d), 0, 32) for fam, d in
+              ((Family.UNIFORM, 4), (Family.SHORT_CORE, 6), (Family.MIXED, 7)))]
+    found = []
+    for m, lams in cases + list(parter_cases(random.Random(39))):
+        for v in range(m.n):
+            for lam in lams:
+                rise = sum(multiplicity(c, lam) for c in delete_vertex(m, v)) - multiplicity(m, lam)
+                found.append(is_parter(m, v, lam))
+                assert found[-1] == (rise == 1)
+    assert 100 < sum(found) < len(found) - 100
+
+
+@pytest.mark.parametrize("v", [4, -1, 99])
+def test_is_parter_refuses_a_vertex_out_of_range(v):
+    t = build_tree([(0, 1), (0, 2), (0, 3)], 0)
+    m = make_matrix(t, (F(0),) * 4, {e: F(3) for e in t.edges})
+    with pytest.raises(ValueError, match=rf"^vertex {v} out of range$"):
+        is_parter(m, v, F(0))
+    # the point is read first
+    with pytest.raises(ValueError, match=r"^not a rational: 0\.5$"):
+        is_parter(m, v, 0.5)
 
 
 def test_is_parter_false_for_leaf():

@@ -555,15 +555,14 @@ def audit_with(cert, mutate):
 def first_probe(monkeypatch, cert, fault):
     """Ready the audit of `cert` with `_run` replaced by fault(real, rows,
     points, pivots, order), where order is the postorder of the first piece
-    it probes, and record that piece's anchor and ladder values.  The audit
-    runs each slice once for all its checks, so the join checks, which would
-    read a faulty run of the piece first, are dropped."""
+    it probes, and return that piece's block, anchor and ladder values.  The
+    audit runs each block once for all its checks, so a join that took the
+    piece in reads the same faulty run."""
     real, builder = diminimal.realize._run, cert._builder
     blk, anchor, _, level = builder.pieces[0]
-    builder.log.clear()
     monkeypatch.setattr(diminimal.realize, "_run", lambda rows, points, pivots=None:
                         fault(real, rows, points, pivots, blk.order))
-    return [(anchor, [builder.frac(v) for v in builder.ladders[level]], blk.order)]
+    return blk, anchor, [builder.frac(v) for v in builder.ladders[level]]
 
 
 def first_interlacing_point(anchor, vals):
@@ -592,19 +591,20 @@ def test_a_probe_off_the_forced_value_is_refused(monkeypatch, fam, d):
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
 def test_a_zero_count_that_does_not_rise_by_one_is_refused(monkeypatch, fam, d):
-    # one more zero in the run of the whole piece at each of its points;
-    # the zero probes read the root value, not the count
+    # one more zero in the run of the whole piece at each of its points, so
+    # deleting its root would add none where it pairs: the join that took
+    # the piece in reads that run at its claims and refuses them first
     def one_more(real, rows, points, pivots, order):
         runs = real(rows, points, pivots=pivots)
         return runs if rows.order != order else [(a, z + 1, top) for a, z, top in runs]
 
     cert = realize_family(seed(fam, d), 0, 32)
-    probed = first_probe(monkeypatch, cert, one_more)
-    with pytest.raises(RuntimeError, match=r"^block at \d+: \d+ -> \d+ zeros at \S+$") as exc:
+    blk, _, _ = first_probe(monkeypatch, cert, one_more)
+    (lam, mult), *_ = blk.spec
+    with pytest.raises(RuntimeError, match=r"^block at \d+: claimed multiplicity ") as exc:
         cert.audit()
-    (anchor, vals, _), = probed
-    equal, after, at = re.search(r"(\d+) -> (\d+) zeros at (\S+)$", exc.value.args[0]).groups()
-    assert int(after) == int(equal) and at == str(first_interlacing_point(anchor, vals))
+    assert exc.value.args[0].startswith(
+        f"block at {blk.root}: claimed multiplicity {mult} at {lam}, measured {mult + 1}; ")
 
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
@@ -614,11 +614,11 @@ def test_a_run_without_pairing_at_the_root_is_refused(monkeypatch, fam, d):
         return real(rows, points, pivots=[[] for _ in pivots] if rows.order == order else pivots)
 
     cert = realize_family(seed(fam, d), 0, 32)
-    probed = first_probe(monkeypatch, cert, no_pivots)
+    blk, anchor, vals = first_probe(monkeypatch, cert, no_pivots)
     with pytest.raises(RuntimeError, match=r"^block at \d+: no pairing at the root at \S+$") as exc:
         cert.audit()
-    (anchor, vals, _), = probed
-    assert exc.value.args[0].endswith(f" at {first_interlacing_point(anchor, vals)}")
+    assert exc.value.args[0] == (f"block at {blk.root}: no pairing at the root "
+                                 f"at {first_interlacing_point(anchor, vals)}")
 
 
 @pytest.mark.parametrize("fam,d", ONE_PER_PATH)
@@ -779,45 +779,23 @@ def test_the_default_path_runs_the_kernel_once_on_the_finished_matrix(monkeypatc
     assert runs == [(tuple(range(c.matrix.n)), points(c.dspec))]
 
 
-@pytest.mark.parametrize("fam,d,slices", [(Family.UNIFORM, 9, 78), (Family.SHORT_CORE, 10, 94),
-                                           (Family.MIXED, 11, 134)])
+@pytest.mark.parametrize("fam,d,slices", [(Family.UNIFORM, 9, 63), (Family.SHORT_CORE, 10, 77),
+                                           (Family.MIXED, 11, 110)])
 def test_the_audit_runs_each_slice_once(monkeypatch, fam, d, slices):
-    # verify_certificate runs the quotient; then the audit runs each vertex
-    # set it checks once, at all the points its checks ask of it
+    # verify_certificate runs the quotient; then the audit runs each block it
+    # checks once, at all the points its checks ask of it, and nothing else
     real, runs = diminimal.realize._run, []
 
     def spy(rows, points, **kwargs):
-        runs.append(rows.order if isinstance(rows.order, range) else frozenset(rows.order))
+        runs.append(rows.order)
         return real(rows, points, **kwargs)
 
     monkeypatch.setattr(diminimal.realize, "_run", spy)
     c = realize_family(seed(fam, d), 0, 32).audit()
     assert runs[0] == range(len(c.matrix.quotient.order))
-    assert len(runs) == len(set(runs)) == 1 + slices
-
-
-@pytest.mark.parametrize("fam,d", ONE_PER_PATH)
-def test_each_piece_less_its_root_runs_as_one_slice(monkeypatch, fam, d):
-    # the deletion probe of a piece at r is one run of its order less r, a
-    # forest of r's children's blocks, at all its interlacing points; where
-    # r has one child in the piece, that slice is the child's part
-    real, runs = diminimal.realize._run, []
-
-    def spy(rows, points, **kwargs):
-        runs.append((tuple(rows.order), {F(-xn, xd) for xn, xd in points}))
-        return real(rows, points, **kwargs)
-
-    monkeypatch.setattr(diminimal.realize, "_run", spy)
-    c = realize_family(seed(fam, d), 0, 32).audit()
-    b, children = c._builder, []
-    for blk, anchor, _, level in b.pieces:
-        inner = [b.frac(v) for v in b.ladders[level][1:2 * level + 1]]
-        (at,) = [at for order, at in runs if order == blk.order[:-1]]
-        assert set(inner[::2] if anchor is Variant.LOW else inner[1::2]) <= at
-        children.append(len(set(b.rt.children[blk.root]) & set(blk.order)))
-        if children[-1] == 1:
-            assert [p.order for p in blk.parts] == [blk.order[:-1]]
-    assert min(children) == 1 < max(children)
+    built = [b.order for blk, *_ in c._builder.log for b in (blk, blk.core, *blk.parts)]
+    assert all(any(order is b for b in built) for order in runs[1:])
+    assert len(runs) == len({frozenset(order) for order in runs}) == 1 + slices
 
 
 @pytest.mark.parametrize("fam,d", [(Family.UNIFORM, 6), (Family.SHORT_CORE, 8),
