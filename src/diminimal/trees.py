@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Sequence
 
 # `seed`, `duplicate_branch` and `tree_from_json` refuse larger trees
@@ -417,24 +418,26 @@ def _piece(t: RootedTree, v: int, cap: int | None = None) -> PieceCert | None:
     """Certify the piece at v made of its branches of height <= cap (all
     branches when cap is None): of height h, its branches of height h - 1
     uniform parts, and v plus the shorter branches a uniform core of height
-    h - 1 (a uniform piece) or h - 2 (a short-core piece); else None.  Each
-    (vertex, cap) pair is asked for at most once, so nothing is cached."""
+    h - 1 (a uniform piece) or h - 2 (a short-core piece); else None.
+
+    One pass over v's branch heights g, ascending: v with its branches below
+    g is the core, certified before the parts of height g are entered.  A
+    uniform core of height >= g - 1 has 2**(g - 1) vertices or more, so the
+    calls nest at most log2(n) + 2 deep, and each vertex is entered once."""
     hb = t.height_below
-    kids = [c for c in t.children[v] if cap is None or hb[c] <= cap]
-    if not kids:
-        return PieceCert(v, 0, (), None)
-    h = 1 + max(hb[c] for c in kids)
-    parts = []
-    for c in kids:
-        if hb[c] == h - 1:
-            pc = _piece(t, c)
-            if pc is None or not _uniform(pc):
+    kids = sorted((hb[c], c) for c in t.children[v] if cap is None or hb[c] <= cap)
+    pc = PieceCert(v, 0, (), None)
+    for g, branches in groupby(kids, key=lambda k: k[0]):
+        if not _uniform(pc) or pc.height < g - 1:
+            return None
+        parts = []
+        for _, c in branches:
+            part = _piece(t, c)
+            if part is None or not _uniform(part):
                 return None
-            parts.append(pc)
-    core = _piece(t, v, h - 2)
-    if core is None or not _uniform(core) or core.height < h - 2:
-        return None
-    return PieceCert(v, h, tuple(parts), core)
+            parts.append(part)
+        pc = PieceCert(v, g + 1, tuple(parts), pc)
+    return pc
 
 
 @dataclass(frozen=True)
@@ -452,17 +455,6 @@ class _FamilyAnalysis:
     pieces: tuple[PieceCert, ...] = ()
 
 
-def _min_family_size(d: int) -> int:
-    """A lower bound on the vertex count of a supported tree of diameter d.
-
-    A uniform piece of height L is a core and at least one part, each a
-    piece of height L - 1, so its size at least doubles per level.  Even
-    d = 2h: the split at the center has at least two parts of height h - 1.
-    Odd d = 2h + 1: each of the two sides has a part of height h - 1 and a
-    core of height h - 1 or h - 2.  Either way at least 2**h vertices."""
-    return 1 << (d // 2)
-
-
 def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
     """The analysis of t, computed once per tree object and cached on it."""
     return t._analysis
@@ -470,10 +462,6 @@ def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
 
 def _analyze_family(t: RootedTree) -> _FamilyAnalysis:
     d = diameter(t)
-    if t.n < _min_family_size(d):
-        # also keeps the recognizer's recursion, which descends one level
-        # per call, within log2(n) levels
-        return _FamilyAnalysis(Family.UNSUPPORTED)
     if d % 2 == 0:
         c, = main_roots(t)
         whole = _piece(reroot(t, c), c)

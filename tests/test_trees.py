@@ -24,8 +24,8 @@ from diminimal import (
     tree_to_json,
 )
 import diminimal.trees
-from diminimal.trees import (MAX_VERTICES, _family_analysis, _min_family_size, _piece,
-                             _seed_halves, _whole_piece_cert)
+from diminimal.trees import (MAX_VERTICES, _family_analysis, _piece, _seed_halves,
+                             _whole_piece_cert)
 
 
 @st.composite
@@ -513,11 +513,40 @@ def test_recognize_invariant_under_reroot():
         assert (tag.family, tag.diameter) == (base.family, base.diameter)
 
 
-def test_min_family_size_is_below_every_seed():
+def test_piece_enters_each_vertex_once_and_nests_log_deep(monkeypatch):
+    # _piece certifies a core before it enters the parts beside it: a
+    # supported tree is walked once, and since a uniform core of height
+    # g - 1 has 2**(g - 1) vertices, the calls nest at most
+    # floor(log2 n) + 2 deep on every tree, supported or not
+    real_piece, calls, depth = diminimal.trees._piece, [], [0, 0]
+
+    def piece(t, v, cap=None):
+        calls.append(v)
+        depth[0] += 1
+        depth[1] = max(depth[1], depth[0])
+        try:
+            return real_piece(t, v, cap)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(diminimal.trees, "_piece", piece)
+    rng = random.Random(39)
+    supported = []
     for fam, lo, step in ((Family.UNIFORM, 1, 1), (Family.SHORT_CORE, 4, 1),
                           (Family.MIXED, 5, 2)):
         for d in range(lo, 16, step):
-            assert _min_family_size(d) <= seed(fam, d).n, (fam, d)
+            s = seed(fam, d)
+            u = random_unfolding(s, rng, 3)
+            supported += [(fam, s), (fam, u), (fam, reroot(u, rng.randrange(u.n)))]
+    for fam, t in supported + [(None, t) for t in shuffled_trees(39, count=200)]:
+        calls.clear()
+        depth[1] = 0
+        # a fresh object, as an unfolding may return its tree, analysed
+        tag = recognize_family(RootedTree(t.parent, t.root))
+        if fam is not None:
+            assert tag.family is fam
+            assert sorted(calls) == list(range(t.n)), (fam, tag.diameter)
+        assert depth[1] <= t.n.bit_length() + 1, (t.n, depth[1])
 
 
 def long_path(n):
@@ -535,6 +564,11 @@ def long_caterpillar(n):
                                      (long_caterpillar, 10 ** 4),
                                      (long_caterpillar, 10 ** 5)])
 def test_recognize_deep_trees_without_recursing(make, n):
+    # no size guard returns early here: at the centre _piece meets the
+    # spine's branch with a core of height 0 or 1 beside it and refuses it
+    # before entering it, so the core-before-parts order alone keeps the
+    # recognizer off the spine (a parts-first walk recurses once per spine
+    # vertex)
     t = make(n)
     tag = recognize_family(t)
     assert (tag.family, tag.diameter) == (Family.UNSUPPORTED, diameter(t))
