@@ -170,12 +170,18 @@ class WeightedTreeMatrix:
 
     def rerooted(self, tree: RootedTree) -> WeightedTreeMatrix:
         """This matrix on `tree`, its tree rooted elsewhere: the weights on the
-        path from the new root up move to the other end of their edge."""
+        path from the new root up move to the other end of their edge, whose
+        parent link reverses as in `reroot`; any other tree is refused."""
         a = self.rows
-        wn, wd, carry, v = list(a.wn), list(a.wd), (0, 1), tree.root
+        if tree.n != self.n:
+            raise ValueError("the tree is not this matrix's tree rooted elsewhere")
+        parent, wn, wd = list(a.parent), list(a.wn), list(a.wd)
+        carry, v, below = (0, 1), tree.root, -1
         while v != -1:
             carry, (wn[v], wd[v]) = (wn[v], wd[v]), carry
-            v = a.parent[v]
+            parent[v], below, v = below, v, parent[v]
+        if tuple(parent) != tree.parent:
+            raise ValueError("the tree is not this matrix's tree rooted elsewhere")
         return WeightedTreeMatrix.from_arrays(tree, a.dn, a.dd, wn, wd)
 
     @cached_property

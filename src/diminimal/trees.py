@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
+from operator import index
 from typing import Iterable, Sequence
 
 # `seed`, `duplicate_branch` and `tree_from_json` refuse larger trees
@@ -204,6 +205,7 @@ def build_tree(edge_list: Iterable[tuple[int, int]], root: int) -> RootedTree:
 def reroot(t: RootedTree, new_root: int) -> RootedTree:
     """Same tree, same ids, rooted at new_root: the parent links on the path
     up to the old root reverse."""
+    new_root = index(new_root)
     if new_root == t.root:
         return t
     if not (0 <= new_root < t.n):
@@ -288,6 +290,7 @@ def duplicate_branch(t: RootedTree, v: int, branch_root: int, copies: int) -> Ro
     and rank is the position of the copied vertex among the branch's
     original ids in ascending order.
     """
+    v, branch_root, copies = index(v), index(branch_root), index(copies)
     if copies < 1:
         raise ValueError("copies must be >= 1")
     if not 0 <= v < t.n:
@@ -352,6 +355,7 @@ def seed(family: Family, d: int) -> RootedTree:
     """
     if family not in (Family.UNIFORM, Family.SHORT_CORE, Family.MIXED):
         raise ValueError(f"no seed for family {family}")
+    d = index(d)
     if family is Family.UNIFORM and d < 1:
         raise ValueError("uniform seed needs diameter >= 1")
     if family is Family.SHORT_CORE and d < 4:
@@ -461,26 +465,19 @@ def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
 
 
 def _analyze_family(t: RootedTree) -> _FamilyAnalysis:
-    d = diameter(t)
-    if d % 2 == 0:
-        c, = main_roots(t)
-        whole = _piece(reroot(t, c), c)
-        if whole is None:
-            return _FamilyAnalysis(Family.UNSUPPORTED)
-        fam = Family.UNIFORM if _uniform(whole) else Family.SHORT_CORE
-        return _FamilyAnalysis(fam, (whole,))
-    u, v = main_roots(t)
-    rt = reroot(t, u)
-    b = _piece(rt, v)
-    # side A is everything except v's subtree; with the tree rooted at u the
-    # branch toward v is the unique tallest one, so capping at the side
-    # height picks out exactly side A
-    a = _piece(rt, u, (d - 1) // 2 - 1)
-    if a is None or b is None:
+    d, (r, *other) = diameter(t), main_roots(t)
+    rt = reroot(t, r)
+    # for odd d the half at r is everything except the other end's subtree;
+    # with the tree rooted at r the branch toward the other end is the
+    # unique tallest one, so capping at the side height picks out that half
+    cap = (d - 1) // 2 - 1 if other else None
+    pieces = (_piece(rt, r, cap), *(_piece(rt, v) for v in other))
+    if None in pieces:
         return _FamilyAnalysis(Family.UNSUPPORTED)
-    fam = (Family.UNIFORM if _uniform(a) and _uniform(b)
-           else Family.MIXED if _uniform(a) or _uniform(b) else Family.SHORT_CORE)
-    return _FamilyAnalysis(fam, (a, b))
+    uniform = [_uniform(pc) for pc in pieces]
+    fam = (Family.UNIFORM if all(uniform) else Family.MIXED if any(uniform)
+           else Family.SHORT_CORE)
+    return _FamilyAnalysis(fam, pieces)
 
 
 def recognize_family(t: RootedTree) -> FamilyTag:
@@ -489,19 +486,18 @@ def recognize_family(t: RootedTree) -> FamilyTag:
     Never raises: trees outside all three families come back tagged
     UNSUPPORTED with the diameter still filled in.
     """
-    an = _family_analysis(t)
-    d, fam = diameter(t), an.family
-    cert: dict = {"family": fam.value, "diameter": d}
+    an, d, ends = _family_analysis(t), diameter(t), main_roots(t)
+    cert: dict = {"family": an.family.value, "diameter": d}
     if d % 2 == 0:
-        cert["main_root"] = main_roots(t)[0]
-        if fam is not Family.UNSUPPORTED:
+        cert["main_root"] = ends[0]
+        if an.pieces:
             cert["piece"] = an.pieces[0].to_json()
-        return FamilyTag(fam, d, cert)
-    cert["main_edge"] = list(main_roots(t))
-    if fam is not Family.UNSUPPORTED:
-        cert["sides"] = [{"root": pc.root, "kind": "uniform" if _uniform(pc) else "short_core",
-                          "piece": pc.to_json()} for pc in an.pieces]
-    return FamilyTag(fam, d, cert)
+    else:
+        cert["main_edge"] = list(ends)
+        if an.pieces:
+            cert["sides"] = [{"root": pc.root, "kind": "uniform" if _uniform(pc) else "short_core",
+                              "piece": pc.to_json()} for pc in an.pieces]
+    return FamilyTag(an.family, d, cert)
 
 
 def _whole_piece_cert(t: RootedTree, r: int) -> PieceCert | None:

@@ -495,14 +495,26 @@ def test_views_are_tuples_of_fractions():
 
 
 def test_rerooted_moves_the_path_weights():
+    # every rooting of the matrix's own tree, which is rooted anywhere
     rng = random.Random(22)
     for _ in range(20):
         t = random_tree(rng.randint(1, 15), rng)
-        m = random_matrix(t, rng)
-        r = rng.randrange(t.n)
-        moved = m.rerooted(reroot(t, r))
-        assert moved == rooted_at(m, r)
-        assert moved.sq_edge == m.sq_edge
+        m = random_matrix(reroot(t, rng.randrange(t.n)), rng)
+        for r in range(t.n):
+            moved = m.rerooted(reroot(m.tree, r))
+            assert moved == rooted_at(m, r)
+            assert moved.sq_edge == m.sq_edge
+
+
+def test_rerooted_refuses_a_tree_that_is_not_its_own():
+    m = WeightedTreeMatrix(build_tree([(0, 1), (1, 2), (2, 3)], 0), [F(1)] * 4, [F(2), F(3), F(5)])
+    text = "^the tree is not this matrix's tree rooted elsewhere$"
+    # the star on the path's ids, and a tree with one vertex more, at every root
+    star, five = ([(0, 1), (0, 2), (0, 3)], 4), ([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
+    for edges, n in (star, five):
+        for r in range(n):
+            with pytest.raises(ValueError, match=text):
+                m.rerooted(build_tree(edges, r))
 
 
 def test_from_arrays_wrong_length_refused():
