@@ -5,9 +5,11 @@ For a tree of diameter d at least d+1 distinct eigenvalues are unavoidable.
 This module builds, for every tree in the three supported families, exact
 rational matrices attaining that bound, and certifies the result.
 
-The engine works bottom-up over the decomposition certificate produced by
-the recognizer.  Each piece of height L is realized over the 2L+2 target
-values of the level-L ladder with one of two anchors:
+The engine works bottom-up over the tree rooted at a central vertex.  It
+reads each piece from the heights as a vertex v and a height h: the parts
+are v's branches of height h - 1, the core is v with its shorter branches.
+Each piece of height L is realized over the 2L+2 target values of the
+level-L ladder with one of two anchors:
 
   * LOW   anchored at the bottom of the slice, pinned at values[2L],
   * HIGH  anchored at the top, pinned at values[1],
@@ -57,12 +59,12 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-# bench/spans.py wraps _run, counts_at, diagonalize, make_matrix and join as
-# realize attributes, so all five are imported here; only _run is used
+# bench/spans.py wraps _run, counts_at, diagonalize, make_matrix, join and
+# reroot as realize attributes, so all six are imported here; only _run is used
 from .locate import _run, counts_at, diagonalize
 from .matrices import Rows, WeightedTreeMatrix, format_rational, make_matrix, parse_rational
-from .trees import (Family, PieceCert, RootedTree, _family_analysis, _uniform,
-                    _whole_piece_cert, diameter, join, main_roots, reroot)
+from .trees import (Family, RootedTree, _family_analysis, _split, _whole_piece_cert,
+                    diameter, join, main_roots, reroot)
 
 
 class Variant(Enum):
@@ -270,16 +272,16 @@ class _Builder:
     (beta - alpha)/2**max_level and the user shift, if any.
     """
 
-    def __init__(self, tree: RootedTree, root: int, alpha: Fraction,
-                 beta: Fraction, max_level: int, shift: Fraction | None = None):
-        self.rt = reroot(tree, root)
+    def __init__(self, rt: RootedTree, alpha: Fraction, beta: Fraction,
+                 max_level: int, shift: Fraction | None = None):
+        self.rt = rt
         self.q = lcm(alpha.denominator, ((beta - alpha) / 2 ** max_level).denominator,
                      1 if shift is None else shift.denominator)
         self.frac = cache(partial(Fraction, denominator=self.q))  # N -> N/q, once per N
         self.alpha, self.beta = _grid(alpha, self.q), _grid(beta, self.q)
         self.ladders: list[tuple[int, ...] | None] = [None] + _ladder_levels(
             self.alpha, self.beta - self.alpha, max_level)
-        n = tree.n
+        n = rt.n
         self.dn, self.dd, self.wn, self.wd = [0] * n, [1] * n, [0] * n, [1] * n
         # per join (block, y, side, weight pair, a, b, forced, root values of core
         # and parts) as ints, per piece at its own level (block, anchor, forced,
@@ -318,23 +320,25 @@ class _Builder:
 
     # -- anchored recursion ---------------------------------------------------
 
-    def _plan(self, cert: PieceCert, anchor: Variant, shift: int, level: int):
-        """The (anchor, shift) of the core and of the parts of `cert` over the
-        level-L ladder, then its pin point, the side of the block spectra it
-        lies beyond and the forced opposite extreme.  By the height of `cert`:
-        L, a piece, pinned at values[2L] (LOW) or values[1] (HIGH); L + 1, a
-        half, pinned one value further out, the HIGH half around a core raised
-        a step of its height; L + 2, the LOW half joined as core to the HIGH
-        half across the central edge, pinned step(L-1) above its forced top."""
+    def _plan(self, v: int, h: int, anchor: Variant, shift: int, level: int):
+        """The (anchor, shift) of the core and of the parts of the piece at v
+        of height h over the level-L ladder, then its pin point, the side of
+        the block spectra it lies beyond and the forced opposite extreme.  By
+        h: L, a piece, pinned at values[2L] (LOW) or values[1] (HIGH); L + 1,
+        a half, pinned one value further out, the HIGH half around a core
+        raised a step of its height; L + 2, the LOW half joined as core to
+        the HIGH half, v's one part, across the central edge, pinned step(L-1)
+        above its forced top."""
         vals, s = self.ladders[level], self.step(level - 1)
-        if cert.height == level + 2:
-            up = self.step(cert.parts[0].core.height)
+        if h == level + 2:
+            up = self.step(_split(self.rt, _split(self.rt, v, h)[1][0], h - 1)[0])
             return (Variant.LOW, 0), (Variant.HIGH, 0), vals[-1] + up + s, "max", vals[0] - 2 * s
-        if cert.height == level + 1:
+        if h == level + 1:
             if anchor is Variant.LOW:
                 return (Variant.LOW, 0), (Variant.LOW, 0), vals[-1], "max", vals[0] - s
-            up = self.step(cert.core.height)
-            core = Variant.LOW if _uniform(cert) else Variant.HIGH
+            c = _split(self.rt, v, h)[0]
+            up = self.step(c)
+            core = Variant.LOW if c == h - 1 else Variant.HIGH
             return (core, up), (Variant.HIGH, 0), vals[0], "min", vals[-1] + up
         # at level 1 the children are leaves: LOW raised by s is the HIGH leaf
         if anchor is Variant.LOW:
@@ -343,24 +347,26 @@ class _Builder:
         part = (Variant.HIGH, s if level > 1 else 0)
         return (Variant.LOW, s + shift), part, vals[1], "min", vals[-1] + shift
 
-    def build(self, cert: PieceCert, anchor: Variant, shift: int, level: int) -> _Block:
-        """`cert` over the level-`level` ladder with the given anchor (LOW or
-        HIGH) and grid shift (0 for none): a piece of that height or, unshifted,
-        a half or two joined halves above it (see _plan).  The children are
-        built at their own heights, capped at `level`."""
-        if not level <= cert.height <= level + 2:
-            raise ValueError(f"piece at {cert.root} has height {cert.height}, "
+    def build(self, v: int, h: int, anchor: Variant, shift: int, level: int) -> _Block:
+        """The piece at v of height h over the level-`level` ladder with the
+        given anchor (LOW or HIGH) and grid shift (0 for none): a piece of
+        that height or, unshifted, a half or two joined halves above it (see
+        _plan).  Its core and parts (`trees._split`) are built at their own
+        heights, capped at `level`."""
+        if not level <= h <= level + 2:
+            raise ValueError(f"piece at {v} has height {h}, "
                              f"expected {level} to {level + 2}")
-        if cert.height == 0:
+        if h == 0:
             val = (self.alpha if anchor is Variant.LOW else self.beta) + shift
             x, claim = self.frac(val), self.claims.setdefault(val, {val: 1})
-            self.dn[cert.root], self.dd[cert.root] = x.numerator, x.denominator
-            return _Block(cert.root, 1, claim, claim, self.q)
-        (ca, cs), (pa, ps), y, side, forced = self._plan(cert, anchor, shift, level)
-        core = self.build(cert.core, ca, cs, min(cert.core.height, level))
-        parts = [self.build(p, pa, ps, min(p.height, level)) for p in cert.parts]
-        blk = self.join_blocks(core, parts, y, side, expect_forced=forced)
-        if cert.height == level:
+            self.dn[v], self.dd[v] = x.numerator, x.denominator
+            return _Block(v, 1, claim, claim, self.q)
+        c, parts = _split(self.rt, v, h)
+        (ca, cs), (pa, ps), y, side, forced = self._plan(v, h, anchor, shift, level)
+        core = self.build(v, c, ca, cs, min(c, level))
+        blocks = [self.build(p, h - 1, pa, ps, min(h - 1, level)) for p in parts]
+        blk = self.join_blocks(core, blocks, y, side, expect_forced=forced)
+        if h == level:
             self.pieces.append((blk, anchor, forced, level))
         return blk
 
@@ -531,10 +537,9 @@ def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
                              f"must stay below {lad.step(k - 1)}")
     if _family_analysis(t).family is not Family.UNIFORM:
         raise ValueError("tree is not uniformly decomposable from its root")
-    cert = _whole_piece_cert(t, t.root)
-    builder = _Builder(t, t.root, lad.alpha, lad.beta, k, shift)
+    builder = _Builder(_whole_piece_cert(t, t.root), lad.alpha, lad.beta, k, shift)
     anchor = Variant.LOW if variant in (Variant.LOW, Variant.LOW_SHIFT) else Variant.HIGH
-    blk = builder.build(cert, anchor, 0 if shift is None else _grid(shift, builder.q), k)
+    blk = builder.build(t.root, k, anchor, 0 if shift is None else _grid(shift, builder.q), k)
     return _finish(builder, blk, t, Family.UNIFORM, variant.value, shift)
 
 
@@ -564,10 +569,11 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction) -> Realizatio
         variant = ("mixed" if an.family is Family.MIXED
                    else "short-core-odd" if d % 2 else "short-core-even")
     # odd d: the half at this root is the core of the central join, the LOW
-    # half; min is stable, so it is a short-core half if there is one
-    whole = _whole_piece_cert(t, min(an.pieces, key=_uniform).root)
-    builder = _Builder(t, whole.root, alpha, beta, big_k)
-    blk = builder.build(whole, Variant.LOW, 0, k)
+    # half, a short-core one if there is one (False sorts first); rooted
+    # there the whole tree is one piece of height big_k
+    root = min(zip(an.uniform, an.roots))[1]
+    builder = _Builder(_whole_piece_cert(t, root), alpha, beta, big_k)
+    blk = builder.build(root, big_k, Variant.LOW, 0, k)
     return _finish(builder, blk, t, an.family, variant, None)
 
 

@@ -15,7 +15,9 @@ this module provides:
     two halves made of smallest uniform pieces, and
   * ``recognize_family``: a certificate-producing recognizer that decides
     which family (if any) an arbitrary tree belongs to by the pieces at its
-    centre, which ``_whole_piece_cert`` joins into the builder's one piece.
+    centre, read from the branch heights in one pass (a bit mask per
+    vertex); the builder reads the same pieces from the heights as
+    (vertex, height) pairs, the tree rooted by ``_whole_piece_cert``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
 from operator import index
 from typing import Iterable, Sequence
 
@@ -378,31 +379,6 @@ def seed(family: Family, d: int) -> RootedTree:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PieceCert:
-    """Certificate that a piece of the tree decomposes recursively.
-
-    The piece consists of `root` plus the branches listed through `parts`
-    and `core`: parts are the full-height branches (each itself certified),
-    core is the piece formed by the root and all shorter branches, certified
-    one level down (two in a short-core piece, which is how `_uniform` tells
-    the kinds apart).  Leaves of the recursion have height 0 and no core.
-    """
-
-    root: int
-    height: int
-    parts: tuple["PieceCert", ...]
-    core: "PieceCert | None"
-
-    def to_json(self) -> dict:
-        return {
-            "root": self.root,
-            "height": self.height,
-            "parts": [p.to_json() for p in self.parts],
-            "core": None if self.core is None else self.core.to_json(),
-        }
-
-
-@dataclass(frozen=True)
 class FamilyTag:
     """Result of recognize_family: the family, the diameter, and a nested
     certificate describing the decomposition that witnesses the tag."""
@@ -412,51 +388,17 @@ class FamilyTag:
     certificate: dict
 
 
-def _uniform(pc: PieceCert) -> bool:
-    """A piece is uniform when it is a leaf or its core is one level below
-    it; the core of a short-core piece is two levels below."""
-    return pc.core is None or pc.core.height == pc.height - 1
-
-
-def _piece(t: RootedTree, v: int, cap: int | None = None) -> PieceCert | None:
-    """Certify the piece at v made of its branches of height <= cap (all
-    branches when cap is None): of height h, its branches of height h - 1
-    uniform parts, and v plus the shorter branches a uniform core of height
-    h - 1 (a uniform piece) or h - 2 (a short-core piece); else None.
-
-    One pass over v's branch heights g, ascending: v with its branches below
-    g is the core, certified before the parts of height g are entered.  A
-    uniform core of height >= g - 1 has 2**(g - 1) vertices or more, so the
-    calls nest at most log2(n) + 2 deep, and each vertex is entered once."""
-    hb = t.height_below
-    kids = sorted((hb[c], c) for c in t.children[v] if cap is None or hb[c] <= cap)
-    pc = PieceCert(v, 0, (), None)
-    for g, branches in groupby(kids, key=lambda k: k[0]):
-        if not _uniform(pc) or pc.height < g - 1:
-            return None
-        parts = []
-        for _, c in branches:
-            part = _piece(t, c)
-            if part is None or not _uniform(part):
-                return None
-            parts.append(part)
-        pc = PieceCert(v, g + 1, tuple(parts), pc)
-    return pc
-
-
 @dataclass(frozen=True)
 class _FamilyAnalysis:
-    """Structured recognizer output shared with the realization engine.
-
-    `pieces` holds the decomposition at the centre of every supported tree:
-    for even diameter the piece at the central vertex (its core one level
-    short for SHORT_CORE), for odd diameter the two halves rooted at the
-    endpoints of the central edge, smaller id first.  `_whole_piece_cert`
-    joins them into the one piece the builder takes.
-    """
+    """Structured recognizer output shared with the realization engine: the
+    family and, for a supported tree, its central roots (`main_roots`) and
+    whether the piece at each is uniform (else short-core).  For even
+    diameter that piece is the whole tree at the central vertex, for odd
+    diameter the half at that end of the central edge."""
 
     family: Family
-    pieces: tuple[PieceCert, ...] = ()
+    roots: tuple[int, ...] = ()
+    uniform: tuple[bool, ...] = ()
 
 
 def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
@@ -465,19 +407,51 @@ def _family_analysis(t: RootedTree) -> _FamilyAnalysis:
 
 
 def _analyze_family(t: RootedTree) -> _FamilyAnalysis:
-    d, (r, *other) = diameter(t), main_roots(t)
-    rt = reroot(t, r)
-    # for odd d the half at r is everything except the other end's subtree;
-    # with the tree rooted at r the branch toward the other end is the
-    # unique tallest one, so capping at the side height picks out that half
-    cap = (d - 1) // 2 - 1 if other else None
-    pieces = (_piece(rt, r, cap), *(_piece(rt, v) for v in other))
-    if None in pieces:
+    """One pass over the postorder of t rooted at its first central vertex.
+
+    The piece at v of height h is v with its branches of height below h.
+    It is uniform when its branches are uniform pieces of every height
+    below h, and short-core when h >= 2 and they are of every height below
+    h but h - 2.  So mask[v] sets bit g for each height g of v's branches,
+    and -1 (which stays -1 under |) once one of them is not uniform.  Every
+    central piece has height d // 2; for odd d the half at the first end
+    leaves out its branch toward the other end."""
+    d, roots = diameter(t), main_roots(t)
+    rt = reroot(t, roots[0])
+    # the other end for odd d; for even d the root, which the loop never meets
+    hb, parent, skip = rt.height_below, rt.parent, roots[-1]
+    mask = [0] * rt.n
+    for v in rt.order[:-1]:
+        if v != skip:
+            g = hb[v]
+            mask[parent[v]] |= 1 << g if mask[v] == (1 << g) - 1 else -1
+    h = d // 2
+    full = (1 << h) - 1
+    kinds = [mask[v] for v in roots]
+    if not all(m == full or h >= 2 and m == full - (1 << (h - 2)) for m in kinds):
         return _FamilyAnalysis(Family.UNSUPPORTED)
-    uniform = [_uniform(pc) for pc in pieces]
+    uniform = tuple(m == full for m in kinds)
     fam = (Family.UNIFORM if all(uniform) else Family.MIXED if any(uniform)
            else Family.SHORT_CORE)
-    return _FamilyAnalysis(fam, pieces)
+    return _FamilyAnalysis(fam, roots, uniform)
+
+
+def _split(t: RootedTree, v: int, h: int) -> tuple[int, list[int]]:
+    """The core height and the parts of the piece at v of height h >= 1 in
+    a supported tree: the parts are v's branches of height h - 1, in
+    ascending id, and the core is v with its shorter branches."""
+    hb, kids = t.height_below, t.children[v]
+    return (max((hb[c] + 1 for c in kids if hb[c] < h - 1), default=0),
+            [c for c in kids if hb[c] == h - 1])
+
+
+def _piece_json(t: RootedTree, v: int, h: int) -> dict:
+    """The certificate of the piece at v of height h, nested down to leaves."""
+    if h == 0:
+        return {"root": v, "height": 0, "parts": [], "core": None}
+    core, parts = _split(t, v, h)
+    return {"root": v, "height": h, "parts": [_piece_json(t, c, h - 1) for c in parts],
+            "core": _piece_json(t, v, core)}
 
 
 def recognize_family(t: RootedTree) -> FamilyTag:
@@ -488,29 +462,27 @@ def recognize_family(t: RootedTree) -> FamilyTag:
     """
     an, d, ends = _family_analysis(t), diameter(t), main_roots(t)
     cert: dict = {"family": an.family.value, "diameter": d}
+    # the central pieces of a supported tree, read with t rooted at ends[0]
+    rt = reroot(t, ends[0]) if an.roots else None
+    pieces = [_piece_json(rt, v, d // 2) for v in an.roots]
     if d % 2 == 0:
         cert["main_root"] = ends[0]
-        if an.pieces:
-            cert["piece"] = an.pieces[0].to_json()
+        if pieces:
+            cert["piece"] = pieces[0]
     else:
         cert["main_edge"] = list(ends)
-        if an.pieces:
-            cert["sides"] = [{"root": pc.root, "kind": "uniform" if _uniform(pc) else "short_core",
-                              "piece": pc.to_json()} for pc in an.pieces]
+        if pieces:
+            cert["sides"] = [{"root": v, "kind": "uniform" if u else "short_core", "piece": pc}
+                             for v, u, pc in zip(an.roots, an.uniform, pieces)]
     return FamilyTag(an.family, d, cert)
 
 
-def _whole_piece_cert(t: RootedTree, r: int) -> PieceCert | None:
-    """The whole tree as one piece rooted at its central vertex r, read
-    from the cached analysis; None outside the families.  Even diameter:
-    the piece at the centre.  Odd diameter: the central join, the half at
-    r as core and the other half as its one part, which for a uniform tree
-    is the piece the recognizer would certify from r."""
-    pieces = _family_analysis(t).pieces
-    if len(pieces) < 2:
-        return pieces[0] if pieces else None
-    own, other = pieces if pieces[0].root == r else pieces[::-1]
-    return PieceCert(r, own.height + 1, (other,), own)
+def _whole_piece_cert(t: RootedTree, r: int) -> RootedTree | None:
+    """t rooted at its central vertex r, which the builder reads as one
+    piece of its height there, or None outside the families.  For odd d
+    that piece is the central join: the half at r is its core and the
+    other end, r's one tallest branch, its part."""
+    return None if _family_analysis(t).family is Family.UNSUPPORTED else reroot(t, r)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -13,6 +15,7 @@ from diminimal import (
     RootedTree,
     WeightedTreeMatrix,
     build_tree,
+    diameter,
     duplicate_branch,
     format_rational,
     main_roots,
@@ -138,7 +141,8 @@ def reference_isolate(m: WeightedTreeMatrix, width: Fraction) -> list:
 def generic_d4(p: int, ts: tuple[int, ...]) -> RootedTree:
     """Diameter-4 tree: center 0 with ts[0] pendant leaves and p arms,
     arm i carrying ts[i] leaves.  Requires p >= 2 and every ts[i] >= 1."""
-    assert p >= 2 and len(ts) == p + 1 and all(x >= 1 for x in ts)
+    if not (p >= 2 and len(ts) == p + 1 and all(x >= 1 for x in ts)):
+        raise ValueError(f"no diameter-4 tree with p={p} and ts={ts}")
     edges = []
     nxt = 1
     for _ in range(ts[0]):
@@ -230,3 +234,66 @@ def reference_float_scale(m: WeightedTreeMatrix) -> float:
     """The scale of the oracle's band: max(1, n * the largest |entry|)."""
     top = max([abs(float(q)) for q in m.diag] + [math.sqrt(float(w)) for w in m.sq_edge])
     return max(1.0, top * m.n)
+
+
+# The recursive piece certificate the recognizer built before its mask pass:
+# the reference the pass and the certificate JSON are checked against.
+
+@dataclass(frozen=True)
+class RefPiece:
+    """A piece: `root` with the full-height branches `parts` (uniform
+    pieces) and the `core` of root and shorter branches, one level below a
+    uniform piece and two below a short-core one; a leaf has no core."""
+
+    root: int
+    height: int
+    parts: tuple
+    core: "RefPiece | None"
+
+    @property
+    def uniform(self) -> bool:
+        return self.core is None or self.core.height == self.height - 1
+
+    def to_json(self) -> dict:
+        return {"root": self.root, "height": self.height,
+                "parts": [p.to_json() for p in self.parts],
+                "core": None if self.core is None else self.core.to_json()}
+
+
+def reference_piece(t: RootedTree, v: int, cap: int | None = None) -> RefPiece | None:
+    """The piece at v made of its branches of height <= cap (all when cap
+    is None), certified over its branch heights lowest first, or None."""
+    hb = t.height_below
+    kids = sorted((hb[c], c) for c in t.children[v] if cap is None or hb[c] <= cap)
+    pc = RefPiece(v, 0, (), None)
+    for g, branches in groupby(kids, key=lambda k: k[0]):
+        if not pc.uniform or pc.height < g - 1:
+            return None
+        parts = []
+        for _, c in branches:
+            part = reference_piece(t, c)
+            if part is None or not part.uniform:
+                return None
+            parts.append(part)
+        pc = RefPiece(v, g + 1, tuple(parts), pc)
+    return pc
+
+
+def reference_pieces(t: RootedTree) -> tuple[RefPiece, ...] | None:
+    """The central pieces of t by the reference, one per central vertex
+    with t rooted at the first (for odd d the half there leaves out its
+    branch toward the other end), or None when one fails."""
+    d, (r, *other) = diameter(t), main_roots(t)
+    rt = reroot(t, r)
+    cap = (d - 1) // 2 - 1 if other else None
+    pieces = (reference_piece(rt, r, cap), *(reference_piece(rt, v) for v in other))
+    return None if None in pieces else pieces
+
+
+def reference_family(t: RootedTree) -> Family:
+    pieces = reference_pieces(t)
+    if pieces is None:
+        return Family.UNSUPPORTED
+    uniform = [pc.uniform for pc in pieces]
+    return (Family.UNIFORM if all(uniform) else Family.MIXED if any(uniform)
+            else Family.SHORT_CORE)

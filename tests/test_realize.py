@@ -224,15 +224,15 @@ def test_family_keeps_caller_labels():
 
 
 def test_realize_entries_read_one_recognition(monkeypatch):
-    # once a tree's analysis is cached, no public realize entry certifies a
-    # piece again: each reads its certificate through _whole_piece_cert
-    real_piece, calls = diminimal.trees._piece, []
+    # once a tree's analysis is cached, no public realize entry analyses
+    # the tree again: each reads its rooting through _whole_piece_cert
+    real_analyze, calls = diminimal.trees._analyze_family, []
 
-    def piece(t, v, cap=None):
-        calls.append(v)
-        return real_piece(t, v, cap)
+    def analyze(t):
+        calls.append(t)
+        return real_analyze(t)
 
-    monkeypatch.setattr(diminimal.trees, "_piece", piece)
+    monkeypatch.setattr(diminimal.trees, "_analyze_family", analyze)
     trees = [seed(fam, d) for fam, d in ONE_PER_PATH]
     for d in range(1, 12):
         s = seed(Family.UNIFORM, d)
@@ -240,7 +240,7 @@ def test_realize_entries_read_one_recognition(monkeypatch):
     for t in trees:
         d = diameter(t)
         recognize_family(t)
-        assert calls, "the recognizer certifies its pieces through _piece"
+        assert calls, "the recognizer analyses the tree through _analyze_family"
         calls.clear()
         certs = [realize_family(t, 0, 32), realize_integral(t, 0)]
         if t.root in main_roots(t) and recognize_family(t).family is Family.UNIFORM:
@@ -651,8 +651,8 @@ def test_a_pin_point_not_beyond_the_block_spectra_is_refused(monkeypatch):
     # it is not beyond them, and no user input can get there
     real = diminimal.realize._Builder._plan
 
-    def alpha_pin(self, cert, anchor, shift, level):
-        core, part, _, side, forced = real(self, cert, anchor, shift, level)
+    def alpha_pin(self, v, h, anchor, shift, level):
+        core, part, _, side, forced = real(self, v, h, anchor, shift, level)
         return core, part, self.alpha, side, forced
 
     monkeypatch.setattr(diminimal.realize._Builder, "_plan", alpha_pin)
@@ -670,9 +670,9 @@ def test_a_wrong_pin_point_at_a_half_is_refused(monkeypatch, fam, d, half):
     # every other piece; even short-core trees have no HIGH half
     real = diminimal.realize._Builder._plan
 
-    def alpha_pin_at_half(self, cert, anchor, shift, level):
-        core, part, y, side, forced = real(self, cert, anchor, shift, level)
-        at_half = cert.height == level + 1 and anchor is half
+    def alpha_pin_at_half(self, v, h, anchor, shift, level):
+        core, part, y, side, forced = real(self, v, h, anchor, shift, level)
+        at_half = h == level + 1 and anchor is half
         return core, part, (self.alpha if at_half else y), side, forced
 
     monkeypatch.setattr(diminimal.realize._Builder, "_plan", alpha_pin_at_half)
@@ -688,9 +688,9 @@ def test_a_wrong_pin_point_at_the_central_join_is_refused(monkeypatch, fam, d):
     # half's forced top, which is in that half's spectrum
     real = diminimal.realize._Builder._plan
 
-    def low_pin_at_join(self, cert, anchor, shift, level):
-        core, part, y, side, forced = real(self, cert, anchor, shift, level)
-        if cert.height == level + 2:
+    def low_pin_at_join(self, v, h, anchor, shift, level):
+        core, part, y, side, forced = real(self, v, h, anchor, shift, level)
+        if h == level + 2:
             y -= self.step(level - 1)
         return core, part, y, side, forced
 
@@ -974,10 +974,10 @@ def test_one_tree_is_analysed_once(monkeypatch, fam, d):
     monkeypatch.setattr(diminimal.trees, "_find_center", find_center)
     assert recognize_family(t).family is fam
 
-    def piece(t, v, cap=None):
+    def analyze(t):
         raise AssertionError("the tree was recognized twice")
 
-    monkeypatch.setattr(diminimal.trees, "_piece", piece)
+    monkeypatch.setattr(diminimal.trees, "_analyze_family", analyze)
     c = realize_integral(t, 0)
     assert verify_certificate(c.matrix, c.dspec) == []
     assert c.matrix.tree is t
@@ -1007,17 +1007,17 @@ def test_a_ladder_that_is_not_strictly_increasing_is_refused(span, k, level):
 @pytest.mark.parametrize("level", [0, 4])
 def test_a_piece_built_at_a_wrong_height_is_refused(level):
     t = seed(Family.UNIFORM, 5)
-    cert = diminimal.realize._whole_piece_cert(t, t.root)
-    b = diminimal.realize._Builder(t, t.root, F(0), F(32), 3)
+    b = diminimal.realize._Builder(diminimal.realize._whole_piece_cert(t, t.root),
+                                   F(0), F(32), 3)
     with pytest.raises(ValueError, match=f"^piece at {t.root} has height 3, "
                                          f"expected {level} to {level + 2}$"):
-        b.build(cert, Variant.LOW, 0, level)
+        b.build(t.root, t.height_below[t.root], Variant.LOW, 0, level)
 
 
 def bare_builder(monkeypatch, root_value=(-1, 1)):
     """A builder over the path 1 - 0 - 2 rooted at 0, its grid the integers,
     whose blocks all have `root_value` at every pin point."""
-    b = diminimal.realize._Builder(build_tree([(0, 1), (0, 2)], 0), 0, F(0), F(32), 1)
+    b = diminimal.realize._Builder(build_tree([(0, 1), (0, 2)], 0), F(0), F(32), 1)
     monkeypatch.setattr(b, "_root_value", lambda blk, y, side: root_value)
     return b
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unfolding, subtree_ids
+from helpers import random_unfolding, reference_piece, subtree_ids
 
 from diminimal import (
     Family,
@@ -24,8 +24,7 @@ from diminimal import (
     tree_to_json,
 )
 import diminimal.trees
-from diminimal.trees import (MAX_VERTICES, _family_analysis, _piece, _seed_halves,
-                             _whole_piece_cert)
+from diminimal.trees import MAX_VERTICES, _family_analysis, _seed_halves, _whole_piece_cert
 
 
 @st.composite
@@ -399,17 +398,20 @@ def test_seeds_beyond_the_golden_set_are_pinned_and_certified_by_their_halves():
     assert len(rows) == 25
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "0a448fa36b202d8aa43e97e557cf69ed19cf1004921700cb7c45e0a2316b8dff")
-    # the recognizer certifies each half with the heights it was built from:
-    # the whole tree from its root for a one-half seed, the analysis's
-    # halves for a two-half one
+    # the recognizer's certificate holds each half with the heights it was
+    # built from: the even piece, or the two sides of an odd tree, which for
+    # a one-half (uniform) seed are its core and its one part
     for fam, lo, step in ((Family.UNIFORM, 1, 1), (Family.SHORT_CORE, 4, 1),
                           (Family.MIXED, 5, 2)):
         for d in range(lo, 16, step):
             halves = _seed_halves(fam, d)
-            s = seed(fam, d)
-            certs = ((_whole_piece_cert(s, s.root),) if len(halves) == 1
-                     else _family_analysis(s).pieces)
-            got = tuple((pc.core.height, tuple(p.height for p in pc.parts)) for pc in certs)
+            cert = recognize_family(seed(fam, d)).certificate
+            pieces = [cert["piece"]] if d % 2 == 0 else [s["piece"] for s in cert["sides"]]
+            if len(pieces) > len(halves):
+                got = ((pieces[0]["height"], (pieces[1]["height"],)),)
+            else:
+                got = tuple((pc["core"]["height"], tuple(p["height"] for p in pc["parts"]))
+                            for pc in pieces)
             assert got == halves, (fam, d)
 
 
@@ -535,42 +537,6 @@ def test_recognize_invariant_under_reroot():
         assert (tag.family, tag.diameter) == (base.family, base.diameter)
 
 
-def test_piece_enters_each_vertex_once_and_nests_log_deep(monkeypatch):
-    # _piece certifies a core before it enters the parts beside it: a
-    # supported tree is walked once, and since a uniform core of height
-    # g - 1 has 2**(g - 1) vertices, the calls nest at most
-    # floor(log2 n) + 2 deep on every tree, supported or not
-    real_piece, calls, depth = diminimal.trees._piece, [], [0, 0]
-
-    def piece(t, v, cap=None):
-        calls.append(v)
-        depth[0] += 1
-        depth[1] = max(depth[1], depth[0])
-        try:
-            return real_piece(t, v, cap)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(diminimal.trees, "_piece", piece)
-    rng = random.Random(39)
-    supported = []
-    for fam, lo, step in ((Family.UNIFORM, 1, 1), (Family.SHORT_CORE, 4, 1),
-                          (Family.MIXED, 5, 2)):
-        for d in range(lo, 16, step):
-            s = seed(fam, d)
-            u = random_unfolding(s, rng, 3)
-            supported += [(fam, s), (fam, u), (fam, reroot(u, rng.randrange(u.n)))]
-    for fam, t in supported + [(None, t) for t in shuffled_trees(39, count=200)]:
-        calls.clear()
-        depth[1] = 0
-        # a fresh object, as an unfolding may return its tree, analysed
-        tag = recognize_family(RootedTree(t.parent, t.root))
-        if fam is not None:
-            assert tag.family is fam
-            assert sorted(calls) == list(range(t.n)), (fam, tag.diameter)
-        assert depth[1] <= t.n.bit_length() + 1, (t.n, depth[1])
-
-
 def long_path(n):
     return build_tree([(i, i + 1) for i in range(n - 1)], 0)
 
@@ -586,11 +552,8 @@ def long_caterpillar(n):
                                      (long_caterpillar, 10 ** 4),
                                      (long_caterpillar, 10 ** 5)])
 def test_recognize_deep_trees_without_recursing(make, n):
-    # no size guard returns early here: at the centre _piece meets the
-    # spine's branch with a core of height 0 or 1 beside it and refuses it
-    # before entering it, so the core-before-parts order alone keeps the
-    # recognizer off the spine (a parts-first walk recurses once per spine
-    # vertex)
+    # the recognizer is one loop over the postorder: a spine of 10**5
+    # vertices is no deeper for it than a star
     t = make(n)
     tag = recognize_family(t)
     assert (tag.family, tag.diameter) == (Family.UNSUPPORTED, diameter(t))
@@ -598,8 +561,10 @@ def test_recognize_deep_trees_without_recursing(make, n):
 
 
 def test_analysis_certifies_uniform_trees_as_one_whole_piece():
-    # the central join of the cached analysis is the piece a second
-    # recognition from either central root would certify
+    # rooted at either central root, a uniform tree is the one uniform piece
+    # the reference certifies there: the certificate's piece for even d, and
+    # for odd d the central join of its sides, the side at that root as core
+    # and the other as its one part
     rng = random.Random(55)
     for d in range(14):
         s = seed(Family.UNIFORM, d) if d else build_tree([], 0)
@@ -607,8 +572,18 @@ def test_analysis_certifies_uniform_trees_as_one_whole_piece():
             off = [v for v in range(t.n) if v not in main_roots(t)]
             for tr in [reroot(t, r) for r in [t.root] + off[:1]]:
                 assert _family_analysis(tr).family is Family.UNIFORM
+                cert = recognize_family(tr).certificate
+                sides = {s["root"]: s["piece"] for s in cert.get("sides", [])}
                 for r in main_roots(tr):
-                    assert _whole_piece_cert(tr, r) == _piece(reroot(tr, r), r)
+                    assert _whole_piece_cert(tr, r) == reroot(tr, r)
+                    whole = reference_piece(reroot(tr, r), r)
+                    assert whole.uniform and whole.height == (d + 1) // 2
+                    if d % 2 == 0:
+                        assert whole.to_json() == cert["piece"]
+                    else:
+                        (other,) = whole.parts
+                        assert whole.core.to_json() == sides[r]
+                        assert other.to_json() == sides[other.root]
 
 
 # ----------------------------------------------------------- serialization
