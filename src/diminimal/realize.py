@@ -338,7 +338,8 @@ class _Builder:
                 return (Variant.LOW, 0), (Variant.LOW, 0), vals[-1], "max", vals[0] - s
             c = _split(self.rt, v, h)[0]
             up = self.step(c)
-            core = Variant.LOW if c == h - 1 else Variant.HIGH
+            # a leaf core (level 1) is the LOW leaf, raised by the step to beta
+            core = Variant.LOW if c in (0, h - 1) else Variant.HIGH
             return (core, up), (Variant.HIGH, 0), vals[0], "min", vals[-1] + up
         # at level 1 the children are leaves: LOW raised by s is the HIGH leaf
         if anchor is Variant.LOW:
@@ -545,9 +546,10 @@ def realize_variant(t: RootedTree, lad: Ladder, variant: Variant,
 
 def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction) -> RealizationCertificate:
     """Realize any tree of the three supported families with d+1 distinct
-    eigenvalues anchored at (alpha, beta).  Raises ValueError for trees
-    outside the families, and for short-core or mixed trees of diameter
-    less than 6, where no construction is defined."""
+    eigenvalues anchored at (alpha, beta): a uniform tree as one LOW piece,
+    a short-core or mixed one as one or two halves over the ladder a level
+    below.  Raises ValueError for trees outside the families and for the
+    single vertex."""
     alpha, beta = parse_rational(alpha), parse_rational(beta)
     if beta <= alpha:
         raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
@@ -560,9 +562,6 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction) -> Realizatio
     big_k = (d + 1) // 2
     if an.family is Family.UNIFORM:
         k, variant = big_k, Variant.LOW.value
-    elif d < 6:
-        raise ValueError(f"no construction is defined for {an.family.value} "
-                         f"trees of diameter {d} (need >= 6)")
     else:
         # the whole of an even short-core tree is one LOW half
         k = d // 2 - 1

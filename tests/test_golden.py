@@ -28,7 +28,10 @@ from diminimal import (
 )
 from diminimal.matrices import format_rational
 
-GOLDEN = "1520ba412900020de1cd2d220445bc935e76b5680f4e549c2fc6460ae2aeb6b9"
+# the 12 records of the short-core d=4, d=5 and mixed d=5 seeds, their
+# unfoldings and rerootings went from a refusal to a certificate; the
+# other 113 are unchanged
+GOLDEN = "4307b8e4a19fdb4a55f75142231c37969687c217f9937b3fa420f25854057e41"
 
 
 def _seeds():

@@ -283,11 +283,20 @@ def test_family_rational_endpoints():
     assert c.dspec[3][0] == F(-7, 3) or F(-7, 3) in [v for v, _ in c.dspec]
 
 
-def test_family_small_primed_rejected():
-    for fam, d in ((Family.SHORT_CORE, 4), (Family.SHORT_CORE, 5),
-                   (Family.MIXED, 5)):
-        with pytest.raises(ValueError):
-            realize_family(seed(fam, d), 0, 32)
+def test_family_small_primed_certified():
+    # the smallest short-core and mixed trees: one LOW half (d=4), or two
+    # halves at level 1 (d=5), where the HIGH half's leaf core is the LOW
+    # leaf raised to beta
+    rng = random.Random(16)
+    for fam, d, variant in ((Family.SHORT_CORE, 4, "short-core-even"),
+                            (Family.SHORT_CORE, 5, "short-core-odd"),
+                            (Family.MIXED, 5, "mixed")):
+        s = seed(fam, d)
+        u = random_unfolding(s, rng, 3)
+        for t in (s, u, reroot(u, rng.randrange(u.n))):
+            c = realize_family(t, 0, 32).audit()
+            assert (c.family, c.variant, c.distinct_values) == (fam, variant, d + 1)
+            assert realize_integral(t, 1).distinct_values == d + 1
 
 
 def test_family_rejects_unsupported_tree():
@@ -1082,9 +1091,7 @@ def test_an_integral_realization_with_a_fractional_eigenvalue_is_refused(monkeyp
 # ------------------------------------------- contracts on random trees
 
 # the ValueErrors realize_family documents, for valid (alpha, beta)
-DOCUMENTED = re.compile(r"unsupported family \(diameter \d+\)|need at least one edge"
-                        r"|no construction is defined for (short-core|mixed) "
-                        r"trees of diameter [0-5] ")
+DOCUMENTED = re.compile(r"unsupported family \(diameter \d+\)|need at least one edge")
 
 
 @st.composite
@@ -1115,7 +1122,7 @@ def test_recognize_never_raises_and_realize_raises_only_documented_errors(case):
         c = realize_family(t, 0, 32)
     except ValueError as exc:
         assert DOCUMENTED.match(str(exc)), exc
-        assert fam is None and (tag.family is Family.UNSUPPORTED or tag.diameter < 6)
+        assert fam is None and (tag.family is Family.UNSUPPORTED or tag.diameter == 0)
     else:
         assert c.family is tag.family
         assert c.distinct_values == tag.diameter + 1
