@@ -331,7 +331,8 @@ class _Builder:
         above its forced top."""
         vals, s = self.ladders[level], self.step(level - 1)
         if h == level + 2:
-            up = self.step(_split(self.rt, _split(self.rt, v, h)[1][0], h - 1)[0])
+            (other,) = _split(self.rt, v, h)[1]
+            up = self.step(_split(self.rt, other, h - 1)[0])
             return (Variant.LOW, 0), (Variant.HIGH, 0), vals[-1] + up + s, "max", vals[0] - 2 * s
         if h == level + 1:
             if anchor is Variant.LOW:

@@ -423,8 +423,11 @@ def _analyze_family(t: RootedTree) -> _FamilyAnalysis:
     mask = [0] * rt.n
     for v in rt.order[:-1]:
         if v != skip:
-            g = hb[v]
-            mask[parent[v]] |= 1 << g if mask[v] == (1 << g) - 1 else -1
+            # the piece at v, of height g = hb[v], is uniform when m is
+            # 2**g - 1 (its top bit is g - 1); m >= 0 first, as -1 & 0 == 0,
+            # and no int of g bits is made on a tall unsupported tree
+            m = mask[v]
+            mask[parent[v]] |= 1 << hb[v] if m >= 0 and m & (m + 1) == 0 else -1
     h = d // 2
     full = (1 << h) - 1
     kinds = [mask[v] for v in roots]

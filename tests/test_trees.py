@@ -406,7 +406,7 @@ def test_seeds_beyond_the_golden_set_are_pinned_and_certified_by_their_halves():
         for d in range(lo, 16, step):
             halves = _seed_halves(fam, d)
             cert = recognize_family(seed(fam, d)).certificate
-            pieces = [cert["piece"]] if d % 2 == 0 else [s["piece"] for s in cert["sides"]]
+            pieces = [cert["piece"]] if d % 2 == 0 else [side["piece"] for side in cert["sides"]]
             if len(pieces) > len(halves):
                 got = ((pieces[0]["height"], (pieces[1]["height"],)),)
             else:
@@ -573,7 +573,7 @@ def test_analysis_certifies_uniform_trees_as_one_whole_piece():
             for tr in [reroot(t, r) for r in [t.root] + off[:1]]:
                 assert _family_analysis(tr).family is Family.UNIFORM
                 cert = recognize_family(tr).certificate
-                sides = {s["root"]: s["piece"] for s in cert.get("sides", [])}
+                sides = {side["root"]: side["piece"] for side in cert.get("sides", [])}
                 for r in main_roots(tr):
                     assert _whole_piece_cert(tr, r) == reroot(tr, r)
                     whole = reference_piece(reroot(tr, r), r)
