@@ -171,7 +171,9 @@ class WeightedTreeMatrix:
     def rerooted(self, tree: RootedTree) -> WeightedTreeMatrix:
         """This matrix on `tree`, its tree rooted elsewhere: the weights on the
         path from the new root up move to the other end of their edge, whose
-        parent link reverses as in `reroot`; any other tree is refused."""
+        parent link reverses as in `reroot`; self.tree gives self, any other is refused."""
+        if tree is self.tree:
+            return self
         a = self.rows
         if tree.n != self.n:
             raise ValueError("the tree is not this matrix's tree rooted elsewhere")

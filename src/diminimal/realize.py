@@ -57,14 +57,15 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import chain
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Sequence
 
 # bench/spans.py wraps _run, counts_at, diagonalize, make_matrix, join and
 # reroot as realize attributes, so all six are imported here; only _run is used
 from .locate import _run, counts_at, diagonalize
 from .matrices import Rows, WeightedTreeMatrix, format_rational, make_matrix, parse_rational
-from .trees import (Family, RootedTree, _family_analysis, _split, _whole_piece_cert,
-                    diameter, join, main_roots, reroot)
+from .trees import (MAX_VERTICES, Family, RootedTree, _family_analysis, _split,
+                    _whole_piece_cert, diameter, join, main_roots, reroot)
 
 
 class Variant(Enum):
@@ -96,11 +97,11 @@ class Ladder:
 
 
 def ladder(alpha: Fraction, beta: Fraction, k: int) -> Ladder:
-    alpha, beta = parse_rational(alpha), parse_rational(beta)
+    alpha, beta, k = parse_rational(alpha), parse_rational(beta), index(k)
     if beta <= alpha:
         raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
-    if k < 1:
-        raise ValueError("ladder level must be >= 1")
+    if not 1 <= k < MAX_VERTICES.bit_length():  # a level-k uniform tree has >= 2**k vertices
+        raise ValueError(f"ladder level must be 1 to {MAX_VERTICES.bit_length() - 1}, got {k}")
     q = lcm(alpha.denominator, ((beta - alpha) / 2 ** (k - 1)).denominator)
     top = _ladder_levels(_grid(alpha, q), _grid(beta - alpha, q), k)[-1]
     return Ladder(alpha, beta, k, tuple(Fraction(v, q) for v in top))
@@ -212,8 +213,7 @@ class RealizationCertificate:
     def audit(self) -> RealizationCertificate:
         """Check every claim the build made on the way (see `_audit`) and
         return the certificate; a failed check raises RuntimeError."""
-        b = self._builder
-        _audit(b, self.matrix if self.matrix.tree is b.rt else self.matrix.rerooted(b.rt))
+        _audit(self._builder, self.matrix.rerooted(self._builder.rt))
         return self
 
     @property
@@ -554,8 +554,7 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction) -> Realizatio
     alpha, beta = parse_rational(alpha), parse_rational(beta)
     if beta <= alpha:
         raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
-    an = _family_analysis(t)
-    d = diameter(t)
+    an, d = _family_analysis(t), diameter(t)
     if an.family is Family.UNSUPPORTED:
         raise ValueError(f"unsupported family (diameter {d}); no construction applies")
     if d < 1:
@@ -568,12 +567,8 @@ def realize_family(t: RootedTree, alpha: Fraction, beta: Fraction) -> Realizatio
         k = d // 2 - 1
         variant = ("mixed" if an.family is Family.MIXED
                    else "short-core-odd" if d % 2 else "short-core-even")
-    # odd d: the half at this root is the core of the central join, the LOW
-    # half, a short-core one if there is one (False sorts first); rooted
-    # there the whole tree is one piece of height big_k
-    root = min(zip(an.uniform, an.roots))[1]
-    builder = _Builder(_whole_piece_cert(t, root), alpha, beta, big_k)
-    blk = builder.build(root, big_k, Variant.LOW, 0, k)
+    builder = _Builder(an.rt, alpha, beta, big_k)
+    blk = builder.build(an.rt.root, big_k, Variant.LOW, 0, k)
     return _finish(builder, blk, t, an.family, variant, None)
 
 
@@ -590,8 +585,7 @@ def realize_integral(t: RootedTree, alpha: Fraction,
     d = diameter(t)
     if d < 1:
         raise ValueError("need at least one edge to realize")
-    k = (d + 1) // 2
-    grain = 2 ** (k - 1)
+    grain = 2 ** ((d + 1) // 2 - 1)
     if beta is None:
         beta = alpha + grain
     else:

@@ -16,8 +16,8 @@ this module provides:
   * ``recognize_family``: a certificate-producing recognizer that decides
     which family (if any) an arbitrary tree belongs to by the pieces at its
     centre, read from the branch heights in one pass (a bit mask per
-    vertex); the builder reads the same pieces from the heights as
-    (vertex, height) pairs, the tree rooted by ``_whole_piece_cert``.
+    vertex); the certificate and the builder read the same pieces from the
+    heights as (vertex, height) pairs, on the one rooting the analysis keeps.
 """
 
 from __future__ import annotations
@@ -391,13 +391,13 @@ class FamilyTag:
 @dataclass(frozen=True)
 class _FamilyAnalysis:
     """Structured recognizer output shared with the realization engine: the
-    family and, for a supported tree, its central roots (`main_roots`) and
-    whether the piece at each is uniform (else short-core).  For even
-    diameter that piece is the whole tree at the central vertex, for odd
-    diameter the half at that end of the central edge."""
+    family and, for a supported tree, t rooted where the builder starts (`rt`,
+    t itself if rooted there) and whether the piece at each central root is
+    uniform (else short-core): for even d the whole tree at the central
+    vertex, for odd d the half at that end of the central edge."""
 
     family: Family
-    roots: tuple[int, ...] = ()
+    rt: RootedTree | None = None
     uniform: tuple[bool, ...] = ()
 
 
@@ -436,7 +436,10 @@ def _analyze_family(t: RootedTree) -> _FamilyAnalysis:
     uniform = tuple(m == full for m in kinds)
     fam = (Family.UNIFORM if all(uniform) else Family.MIXED if any(uniform)
            else Family.SHORT_CORE)
-    return _FamilyAnalysis(fam, roots, uniform)
+    # for odd d the builder starts at the LOW half's end, a short-core one if
+    # any (False sorts first): rooted there the whole tree is one piece
+    low = min(zip(uniform, roots))[1]
+    return _FamilyAnalysis(fam, rt if low == rt.root else reroot(t, low), uniform)
 
 
 def _split(t: RootedTree, v: int, h: int) -> tuple[int, list[int]]:
@@ -465,9 +468,9 @@ def recognize_family(t: RootedTree) -> FamilyTag:
     """
     an, d, ends = _family_analysis(t), diameter(t), main_roots(t)
     cert: dict = {"family": an.family.value, "diameter": d}
-    # the central pieces of a supported tree, read with t rooted at ends[0]
-    rt = reroot(t, ends[0]) if an.roots else None
-    pieces = [_piece_json(rt, v, d // 2) for v in an.roots]
+    # the central pieces of a supported tree, read on the builder's rooting:
+    # at either end of the central edge `_split` leaves the other end out
+    pieces = [_piece_json(an.rt, v, d // 2) for v in ends] if an.rt else []
     if d % 2 == 0:
         cert["main_root"] = ends[0]
         if pieces:
@@ -476,16 +479,17 @@ def recognize_family(t: RootedTree) -> FamilyTag:
         cert["main_edge"] = list(ends)
         if pieces:
             cert["sides"] = [{"root": v, "kind": "uniform" if u else "short_core", "piece": pc}
-                             for v, u, pc in zip(an.roots, an.uniform, pieces)]
+                             for v, u, pc in zip(ends, an.uniform, pieces)]
     return FamilyTag(an.family, d, cert)
 
 
 def _whole_piece_cert(t: RootedTree, r: int) -> RootedTree | None:
-    """t rooted at its central vertex r, which the builder reads as one
-    piece of its height there, or None outside the families.  For odd d
-    that piece is the central join: the half at r is its core and the
-    other end, r's one tallest branch, its part."""
-    return None if _family_analysis(t).family is Family.UNSUPPORTED else reroot(t, r)
+    """t rooted at its central vertex r (t or the analysis's rooting when
+    already rooted at r), which the builder reads as one piece of its height
+    there, or None outside the families.  For odd d that piece is the central
+    join: the half at r is its core, the other end, r's one tallest branch, its part."""
+    rt = _family_analysis(t).rt
+    return None if rt is None else t if t.root == r else reroot(rt, r)
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,8 @@ def test_rerooted_moves_the_path_weights():
     for _ in range(20):
         t = random_tree(rng.randint(1, 15), rng)
         m = random_matrix(reroot(t, rng.randrange(t.n)), rng)
+        # the matrix's own tree object gives the matrix itself
+        assert m.rerooted(m.tree) is m
         for r in range(t.n):
             moved = m.rerooted(reroot(m.tree, r))
             assert moved == rooted_at(m, r)

@@ -73,6 +73,16 @@ def test_ladder_rejects_bad_input():
         ladder(3, 1, 2)
     with pytest.raises(ValueError):
         ladder(0, 1, 0)
+    # a uniform tree of level 18 has more than the supported 2**17 vertices
+    assert len(ladder(0, 32, 17).values) == 36
+    with pytest.raises(ValueError, match="^ladder level must be 1 to 17, got 18$"):
+        ladder(0, 32, 18)
+    for k in (1.5, "3"):
+        with pytest.raises(TypeError):
+            ladder(0, 32, k)
+    np = pytest.importorskip("numpy")
+    lad = ladder(0, 32, np.int64(3))
+    assert type(lad.k) is int and lad.k == 3 and lad == ladder(0, 32, 3)
 
 
 # --------------------------------------------------- frozen small matrices
@@ -225,7 +235,7 @@ def test_family_keeps_caller_labels():
 
 def test_realize_entries_read_one_recognition(monkeypatch):
     # once a tree's analysis is cached, no public realize entry analyses
-    # the tree again: each reads its rooting through _whole_piece_cert
+    # the tree again: each builds on the rooting the analysis keeps
     real_analyze, calls = diminimal.trees._analyze_family, []
 
     def analyze(t):
@@ -249,6 +259,44 @@ def test_realize_entries_read_one_recognition(monkeypatch):
         for c in certs:
             assert c.distinct_values == d + 1
             assert verify_certificate(c.matrix, c.dspec) == []
+
+
+def relabelled(t, r):
+    """t with each id v renamed n - 1 - v, rooted at the new name of r."""
+    return build_tree([(t.n - 1 - u, t.n - 1 - v) for u, v in t.edges], t.n - 1 - r)
+
+
+def first_leaf(t):
+    return next(v for v in range(t.n) if t.degree(v) == 1)
+
+
+def test_a_tree_is_rooted_at_its_centre_once(monkeypatch):
+    # recognition, its certificate and the builder share the analysis's
+    # rooting: a tree rooted off the centre is rooted there once, or for a
+    # mixed tree whose LOW half is at the second end of the central edge
+    # once more at that end, and a tree rooted where the builder starts
+    # not at all
+    uni, mixed = seed(Family.UNIFORM, 9), relabelled(seed(Family.MIXED, 9), 0)
+    sides = recognize_family(mixed).certificate["sides"]
+    assert [side["kind"] for side in sides] == ["uniform", "short_core"]
+    cases = [(reroot(uni, first_leaf(uni)), 1), (reroot(mixed, first_leaf(mixed)), 2),
+             *((seed(fam, d), 0) for fam, d in ONE_PER_PATH)]
+    real_reroot, new = diminimal.trees.reroot, []
+
+    def spy(t, r):
+        out = real_reroot(t, r)
+        if out is not t:
+            new.append(out)
+        return out
+
+    monkeypatch.setattr(diminimal.trees, "reroot", spy)
+    for t, want in cases:
+        new.clear()
+        tag = recognize_family(t)
+        certs = [realize_family(t, 0, 32), realize_integral(t, 0)]
+        assert len(new) == want, (tag.family, t.root)
+        for c in certs:
+            assert c.matrix.tree is t and c.distinct_values == tag.diameter + 1
 
 
 def test_family_short_core_even():
